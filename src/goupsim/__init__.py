@@ -13,9 +13,9 @@ dyadic grids.  The package provides
 * ``goupillaud``              media, broken and limiting characteristic curves,
 * ``transport``               transport solutions along characteristics and
                               L^p convergence measurements,
-* ``ig_analytics``            closed-form and quadrature densities for the
-                              inverse Gaussian (stable-1/2) case, up to the
-                              base-point density of the limiting characteristic,
+* ``ig_analytics``            densities for the inverse Gaussian (stable-1/2)
+                              case, up to the closed-form base-point density of
+                              the limiting characteristic,
 * ``montecarlo_validation``   seeded Monte Carlo generators, Brownian oracles
                               and histogram/KS comparisons,
 * ``cli``                     command line front end (``goupsim``).

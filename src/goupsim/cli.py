@@ -9,10 +9,11 @@ density    analytic base-point density and CDF for the stable-1/2 process
 validate   Monte Carlo base points against the analytic density; exit
            status is nonzero unless every configured check passes
 
-Global flags (``--seed``, ``--out``, ``--threads``, ``--tol-abs``,
-``--tol-rel``) can also be set through environment variables with the
-``GOUPSIM_`` prefix (``GOUPSIM_SEED``, ``GOUPSIM_OUT``, ``GOUPSIM_THREADS``,
-``GOUPSIM_TOL_ABS``, ``GOUPSIM_TOL_REL``); flags win over the environment.
+Global flags (``--seed``, ``--out``, ``--threads``) can also be set through
+environment variables with the ``GOUPSIM_`` prefix (``GOUPSIM_SEED``,
+``GOUPSIM_OUT``, ``GOUPSIM_THREADS``); flags win over the environment.
+``--tol-abs`` and ``--tol-rel`` are still accepted but no longer affect any
+output: the base-point law is evaluated in closed form.
 
 Every command writes ``manifest.json`` echoing the resolved scientific
 configuration; rerunning from the same manifest reproduces all numeric
@@ -35,7 +36,6 @@ import numpy as np
 
 from . import ig_analytics, levy_paths, montecarlo_validation, transport
 from .levy_paths import GammaDrift, PoissonDrift, ProcessSpec, RngSeed, StableHalf
-from .quadrature import QuadratureSpec
 
 _ENV_PREFIX = "GOUPSIM_"
 
@@ -76,18 +76,12 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
         help="worker processes; results are identical for any count "
         "(env GOUPSIM_THREADS)",
     )
-    parser.add_argument(
-        "--tol-abs",
-        type=float,
-        default=_env("TOL_ABS", float, 1e-9),
-        help="absolute quadrature tolerance (env GOUPSIM_TOL_ABS)",
-    )
-    parser.add_argument(
-        "--tol-rel",
-        type=float,
-        default=_env("TOL_REL", float, 1e-8),
-        help="relative quadrature tolerance (env GOUPSIM_TOL_REL)",
-    )
+    for flag in ("--tol-abs", "--tol-rel"):
+        parser.add_argument(
+            flag,
+            type=float,
+            help="accepted for compatibility; no longer affects any output",
+        )
 
 
 def _add_process_flags(parser: argparse.ArgumentParser) -> None:
@@ -137,10 +131,6 @@ def _k_window(t_range: tuple[float, float], n_max: int) -> tuple[int, int]:
     k_min = int(np.floor(t_range[0] * scale))
     k_max = int(np.ceil(t_range[1] * scale))
     return min(k_min, 0), max(k_max, 0)
-
-
-def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
-    return QuadratureSpec(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
@@ -280,18 +270,13 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if args.t <= 0.0:
         raise SystemExit(f"--t must be positive (elapsed time), got {args.t}")
     if args.x <= 0.0:
-        raise SystemExit(
-            f"--x must be positive, got {args.x} (the negative-level branch "
-            "is available through the library API only)"
-        )
-    spec = _quad_spec(args)
+        raise SystemExit(f"--x must be positive, got {args.x}")
     grid = ig_analytics.default_z_grid(args.x, n=args.zcount, z_neg_far=args.zfar)
     query = ig_analytics.IGQuery(args.x, args.t, grid)
-    curve = ig_analytics.basepoint_density(query, spec, workers=args.threads)
-    failures = int(np.sum(np.isnan(curve.err)))
+    curve = ig_analytics.basepoint_density(query)
     ig_analytics.write_density_csv(curve, out_dir / "density.csv")
     ig_analytics.write_cdf_csv(ig_analytics.cdf_from_curve(curve), out_dir / "cdf.csv")
-    ig_analytics.write_query_json(query, spec, curve.mass, out_dir / "query.json")
+    ig_analytics.write_query_json(query, curve.mass, out_dir / "query.json")
     _write_manifest(
         out_dir,
         "density",
@@ -300,13 +285,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
             "t": args.t,
             "z_count": args.zcount,
             "z_neg_far": args.zfar,
-            "abs_tol": spec.abs_tol,
-            "rel_tol": spec.rel_tol,
         },
     )
-    if failures:
-        print(f"density: {failures} grid points did not converge (err=NaN)", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -329,7 +309,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         args.x0,
         args.t0,
         cfg,
-        quad_spec=_quad_spec(args),
         l1_max=args.l1_max,
         hist_hi=args.hist_hi,
         workers=args.threads,
@@ -356,8 +335,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             "hist_hi": args.hist_hi,
             "l1_max": args.l1_max,
             "with_ks": not args.no_ks,
-            "abs_tol": args.tol_abs,
-            "rel_tol": args.tol_rel,
             "seed": args.seed,
             "stream": args.stream,
         },

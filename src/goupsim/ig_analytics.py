@@ -14,37 +14,48 @@ mirrored for negative times.  Building blocks:
                            (overshoot integrated out; for ``x < 0`` this is a
                            one-dimensional quadrature),
 * ``bridge_density``       density of the process pinned to ``I(s) = y``,
-* ``conditional_past_density``  law of ``I(s - t)`` given hitting data, split
-                           into the bridge / independent-copy / negative-side
-                           regions,
-* ``basepoint_density``    total-probability assembly of the base-point law
-                           ``I(I*(x) - t)`` by nested quadrature: adaptive
-                           passes in the hitting time ``s`` (split at ``s = t``
-                           and at the small-``|z|`` boundary layer of width
-                           ``~sqrt(|z|)``) around an inner pass in the
-                           undershoot ``y`` with a square-root endpoint.
+* ``conditional_past_density``  law of ``I(s - t)`` given hitting data at a
+                           level ``x >= 0``, split into the bridge and
+                           independent-copy regions,
+* ``basepoint_density``    the base-point law ``I(I*(x) - t)`` in closed form.
 
-The base-point density has an integrable ``|z|^(-1/2)`` spike at the origin
-and vanishes identically above ``x``.
+Base-point law for a level ``x > 0``.  Total probability over the hitting
+data, with the bridge denominator cancelling against the undershoot density,
+integrates in closed form.  Above the origin (the bridge region)
+
+    f(z) = exp(-t^2 / (2 (x - z))) / (pi sqrt(z (x - z))),   0 < z < x,
+
+which carries the mass ``erfc(t / sqrt(2 x))``.  Below the origin the base
+point is an independent copy run backwards from the hitting time, mixed over
+the half-normal running maximum ``s`` of the hitting time:
+
+    f(-a) = int_0^t f_I(t-s)(a) sqrt(2/(pi x)) exp(-s^2/(2x)) ds
+          = a^(-3/2) / (pi sqrt(x)) * [ sigma^2 D
+              + mu sigma sqrt(pi/2) exp(-t^2/(2(a+x)))
+                * (erf((t-mu)/(sigma sqrt 2)) + erf(mu/(sigma sqrt 2))) ],
+
+with ``sigma^2 = a x/(a+x)``, ``mu = a t/(a+x)`` and
+``D = exp(-t^2/(2x)) - exp(-t^2/(2a))``.  ``D`` is evaluated as the larger
+exponential times an ``expm1`` of a non-positive argument, so that small
+``t`` loses no digits and far-apart exponents (``t^2/(2x)`` in the
+hundreds) cannot overflow; the powers of ``a`` are folded into ``sigma`` and
+``mu`` so that no intermediate over- or underflows where the result does
+not.  The density has an integrable ``|z|^(-1/2)``
+spike at the origin (the value 0 is returned at ``z = 0``), a heavy
+``|z|^(-3/2)`` negative tail, and vanishes identically at and above ``x``.
+At ``x = 0`` hitting is immediate and the law is ``f_I(t)(-z)``.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfcinv
+from scipy.special import erf
 
-from .quadrature import (
-    QuadratureError,
-    QuadratureSpec,
-    integrate_adaptive,
-    integrate_semi_infinite,
-    integrate_sqrt_endpoint,
-)
+from .quadrature import QuadratureSpec, integrate_adaptive, integrate_sqrt_endpoint
 
 __all__ = [
     "IGQuery",
@@ -71,12 +82,6 @@ _LOG_PI = float(np.log(np.pi))
 # exp(-s^2/(2y)) underflows for y below s^2 / _EXP_UNDERFLOW_SCALE
 _EXP_UNDERFLOW_SCALE = 1490.0
 
-#: relative mass kept outside truncated outer integrals
-_TAIL_BUDGET = 1e-6
-
-#: break the outer integral at these multiples of the boundary-layer width
-_LAYER_LADDER = (0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
-
 
 @dataclass(frozen=True, eq=False)
 class IGQuery:
@@ -97,11 +102,11 @@ class IGQuery:
 
 @dataclass(frozen=True, eq=False)
 class DensityCurve:
-    """Tabulated density with per-point quadrature error estimates.
+    """Tabulated density with per-point error estimates.
 
-    ``err`` is NaN at points where the quadrature failed to converge (the
-    best available value is still stored in ``f``).  ``mass`` is the
-    trapezoid integral of ``f`` over ``z``.
+    ``err`` is 0 wherever ``f`` comes from a closed form, which is every
+    point :func:`basepoint_density` returns.  ``mass`` is the trapezoid
+    integral of ``f`` over ``z``.
     """
 
     z: np.ndarray
@@ -286,10 +291,10 @@ def conditional_past_density(x: float, t: float, s: float, y: float, z):
       time ``s - t`` (at the measure-zero boundary ``s == t`` the limit value
       0 is returned for ``z != 0``),
     * ``x >= 0`` and ``0 <= s < t``: an independent copy run backwards,
-      ``f_I(t-s)(-z)``, supported on ``z < 0``,
-    * ``x < 0`` and ``s < 0``: ``f_I(t)(-y - z)``.
+      ``f_I(t-s)(-z)``, supported on ``z < 0``.
 
-    Inputs outside all regions raise, naming the offending combination.
+    Inputs outside all regions, negative levels included, raise, naming the
+    offending combination.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -302,175 +307,62 @@ def conditional_past_density(x: float, t: float, s: float, y: float, z):
         return bridge_density(s - t, s, y, z)
     if x >= 0.0 and 0.0 <= s < t and 0.0 <= y <= x:
         return ig_marginal_density(t - s, -z_arr) if not scalar else ig_marginal_density(t - s, -float(z_arr))
-    if x < 0.0 and s < 0.0 and y <= x:
-        val = ig_marginal_density(t, -y - z_arr)
-        return float(val) if scalar else val
     raise ValueError(
         f"inputs match no conditional region: x={x}, t={t}, s={s}, y={y}"
     )
 
 
 # ---------------------------------------------------------------------------
-# base-point density assembly
+# base-point density
 
 
-def _outer_upper_limit(x: float, t: float, z: float) -> float:
-    """Truncation point of the outer hitting-time integral: beyond it both
-    the hitting-time marginal tail and the shifted-time factor tail are
-    below the tail budget."""
-    u = float(erfcinv(_TAIL_BUDGET)) * np.sqrt(2.0)  # one-sided normal quantile
-    s_hi = u * np.sqrt(x)
-    if z > 0.0:
-        # the shifted-time factor decays like exp(-(s-t)^2 / (2z))
-        v = np.sqrt(2.0 * np.log(1.0 / _TAIL_BUDGET))
-        s_hi = max(s_hi, t + v * np.sqrt(z))
-    return max(s_hi, 1.5 * t)
+def _basepoint_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
+    """Closed-form base-point density at ``z = -a < 0`` for a level ``x > 0``
+    (see the module docstring), arranged so that no intermediate overflows
+    or vanishes where the result does not."""
+    s = a + x
+    # D = exp(-t^2/(2x)) - exp(-t^2/(2a)) with the larger exponential factored
+    # out: expm1 then sees an argument <= 0, so it cannot overflow when the
+    # two exponents are far apart, and small t loses no digits
+    e = 0.5 * t * t * ((a - x) / a) / x
+    d = np.sign(e) * np.exp(-t * t / (2.0 * np.maximum(a, x))) * np.expm1(-np.abs(e))
+    # (t - mu)/(sigma sqrt 2) and mu/(sigma sqrt 2)
+    erfs = erf(t * np.sqrt(0.5 * (x / a) / s)) + erf(t * np.sqrt(0.5 * (a / x) / s))
+    # sigma^2 a^(-3/2) / sqrt(x) = sqrt(x/s) / (sqrt(a) sqrt(s)) and
+    # mu sigma a^(-3/2) / sqrt(x) = (t/s) / sqrt(s)
+    return (
+        np.sqrt(x / s) * (d / np.sqrt(a)) / np.sqrt(s)
+        + np.sqrt(0.5 * np.pi) * np.exp(-t * t / (2.0 * s)) * erfs * (t / s) / np.sqrt(s)
+    ) / np.pi
 
 
-def _segments(points: list[float]) -> list[tuple[float, float]]:
-    pts = sorted(set(points))
-    return [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
-
-
-def _case2_point(x: float, t: float, z: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """Positive-z branch: bridge conditional against the hitting/undershoot
-    density, ``s`` over ``(t, s_hi)``, ``y`` over ``(z, x)``.
-
-    The full integrand is evaluated through one fused log expression, which
-    cancels the exponential underflow between the undershoot density and the
-    bridge denominator.
-    """
-    s_hi = _outer_upper_limit(x, t, z)
-    inner_err = 0.0
-
-    def inner(s: float) -> float:
-        nonlocal inner_err
-
-        def g(y):
-            log_val = (
-                _log_ig(s - t, z)
-                + _log_ig(t, y - z)
-                + _log_hit_under_pos(x, s, y)
-                - _log_ig(s, y)
-            )
-            return np.exp(log_val)
-
-        res = integrate_sqrt_endpoint(g, z, x, "right", spec)
-        inner_err = max(inner_err, res.error_estimate)
-        return res.value
-
-    def outer(s_values):
-        return np.array([inner(float(s)) for s in np.atleast_1d(s_values)])
-
-    layer = np.sqrt(z)
-    points = [t, s_hi] + [t + layer * c for c in _LAYER_LADDER if t + layer * c < s_hi]
-    value = 0.0
-    error = 0.0
-    for lo, hi in _segments(points):
-        res = integrate_adaptive(outer, lo, hi, spec)
-        value += res.value
-        error += res.error_estimate
-    # truncated outer tail, relative to the exact shifted-time mass
-    tail = np.exp(-((s_hi - t) ** 2) / (2.0 * z))
-    error += abs(value) * tail / max(1.0 - tail, 0.5)
-    error += inner_err * (s_hi - t)
-    return value, error
-
-
-def _case3_point(x: float, t: float, z: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """Negative-z branch: independent-copy conditional; the undershoot
-    integral reduces to the same inner pass for every ``z``."""
-    az = -z
-
-    def outer(s_values):
-        s_values = np.atleast_1d(s_values)
-        out = np.empty(s_values.shape)
-        for i, s in enumerate(s_values):
-            out[i] = np.exp(_log_ig(t - s, az)) * hit_under_y_mass(x, float(s), spec)
-        return out
-
-    layer = np.sqrt(az)
-    points = [0.0, t] + [t - layer * c for c in _LAYER_LADDER if 0.0 < t - layer * c < t]
-    value = 0.0
-    error = 0.0
-    for lo, hi in _segments(points):
-        res = integrate_adaptive(outer, lo, hi, spec)
-        value += res.value
-        error += res.error_estimate
-    return value, error
-
-
-def _case4_point(x: float, t: float, z: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """Negative-level branch (``x < 0``): triple-nested quadrature over the
-    hitting time (negative), the undershoot (below ``x``) and, inside the
-    undershoot density itself, the mirrored overshoot location."""
-    u = float(erfcinv(_TAIL_BUDGET)) * np.sqrt(2.0)
-    s_lo = -u * np.sqrt(-x)
-
-    def mid(s: float) -> float:
-        def g(w):
-            w = np.atleast_1d(w)
-            out = np.empty(w.shape)
-            for i, wi in enumerate(w):
-                y = x - float(wi)
-                out[i] = ig_marginal_density(t, -y - z) * hit_under_density(x, s, y, spec)
-            return out
-
-        return integrate_semi_infinite(g, 0.0, spec).value
-
-    def outer(s_values):
-        return np.array([mid(float(s)) for s in np.atleast_1d(s_values)])
-
-    res = integrate_adaptive(outer, s_lo, 0.0, spec)
-    return res.value, res.error_estimate
-
-
-def _basepoint_point(args: tuple[float, float, float, QuadratureSpec]) -> tuple[float, float]:
-    x, t, z, spec = args
-    try:
-        if x > 0.0:
-            if z == 0.0:
-                return 0.0, 0.0  # integrable spike; pointwise limit is 0
-            if z > 0.0:
-                if z >= x:
-                    return 0.0, 0.0  # bridge support empty above the level
-                return _case2_point(x, t, z, spec)
-            return _case3_point(x, t, z, spec)
-        if x == 0.0:
-            # hitting is immediate: the base point is an independent copy
-            # run backwards from the origin
-            return ig_marginal_density(t, -z), 0.0
-        return _case4_point(x, t, z, spec)
-    except QuadratureError as exc:
-        best = exc.best.value if exc.best is not None else np.nan
-        return best, np.nan
-
-
-def basepoint_density(
-    query: IGQuery,
-    spec: QuadratureSpec | None = None,
-    workers: int = 1,
-) -> DensityCurve:
+def basepoint_density(query: IGQuery) -> DensityCurve:
     """Density of the base point ``I(I*(x) - t)`` on ``query.z_grid``.
 
-    Per-point evaluations are independent; ``workers > 1`` distributes them
-    over processes with a deterministic, order-preserving reduction.  Points
-    where the quadrature fails carry ``err = NaN`` and the best available
-    value.
+    Closed forms (module docstring) for levels ``x > 0``; at ``x = 0`` the
+    law is ``f_I(t)(-z)``.  The value 0 is returned at the integrable spike
+    ``z = 0`` and at and above the level.  Negative levels raise
+    ``ValueError``: no correct law is implemented for them.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    z_grid = np.asarray(query.z_grid, dtype=float)
-    tasks = [(query.x, query.t, float(z), spec) for z in z_grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_basepoint_point, tasks, chunksize=8))
+    x, t = query.x, query.t
+    if not x >= 0.0:
+        raise ValueError(
+            f"the base-point law is implemented for levels x >= 0 only, got x={x}"
+        )
+    z = np.asarray(query.z_grid, dtype=float)
+    if x == 0.0:
+        # hitting is immediate: the base point is an independent copy run
+        # backwards from the origin
+        f = ig_marginal_density(t, -z)
     else:
-        results = [_basepoint_point(task) for task in tasks]
-    f = np.array([r[0] for r in results])
-    err = np.array([r[1] for r in results])
-    mass = float(np.trapezoid(f, z_grid))
-    return DensityCurve(z_grid, f, err, mass)
+        f = np.zeros_like(z)
+        pos = (z > 0.0) & (z < x)
+        zp = z[pos]
+        f[pos] = np.exp(-t * t / (2.0 * (x - zp))) / (np.pi * np.sqrt(zp) * np.sqrt(x - zp))
+        neg = z < 0.0
+        f[neg] = _basepoint_negative_side(x, t, -z[neg])
+    mass = float(np.trapezoid(f, z))
+    return DensityCurve(z, f, np.zeros_like(f), mass)
 
 
 def cdf_from_curve(curve: DensityCurve) -> np.ndarray:
@@ -484,13 +376,9 @@ def cdf_from_curve(curve: DensityCurve) -> np.ndarray:
     return np.column_stack([curve.z, np.clip(cdf, 0.0, 1.0)])
 
 
-def basepoint_cdf(
-    query: IGQuery,
-    spec: QuadratureSpec | None = None,
-    workers: int = 1,
-) -> np.ndarray:
+def basepoint_cdf(query: IGQuery) -> np.ndarray:
     """CDF of the base point on ``query.z_grid`` as ``(z, F)`` rows."""
-    return cdf_from_curve(basepoint_density(query, spec, workers))
+    return cdf_from_curve(basepoint_density(query))
 
 
 def default_z_grid(
@@ -532,9 +420,7 @@ def write_cdf_csv(cdf: np.ndarray, out: Path | str) -> None:
             fh.write(f"{z:.17g},{F:.17g}\n")
 
 
-def write_query_json(
-    query: IGQuery, spec: QuadratureSpec, mass: float, out: Path | str
-) -> None:
+def write_query_json(query: IGQuery, mass: float, out: Path | str) -> None:
     payload = {
         "x": query.x,
         "t": query.t,
@@ -542,9 +428,6 @@ def write_query_json(
         "z_min": float(query.z_grid[0]),
         "z_max": float(query.z_grid[-1]),
         "n_points": int(np.asarray(query.z_grid).size),
-        "abs_tol": spec.abs_tol,
-        "rel_tol": spec.rel_tol,
-        "max_subdivisions": spec.max_subdivisions,
         "mass": mass,
     }
     with open(out, "w", encoding="utf-8") as fh:

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import erfc, owens_t
 
 from .ig_analytics import (
     DensityCurve,
@@ -45,11 +46,6 @@ from .levy_paths import (
     backward_increments,
     process_to_dict,
     stream_for,
-)
-from .quadrature import (
-    QuadratureSpec,
-    integrate_adaptive,
-    integrate_sqrt_endpoint,
 )
 
 __all__ = [
@@ -410,51 +406,42 @@ def ks_distance(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     return float(max(upper, lower))
 
 
+def _undershoot_tail_mass(x: float, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``int_(x-w)^x exp(-s^2/(2y)) / (pi sqrt(y (x-y))) dy`` for
+    ``0 <= w <= x``: the substitution ``y = x / (1 + u^2)`` turns it into
+    ``4 T(s/sqrt(x), sqrt(w/(x-w)))`` with Owen's T function, and the full
+    range ``w = x`` into ``erfc(s/sqrt(2x))``."""
+    full = w >= x
+    ratio = np.sqrt(w / np.where(full, 1.0, x - w))
+    return np.where(
+        full, erfc(s / np.sqrt(2.0 * x)), 4.0 * owens_t(s / np.sqrt(x), ratio)
+    )
+
+
 def hit_under_bin_masses(
     x: float,
     s_edges: Sequence[float],
     y_edges: Sequence[float],
-    spec: QuadratureSpec | None = None,
 ) -> np.ndarray:
     """Exact masses of the hitting/undershoot density over a rectangular bin
     grid (level ``x > 0``).
 
     The hitting-time variable integrates in closed form,
     ``int_s1^s2 s exp(-s^2/(2y)) ds = y (exp(-s1^2/(2y)) - exp(-s2^2/(2y)))``,
-    leaving one quadrature in the undershoot per bin with square-root
-    endpoints where a bin touches 0 or ``x``.
+    and the remaining undershoot integral is a difference of Owen's T
+    functions: with ``P`` the tail mass of :func:`_undershoot_tail_mass`,
+    the mass of ``[s1, s2] x [lo, hi]`` is ``M(s1) - M(s2)``, where
+    ``M(s) = P(s, x - lo) - P(s, x - hi)``.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     s_edges = np.asarray(s_edges, dtype=float)
     y_edges = np.asarray(y_edges, dtype=float)
     if y_edges[0] < 0.0 or y_edges[-1] > x:
         raise ValueError("undershoot bins must lie inside [0, x]")
-    out = np.empty((s_edges.size - 1, y_edges.size - 1))
-    for i in range(s_edges.size - 1):
-        s1, s2 = s_edges[i], s_edges[i + 1]
-
-        def g(y):
-            return (np.exp(-s1 * s1 / (2.0 * y)) - np.exp(-s2 * s2 / (2.0 * y))) / (
-                np.pi * np.sqrt(y * (x - y))
-            )
-
-        for j in range(y_edges.size - 1):
-            lo, hi = y_edges[j], y_edges[j + 1]
-            if lo == 0.0 and hi == x:
-                mid = 0.5 * x
-                val = (
-                    integrate_sqrt_endpoint(g, lo, mid, "left", spec).value
-                    + integrate_sqrt_endpoint(g, mid, x, "right", spec).value
-                )
-            elif lo == 0.0:
-                val = integrate_sqrt_endpoint(g, lo, hi, "left", spec).value
-            elif hi == x:
-                val = integrate_sqrt_endpoint(g, lo, hi, "right", spec).value
-            else:
-                val = integrate_adaptive(g, lo, hi, spec).value
-            out[i, j] = val
-    return out
+    s = s_edges[:, None]
+    m = _undershoot_tail_mass(x, s, x - y_edges[None, :-1]) - _undershoot_tail_mass(
+        x, s, x - y_edges[None, 1:]
+    )
+    return m[:-1] - m[1:]
 
 
 def spike_refined_bin_edges(hi: float = 8.5, bins: int = 60) -> np.ndarray:
@@ -514,7 +501,7 @@ def validate_basepoints(
     x0: float,
     t0: float,
     cfg: McConfig,
-    quad_spec: QuadratureSpec | None = None,
+    *,
     l1_max: float = 0.10,
     hist_hi: float = 8.5,
     workers: int = 1,
@@ -533,9 +520,6 @@ def validate_basepoints(
     comparison is skipped with an explicit notice.  The KS test is likewise
     skipped with a notice when the sample law degenerates to a point mass.
     """
-    if quad_spec is None:
-        quad_spec = QuadratureSpec()
-
     samples = sample_basepoints(spec, x0, t0, cfg, workers=workers)
     edges = spike_refined_bin_edges(hist_hi, cfg.bins)
     hist = histogram(samples.values, edges)
@@ -555,8 +539,6 @@ def validate_basepoints(
         "tolerances": {
             "l1_max": l1_max,
             "ks_max": float(1.628 / np.sqrt(cfg.n_samples)),
-            "abs_tol": quad_spec.abs_tol,
-            "rel_tol": quad_spec.rel_tol,
         },
         "skipped": [],
     }
@@ -570,7 +552,7 @@ def validate_basepoints(
         return ValidationResult(report, samples, hist, None, None)
 
     grid = validation_z_grid(edges, x0, with_negative_side=with_ks)
-    curve = basepoint_density(IGQuery(x0, t0, grid), quad_spec, workers=workers)
+    curve = basepoint_density(IGQuery(x0, t0, grid))
 
     l1 = l1_distance(hist, curve)
     report["l1"] = float(l1)

@@ -180,7 +180,7 @@ def test_criterion_06_brownian_oracle_agreement():
         )
         s_edges = np.array([0.0, 0.4, 0.8, 1.3, 1.9, 2.6, 3.5])
         y_edges = np.array([0.0, 0.15, 0.35, 0.55, 0.75, 0.9, 1.0])
-        masses = hit_under_bin_masses(x, s_edges, y_edges, SPEC)
+        masses = hit_under_bin_masses(x, s_edges, y_edges)
 
         si = np.searchsorted(s_edges, oracle.hit, side="right") - 1
         yi = np.searchsorted(y_edges, oracle.undershoot, side="right") - 1
@@ -213,7 +213,7 @@ def test_criterion_07_basepoint_density_reproduction():
             bins=60,
         )
         result = validate_basepoints(
-            StableHalf(), 8.0, 1.0, cfg, SPEC, l1_max=0.10, hist_hi=8.5, with_ks=False
+            StableHalf(), 8.0, 1.0, cfg, l1_max=0.10, hist_hi=8.5, with_ks=False
         )
         report = result.report
         assert report["n_failed"] <= 0.01 * cfg.n_samples

@@ -206,9 +206,10 @@ def test_conditional_boundary_s_equals_t():
 
 
 def test_conditional_case4_literal():
+    # the negative-level region had the wrong support and was removed
     x, t, s, y = -1.0, 1.0, -0.5, -2.0
-    z = -3.0
-    assert conditional_past_density(x, t, s, y, z) == ig_marginal_density(t, -y - z)
+    with pytest.raises(ValueError, match="region"):
+        conditional_past_density(x, t, s, y, -3.0)
 
 
 def test_conditional_rejects_unmatched_region():
@@ -238,22 +239,73 @@ def _factorized_positive_density(x, t, z):
 def test_basepoint_positive_side_matches_factorized_form():
     x, t = 8.0, 1.0
     for z in (1e-3, 0.05, 0.5, 1.0, 3.0, 6.5, 7.9):
-        got = basepoint_density(IGQuery(x, t, np.array([z, z + 1e-4])), SPEC).f[0]
+        got = basepoint_density(IGQuery(x, t, np.array([z, z + 1e-4]))).f[0]
         want = _factorized_positive_density(x, t, z)
-        # quadrature tolerance plus the documented 1e-6 truncation budget
-        assert abs(got - want) <= 2e-6 * max(want, 1e-3)
+        assert abs(got - want) <= 1e-9 * max(want, 1e-3)
+
+
+def _negative_side_mixture(x, t, a):
+    # independent route for z = -a < 0: the backward independent copy
+    # f_I(t-s)(a) mixed over the half-normal running maximum s, split where
+    # the copy's kernel turns on at t - s ~ sqrt(a)
+    def g(s):
+        tau = t - s  # abscissas lie strictly inside (0, t)
+        kernel = tau / math.sqrt(2.0 * math.pi) * a**-1.5 * np.exp(-tau * tau / (2.0 * a))
+        return kernel * running_max_density(x, s)
+
+    spec = QuadratureSpec(1e-300, 1e-12, 2000)
+    cuts = [t - c * math.sqrt(a) for c in (30.0, 10.0, 3.0, 1.0, 0.3, 0.1)]
+    points = [0.0] + [c for c in cuts if 0.0 < c < t] + [t]
+    return sum(integrate_adaptive(g, lo, hi, spec).value for lo, hi in zip(points[:-1], points[1:]))
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("t", [1e-3, 0.2, 1.0, 3.0])
+def test_basepoint_negative_side_matches_mixture_quadrature(x, t):
+    z = -np.unique(np.append(np.geomspace(1e-5 * x, 1e6, 12), x))[::-1]
+    got = basepoint_density(IGQuery(x, t, z)).f
+    want = np.array([_negative_side_mixture(x, t, -float(v)) for v in z])
+    assert np.all(want > 0.0)
+    assert np.max(np.abs(got - want) / want) <= 1e-8
+
+
+@pytest.mark.parametrize("x, t", [(0.5, 30.0), (2.0, 60.0), (1.0, 40.0), (0.01, 4.0)])
+def test_basepoint_negative_side_far_apart_exponents(x, t):
+    # t^2/(2x) >= 800: exp(-t^2/(2x)) underflows while the ratio of the two
+    # exponentials in D overflows; the density must stay finite on the whole
+    # default grid and match the mixture wherever it is a normal float
+    grid = default_z_grid(x)
+    curve = basepoint_density(IGQuery(x, t, grid))
+    assert np.all(np.isfinite(curve.f)) and np.all(curve.f >= 0.0)
+    assert np.isfinite(curve.mass)
+    z = -np.unique(np.append(np.geomspace(1e-5 * x, 1e6, 12), x))[::-1]
+    got = basepoint_density(IGQuery(x, t, z)).f
+    want = np.array([_negative_side_mixture(x, t, -float(v)) for v in z])
+    normal = want >= 1e-300
+    assert normal.sum() >= 6
+    assert np.max(np.abs(got[normal] - want[normal]) / want[normal]) <= 1e-8
+    assert np.all(got[~normal] <= 1e-300)
+
+
+def test_basepoint_finite_over_wide_ranges():
+    v = np.geomspace(1e-100, 1e100, 21)
+    z = np.concatenate([-v[::-1], [0.0], v])
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        for x in v:
+            for t in v:
+                assert np.all(np.isfinite(basepoint_density(IGQuery(x, t, z)).f)), (x, t)
 
 
 def test_basepoint_zero_beyond_level():
     x, t = 8.0, 1.0
-    curve = basepoint_density(IGQuery(x, t, np.array([8.0, 8.5, 9.0, 12.0])), SPEC)
+    curve = basepoint_density(IGQuery(x, t, np.array([8.0, 8.5, 9.0, 12.0])))
     assert np.array_equal(curve.f, np.zeros(4))
 
 
 def test_basepoint_concentration_near_zero():
     x, t = 8.0, 1.0
     zs = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])
-    curve = basepoint_density(IGQuery(x, t, zs), SPEC)
+    curve = basepoint_density(IGQuery(x, t, zs))
     assert np.all(np.diff(curve.f) < 0.0)  # spike toward the origin
     # integrable |z|^(-1/2) spike: z f(z)^2 roughly constant near 0
     ratio = curve.f[0] / curve.f[1]
@@ -263,32 +315,36 @@ def test_basepoint_concentration_near_zero():
 def test_basepoint_mass_close_to_one():
     x, t = 8.0, 1.0
     grid = default_z_grid(x, n=192)
-    curve = basepoint_density(IGQuery(x, t, grid), QuadratureSpec(1e-7, 1e-6, 2000))
+    curve = basepoint_density(IGQuery(x, t, grid))
     assert curve.f.min() >= 0.0
     assert 0.98 <= curve.mass <= 1.02
 
 
 def test_basepoint_at_zero_level():
     zs = np.array([-2.0, -0.5, 0.5])
-    curve = basepoint_density(IGQuery(0.0, 1.0, zs), SPEC)
+    curve = basepoint_density(IGQuery(0.0, 1.0, zs))
     want = np.array([ig_marginal_density(1.0, 2.0), ig_marginal_density(1.0, 0.5), 0.0])
     assert np.allclose(curve.f, want, rtol=0.0, atol=1e-15)
 
 
 def test_basepoint_negative_level_smoke():
-    loose = QuadratureSpec(1e-5, 1e-4, 600)
-    curve = basepoint_density(IGQuery(-1.0, 1.0, np.array([-3.0, -1.5])), loose)
-    assert np.all(np.isfinite(curve.f))
-    assert np.all(curve.f >= 0.0)
+    # no correct law is implemented below the origin: refuse, do not guess
+    with pytest.raises(ValueError, match="x >= 0"):
+        basepoint_density(IGQuery(-1.0, 1.0, np.array([-3.0, -1.5])))
+    with pytest.raises(ValueError, match="x >= 0"):
+        basepoint_density(IGQuery(float("nan"), 1.0, np.array([-3.0, -1.5])))
 
 
 def test_basepoint_per_point_failure_markers():
-    # starve the quadrature so some points cannot converge; the curve still
-    # comes back with NaN error markers at the failing points
-    starved = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=1)
-    curve = basepoint_density(IGQuery(8.0, 1.0, np.array([0.5, 1.0])), starved)
-    assert curve.z.size == 2
-    assert np.isnan(curve.err).any()
+    # the closed form stays finite with a zero error estimate at the extreme
+    # and boundary points of the support, and vanishes at the level
+    x = 8.0
+    zs = np.array([-1e6, -1e-12, 1e-12, x - 1e-12, x])
+    curve = basepoint_density(IGQuery(x, 1.0, zs))
+    assert np.all(np.isfinite(curve.f))
+    assert np.all(curve.err == 0.0)
+    assert np.all(curve.f[zs >= x] == 0.0)
+    assert np.all(curve.f[zs < x] >= 0.0)
 
 
 def test_query_validation():
@@ -301,8 +357,7 @@ def test_query_validation():
 def test_basepoint_cdf_properties():
     x, t = 8.0, 1.0
     grid = default_z_grid(x, n=160)
-    spec = QuadratureSpec(1e-7, 1e-6, 2000)
-    curve = basepoint_density(IGQuery(x, t, grid), spec)
+    curve = basepoint_density(IGQuery(x, t, grid))
     cdf = cdf_from_curve(curve)
     F = cdf[:, 1]
     assert np.all(np.diff(F) >= 0.0)
@@ -327,7 +382,7 @@ def test_default_z_grid_shape():
 def test_export_files(tmp_path):
     zs = np.array([0.5, 1.0, 2.0])
     query = IGQuery(8.0, 1.0, zs)
-    curve = basepoint_density(query, SPEC)
+    curve = basepoint_density(query)
     f1 = tmp_path / "density.csv"
     write_density_csv(curve, f1)
     lines = f1.read_text().splitlines()
@@ -340,7 +395,7 @@ def test_export_files(tmp_path):
     assert lines[0] == "z,F" and len(lines) == 4
 
     f3 = tmp_path / "query.json"
-    write_query_json(query, SPEC, curve.mass, f3)
+    write_query_json(query, curve.mass, f3)
     import json
 
     meta = json.loads(f3.read_text())

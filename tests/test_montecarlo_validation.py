@@ -297,6 +297,20 @@ def test_hit_under_bin_masses_totals():
     assert abs(masses[1, 1] - direct) <= 1e-6
 
 
+def test_hit_under_bin_masses_marginals():
+    # rows sum to the half-normal running-maximum law, columns (over all
+    # hitting times) to the arcsine law of the undershoot; the edges touch
+    # 0 and x, where the masses switch to their erfc and zero limits
+    x = 2.0
+    s_edges = np.array([0.0, 0.5, 1.5, 4.0, np.inf])
+    y_edges = np.array([0.0, 0.3, 1.1, 1.9, 2.0])
+    masses = hit_under_bin_masses(x, s_edges, y_edges)
+    rows = np.diff(erf(s_edges / math.sqrt(2.0 * x)))
+    cols = np.diff(2.0 / math.pi * np.arcsin(np.sqrt(y_edges / x)))
+    assert np.max(np.abs(masses.sum(axis=1) - rows)) <= 1e-14
+    assert np.max(np.abs(masses.sum(axis=0) - cols)) <= 1e-14
+
+
 def test_spike_refined_bin_edges():
     edges = spike_refined_bin_edges(8.5, 60)
     assert edges.size == 61
@@ -319,7 +333,7 @@ def test_headline_validation_passes_with_ks():
     )
     from goupsim.montecarlo_validation import validate_basepoints
 
-    result = validate_basepoints(StableHalf(), 8.0, 1.0, cfg, QuadratureSpec())
+    result = validate_basepoints(StableHalf(), 8.0, 1.0, cfg)
     report = result.report
     assert report["pass"] is True
     assert report["l1"] <= 0.10
