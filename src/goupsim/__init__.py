@@ -18,6 +18,7 @@ dyadic grids.  The package provides
                               the limiting characteristic,
 * ``montecarlo_validation``   seeded Monte Carlo generators, Brownian oracles
                               and histogram/KS comparisons,
+* ``csvio``                   the one CSV writer behind every export,
 * ``cli``                     command line front end (``goupsim``).
 """
 
@@ -30,5 +31,6 @@ __all__ = [
     "transport",
     "ig_analytics",
     "montecarlo_validation",
+    "csvio",
     "cli",
 ]

@@ -341,6 +341,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     )
     for note in result.report["skipped"]:
         print(f"validate: skipped {note}", file=sys.stderr)
+    for c in result.checks:
+        print(
+            f"validate: {c.name} {c.value:.6g} ({c.what}, threshold {c.threshold:.6g}): "
+            f"{'pass' if c.passed else 'FAIL'}",
+            file=sys.stderr,
+        )
     print(json.dumps({k: result.report[k] for k in ("pass",)}))
     return 0 if result.report["pass"] else 1
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_csv
 from .levy_paths import (
     LevyPathSample,
     aggregate_to_level,
@@ -110,21 +111,24 @@ def basepoint(path: LevyPathSample, x, t):
 
 def write_medium_csv(medium: GoupillaudMedium, out: Path | str) -> None:
     """Write ``k,x_left,x_right,c`` rows, one per layer."""
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("k,x_left,x_right,c\n")
-        for i in range(medium.speeds.size):
-            k = medium.k_min + i + 1
-            fh.write(
-                f"{k},{medium.boundaries[i]:.17g},"
-                f"{medium.boundaries[i + 1]:.17g},{medium.speeds[i]:.17g}\n"
-            )
+    n = medium.speeds.size
+    write_csv(
+        out,
+        "k,x_left,x_right,c",
+        "{},{:.17g},{:.17g},{:.17g}",
+        np.arange(medium.k_min + 1, medium.k_min + 1 + n),
+        medium.boundaries[:n],
+        medium.boundaries[1 : n + 1],
+        medium.speeds,
+    )
 
 
 def write_characteristic_trace_csv(taus, gammas, out: Path | str) -> None:
     """Write one ``tau,gamma`` row per query point."""
-    taus = np.asarray(taus, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("tau,gamma\n")
-        for tau, g in zip(taus, gammas):
-            fh.write(f"{tau:.17g},{g:.17g}\n")
+    write_csv(
+        out,
+        "tau,gamma",
+        "{:.17g},{:.17g}",
+        np.asarray(taus, dtype=float),
+        np.asarray(gammas, dtype=float),
+    )

@@ -55,6 +55,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
+from .csvio import write_csv
 from .quadrature import QuadratureSpec, integrate_adaptive, integrate_sqrt_endpoint
 
 __all__ = [
@@ -407,17 +408,14 @@ def default_z_grid(
 
 
 def write_density_csv(curve: DensityCurve, out: Path | str) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("z,f,err\n")
-        for z, f, e in zip(curve.z, curve.f, curve.err):
-            fh.write(f"{z:.17g},{f:.17g},{e:.17g}\n")
+    write_csv(
+        out, "z,f,err", "{:.17g},{:.17g},{:.17g}", curve.z, curve.f, curve.err
+    )
 
 
 def write_cdf_csv(cdf: np.ndarray, out: Path | str) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("z,F\n")
-        for z, F in cdf:
-            fh.write(f"{z:.17g},{F:.17g}\n")
+    cdf = np.asarray(cdf)
+    write_csv(out, "z,F", "{:.17g},{:.17g}", cdf[:, 0], cdf[:, 1])
 
 
 def write_query_json(query: IGQuery, mass: float, out: Path | str) -> None:

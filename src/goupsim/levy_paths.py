@@ -450,11 +450,10 @@ def process_from_dict(d: dict) -> ProcessSpec:
 
 def write_path_csv(path: LevyPathSample, out: Path | str) -> None:
     """Write ``k,t,x`` rows, one per grid index, 17 significant digits."""
-    grid = path.grid
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("k,t,x\n")
-        for i, k in enumerate(range(grid.k_min, grid.k_max + 1)):
-            fh.write(f"{k},{grid.time(k):.17g},{path.values[i]:.17g}\n")
+    from .csvio import write_csv  # csvio imports BLOCK from this module
+
+    k = np.arange(path.grid.k_min, path.grid.k_max + 1)
+    write_csv(out, "k,t,x", "{},{:.17g},{:.17g}", k, path.grid.time(k), path.values)
 
 
 def write_path_metadata(path: LevyPathSample, out: Path | str) -> None:

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erfc, owens_t
 
+from .csvio import write_csv
 from .ig_analytics import (
     DensityCurve,
     IGQuery,
@@ -53,6 +54,7 @@ __all__ = [
     "BasepointSamples",
     "OracleSamples",
     "Histogram",
+    "Check",
     "ValidationResult",
     "sample_basepoints",
     "bm_functionals_oracle",
@@ -487,6 +489,18 @@ def validation_z_grid(
     return np.unique(np.concatenate(pts))
 
 
+@dataclass(frozen=True)
+class Check:
+    """One verdict of :func:`validate_basepoints`: ``value`` (a ``what``)
+    passes when it is at most ``threshold``."""
+
+    name: str
+    what: str
+    value: float
+    threshold: float
+    passed: bool
+
+
 @dataclass(frozen=True, eq=False)
 class ValidationResult:
     report: dict
@@ -494,6 +508,7 @@ class ValidationResult:
     hist: Histogram
     curve: DensityCurve
     cdf: np.ndarray | None
+    checks: list[Check]
 
 
 def validate_basepoints(
@@ -513,12 +528,15 @@ def validate_basepoints(
     density above the level, mass concentration at the origin (the bin
     nearest 0 carries the maximal density on both sides of the comparison),
     and optionally a Kolmogorov-Smirnov test against the analytic CDF at the
-    1% asymptotic critical value.
+    1% asymptotic critical value.  ``checks`` lists the verdicts of the
+    checks that ran; ``report["pass"]`` is true when all of them passed.
 
     Only the stable-1/2 process has an implemented analytic law; for other
     process families the Monte Carlo side still runs but every analytic
     comparison is skipped with an explicit notice.  The KS test is likewise
-    skipped with a notice when the sample law degenerates to a point mass.
+    skipped with a notice when the sample law degenerates to a point mass,
+    and the L1 and concentration checks when no sample lands in the
+    histogram range ``[0, hist_hi]``: an empty histogram tests nothing.
     """
     samples = sample_basepoints(spec, x0, t0, cfg, workers=workers)
     edges = spike_refined_bin_edges(hist_hi, cfg.bins)
@@ -549,31 +567,44 @@ def validate_basepoints(
             "process family (only stable-half)"
         )
         report["pass"] = True
-        return ValidationResult(report, samples, hist, None, None)
+        return ValidationResult(report, samples, hist, None, None, [])
 
     grid = validation_z_grid(edges, x0, with_negative_side=with_ks)
     curve = basepoint_density(IGQuery(x0, t0, grid))
 
-    l1 = l1_distance(hist, curve)
-    report["l1"] = float(l1)
     report["mass"] = float(curve.mass)
-    l1_ok = bool(l1 <= l1_max)
-    report["l1_pass"] = l1_ok
+    checks = []
+
+    if np.any(hist.counts):
+        l1 = float(l1_distance(hist, curve))
+        report["l1"] = l1
+        report["l1_pass"] = bool(l1 <= l1_max)
+        checks.append(Check("l1", "histogram L1 distance", l1, l1_max, report["l1_pass"]))
+        bin_means = _curve_bin_means(curve, edges)
+        emp_density = hist.counts / (hist.n * np.diff(edges))
+        densest = max(int(np.argmax(bin_means)), int(np.argmax(emp_density)))
+        report["concentration_pass"] = densest == 0
+        checks.append(Check("concentration", "densest bin index", densest, 0, densest == 0))
+    else:
+        report["skipped"].append(
+            f"l1 and concentration: no sample in the histogram range [0, {hist_hi!r}] "
+            "(--hist-hi); an empty histogram tests nothing"
+        )
 
     beyond = curve.f[curve.z > x0]
-    support_ok = bool(beyond.size > 0 and np.max(np.abs(beyond)) <= 1e-10)
-    report["support_max_beyond_level"] = float(np.max(np.abs(beyond))) if beyond.size else None
-    report["support_pass"] = support_ok
-
-    bin_means = _curve_bin_means(curve, edges)
-    widths = np.diff(edges)
-    emp_density = hist.counts / (hist.n * widths)
-    concentration_ok = bool(
-        int(np.argmax(bin_means)) == 0 and int(np.argmax(emp_density)) == 0
+    support_max = 1e-10
+    worst = float(np.max(np.abs(beyond))) if beyond.size else None
+    report["support_max_beyond_level"] = worst
+    report["support_pass"] = bool(worst is not None and worst <= support_max)
+    checks.append(
+        Check(
+            "support",
+            "max |density| above x0",
+            np.nan if worst is None else worst,
+            support_max,
+            report["support_pass"],
+        )
     )
-    report["concentration_pass"] = concentration_ok
-
-    checks = [l1_ok, support_ok, concentration_ok]
 
     cdf = None
     if with_ks:
@@ -587,15 +618,17 @@ def validate_basepoints(
             ks = ks_distance(
                 samples.values, lambda z: np.interp(z, cdf[:, 0], cdf[:, 1])
             )
+            ks_max = report["tolerances"]["ks_max"]
             report["ks"] = float(ks)
-            ks_ok = bool(ks <= report["tolerances"]["ks_max"])
-            report["ks_pass"] = ks_ok
-            checks.append(ks_ok)
+            report["ks_pass"] = bool(ks <= ks_max)
+            checks.append(
+                Check("ks", "Kolmogorov-Smirnov distance", float(ks), ks_max, report["ks_pass"])
+            )
     else:
         report["skipped"].append("ks: disabled by configuration")
 
-    report["pass"] = bool(all(checks))
-    return ValidationResult(report, samples, hist, curve, cdf)
+    report["pass"] = all(c.passed for c in checks)
+    return ValidationResult(report, samples, hist, curve, cdf, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -603,17 +636,14 @@ def validate_basepoints(
 
 
 def write_samples_csv(samples: BasepointSamples, out: Path | str) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("i,z\n")
-        for i, z in zip(samples.indices, samples.values):
-            fh.write(f"{i},{z:.17g}\n")
+    write_csv(out, "i,z", "{},{:.17g}", samples.indices, samples.values)
 
 
 def write_histogram_csv(h: Histogram, out: Path | str) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("left,right,count\n")
-        for i in range(h.counts.size):
-            fh.write(f"{h.edges[i]:.17g},{h.edges[i + 1]:.17g},{h.counts[i]}\n")
+    n = h.counts.size
+    write_csv(
+        out, "left,right,count", "{:.17g},{:.17g},{}", h.edges[:n], h.edges[1 : n + 1], h.counts
+    )
 
 
 def write_report_json(report: dict, out: Path | str) -> None:

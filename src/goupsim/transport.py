@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .csvio import write_csv
 from .levy_paths import (
     LevyPathSample,
     aggregate_to_level,
@@ -138,21 +139,30 @@ def eval_initial(datum: InitialDatum, x):
     return float(out) if np.isscalar(x) else out
 
 
+def _solver(path: LevyPathSample, datum: InitialDatum, level: int | None, xs):
+    """``t -> SolutionField`` on the grid ``xs`` at ``level`` (``None``: the
+    limit).  The aggregation and the inverse at ``xs`` do not depend on
+    ``t``, so they are computed here, once for every time solved."""
+    xs = np.asarray(xs, dtype=float)
+    if level is None:
+        ev, agg, label = step_eval, path, "limit"
+        inv = hitting_time(path, xs)
+    else:
+        ev, agg, label = polygon_eval, aggregate_to_level(path, level), level
+        inv = polygon_inverse(agg, xs)
+    return lambda t: SolutionField(float(t), xs, eval_initial(datum, ev(agg, inv - t)), label)
+
+
 def solve_at_level(
     path: LevyPathSample, n: int, datum: InitialDatum, t: float, xs
 ) -> SolutionField:
     """Level-``n`` solution ``u0(gamma_n(x, t; 0))`` on the grid ``xs``."""
-    xs = np.asarray(xs, dtype=float)
-    agg = aggregate_to_level(path, n)
-    base = polygon_eval(agg, polygon_inverse(agg, xs) - t)
-    return SolutionField(float(t), xs, eval_initial(datum, base), n)
+    return _solver(path, datum, n, xs)(t)
 
 
 def solve_limit(path: LevyPathSample, datum: InitialDatum, t: float, xs) -> SolutionField:
     """Limiting solution ``u0(gamma(x, t; 0))`` in step semantics."""
-    xs = np.asarray(xs, dtype=float)
-    base = step_eval(path, hitting_time(path, xs) - t)
-    return SolutionField(float(t), xs, eval_initial(datum, base), "limit")
+    return _solver(path, datum, None, xs)(t)
 
 
 def _check_fields_on_window(fields: Sequence[SolutionField], window: WindowK) -> None:
@@ -198,15 +208,10 @@ def solve_on_window(
     level: int | None = None,
 ) -> list[SolutionField]:
     """One solution slice per window grid time; ``level=None`` solves the
-    limiting problem at the finest sampled level."""
-    xs = window.x_midpoints()
-    out = []
-    for t in window.t_midpoints():
-        if level is None:
-            out.append(solve_limit(path, datum, float(t), xs))
-        else:
-            out.append(solve_at_level(path, level, datum, float(t), xs))
-    return out
+    limiting problem at the finest sampled level.  Bitwise equal to calling
+    :func:`solve_limit` or :func:`solve_at_level` once per grid time."""
+    solve = _solver(path, datum, level, window.x_midpoints())
+    return [solve(float(t)) for t in window.t_midpoints()]
 
 
 def convergence_table(
@@ -233,17 +238,24 @@ def convergence_table(
 
 def write_solution_csv(fields: Sequence[SolutionField], out: Path | str) -> None:
     """Long-format ``t,x,u`` rows."""
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("t,x,u\n")
-        for field in fields:
-            for x, u in zip(field.xs, field.values):
-                fh.write(f"{field.time:.17g},{x:.17g},{u:.17g}\n")
+    write_csv(
+        out,
+        "t,x,u",
+        "{:.17g},{:.17g},{:.17g}",
+        np.repeat([f.time for f in fields], [f.xs.size for f in fields]),
+        np.concatenate([np.empty(0), *(f.xs for f in fields)]),
+        np.concatenate([np.empty(0), *(f.values for f in fields)]),
+    )
 
 
 def write_convergence_csv(
     table: Sequence[tuple[int, float]], p: float, out: Path | str
 ) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("N,distance,p\n")
-        for n, dist in table:
-            fh.write(f"{n},{dist:.17g},{p:.17g}\n")
+    write_csv(
+        out,
+        "N,distance,p",
+        "{},{:.17g},{:.17g}",
+        [n for n, _ in table],
+        [dist for _, dist in table],
+        [p] * len(table),
+    )

@@ -263,3 +263,59 @@ def test_validate_bad_seed_is_usage_error(tmp_path):
                 "--seed", "-3", "--out", str(tmp_path),
             ]
         )
+
+
+def test_validate_empty_histogram_skips_l1(tmp_path, capsys):
+    # at x0 = 0.01, t0 = 4 the base point lies in [0, x0) with probability
+    # erfc(4 / sqrt(0.02)) ~ 1e-348: no sample reaches the histogram
+    out = tmp_path / "run"
+    rc = main(
+        [
+            "validate", "--process", "stable-half",
+            "--x0", "0.01", "--t0", "4",
+            "--n", "200", "--nmax", "12", "--bins", "12", "--range=-64:64",
+            "--seed", "5", "--out", str(out),
+        ]
+    )
+    report = json.loads((out / "report.json").read_text())
+    assert "l1" not in report and "l1_pass" not in report
+    assert "concentration_pass" not in report
+    assert any("--hist-hi" in note for note in report["skipped"])
+    assert rc == (0 if report["pass"] else 1)
+    err = capsys.readouterr().err
+    assert "--hist-hi" in err
+    assert "validate: l1 " not in err
+    assert "validate: ks " in err and "validate: support " in err
+
+
+def test_validate_prints_one_verdict_per_check(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(
+        [
+            "validate", "--process", "stable-half",
+            "--x0", "4", "--t0", "1",
+            "--n", "200", "--nmax", "9", "--range=-1.01:10",
+            "--bins", "24", "--l1-max", "1e-6",
+            "--seed", "2024", "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    report = json.loads((out / "report.json").read_text())
+    lines = [
+        line for line in capsys.readouterr().err.splitlines()
+        if not line.startswith("validate: skipped")
+    ]
+    verdicts = {line.split()[1]: line for line in lines}
+    assert sorted(verdicts) == ["concentration", "ks", "l1", "support"]
+    assert len(lines) == 4
+    assert verdicts["l1"] == (
+        f"validate: l1 {report['l1']:.6g} (histogram L1 distance, threshold 1e-06): FAIL"
+    )
+    assert verdicts["ks"].endswith(
+        f"threshold {report['tolerances']['ks_max']:.6g}): "
+        + ("pass" if report["ks_pass"] else "FAIL")
+    )
+    assert verdicts["support"].endswith("threshold 1e-10): pass")
+    assert verdicts["concentration"].endswith(
+        "pass" if report["concentration_pass"] else "FAIL"
+    )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,13 @@ from goupsim.levy_paths import (
     GammaDrift,
     PoissonDrift,
     RngSeed,
+    WindowError,
+    aggregate_to_level,
     build_two_sided_path,
+    hitting_time,
+    polygon_eval,
+    polygon_inverse,
+    step_eval,
 )
 from goupsim.transport import (
     Constant,
@@ -209,3 +217,61 @@ def test_exports(tmp_path):
     lines = g.read_text().splitlines()
     assert lines[0] == "N,distance,p"
     assert len(lines) == 3
+
+
+def _per_slice(path, window, level):
+    """Per-time solves that aggregate and invert afresh for every slice."""
+    xs = window.x_midpoints()
+    fields = []
+    for t in window.t_midpoints():
+        if level is None:
+            base = step_eval(path, hitting_time(path, xs) - t)
+        else:
+            agg = aggregate_to_level(path, level)
+            base = polygon_eval(agg, polygon_inverse(agg, xs) - t)
+        label = "limit" if level is None else level
+        fields.append(SolutionField(float(t), xs, eval_initial(TRIANGLE, base), label))
+    return fields
+
+
+@pytest.mark.parametrize("level", [None, 3, 7])
+def test_solve_on_window_matches_per_slice_solves_bitwise(level):
+    path = gamma_path(n_max=9, t_lo=-4, t_hi=8)
+    window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(24, 96))
+    xs = window.x_midpoints()
+    fields = solve_on_window(path, TRIANGLE, window, level=level)
+    single = [
+        solve_limit(path, TRIANGLE, float(t), xs)
+        if level is None
+        else solve_at_level(path, level, TRIANGLE, float(t), xs)
+        for t in window.t_midpoints()
+    ]
+    reference = _per_slice(path, window, level)
+    assert len(fields) == len(single) == len(reference)
+    for got, one, ref in zip(fields, single, reference):
+        for f in (got, one):
+            assert f.time == ref.time
+            assert f.level == ref.level
+            assert f.xs.tobytes() == ref.xs.tobytes()
+            assert f.values.tobytes() == ref.values.tobytes()
+
+
+def test_convergence_table_matches_slice_by_slice_recomputation():
+    path = gamma_path(n_max=9, t_lo=-4, t_hi=8)
+    window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(24, 96))
+    levels = [2, 5, 7, 9]
+    reference = _per_slice(path, window, path.grid.level)
+    expected = [
+        (n, lp_distance(_per_slice(path, window, n), reference, window, 1.5)) for n in levels
+    ]
+    assert convergence_table(path, TRIANGLE, window, 1.5, levels) == expected
+
+
+@pytest.mark.parametrize("level", [None, 4])
+def test_solve_on_window_raises_the_per_slice_window_error(level):
+    path = gamma_path(n_max=8, t_lo=-1, t_hi=4)
+    window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(4, 8))
+    with pytest.raises(WindowError) as per_slice:
+        _per_slice(path, window, level)
+    with pytest.raises(WindowError, match=re.escape(str(per_slice.value))):
+        solve_on_window(path, TRIANGLE, window, level=level)
