@@ -56,7 +56,7 @@ import numpy as np
 from scipy.special import erf
 
 from .csvio import write_csv
-from .quadrature import QuadratureSpec, integrate_adaptive, integrate_sqrt_endpoint
+from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = [
     "IGQuery",
@@ -64,7 +64,6 @@ __all__ = [
     "ig_marginal_density",
     "triple_density",
     "hit_under_density",
-    "hit_under_y_mass",
     "running_max_density",
     "bridge_density",
     "conditional_past_density",
@@ -224,38 +223,6 @@ def running_max_density(x: float, s) -> np.ndarray | float:
     s_arr = np.asarray(s, dtype=float)
     out = np.where(s_arr >= 0.0, np.sqrt(2.0 / (np.pi * x)) * np.exp(-s_arr * s_arr / (2.0 * x)), 0.0)
     return float(out) if np.isscalar(s) else out
-
-
-def hit_under_y_mass(x: float, s: float, spec: QuadratureSpec | None = None) -> float:
-    """Quadrature of the hitting/undershoot density over the undershoot,
-    ``int_0^x f(s, y) dy`` for ``x > 0``.
-
-    The integrand is steep near ``y ~ s^2`` (where the exponential turns on)
-    and has a square-root singularity at ``y = x``; the pass is split
-    accordingly.  Equals the running-maximum density of ``s`` analytically.
-    """
-    if not x > 0.0:
-        raise ValueError(f"x must be positive, got {x}")
-    if spec is None:
-        spec = QuadratureSpec()
-    if s == 0.0:
-        # removable discontinuity: the y-integral vanishes at s = 0 exactly
-        return 0.0
-    lo = s * s / _EXP_UNDERFLOW_SCALE
-    if lo >= x:
-        return 0.0
-
-    def f(y):
-        return np.exp(_log_hit_under_pos(x, s, y))
-
-    mid = 0.5 * x
-    total = 0.0
-    if lo < mid:
-        total += integrate_adaptive(f, lo, mid, spec).value
-        total += integrate_sqrt_endpoint(f, mid, x, "right", spec).value
-    else:
-        total += integrate_sqrt_endpoint(f, lo, x, "right", spec).value
-    return total
 
 
 def bridge_density(r: float, s: float, y: float, z):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import gammaincinv, ndtri
+from scipy.special import gammaincinv, gammaln, ndtri
 
 __all__ = [
     "GammaDrift",
@@ -177,30 +177,60 @@ def _open_uniforms(rng: Generator, size: int) -> np.ndarray:
 
 
 def _poisson_icdf(lam: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized Poisson quantile: smallest k with u < P(K <= k)."""
-    out = np.zeros(u.shape, dtype=np.int64)
+    """Vectorized Poisson quantile: smallest k with u < P(K <= k).
+
+    The cumulative probabilities do not depend on ``u``, so they are summed
+    once as scalars, only as far as the largest ``u`` needs, and each ``u``
+    of the tail ``u >= P(K = 0)`` is placed among them by binary search.
+    """
     term = np.exp(-lam)
-    cdf = np.full(u.shape, term)
-    unresolved = u >= cdf
-    k = 0
-    k_cap = int(lam + 12.0 * np.sqrt(lam) + 60.0)
-    while unresolved.any():
-        k += 1
-        if k > k_cap:
-            out[unresolved] = k  # cumulative probability beyond cap < 1e-12
-            break
-        term *= lam / k
-        cdf += term
-        hit = unresolved & (u < cdf)
-        out[hit] = k
-        unresolved &= ~hit
+    out = np.zeros(u.shape, dtype=np.int64)
+    tail = np.flatnonzero(u >= term)  # every other u has k = 0
+    if tail.size:
+        u_tail = u[tail]
+        u_max = u_tail.max()
+        cdf = [term]
+        k_cap = int(lam + 12.0 * np.sqrt(lam) + 60.0)
+        k = 0
+        while cdf[-1] <= u_max and k < k_cap:
+            k += 1
+            term *= lam / k
+            cdf.append(cdf[-1] + term)
+        # u at or beyond cdf[k_cap] gets k_cap + 1 (probability < 1e-12)
+        out[tail] = np.searchsorted(cdf, u_tail, side="right")
     return out
 
 
+#: log of 2^-1100, far enough below the smallest subnormal 2^-1074 that a
+#: Gamma quantile under 2^-1100 rounds to 0.0 with a wide margin
+_LOG_TINY = -1100.0 * np.log(2.0)
+
+
 def _increments_from_uniforms(spec: ProcessSpec, dt: float, u: np.ndarray) -> np.ndarray:
-    """Map one uniform word per increment to one draw of ``L(dt)``."""
+    """Map one uniform word per increment to one draw of ``L(dt)``.
+
+    Gamma: ``scale * gammaincinv(a, u) + drift * dt`` with ``a = shape_rate *
+    dt``, bit for bit, but without calling ``gammaincinv`` where it returns
+    ``0.0``.  For every ``x > 0`` the regularized incomplete gamma function
+    obeys ``P(a, x) >= e^(-x) x^a / Gamma(a + 1)``, so every ``u`` with
+    ``log u <= a log(2^-1100) - gammaln(1 + a)`` has its quantile below
+    ``2^-1100`` (the ``e^(-x)`` factor moves the log by only ``2^-1100``),
+    and that quantile rounds to ``0.0``.  Rounding to ``0.0`` needs only a
+    quantile below ``2^-1075``, so the cut keeps a margin of ``25 a log 2``
+    in the log, against rounding errors near ``1e-15 |log u|`` in the two
+    sides.  The comparison is made on ``log u`` rather than on ``u``: for
+    tiny ``a`` the cut sits next to ``u = 1``, where ``exp`` of it would
+    round by more than the margin, while ``log u`` keeps full relative
+    precision.  The cut increments are set to ``scale * 0.0 + drift * dt``,
+    the value the call gives; at fine dyadic levels that is almost all of
+    them.
+    """
     if isinstance(spec, GammaDrift):
-        return spec.scale * gammaincinv(spec.shape_rate * dt, u) + spec.drift * dt
+        a = spec.shape_rate * dt
+        q = np.zeros_like(u)
+        live = np.log(u) > a * _LOG_TINY - gammaln(1.0 + a)
+        q[live] = gammaincinv(a, u[live])
+        return spec.scale * q + spec.drift * dt
     if isinstance(spec, PoissonDrift):
         counts = _poisson_icdf(spec.intensity * dt, u)
         return spec.jump_size * counts.astype(float) + spec.drift * dt
@@ -249,17 +279,17 @@ def _increment_run(
     dt: float,
     seed: RngSeed,
     direction: int,
-    count: int,
+    out: np.ndarray,
     substream: tuple[int, ...],
 ) -> np.ndarray:
-    n_blocks = (count + BLOCK - 1) // BLOCK
-    blocks = [
-        _increment_block(
-            spec, dt, seed, direction, j, min(BLOCK, count - j * BLOCK), substream
+    """Fill ``out`` with the first ``out.size`` increments of one direction,
+    one keyed block at a time; ``out`` may be a strided view."""
+    for block, start in enumerate(range(0, out.size, BLOCK)):
+        stop = min(start + BLOCK, out.size)
+        out[start:stop] = _increment_block(
+            spec, dt, seed, direction, block, stop - start, substream
         )
-        for j in range(n_blocks)
-    ]
-    return np.concatenate(blocks) if blocks else np.empty(0)
+    return out
 
 
 def forward_increments(
@@ -270,7 +300,7 @@ def forward_increments(
     substream: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Increments ``dx_k`` for ``k = 1 .. count``."""
-    return _increment_run(spec, dt, seed, _FORWARD, count, substream)
+    return _increment_run(spec, dt, seed, _FORWARD, np.empty(count), substream)
 
 
 def backward_increments(
@@ -281,7 +311,7 @@ def backward_increments(
     substream: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Increments ``dx_k`` for ``k = 0, -1, .. -(count-1)`` (that order)."""
-    return _increment_run(spec, dt, seed, _BACKWARD, count, substream)
+    return _increment_run(spec, dt, seed, _BACKWARD, np.empty(count), substream)
 
 
 def build_two_sided_path(
@@ -298,22 +328,27 @@ def build_two_sided_path(
     accumulated backwards.  ``substream`` extends the stream key, giving
     independent realizations (for example one per Monte Carlo sample) under
     one root seed.  Strict monotonicity is asserted on every build.
+
+    Increments are written straight into the output and summed in place (the
+    backward side through a reversed view), so the build holds no full-length
+    temporary besides the output.
     """
     grid = DyadicGrid(n_max, k_min, k_max)
     dt = grid.dt
-    fwd = forward_increments(spec, dt, seed, k_max, substream)
-    bwd = backward_increments(spec, dt, seed, -k_min, substream)
-
     values = np.empty(k_max - k_min + 1)
     origin = -k_min
     values[origin] = 0.0
-    if k_max > 0:
-        values[origin + 1 :] = np.cumsum(fwd)
-    if k_min < 0:
-        values[:origin] = -np.cumsum(bwd)[::-1]
+    fwd = values[origin + 1 :]
+    bwd = values[:origin][::-1]
+    _increment_run(spec, dt, seed, _FORWARD, fwd, substream)
+    _increment_run(spec, dt, seed, _BACKWARD, bwd, substream)
+    np.cumsum(fwd, out=fwd)
+    np.cumsum(bwd, out=bwd)
+    np.negative(bwd, out=bwd)
 
-    if not np.all(np.diff(values) > 0.0):
-        bad = int(np.argmin(np.diff(values) > 0.0))
+    increasing = values[1:] > values[:-1]
+    if not increasing.all():
+        bad = int(np.argmin(increasing))
         raise RuntimeError(
             f"sampled path is not strictly increasing at k={grid.k_min + bad}; "
             "for a driftless Gamma process at fine levels this can be caused "

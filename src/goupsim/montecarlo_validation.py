@@ -151,7 +151,9 @@ def _one_basepoint(
     while k_done < k_max:
         count = min(BLOCK, k_max - k_done)
         inc = _increment_block(spec, dt, cfg.root_seed, _FORWARD, block, count, sub)
-        cum = total + np.cumsum(inc)
+        # carry into the first increment: one sequential sum, as the eager build
+        inc[0] += total
+        cum = np.cumsum(inc, out=inc)
         chunks.append(cum)
         if cum[-1] >= x0:
             in_chunk = int(np.searchsorted(cum, x0, side="left"))

@@ -190,10 +190,24 @@ def lp_distance(
     Both field sequences must be sampled on the window's midpoint tensor
     grid, one slice per grid time.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     _check_fields_on_window(fields_a, window)
     _check_fields_on_window(fields_b, window)
+    return _lp_norm(fields_a, fields_b, window, p)
+
+
+def _check_p(p: float) -> None:
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+
+
+def _lp_norm(
+    fields_a: Sequence[SolutionField],
+    fields_b: Sequence[SolutionField],
+    window: WindowK,
+    p: float,
+) -> float:
+    """:func:`lp_distance` on sequences already checked against ``window``."""
     cell = window.dt * window.dx
     total = 0.0
     for fa, fb in zip(fields_a, fields_b):
@@ -224,15 +238,20 @@ def convergence_table(
     """L^p(K) distances of level-``N`` solutions to the finest-level solution.
 
     The finest sampled level stands in for the limit on this realization.
+    Each field sequence, the reference included, is checked against the
+    window once.
     """
     n_max = path.grid.level
     if max(levels) > n_max:
         raise ValueError(f"levels beyond the sampled level {n_max}: {levels}")
+    _check_p(p)
     reference = solve_on_window(path, datum, window, level=n_max)
+    _check_fields_on_window(reference, window)
     table = []
     for n in levels:
         fields = solve_on_window(path, datum, window, level=int(n))
-        table.append((int(n), lp_distance(fields, reference, window, p)))
+        _check_fields_on_window(fields, window)
+        table.append((int(n), _lp_norm(fields, reference, window, p)))
     return table
 
 

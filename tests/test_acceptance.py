@@ -16,7 +16,6 @@ from goupsim.goupillaud import CharQuery, characteristic_n
 from goupsim.ig_analytics import (
     bridge_density,
     hit_under_density,
-    hit_under_y_mass,
     ig_marginal_density,
     running_max_density,
     triple_density,
@@ -44,6 +43,7 @@ from goupsim.quadrature import (
     integrate_semi_infinite,
 )
 from goupsim.transport import Triangular, WindowK, convergence_table, solve_limit
+from conftest import hit_under_y_mass
 
 SPEC = QuadratureSpec()
 

@@ -13,7 +13,6 @@ from goupsim.ig_analytics import (
     conditional_past_density,
     default_z_grid,
     hit_under_density,
-    hit_under_y_mass,
     ig_marginal_density,
     running_max_density,
     triple_density,
@@ -27,6 +26,7 @@ from goupsim.quadrature import (
     integrate_semi_infinite,
     integrate_sqrt_endpoint,
 )
+from conftest import hit_under_y_mass
 
 SPEC = QuadratureSpec()
 

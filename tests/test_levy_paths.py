@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincinv, gammaln
 
 from goupsim.levy_paths import (
     BLOCK,
@@ -15,7 +15,9 @@ from goupsim.levy_paths import (
     RngSeed,
     StableHalf,
     WindowError,
+    _increment_block,
     _increments_from_uniforms,
+    _poisson_icdf,
     aggregate_to_level,
     backward_increments,
     build_two_sided_path,
@@ -68,6 +70,125 @@ def test_poisson_increment_zero_count_is_pure_drift():
     spec = PoissonDrift(1.0, 1.0, 1.0)
     u = np.array([0.5 * math.exp(-1.0)])
     assert _increments_from_uniforms(spec, 1.0, u)[0] == 1.0
+
+
+def _gamma_test_uniforms(a):
+    """Random words, a log sweep, a sweep towards 1, and the neighbours of
+    the quantile-underflow cut ``log u = a log(2^-1100) - gammaln(1 + a)``."""
+    cut = math.exp(a * -1100.0 * math.log(2.0) - gammaln(1.0 + a))
+    near = [cut]
+    for toward in (0.0, 2.0):
+        u = cut
+        for _ in range(3):
+            u = np.nextafter(u, toward)
+            near.append(u)
+    u = np.concatenate(
+        [
+            np.maximum(np.random.default_rng(11).random(2048), 1e-300),
+            np.geomspace(1e-300, 1.0, 1024),
+            1.0 - np.geomspace(1e-16, 1.0, 1024),
+            near,
+        ]
+    )
+    return u[u > 0.0]  # a stream never yields 0
+
+
+def test_gamma_transform_equals_gammaincinv_bitwise():
+    # the quantile-underflow fast path changes no bit of any increment
+    shapes = [(rate, 2.0**-n) for n in range(41) for rate in (0.25, 1.0, 3.0)]
+    shapes += [(1e-17, 1.0), (1e-30, 1.0)]
+    for rate, dt in shapes:
+        u = _gamma_test_uniforms(rate * dt)
+        for scale, drift in ((0.7, 0.3), (2.0, 0.0)):
+            spec = GammaDrift(rate, scale, drift)
+            want = scale * gammaincinv(rate * dt, u) + drift * dt
+            got = _increments_from_uniforms(spec, dt, u)
+            assert got.tobytes() == want.tobytes(), (rate, dt, scale, drift)
+
+
+def _poisson_icdf_full_loop(lam, u):
+    """Reference: the per-k loop over the whole array."""
+    out = np.zeros(u.shape, dtype=np.int64)
+    term = np.exp(-lam)
+    cdf = np.full(u.shape, term)
+    unresolved = u >= cdf
+    k = 0
+    k_cap = int(lam + 12.0 * np.sqrt(lam) + 60.0)
+    while unresolved.any():
+        k += 1
+        if k > k_cap:
+            out[unresolved] = k
+            break
+        term *= lam / k
+        cdf += term
+        hit = unresolved & (u < cdf)
+        out[hit] = k
+        unresolved &= ~hit
+    return out
+
+
+# at lam = 0.01 the partial sums stop at 1 - 2^-52 in floating point, so the
+# largest word a stream yields, 1 - 2^-53, runs into the cap
+@pytest.mark.parametrize("lam", [2.0**-16, 0.01, 1.0, 50.0])
+def test_poisson_icdf_equals_full_array_loop(lam):
+    # u near 1, and the neighbours of every partial sum up to the cap
+    k_cap = int(lam + 12.0 * np.sqrt(lam) + 60.0)
+    term, partial = np.exp(-lam), [np.exp(-lam)]
+    for k in range(1, k_cap + 1):
+        term *= lam / k
+        partial.append(partial[-1] + term)
+    partial = np.array(partial)
+    u = np.concatenate(
+        [
+            np.maximum(np.random.default_rng(3).random(4096), 1e-300),
+            1.0 - np.geomspace(2.0**-53, 0.5, 512),
+            partial,
+            np.nextafter(partial, 0.0),
+            np.nextafter(partial, 2.0),
+        ]
+    )
+    u = u[(u > 0.0) & (u < 1.0)]
+    got = _poisson_icdf(lam, u)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _poisson_icdf_full_loop(lam, u))
+    # all of one block resolving at k = 0 takes the no-tail branch
+    assert np.array_equal(_poisson_icdf(lam, u[u < partial[0]]), np.zeros(np.sum(u < partial[0])))
+
+
+def _path_by_concatenation(spec, n_max, k_min, k_max, seed):
+    """Reference build: whole blocks concatenated, then one cumsum per side."""
+    dt = 2.0**-n_max
+
+    def run(direction, count):
+        blocks = [
+            _increment_block(spec, dt, seed, direction, j, min(BLOCK, count - j * BLOCK))
+            for j in range((count + BLOCK - 1) // BLOCK)
+        ]
+        return np.concatenate(blocks) if blocks else np.empty(0)
+
+    fwd, bwd = run(0, k_max), run(1, -k_min)
+    return np.concatenate([-np.cumsum(bwd)[::-1], [0.0], np.cumsum(fwd)])
+
+
+@pytest.mark.parametrize(
+    "k_min, k_max",
+    [(-BLOCK - 5, 2 * BLOCK + 7), (0, BLOCK + 3), (-2 * BLOCK - 1, 0), (0, 0), (-3, 1)],
+)
+def test_build_in_place_equals_concatenated_reference(k_min, k_max):
+    for spec in (GammaDrift(0.5, 1.0, 0.25), PoissonDrift(3.0, 1.0, 0.5), StableHalf()):
+        path = build_two_sided_path(spec, 12, k_min, k_max, SEED)
+        want = _path_by_concatenation(spec, 12, k_min, k_max, SEED)
+        assert path.values.tobytes() == want.tobytes()
+
+
+def test_build_non_increasing_error_names_first_bad_k():
+    # a driftless Gamma path at level 16 underflows to flat runs
+    spec = GammaDrift(1.0, 1.0, 0.0)
+    k_min, k_max = -BLOCK - 9, BLOCK + 9
+    values = _path_by_concatenation(spec, 16, k_min, k_max, SEED)
+    bad = k_min + int(np.argmin(np.diff(values) > 0.0))
+    with pytest.raises(RuntimeError, match=rf"not strictly increasing at k={bad};"):
+        build_two_sided_path(spec, 16, k_min, k_max, SEED)
 
 
 def test_stable_half_median():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -49,18 +50,25 @@ def test_mc_config_validation():
 
 def test_sample_basepoints_matches_full_path_route():
     # the lazy sampler must agree bitwise with building the whole window and
-    # evaluating the base point through the path operations
-    cfg = McConfig(40, 8, (-2 * 2**8, 6 * 2**8), SEED)
-    for spec in (StableHalf(), GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0)):
-        got = sample_basepoints(spec, 2.0, 1.0, cfg)
+    # evaluating the base point through the path operations; the second
+    # window spans several BLOCKs, across which the sampler carries its
+    # running sum and must still match one sequential sum
+    cases = [
+        (2.0, McConfig(40, 8, (-2 * 2**8, 6 * 2**8), SEED)),
+        (8.0, McConfig(40, 10, (-2**10, 14 * 2**10), SEED)),
+    ]
+    for (x0, cfg), spec in itertools.product(
+        cases, (StableHalf(), GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0))
+    ):
+        got = sample_basepoints(spec, x0, 1.0, cfg)
         assert got.n_failed == 0
         direct = np.array(
             [
                 basepoint(
                     build_two_sided_path(
-                        spec, 8, cfg.window[0], cfg.window[1], SEED, substream=(i,)
+                        spec, cfg.n_max, cfg.window[0], cfg.window[1], SEED, substream=(i,)
                     ),
-                    2.0,
+                    x0,
                     1.0,
                 )
                 for i in range(cfg.n_samples)
