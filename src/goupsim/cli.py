@@ -133,6 +133,18 @@ def _k_window(t_range: tuple[float, float], n_max: int) -> tuple[int, int]:
     return min(k_min, 0), max(k_max, 0)
 
 
+def _path_from_args(args: argparse.Namespace, spec: ProcessSpec):
+    """``--range``, its k window and the path sampled on it."""
+    t_range = _parse_range(args.range)
+    k_window = _k_window(t_range, args.nmax)
+    seed = RngSeed(args.seed, args.stream)
+    try:
+        path = levy_paths.build_two_sided_path(spec, args.nmax, *k_window, seed)
+    except RuntimeError as exc:  # the path is not strictly increasing
+        raise SystemExit(f"cannot sample this path: {exc}; lower --nmax")
+    return t_range, k_window, path
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
     payload = {"command": command, "config": config}
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -153,10 +165,7 @@ def _prepare_out(args: argparse.Namespace) -> Path:
 def _cmd_paths(args: argparse.Namespace) -> int:
     spec = _process_from_args(args)
     out_dir = _prepare_out(args)
-    t_range = _parse_range(args.range)
-    k_min, k_max = _k_window(t_range, args.nmax)
-    seed = RngSeed(args.seed, args.stream)
-    path = levy_paths.build_two_sided_path(spec, args.nmax, k_min, k_max, seed)
+    t_range, k_window, path = _path_from_args(args, spec)
     levy_paths.write_path_csv(path, out_dir / "path.csv")
     levy_paths.write_path_metadata(path, out_dir / "path_meta.json")
     _write_manifest(
@@ -166,7 +175,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
             "process": levy_paths.process_to_dict(spec),
             "n_max": args.nmax,
             "t_range": list(t_range),
-            "k_window": [k_min, k_max],
+            "k_window": list(k_window),
             "seed": args.seed,
             "stream": args.stream,
         },
@@ -183,10 +192,7 @@ def _datum_from_args(args: argparse.Namespace):
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _process_from_args(args)
     out_dir = _prepare_out(args)
-    t_range = _parse_range(args.range)
-    k_min, k_max = _k_window(t_range, args.nmax)
-    seed = RngSeed(args.seed, args.stream)
-    path = levy_paths.build_two_sided_path(spec, args.nmax, k_min, k_max, seed)
+    t_range, _, path = _path_from_args(args, spec)
     datum = _datum_from_args(args)
     times = _parse_floats(args.times)
     x_lo, x_hi = _parse_range(args.xgrid)
@@ -230,10 +236,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_converge(args: argparse.Namespace) -> int:
     spec = _process_from_args(args)
     out_dir = _prepare_out(args)
-    t_range = _parse_range(args.range)
-    k_min, k_max = _k_window(t_range, args.nmax)
-    seed = RngSeed(args.seed, args.stream)
-    path = levy_paths.build_two_sided_path(spec, args.nmax, k_min, k_max, seed)
+    t_range, _, path = _path_from_args(args, spec)
     datum = _datum_from_args(args)
     w_t = _parse_range(args.window_t)
     w_x = _parse_range(args.window_x)
@@ -274,8 +277,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
     grid = ig_analytics.default_z_grid(args.x, n=args.zcount, z_neg_far=args.zfar)
     query = ig_analytics.IGQuery(args.x, args.t, grid)
     curve = ig_analytics.basepoint_density(query)
+    cdf = np.column_stack([grid, ig_analytics.basepoint_cdf(args.x, args.t, grid)])
     ig_analytics.write_density_csv(curve, out_dir / "density.csv")
-    ig_analytics.write_cdf_csv(ig_analytics.cdf_from_curve(curve), out_dir / "cdf.csv")
+    ig_analytics.write_cdf_csv(cdf, out_dir / "cdf.csv")
     ig_analytics.write_query_json(query, curve.mass, out_dir / "query.json")
     _write_manifest(
         out_dir,
@@ -297,28 +301,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise SystemExit(f"--t0 must be positive, got {args.t0}")
     t_range = _parse_range(args.range)
     k_min, k_max = _k_window(t_range, args.nmax)
-    cfg = montecarlo_validation.McConfig(
-        n_samples=args.n,
-        n_max=args.nmax,
-        window=(k_min, k_max),
-        root_seed=RngSeed(args.seed, args.stream),
-        bins=args.bins,
-    )
-    result = montecarlo_validation.validate_basepoints(
-        spec,
-        args.x0,
-        args.t0,
-        cfg,
-        l1_max=args.l1_max,
-        hist_hi=args.hist_hi,
-        workers=args.threads,
-        with_ks=not args.no_ks,
-    )
+    try:
+        cfg = montecarlo_validation.McConfig(
+            n_samples=args.n,
+            n_max=args.nmax,
+            window=(k_min, k_max),
+            root_seed=RngSeed(args.seed, args.stream),
+            bins=args.bins,
+        )
+        result = montecarlo_validation.validate_basepoints(
+            spec, args.x0, args.t0, cfg, l1_max=args.l1_max, hist_hi=args.hist_hi,
+            workers=args.threads, with_ks=not args.no_ks,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid validation input: {exc}")
     montecarlo_validation.write_samples_csv(result.samples, out_dir / "samples.csv")
     montecarlo_validation.write_histogram_csv(result.hist, out_dir / "histogram.csv")
     if result.curve is not None:
         ig_analytics.write_density_csv(result.curve, out_dir / "density.csv")
-    if result.cdf is not None:
         ig_analytics.write_cdf_csv(result.cdf, out_dir / "cdf.csv")
     montecarlo_validation.write_report_json(result.report, out_dir / "report.json")
     _write_manifest(

@@ -17,7 +17,10 @@ mirrored for negative times.  Building blocks:
 * ``conditional_past_density``  law of ``I(s - t)`` given hitting data at a
                            level ``x >= 0``, split into the bridge and
                            independent-copy regions,
-* ``basepoint_density``    the base-point law ``I(I*(x) - t)`` in closed form.
+* ``basepoint_density``    the base-point law ``I(I*(x) - t)`` in closed form,
+* ``basepoint_cdf``        its exact CDF (Owen's T functions),
+* ``hit_under_bin_masses`` exact hitting/undershoot masses over rectangular
+                           bins, by the same Owen's T form.
 
 Base-point law for a level ``x > 0``.  Total probability over the hitting
 data, with the bridge denominator cancelling against the undershoot density,
@@ -44,6 +47,19 @@ not.  The density has an integrable ``|z|^(-1/2)``
 spike at the origin (the value 0 is returned at ``z = 0``), a heavy
 ``|z|^(-3/2)`` negative tail, and vanishes identically at and above ``x``.
 At ``x = 0`` hitting is immediate and the law is ``f_I(t)(-z)``.
+
+The CDF ``F(z) = P(Z < z)`` is a sum of Owen's T functions (Owen 1956,
+Ann. Math. Statist. 27): ``F(z) = erf(t/sqrt(2x)) + 4 T(t/sqrt(x), sqrt(z/(x-z)))``
+on ``0 <= z < x``, ``F = 1`` from ``x`` on, and below the origin
+``F(-a) = 1 - 4 [T(k, sqrt(x/a)) + T(k, sqrt(a/x))]`` with ``k = t/sqrt(x+a)``,
+four times the bivariate normal mass of the triangle ``u, v > 0``,
+``sqrt(x) u + sqrt(a) v < t``.  Owen's identity for ``T(h, c) + T(ch, 1/c)``
+rewrites the latter as ``erf(k/sqrt 2) erf(m/sqrt 2) + 4 [T(m, r) - T(k, r)]``
+with ``r = sqrt(min(a, x)/max(a, x))`` and ``m = k/r``, which keeps its
+relative accuracy in the ``|z|^(-1/2)`` tail; where both legs ``t/sqrt(x)``
+and ``t/sqrt(a)`` of the triangle are below ``2e-2`` the T difference cancels
+and the triangle's moment series replaces it.  At ``x = 0`` both reduce to
+``erf(t/sqrt(2|z|))``.
 """
 
 from __future__ import annotations
@@ -51,9 +67,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, erfc, owens_t
 
 from .csvio import write_csv
 from .quadrature import QuadratureSpec, integrate_adaptive
@@ -69,7 +86,7 @@ __all__ = [
     "conditional_past_density",
     "basepoint_density",
     "basepoint_cdf",
-    "cdf_from_curve",
+    "hit_under_bin_masses",
     "default_z_grid",
     "write_density_csv",
     "write_cdf_csv",
@@ -105,8 +122,8 @@ class DensityCurve:
     """Tabulated density with per-point error estimates.
 
     ``err`` is 0 wherever ``f`` comes from a closed form, which is every
-    point :func:`basepoint_density` returns.  ``mass`` is the trapezoid
-    integral of ``f`` over ``z``.
+    point :func:`basepoint_density` returns.  ``mass`` is the exact
+    probability of ``[z[0], z[-1]]``, ``F(z[-1]) - F(z[0])``.
     """
 
     z: np.ndarray
@@ -313,11 +330,8 @@ def basepoint_density(query: IGQuery) -> DensityCurve:
     ``ValueError``: no correct law is implemented for them.
     """
     x, t = query.x, query.t
-    if not x >= 0.0:
-        raise ValueError(
-            f"the base-point law is implemented for levels x >= 0 only, got x={x}"
-        )
     z = np.asarray(query.z_grid, dtype=float)
+    lo, hi = basepoint_cdf(x, t, z[[0, -1]])  # refuses x < 0
     if x == 0.0:
         # hitting is immediate: the base point is an independent copy run
         # backwards from the origin
@@ -329,24 +343,92 @@ def basepoint_density(query: IGQuery) -> DensityCurve:
         f[pos] = np.exp(-t * t / (2.0 * (x - zp))) / (np.pi * np.sqrt(zp) * np.sqrt(x - zp))
         neg = z < 0.0
         f[neg] = _basepoint_negative_side(x, t, -z[neg])
-    mass = float(np.trapezoid(f, z))
-    return DensityCurve(z, f, np.zeros_like(f), mass)
+    return DensityCurve(z, f, np.zeros_like(f), float(hi - lo))
 
 
-def cdf_from_curve(curve: DensityCurve) -> np.ndarray:
-    """Running trapezoid integral of a density curve, clipped to [0, 1].
+def _cdf_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
+    """``F(-a)`` for ``a > 0`` and a level ``x >= 0`` (module docstring)."""
+    lo, hi = np.minimum(a, x), np.maximum(a, x)
+    r = np.sqrt(lo / hi)
+    k = t / np.sqrt(x + a)
+    with np.errstate(divide="ignore"):
+        m = t * np.sqrt(hi / (x + a)) / np.sqrt(lo)
+        l1, l2 = np.broadcast_arrays(t / np.sqrt(x), t / np.sqrt(a))
+    F = erf(k / np.sqrt(2.0)) * erf(m / np.sqrt(2.0)) + 4.0 * (owens_t(m, r) - owens_t(k, r))
+    # 4/(2 pi) int_triangle exp(-(u^2+v^2)/2) to fourth order in the legs
+    small = np.maximum(l1, l2) < 2e-2
+    l1, l2 = l1[small], l2[small]
+    q1, q2 = l1 * l1, l2 * l2
+    F[small] = l1 * l2 / np.pi * (
+        1.0 - (q1 + q2) / 12.0 + (3.0 * (q1 * q1 + q2 * q2) + q1 * q2) / 360.0
+    )
+    return F
 
-    Returns an ``(n, 2)`` array of ``(z, F)`` rows.
+
+def basepoint_cdf(x: float, t: float, z) -> np.ndarray:
+    """Exact CDF ``F(z) = P(Z < z)`` of the base point ``Z = I(I*(x) - t)``
+    at points ``z`` of any shape and order (module docstring).
+
+    ``F`` is 1 at and above the level.  Negative levels raise
+    ``ValueError``: no correct law is implemented for them.
     """
-    dz = np.diff(curve.z)
-    increments = 0.5 * (curve.f[1:] + curve.f[:-1]) * dz
-    cdf = np.concatenate([[0.0], np.cumsum(increments)])
-    return np.column_stack([curve.z, np.clip(cdf, 0.0, 1.0)])
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t}")
+    if not x >= 0.0:
+        raise ValueError(
+            f"the base-point law is implemented for levels x >= 0 only, got x={x}"
+        )
+    z = np.asarray(z, dtype=float)
+    F = np.ones(z.shape)
+    with np.errstate(divide="ignore"):
+        f0 = erf(t / np.sqrt(2.0 * x))
+    # each side clipped to its bound, F(0) or 1, which the sums may exceed
+    # by an ulp next to the origin and the level
+    neg = z < 0.0
+    F[neg] = np.minimum(_cdf_negative_side(x, t, -z[neg]), f0)
+    pos = (z >= 0.0) & (z < x)
+    if pos.any():
+        F[pos] = np.minimum(f0 + _undershoot_tail_mass(x, t, z[pos]), 1.0)
+    return F
 
 
-def basepoint_cdf(query: IGQuery) -> np.ndarray:
-    """CDF of the base point on ``query.z_grid`` as ``(z, F)`` rows."""
-    return cdf_from_curve(basepoint_density(query))
+def _undershoot_tail_mass(x: float, s, w: np.ndarray) -> np.ndarray:
+    """``int_(x-w)^x exp(-s^2/(2y)) / (pi sqrt(y (x-y))) dy`` for
+    ``0 <= w <= x``: the substitution ``y = x / (1 + u^2)`` turns it into
+    ``4 T(s/sqrt(x), sqrt(w/(x-w)))`` with Owen's T function, and the full
+    range ``w = x`` into ``erfc(s/sqrt(2x))``.  At ``s = t`` this is the
+    base-point mass ``P(0 < Z < w)`` of the bridge region."""
+    full = w >= x
+    ratio = np.sqrt(w / np.where(full, 1.0, x - w))
+    return np.where(
+        full, erfc(s / np.sqrt(2.0 * x)), 4.0 * owens_t(s / np.sqrt(x), ratio)
+    )
+
+
+def hit_under_bin_masses(
+    x: float,
+    s_edges: Sequence[float],
+    y_edges: Sequence[float],
+) -> np.ndarray:
+    """Exact masses of the hitting/undershoot density over a rectangular bin
+    grid (level ``x > 0``).
+
+    The hitting-time variable integrates in closed form,
+    ``int_s1^s2 s exp(-s^2/(2y)) ds = y (exp(-s1^2/(2y)) - exp(-s2^2/(2y)))``,
+    and the remaining undershoot integral is a difference of Owen's T
+    functions: with ``P`` the tail mass of :func:`_undershoot_tail_mass`,
+    the mass of ``[s1, s2] x [lo, hi]`` is ``M(s1) - M(s2)``, where
+    ``M(s) = P(s, x - lo) - P(s, x - hi)``.
+    """
+    s_edges = np.asarray(s_edges, dtype=float)
+    y_edges = np.asarray(y_edges, dtype=float)
+    if y_edges[0] < 0.0 or y_edges[-1] > x:
+        raise ValueError("undershoot bins must lie inside [0, x]")
+    s = s_edges[:, None]
+    m = _undershoot_tail_mass(x, s, x - y_edges[None, :-1]) - _undershoot_tail_mass(
+        x, s, x - y_edges[None, 1:]
+    )
+    return m[:-1] - m[1:]
 
 
 def default_z_grid(

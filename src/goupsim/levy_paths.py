@@ -351,8 +351,8 @@ def build_two_sided_path(
         bad = int(np.argmin(increasing))
         raise RuntimeError(
             f"sampled path is not strictly increasing at k={grid.k_min + bad}; "
-            "for a driftless Gamma process at fine levels this can be caused "
-            "by float underflow of tiny increments"
+            "the increment to the next grid point is below half an ulp of the "
+            f"path value {float(values[bad])!r}, so adding it leaves the value unchanged"
         )
     return LevyPathSample(grid, values, seed, spec)
 

@@ -14,10 +14,10 @@ Two sample sources:
                              maxima so that it is free of the O(sqrt(step))
                              discretization bias of the bare mesh maximum.
 
-Comparison tools: left-closed histograms with overflow tracking, an L1
-distance between a histogram and a tabulated density, the Kolmogorov-Smirnov
-statistic against a CDF, and exact bin masses of the hitting/undershoot
-density for binwise oracle checks.
+Comparison tools: left-closed histograms with overflow tracking, and the L1
+distance (bin masses) and Kolmogorov-Smirnov statistic of samples against a
+CDF; ``validate_basepoints`` takes the exact base-point CDF of
+``ig_analytics``, whose ``hit_under_bin_masses`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -25,18 +25,20 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.special import erfc, owens_t
 
 from .csvio import write_csv
 from .ig_analytics import (
     DensityCurve,
     IGQuery,
+    basepoint_cdf,
     basepoint_density,
-    cdf_from_curve,
+    default_z_grid,
+    hit_under_bin_masses,
 )
 from .levy_paths import (
     BLOCK,
@@ -63,7 +65,6 @@ __all__ = [
     "ks_distance",
     "hit_under_bin_masses",
     "spike_refined_bin_edges",
-    "validation_z_grid",
     "validate_basepoints",
     "write_samples_csv",
     "write_histogram_csv",
@@ -205,6 +206,8 @@ def sample_basepoints(
     """
     if not t0 > 0.0:
         raise ValueError(f"t0 must be positive, got {t0}")
+    if not x0 > 0.0:
+        raise ValueError(f"x0 must be positive (forward hitting search only), got {x0}")
     n = cfg.n_samples
     if workers > 1:
         bounds = np.linspace(0, n, workers * 4 + 1, dtype=int)
@@ -367,35 +370,15 @@ def histogram(samples, edges) -> Histogram:
     return Histogram(edges, counts, int(samples.size), n_under, n_over)
 
 
-def _curve_bin_means(curve: DensityCurve, edges: np.ndarray) -> np.ndarray:
-    """Mean of a tabulated density over each bin, by trapezoid on the curve
-    grid restricted to the bin (edge values interpolated)."""
-    z, f = curve.z, curve.f
-    if edges[0] < z[0] - 1e-12 or edges[-1] > z[-1] + 1e-12:
-        raise ValueError(
-            f"curve grid [{z[0]}, {z[-1]}] does not cover histogram support "
-            f"[{edges[0]}, {edges[-1]}]"
-        )
-    means = np.empty(edges.size - 1)
-    for i in range(edges.size - 1):
-        lo, hi = edges[i], edges[i + 1]
-        interior = z[(z > lo) & (z < hi)]
-        pts = np.concatenate([[lo], interior, [hi]])
-        vals = np.interp(pts, z, f)
-        means[i] = np.trapezoid(vals, pts) / (hi - lo)
-    return means
+def l1_distance(h: Histogram, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Sum over bins of |empirical mass - exact mass|, the exact masses being
+    the increments of ``cdf`` over the bin edges.
 
-
-def l1_distance(h: Histogram, curve: DensityCurve) -> float:
-    """Sum over bins of |empirical density - mean analytic density| * width.
-
-    Empirical density uses the total sample count ``h.n`` (out-of-range
+    Empirical masses use the total sample count ``h.n`` (out-of-range
     samples deplete the in-range mass on both sides consistently).
     """
-    widths = np.diff(h.edges)
-    empirical = h.counts / (h.n * widths)
-    analytic = _curve_bin_means(curve, h.edges)
-    return float(np.sum(np.abs(empirical - analytic) * widths))
+    analytic = np.diff(np.asarray(cdf(h.edges), dtype=float))
+    return float(np.sum(np.abs(h.counts / h.n - analytic)))
 
 
 def ks_distance(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -408,44 +391,6 @@ def ks_distance(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
     return float(max(upper, lower))
-
-
-def _undershoot_tail_mass(x: float, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``int_(x-w)^x exp(-s^2/(2y)) / (pi sqrt(y (x-y))) dy`` for
-    ``0 <= w <= x``: the substitution ``y = x / (1 + u^2)`` turns it into
-    ``4 T(s/sqrt(x), sqrt(w/(x-w)))`` with Owen's T function, and the full
-    range ``w = x`` into ``erfc(s/sqrt(2x))``."""
-    full = w >= x
-    ratio = np.sqrt(w / np.where(full, 1.0, x - w))
-    return np.where(
-        full, erfc(s / np.sqrt(2.0 * x)), 4.0 * owens_t(s / np.sqrt(x), ratio)
-    )
-
-
-def hit_under_bin_masses(
-    x: float,
-    s_edges: Sequence[float],
-    y_edges: Sequence[float],
-) -> np.ndarray:
-    """Exact masses of the hitting/undershoot density over a rectangular bin
-    grid (level ``x > 0``).
-
-    The hitting-time variable integrates in closed form,
-    ``int_s1^s2 s exp(-s^2/(2y)) ds = y (exp(-s1^2/(2y)) - exp(-s2^2/(2y)))``,
-    and the remaining undershoot integral is a difference of Owen's T
-    functions: with ``P`` the tail mass of :func:`_undershoot_tail_mass`,
-    the mass of ``[s1, s2] x [lo, hi]`` is ``M(s1) - M(s2)``, where
-    ``M(s) = P(s, x - lo) - P(s, x - hi)``.
-    """
-    s_edges = np.asarray(s_edges, dtype=float)
-    y_edges = np.asarray(y_edges, dtype=float)
-    if y_edges[0] < 0.0 or y_edges[-1] > x:
-        raise ValueError("undershoot bins must lie inside [0, x]")
-    s = s_edges[:, None]
-    m = _undershoot_tail_mass(x, s, x - y_edges[None, :-1]) - _undershoot_tail_mass(
-        x, s, x - y_edges[None, 1:]
-    )
-    return m[:-1] - m[1:]
 
 
 def spike_refined_bin_edges(hi: float = 8.5, bins: int = 60) -> np.ndarray:
@@ -462,33 +407,6 @@ def spike_refined_bin_edges(hi: float = 8.5, bins: int = 60) -> np.ndarray:
     geo = np.geomspace(split / 128.0, split, n_geo)
     lin = np.linspace(split, hi, n_lin + 1)[1:]
     return np.concatenate([[0.0], geo, lin])
-
-
-def validation_z_grid(
-    edges: np.ndarray,
-    x: float,
-    with_negative_side: bool = True,
-    per_bin: int = 4,
-    n_negative: int = 96,
-    z_neg_far: float = -1e6,
-) -> np.ndarray:
-    """Density evaluation grid aligned with histogram bins.
-
-    Interior points per bin for binwise means, extra geometric points inside
-    the first bin (integrable spike at 0), a short run beyond the level
-    ``x`` (where the density vanishes), and optionally a geometric negative
-    side for CDF/KS use (the negative tail is heavy, ``|z|^(-3/2)``)."""
-    pts = [np.asarray(edges, dtype=float)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if lo == 0.0:
-            pts.append(np.geomspace(max(hi * 1e-3, 1e-7 * x), hi, per_bin + 4)[:-1])
-        else:
-            pts.append(np.linspace(lo, hi, per_bin + 1)[1:-1])
-    tail_hi = max(float(edges[-1]), 1.05 * x)
-    pts.append(np.linspace(x, tail_hi, 5)[1:])
-    if with_negative_side:
-        pts.append(-np.geomspace(-z_neg_far, 1e-5 * x, n_negative))
-    return np.unique(np.concatenate(pts))
 
 
 @dataclass(frozen=True)
@@ -524,14 +442,16 @@ def validate_basepoints(
     workers: int = 1,
     with_ks: bool = True,
 ) -> ValidationResult:
-    """Monte Carlo base points against the analytic base-point density.
+    """Monte Carlo base points against the exact base-point law.
 
-    Checks: L1 histogram distance below ``l1_max``, vanishing analytic
-    density above the level, mass concentration at the origin (the bin
-    nearest 0 carries the maximal density on both sides of the comparison),
-    and optionally a Kolmogorov-Smirnov test against the analytic CDF at the
-    1% asymptotic critical value.  ``checks`` lists the verdicts of the
-    checks that ran; ``report["pass"]`` is true when all of them passed.
+    Checks: L1 distance of the histogram from the exact bin masses of the
+    analytic CDF below ``l1_max``, vanishing analytic density above the
+    level, mass concentration at the origin (the bin nearest 0 carries the
+    maximal density on both sides of the comparison), and optionally a
+    Kolmogorov-Smirnov test of the exact CDF at the samples at the 1%
+    asymptotic critical value.  ``checks`` lists the verdicts of the checks
+    that ran; ``report["pass"]`` is true when all of them passed.  ``curve``
+    and ``cdf`` tabulate the law on :func:`default_z_grid` of ``x0``.
 
     Only the stable-1/2 process has an implemented analytic law; for other
     process families the Monte Carlo side still runs but every analytic
@@ -540,8 +460,8 @@ def validate_basepoints(
     and the L1 and concentration checks when no sample lands in the
     histogram range ``[0, hist_hi]``: an empty histogram tests nothing.
     """
-    samples = sample_basepoints(spec, x0, t0, cfg, workers=workers)
     edges = spike_refined_bin_edges(hist_hi, cfg.bins)
+    samples = sample_basepoints(spec, x0, t0, cfg, workers=workers)
     hist = histogram(samples.values, edges)
 
     report: dict = {
@@ -571,20 +491,20 @@ def validate_basepoints(
         report["pass"] = True
         return ValidationResult(report, samples, hist, None, None, [])
 
-    grid = validation_z_grid(edges, x0, with_negative_side=with_ks)
-    curve = basepoint_density(IGQuery(x0, t0, grid))
-
+    cdf = partial(basepoint_cdf, x0, t0)
+    curve = basepoint_density(IGQuery(x0, t0, default_z_grid(x0)))
     report["mass"] = float(curve.mass)
     checks = []
 
     if np.any(hist.counts):
-        l1 = float(l1_distance(hist, curve))
+        l1 = l1_distance(hist, cdf)
         report["l1"] = l1
         report["l1_pass"] = bool(l1 <= l1_max)
         checks.append(Check("l1", "histogram L1 distance", l1, l1_max, report["l1_pass"]))
-        bin_means = _curve_bin_means(curve, edges)
-        emp_density = hist.counts / (hist.n * np.diff(edges))
-        densest = max(int(np.argmax(bin_means)), int(np.argmax(emp_density)))
+        widths = np.diff(edges)
+        bin_density = np.diff(cdf(edges)) / widths
+        emp_density = hist.counts / (hist.n * widths)
+        densest = max(int(np.argmax(bin_density)), int(np.argmax(emp_density)))
         report["concentration_pass"] = densest == 0
         checks.append(Check("concentration", "densest bin index", densest, 0, densest == 0))
     else:
@@ -608,7 +528,6 @@ def validate_basepoints(
         )
     )
 
-    cdf = None
     if with_ks:
         std = float(np.std(samples.values))
         if std <= 1e-12 * (1.0 + abs(float(np.mean(samples.values)))):
@@ -616,10 +535,7 @@ def validate_basepoints(
                 "ks: sample law is a point mass (degenerate); no density comparison"
             )
         else:
-            cdf = cdf_from_curve(curve)
-            ks = ks_distance(
-                samples.values, lambda z: np.interp(z, cdf[:, 0], cdf[:, 1])
-            )
+            ks = ks_distance(samples.values, cdf)
             ks_max = report["tolerances"]["ks_max"]
             report["ks"] = float(ks)
             report["ks_pass"] = bool(ks <= ks_max)
@@ -630,7 +546,8 @@ def validate_basepoints(
         report["skipped"].append("ks: disabled by configuration")
 
     report["pass"] = all(c.passed for c in checks)
-    return ValidationResult(report, samples, hist, curve, cdf, checks)
+    cdf_rows = np.column_stack([curve.z, cdf(curve.z)])
+    return ValidationResult(report, samples, hist, curve, cdf_rows, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,46 @@ def test_validate_bad_seed_is_usage_error(tmp_path):
         )
 
 
+@pytest.mark.parametrize("sizes", [["--n=0", "--bins=12"], ["--n=20", "--bins=4"]])
+def test_validate_bad_sizes_are_error_lines(tmp_path, sizes):
+    with pytest.raises(SystemExit, match="invalid validation input"):
+        main(
+            [
+                "validate", "--process", "stable-half", *sizes, "--nmax", "8",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+
+
+@pytest.mark.parametrize("x0", ["-1", "0"])
+def test_validate_refuses_nonpositive_level(tmp_path, x0):
+    # the lazy sampler searches forward only; it refuses instead of returning
+    # a wrong law, and the command turns that into an error line
+    with pytest.raises(SystemExit, match="x0 must be positive"):
+        main(
+            [
+                "validate", "--process", "stable-half", f"--x0={x0}",
+                "--n", "200", "--nmax", "10", "--range=-4:14",
+                "--seed", "5", "--out", str(tmp_path / "run"),
+            ]
+        )
+
+
+def test_paths_non_increasing_is_an_error_line(tmp_path):
+    # a stable-1/2 jump to 4.35e6 is followed by increments below half an
+    # ulp of the path value, so the sampled path stalls at k=161133
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "paths", "--process", "stable-half", "--seed", "7",
+                "--nmax", "14", "--range=-4:14", "--out", str(tmp_path / "run"),
+            ]
+        )
+    message = str(exc.value.code)
+    assert "not strictly increasing at k=161133;" in message
+    assert "below half an ulp" in message and "Gamma" not in message
+
+
 def test_validate_empty_histogram_skips_l1(tmp_path, capsys):
     # at x0 = 0.01, t0 = 4 the base point lies in [0, x0) with probability
     # erfc(4 / sqrt(0.02)) ~ 1e-348: no sample reaches the histogram

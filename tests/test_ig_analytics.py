@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from goupsim.ig_analytics import (
     DensityCurve,
@@ -9,7 +10,6 @@ from goupsim.ig_analytics import (
     basepoint_cdf,
     basepoint_density,
     bridge_density,
-    cdf_from_curve,
     conditional_past_density,
     default_z_grid,
     hit_under_density,
@@ -358,16 +358,97 @@ def test_basepoint_cdf_properties():
     x, t = 8.0, 1.0
     grid = default_z_grid(x, n=160)
     curve = basepoint_density(IGQuery(x, t, grid))
-    cdf = cdf_from_curve(curve)
-    F = cdf[:, 1]
+    F = basepoint_cdf(x, t, grid)
     assert np.all(np.diff(F) >= 0.0)
     assert np.all((F >= 0.0) & (F <= 1.0))
-    # the endpoint of the running integral is the tabulated mass
-    assert abs(F[-1] - min(curve.mass, 1.0)) <= 1e-12
-    # flat above the level: F just above x equals the final value
-    above = cdf[cdf[:, 0] > x + 1e-9, 1]
-    assert above.size > 0
-    assert np.max(np.abs(above - F[-1])) <= 1e-12
+    # the curve's mass is the exact probability of the grid's span
+    assert curve.mass == F[-1] - F[0]
+    # flat above the level
+    assert np.all(F[grid >= x] == 1.0)
+
+
+def _density_at(x, t):
+    # basepoint_density at arbitrary abscissas (the query grid must increase)
+    def f(z):
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        order = np.argsort(z)
+        out = np.empty_like(z)
+        out[order] = basepoint_density(IGQuery(x, t, z[order])).f
+        return out
+
+    return f
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("t", [1e-3, 0.2, 1.0, 3.0])
+def test_basepoint_cdf_matches_density_quadrature(x, t):
+    # F(z2) - F(z1) against a 1-d adaptive quadrature of the closed-form
+    # density, on each side of the spike at 0, up to the level and past it
+    neg = -np.geomspace(1e5 * x, 1e-6 * x, 12)
+    pos = np.append(np.geomspace(1e-6 * x, x, 9), 2.0 * x)
+    f = _density_at(x, t)
+    spec = QuadratureSpec(1e-15, 1e-13, 5000)
+    for side in (neg, pos):
+        F = basepoint_cdf(x, t, side)
+        for z1, z2, dF in zip(side[:-1], side[1:], np.diff(F)):
+            want = integrate_adaptive(f, z1, z2, spec).value
+            assert abs(dF - want) <= 1e-12, (z1, z2, dF, want)
+
+
+@pytest.mark.parametrize("x", [0.5, 8.0])
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.02, 0.05, 1.0, 3.0])
+def test_basepoint_cdf_negative_side_relative_accuracy(x, t):
+    # F(-a) = int_0^t sqrt(2/(pi x)) exp(-s^2/(2x)) erf((t-s)/sqrt(2a)) ds,
+    # the half-normal running maximum mixed with P(I(t-s) > a); relative
+    # accuracy in the heavy tail and where the triangle's legs are tiny
+    def oracle(a):
+        def g(s):
+            return running_max_density(x, s) * erf((t - s) / math.sqrt(2.0 * a))
+
+        spec = QuadratureSpec(1e-300, 1e-14, 2000)
+        cuts = [t - c * math.sqrt(a) for c in (30.0, 10.0, 3.0, 1.0, 0.3, 0.1)]
+        points = [0.0] + [c for c in cuts if 0.0 < c < t] + [t]
+        return sum(integrate_adaptive(g, lo, hi, spec).value for lo, hi in zip(points[:-1], points[1:]))
+
+    a = np.geomspace(1e-6 * x, 1e12, 15)
+    got = basepoint_cdf(x, t, -a)
+    want = np.array([oracle(v) for v in a])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-11
+
+
+@pytest.mark.parametrize("x, t", [(8.0, 1.0), (0.5, 1e-3), (2.0, 3.0), (0.01, 4.0), (1.0, 40.0)])
+def test_basepoint_cdf_limits(x, t):
+    f0 = erf(t / math.sqrt(2.0 * x))
+    F = basepoint_cdf(x, t, np.array([-1e300, -1e-300, 0.0, x, 2.0 * x]))
+    assert 0.0 <= F[0] <= 1e-140  # F(-a) ~ a^(-1/2) in the heavy tail
+    assert F[2] == f0
+    assert abs(F[1] - f0) <= 1e-15
+    assert F[3] == 1.0 and F[4] == 1.0
+    # at x = 0 hitting is immediate: P(Z < z) = P(I(t) > -z)
+    z = -np.geomspace(1e-6, 1e6, 25)
+    want = erf(t / np.sqrt(-2.0 * z))
+    got = basepoint_cdf(0.0, t, z)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.array_equal(basepoint_cdf(0.0, t, np.array([0.0, 1.0])), np.ones(2))
+
+
+def test_basepoint_cdf_monotone_and_finite_over_wide_ranges():
+    v = np.geomspace(1e-100, 1e100, 21)
+    z = np.concatenate([-v[::-1], [0.0], v])
+    with np.errstate(over="ignore", under="ignore"):
+        for x in v:
+            for t in v:
+                F = basepoint_cdf(x, t, z)
+                assert np.all(np.isfinite(F)), (x, t)
+                assert np.all((F >= 0.0) & (F <= 1.0)), (x, t)
+                assert np.all(np.diff(F) >= 0.0), (x, t)
+
+
+def test_basepoint_cdf_refuses_bad_inputs():
+    with pytest.raises(ValueError, match="x >= 0"):
+        basepoint_cdf(-1.0, 1.0, np.array([-2.0]))
+    with pytest.raises(ValueError, match="t must be positive"):
+        basepoint_cdf(1.0, 0.0, np.array([-2.0]))
 
 
 def test_default_z_grid_shape():
@@ -388,7 +469,7 @@ def test_export_files(tmp_path):
     lines = f1.read_text().splitlines()
     assert lines[0] == "z,f,err" and len(lines) == 4
 
-    cdf = cdf_from_curve(curve)
+    cdf = np.column_stack([zs, basepoint_cdf(8.0, 1.0, zs)])
     f2 = tmp_path / "cdf.csv"
     write_cdf_csv(cdf, f2)
     lines = f2.read_text().splitlines()

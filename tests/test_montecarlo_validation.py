@@ -6,7 +6,7 @@ import pytest
 from scipy.special import erf
 
 from goupsim.goupillaud import basepoint
-from goupsim.ig_analytics import DensityCurve, running_max_density
+from goupsim.ig_analytics import running_max_density
 from goupsim.levy_paths import (
     GammaDrift,
     PoissonDrift,
@@ -90,6 +90,15 @@ def test_sample_basepoints_below_level():
     out = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
     assert out.n_failed == 0
     assert np.all(out.values < 8.0)
+
+
+@pytest.mark.parametrize("x0", [-1.0, 0.0, float("nan")])
+def test_sample_basepoints_refuses_nonpositive_level(x0):
+    # the lazy search runs forward only; at x0 = -1 it used to return base
+    # points at or above x0, and at x0 = 0 it hit one grid step late
+    cfg = McConfig(200, 10, (-4 * 2**10, 14 * 2**10), RngSeed(5))
+    with pytest.raises(ValueError, match="x0"):
+        sample_basepoints(StableHalf(), x0, 1.0, cfg)
 
 
 def test_sample_basepoints_window_exhaustion():
@@ -220,52 +229,33 @@ def test_histogram_conventions():
         histogram(np.array([1.0]), np.array([1.0, 0.5]))
 
 
-def _curve_on(zs, fs):
-    zs = np.asarray(zs, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    return DensityCurve(zs, fs, np.zeros_like(zs), float(np.trapezoid(fs, zs)))
-
-
 def test_l1_distance_exact_match_is_zero():
     edges = np.array([0.0, 1.0, 2.0])
     samples = np.array([0.25, 0.75, 1.25, 1.75])
-    curve = _curve_on(np.linspace(0.0, 2.0, 9), np.full(9, 0.5))
     h = histogram(samples, edges)
-    assert l1_distance(h, curve) == 0.0
+    assert l1_distance(h, lambda z: 0.5 * z) == 0.0  # uniform law on [0, 2]
 
 
 def test_l1_distance_disjoint_supports():
     # unit empirical mass on [0,1), unit analytic mass on [2,3): distance 2
     edges = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     samples = np.linspace(0.05, 0.95, 50)
-    zs = np.linspace(0.0, 4.0, 4001)
-    fs = np.where((zs >= 2.0) & (zs < 3.0), 1.0, 0.0)
     h = histogram(samples, edges)
-    got = l1_distance(h, _curve_on(zs, fs))
-    assert abs(got - 2.0) <= 5e-3  # trapezoid smearing at the support edges
+    assert l1_distance(h, lambda z: np.clip(z - 2.0, 0.0, 1.0)) == 2.0
 
 
 def test_l1_distance_self_consistency_budget():
-    # exponential samples against the exact exponential density
+    # exponential samples against the exact exponential law
     rng = np.random.default_rng(8)
     n = 10**5
     samples = -np.log(np.maximum(rng.random(n), 1e-300))
     edges = np.linspace(0.0, 6.0, 25)
-    zs = np.linspace(0.0, 6.0, 1201)
-    curve = _curve_on(zs, np.exp(-zs))
     h = histogram(samples, edges)
-    got = l1_distance(h, curve)
+    got = l1_distance(h, lambda z: -np.expm1(-z))
     widths = np.diff(edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
     budget = float(np.sum(widths * np.sqrt(np.exp(-centers) / (n * widths))))
     assert got <= 2.0 * budget
-
-
-def test_l1_requires_coverage():
-    h = histogram(np.array([0.5]), np.array([0.0, 1.0]))
-    curve = _curve_on(np.linspace(0.2, 0.8, 5), np.ones(5))
-    with pytest.raises(ValueError, match="cover"):
-        l1_distance(h, curve)
 
 
 def test_ks_distance_properties():
@@ -347,6 +337,29 @@ def test_headline_validation_passes_with_ks():
     assert report["l1"] <= 0.10
     assert report["ks"] <= report["tolerances"]["ks_max"]
     assert 0.98 <= report["mass"] <= 1.02
+
+
+def test_validation_scores_on_the_exact_cdf():
+    # L1 from the exact bin masses, KS from F at the samples, mass and the
+    # exported tables on the density command's grid
+    from goupsim.ig_analytics import basepoint_cdf, default_z_grid
+    from goupsim.montecarlo_validation import validate_basepoints
+
+    x0, t0 = 4.0, 1.0
+    cfg = McConfig(300, 9, (-(2**9) - 8, 10 * 2**9), SEED, bins=12)
+    result = validate_basepoints(StableHalf(), x0, t0, cfg)
+    report, h = result.report, result.hist
+    F = basepoint_cdf(x0, t0, h.edges)
+    assert report["l1"] == float(np.sum(np.abs(h.counts / h.n - np.diff(F))))
+    xs = np.sort(result.samples.values)
+    Fs = basepoint_cdf(x0, t0, xs)
+    n = xs.size
+    ks = max(np.max(np.arange(1, n + 1) / n - Fs), np.max(Fs - np.arange(n) / n))
+    assert report["ks"] == ks
+    grid = default_z_grid(x0)
+    assert np.array_equal(result.curve.z, grid)
+    assert np.array_equal(result.cdf, np.column_stack([grid, basepoint_cdf(x0, t0, grid)]))
+    assert report["mass"] == result.cdf[-1, 1] - result.cdf[0, 1]
 
 
 def test_exports(tmp_path):

@@ -267,20 +267,9 @@ def test_convergence_table_matches_slice_by_slice_recomputation():
     assert convergence_table(path, TRIANGLE, window, 1.5, levels) == expected
 
 
-def test_convergence_table_checks_each_field_sequence_once(monkeypatch):
-    import goupsim.transport as transport
-
-    checked = []
-    real_check = transport._check_fields_on_window
-    monkeypatch.setattr(
-        transport,
-        "_check_fields_on_window",
-        lambda fields, window: checked.append(len(fields)) or real_check(fields, window),
-    )
+def test_convergence_table_refuses_p_below_one():
     path = gamma_path(n_max=7, t_lo=-4, t_hi=8)
     window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(8, 32))
-    convergence_table(path, TRIANGLE, window, 1.0, [2, 4, 6])
-    assert checked == [8] * 4  # the reference and each of the 3 levels, once
     with pytest.raises(ValueError, match="p must be >= 1"):
         convergence_table(path, TRIANGLE, window, 0.5, [2, 4, 6])
 
