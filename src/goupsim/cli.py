@@ -274,7 +274,10 @@ def _cmd_density(args: argparse.Namespace) -> int:
         raise SystemExit(f"--t must be positive (elapsed time), got {args.t}")
     if args.x <= 0.0:
         raise SystemExit(f"--x must be positive, got {args.x}")
-    grid = ig_analytics.default_z_grid(args.x, n=args.zcount, z_neg_far=args.zfar)
+    try:
+        grid = ig_analytics.default_z_grid(args.x, n=args.zcount, z_neg_far=args.zfar)
+    except ValueError as exc:
+        raise SystemExit(f"invalid density grid (--zcount, --zfar): {exc}")
     query = ig_analytics.IGQuery(args.x, args.t, grid)
     curve = ig_analytics.basepoint_density(query)
     cdf = np.column_stack([grid, ig_analytics.basepoint_cdf(args.x, args.t, grid)])

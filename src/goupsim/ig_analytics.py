@@ -11,8 +11,8 @@ mirrored for negative times.  Building blocks:
 * ``triple_density``       joint density of hitting time, undershoot and
                            overshoot at a level ``x > 0``,
 * ``hit_under_density``    joint density of hitting time and undershoot
-                           (overshoot integrated out; for ``x < 0`` this is a
-                           one-dimensional quadrature),
+                           (overshoot integrated out; at ``x < 0`` an
+                           ``erfcx`` closed form),
 * ``bridge_density``       density of the process pinned to ``I(s) = y``,
 * ``conditional_past_density``  law of ``I(s - t)`` given hitting data at a
                            level ``x >= 0``, split into the bridge and
@@ -70,10 +70,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf, erfc, owens_t
+from scipy.special import erf, erfc, erfcx, owens_t
 
 from .csvio import write_csv
-from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = [
     "IGQuery",
@@ -95,9 +94,6 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOG_PI = float(np.log(np.pi))
-
-# exp(-s^2/(2y)) underflows for y below s^2 / _EXP_UNDERFLOW_SCALE
-_EXP_UNDERFLOW_SCALE = 1490.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,14 +191,38 @@ def _log_hit_under_pos(x: float, s, y) -> np.ndarray:
     return np.log(s) - 1.5 * np.log(y) - 0.5 * np.log(x - y) - _LOG_PI - s * s / (2.0 * y)
 
 
-def hit_under_density(x: float, s: float, y: float, spec: QuadratureSpec | None = None) -> float:
+def _g_tail(w: float) -> float:
+    """``g(w) = 1 - sqrt(pi) w erfcx(w)`` for ``w >= 0``.  Above ``w = 8`` the
+    difference cancels, and the asymptotic series
+    ``sum_(k>=1) (-1)^(k+1) (2k-1)!! / (2 w^2)^k`` takes over; its 20 terms
+    (Horner form) leave a truncation error below 1e-16 relative there."""
+    if w <= 8.0:
+        return 1.0 - np.sqrt(np.pi) * w * erfcx(w)
+    v = 0.5 / (w * w)
+    g = 1.0
+    for k in range(20, 1, -1):
+        g = 1.0 - (2 * k - 1) * v * g
+    return v * g
+
+
+def hit_under_density(x: float, s: float, y: float) -> float:
     """Joint density of hitting time ``s`` and undershoot ``y`` at level ``x``.
 
-    For ``x > 0`` the overshoot has been integrated out in closed form; for
-    ``x < 0`` the value is a one-dimensional quadrature over the overshoot
-    location of the mirrored level (the undershoot at ``x < 0`` is the
-    negative overshoot at ``-x``).  Zero outside the supports; the boundary
-    ``y == x`` carries an integrable blow-up and evaluates to ``inf``.
+    For ``x > 0`` the overshoot has been integrated out in closed form.  For
+    ``x < 0`` the undershoot is the mirrored overshoot at ``X = -x``, and the
+    integral over the mirrored undershoot ``b`` of :func:`triple_density`,
+    ``int_0^X |s| b^(-3/2) (Y-b)^(-3/2) exp(-c/b) db / (2 pi)`` with
+    ``Y = -y`` and ``c = s^2/2``, is closed form after ``u = 1/b - 1/Y``:
+
+        Y^(-3/2) exp(-c/X) / (2 pi) * [ sqrt(2 pi) erfcx(w)
+                                        + 2 sqrt(2) w g(w) X/(Y-X) ],
+
+    with ``w = |s| sqrt((Y-X)/(2 X Y))`` and ``g`` of :func:`_g_tail`.  The
+    exponents are merged into ``exp(-c/X)``, so no factor under- or
+    overflows apart from the result, and ``Y - X`` is taken as one
+    difference, which stays exact next to ``y = x``.  Zero outside the
+    supports; the boundary ``y == x`` carries an integrable blow-up and
+    evaluates to ``inf``.
     """
     if x > 0.0:
         if s < 0.0 or y < 0.0 or y > x:
@@ -217,18 +237,10 @@ def hit_under_density(x: float, s: float, y: float, spec: QuadratureSpec | None 
             return 0.0
         if y == x:
             return np.inf
-        if spec is None:
-            spec = QuadratureSpec()
-        # integrand dies at a -> 0-; drop the dead zone where exp underflows
-        a_hi = -s * s / _EXP_UNDERFLOW_SCALE
-        if a_hi <= x:
-            return 0.0
-        def f(a):
-            return (-s) / (
-                2.0 * np.pi * np.sqrt(np.abs(a) ** 3 * np.abs(y - a) ** 3)
-            ) * np.exp(s * s / (2.0 * a))
-
-        return integrate_adaptive(f, x, a_hi, spec).value
+        X, Y, d = -x, -y, x - y
+        w = -s * np.sqrt(d / X / Y / 2.0)
+        bracket = np.sqrt(2.0 * np.pi) * erfcx(w) + np.sqrt(8.0) * w * _g_tail(w) * (X / d)
+        return float(Y**-1.5 * bracket * np.exp(-s * s / (2.0 * X)) / (2.0 * np.pi))
     return 0.0
 
 
@@ -445,8 +457,12 @@ def default_z_grid(
     if not x > 0.0:
         raise ValueError(f"x must be positive, got {x}")
     if n < 64:
-        raise ValueError("need at least 64 grid points")
+        raise ValueError(f"need at least 64 grid points, got {n}")
     inner = rel_inner * x
+    if not z_neg_far < -inner:
+        raise ValueError(
+            f"the far negative end must lie below the innermost point -{inner:g}, got {z_neg_far!r}"
+        )
     n_neg = int(0.45 * n)
     n_pos_geo = int(0.40 * n)
     n_band = n - n_neg - n_pos_geo

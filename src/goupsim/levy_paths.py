@@ -32,6 +32,7 @@ __all__ = [
     "WindowError",
     "stream_for",
     "sample_increment",
+    "forward_values_until",
     "build_two_sided_path",
     "aggregate_to_level",
     "polygon_eval",
@@ -290,6 +291,38 @@ def _increment_run(
             spec, dt, seed, direction, block, stop - start, substream
         )
     return out
+
+
+def forward_values_until(
+    spec: ProcessSpec,
+    dt: float,
+    seed: RngSeed,
+    level: float,
+    count: int,
+    substream: tuple[int, ...] = (),
+) -> np.ndarray | None:
+    """Forward path values ``x_1 .. x_k`` up to and including the first
+    ``k <= count`` with ``x_k >= level``, or None if ``x_count < level``.
+
+    Keyed blocks are drawn one at a time and the walk stops at the block
+    holding the hit, so no later block is materialized.  Each block's sum
+    carries the previous block's last value into its first increment: one
+    sequential sum, bitwise equal to the eager :func:`build_two_sided_path`.
+    """
+    chunks: list[np.ndarray] = []
+    total = 0.0
+    for block, start in enumerate(range(0, count, BLOCK)):
+        inc = _increment_block(
+            spec, dt, seed, _FORWARD, block, min(BLOCK, count - start), substream
+        )
+        inc[0] += total
+        cum = np.cumsum(inc, out=inc)
+        chunks.append(cum)
+        if cum[-1] >= level:
+            hit = start + int(np.searchsorted(cum, level, side="left")) + 1
+            return np.concatenate(chunks)[:hit]
+        total = cum[-1]
+    return None
 
 
 def forward_increments(

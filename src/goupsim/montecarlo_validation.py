@@ -41,12 +41,11 @@ from .ig_analytics import (
     hit_under_bin_masses,
 )
 from .levy_paths import (
-    BLOCK,
     ProcessSpec,
     RngSeed,
     StableHalf,
-    _increment_block,
     backward_increments,
+    forward_values_until,
     process_to_dict,
     stream_for,
 )
@@ -70,9 +69,6 @@ __all__ = [
     "write_histogram_csv",
     "write_report_json",
 ]
-
-_FORWARD = 0
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -143,38 +139,16 @@ def _one_basepoint(
     dt = 2.0**-cfg.n_max
     k_min, k_max = cfg.window
     sub = (sample,)
-
-    hit_k = None
-    chunks: list[np.ndarray] = []
-    total = 0.0
-    k_done = 0
-    block = 0
-    while k_done < k_max:
-        count = min(BLOCK, k_max - k_done)
-        inc = _increment_block(spec, dt, cfg.root_seed, _FORWARD, block, count, sub)
-        # carry into the first increment: one sequential sum, as the eager build
-        inc[0] += total
-        cum = np.cumsum(inc, out=inc)
-        chunks.append(cum)
-        if cum[-1] >= x0:
-            in_chunk = int(np.searchsorted(cum, x0, side="left"))
-            hit_k = k_done + in_chunk + 1
-            break
-        total = cum[-1]
-        k_done += count
-        block += 1
-    if hit_k is None:
+    fwd = forward_values_until(spec, dt, cfg.root_seed, x0, k_max, sub)
+    if fwd is None:
         return None  # level not attained inside the window
 
     # grid index of the shifted time  hitting_time - t0  (step semantics)
-    m = int(np.floor(hit_k - t0 * 2.0**cfg.n_max))
+    m = int(np.floor(fwd.size - t0 * 2.0**cfg.n_max))
     if m < k_min:
         return None  # shifted time leaves the sampled window
     if m >= 0:
-        if m == 0:
-            return 0.0
-        chunk_idx, offset = divmod(m - 1, BLOCK)
-        return float(chunks[chunk_idx][offset])
+        return float(fwd[m - 1]) if m > 0 else 0.0
     bwd = backward_increments(spec, dt, cfg.root_seed, -m, sub)
     return float(-np.cumsum(bwd)[-1])
 

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from goupsim.ig_analytics import _EXP_UNDERFLOW_SCALE, _log_hit_under_pos
+from goupsim.ig_analytics import _log_hit_under_pos
 from goupsim.levy_paths import (
     DyadicGrid,
     GammaDrift,
     LevyPathSample,
     RngSeed,
 )
-from goupsim.quadrature import QuadratureSpec, integrate_adaptive, integrate_sqrt_endpoint
+from quadrature import QuadratureSpec, integrate_adaptive, integrate_sqrt_endpoint
+
+# exp(-s^2/(2y)) underflows for y below s^2 / _EXP_UNDERFLOW_SCALE
+_EXP_UNDERFLOW_SCALE = 1490.0
 
 
 def make_drift_path(level: int, k_min: int, k_max: int, drift: float = 1.0) -> LevyPathSample:
@@ -53,4 +56,40 @@ def hit_under_y_mass(x: float, s: float, spec: QuadratureSpec | None = None) -> 
         total += integrate_sqrt_endpoint(f, mid, x, "right", spec).value
     else:
         total += integrate_sqrt_endpoint(f, lo, x, "right", spec).value
+    return total
+
+
+def hit_under_negative_level(x: float, s: float, y: float) -> float:
+    """Quadrature of the hitting/undershoot density at a level ``x < 0``
+    (test oracle): the mirrored overshoot integral over the mirrored
+    undershoot ``b in (0, X)``,
+
+        int |s| / (2 pi) b^(-3/2) (Y - b)^(-3/2) exp(-s^2/(2b)) db,
+
+    with ``X = -x`` and ``Y = -y``.  The integrand dies below
+    ``b ~ s^2/1490``, where the range is cut, peaks near ``b ~ s^2/3`` and,
+    when ``Y - X`` is small against ``X``, climbs over the last few ``Y - X``
+    below ``b = X``.  The upper half ``b > X/2`` is integrated in the
+    distance ``e = X - b`` to the level, so that ``Y - b = (Y - X) + e``
+    keeps its relative precision, and each half is split at a geometric
+    ladder around its feature, so that every piece is smooth on its own
+    scale.
+    """
+    X, Y = -x, -y
+    d = Y - X
+    c = 0.5 * s * s
+    spec = QuadratureSpec(1e-300, 1e-14, 2000)
+
+    def f(b, gap):
+        return -s / (2.0 * np.pi) * np.exp(-1.5 * (np.log(b) + np.log(gap)) - c / b)
+
+    def pieces(g, lo, hi, ladder):
+        points = sorted({lo, hi, *(p for p in ladder if lo < p < hi)})
+        return sum(integrate_adaptive(g, a, b, spec).value for a, b in zip(points[:-1], points[1:]))
+
+    total = pieces(lambda e: f(X - e, d + e), 0.0, 0.5 * X, [d * 4.0**k for k in range(60)])
+    lo = s * s / _EXP_UNDERFLOW_SCALE
+    if lo < 0.5 * X:
+        peak = [c / 1.5 * 4.0**k for k in range(-3, 4)]
+        total += pieces(lambda b: f(b, Y - b), lo, 0.5 * X, peak)
     return total

@@ -1,5 +1,9 @@
 """Adaptive one-dimensional quadrature with endpoint-singularity support.
 
+Every law in ``goupsim`` is evaluated in closed form; this engine is the test
+suite's independent oracle, which integrates the defining densities
+numerically and checks the closed forms against the results.
+
 The engine is a 15-point Kronrod / 7-point Gauss embedded pair with
 bisection-based adaptivity (largest-error-first).  On top of the plain
 adaptive rule two substitution wrappers are provided:

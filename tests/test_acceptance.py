@@ -37,7 +37,7 @@ from goupsim.montecarlo_validation import (
     ks_distance,
     validate_basepoints,
 )
-from goupsim.quadrature import (
+from quadrature import (
     QuadratureSpec,
     integrate_adaptive,
     integrate_semi_infinite,

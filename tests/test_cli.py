@@ -180,6 +180,20 @@ def test_density_rejects_nonpositive_time(tmp_path):
         main(["density", "--x=-1", "--t", "1", "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize(
+    "grid, why",
+    [
+        (["--zcount", "10"], "need at least 64 grid points, got 10"),
+        (["--zfar", "5"], "far negative end must lie below"),
+        (["--zfar", "0"], "far negative end must lie below"),
+    ],
+)
+def test_density_bad_grid_is_an_error_line(tmp_path, grid, why):
+    with pytest.raises(SystemExit, match="invalid density grid") as exc:
+        main(["density", "--x", "8", "--t", "1", *grid, "--out", str(tmp_path / "run")])
+    assert why in str(exc.value) and "\n" not in str(exc.value)
+
+
 def test_density_outputs(tmp_path):
     out = tmp_path / "run"
     rc = main(

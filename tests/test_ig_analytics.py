@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from goupsim.ig_analytics import (
     bridge_density,
     conditional_past_density,
     default_z_grid,
+    _g_tail,
     hit_under_density,
     ig_marginal_density,
     running_max_density,
@@ -20,13 +22,13 @@ from goupsim.ig_analytics import (
     write_density_csv,
     write_query_json,
 )
-from goupsim.quadrature import (
+from quadrature import (
     QuadratureSpec,
     integrate_adaptive,
     integrate_semi_infinite,
     integrate_sqrt_endpoint,
 )
-from conftest import hit_under_y_mass
+from conftest import hit_under_negative_level, hit_under_y_mass
 
 SPEC = QuadratureSpec()
 
@@ -139,17 +141,124 @@ def test_hit_under_negative_level_matches_mirrored_overshoot():
     # the undershoot below a negative level is the mirrored overshoot above
     # the positive level: f(s, y; x) = int_0^{-x} triple(-x; -s, a, -y) da
     x, s, y = -1.0, -1.2, -1.5
-    got = hit_under_density(x, s, y, SPEC)
+    got = hit_under_density(x, s, y)
     want = integrate_adaptive(
         lambda a: triple_density(-x, -s, a, -y), 1e-8, -x - 1e-12, SPEC
     ).value
     assert got > 0.0
-    assert abs(got - want) <= 1e-6 * want
+    # measured 3.6e-12: the default tolerances of the oracle pass
+    assert abs(got - want) <= 1e-11 * want
 
 
 def test_hit_under_negative_level_supports():
     assert hit_under_density(-1.0, 1.0, -1.5) == 0.0  # positive hitting time
     assert hit_under_density(-1.0, -1.0, -0.5) == 0.0  # y must be <= x
+    assert hit_under_density(-1.0, -1.0, -1.0) == np.inf  # integrable boundary
+
+
+def _w(x, s, y):
+    """The argument ``w = |s| sqrt((Y - X) / (2 X Y))`` of the closed form."""
+    return -s * math.sqrt((x - y) / (2.0 * x * y))
+
+
+# (x, s, y) at which the adaptive quadrature formerly behind x < 0 was 99.8%,
+# 79% and 1.5% off, and points just below and above the switch to the
+# asymptotic series at w = 8 (s solved for w at y = 1001 x)
+_NEGATIVE_LEVEL_CASES = [
+    (-100.0, -1e-3, -1e5),
+    (-1.0, -10.0, -1.0001),
+    (-100.0, -1.0, -1e5),
+    *[(-1.0, -w / math.sqrt(1000.0 / 2002.0), -1001.0) for w in (7.9, 8.0, 8.1, 12.0)],
+    *[
+        (-X, s, -X * (1.0 + r))
+        for X in (1e-3, 0.5, 1.0, 100.0)
+        for s in (-1e-3, -0.03, -1.0, -3.0, -10.0, -30.0)
+        for r in (1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3)
+    ],
+]
+
+
+def test_hit_under_negative_level_closed_form_matches_quadrature():
+    # worst measured disagreement 1.3e-14, the rounding of exp(-s^2/(2X))
+    # at s^2/(2X) in the hundreds; the oracle agrees with a 60-digit
+    # evaluation to the same 1.3e-14
+    got = np.array([hit_under_density(*c) for c in _NEGATIVE_LEVEL_CASES])
+    want = np.array([hit_under_negative_level(*c) for c in _NEGATIVE_LEVEL_CASES])
+    w = np.array([_w(*c) for c in _NEGATIVE_LEVEL_CASES])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # exp(-s^2/(2X)) underflows only where s^2/(2X) > 745
+    live = np.array([c[1] ** 2 / (-2.0 * c[0]) < 700.0 for c in _NEGATIVE_LEVEL_CASES])
+    assert np.all(got[live] > 0.0) and np.all(got[~live] == 0.0)
+    # both branches of the undershoot term g(w) are exercised with live values
+    assert np.any(live & (w > 8.0)) and np.any(live & (w < 8.0) & (w > 7.0))
+
+
+@pytest.mark.parametrize(
+    "x, s",
+    [
+        (x, s)
+        for x in (-1e-3, -0.5, -1.0, -100.0)
+        for s in (-1e-3, -0.3, -1.0, -3.0, -10.0)
+        if s * s / (-2.0 * x) < 700.0  # else the half-normal density underflows
+    ],
+)
+def test_hit_under_negative_level_marginal_is_mirrored_half_normal(x, s):
+    # int_{-inf}^x f(s, y) dy is the half-normal density of the hitting time
+    # of -x, mirrored.  Near the level, f = A / sqrt(x - y) + O(1) with
+    # A = |s| X^(-3/2) exp(-s^2/(2X)) / pi, the (Y - b)^(-3/2) factor of the
+    # defining integral at b -> X; y = x - u^2 removes that singularity, and
+    # the Jacobian 2 sqrt(x - y) is taken at the rounded y, whose gap to x is
+    # exact.  Where y rounds to x, the integrand is its limit 2A.
+    X = -x
+    want = math.sqrt(2.0 / (math.pi * X)) * math.exp(-s * s / (2.0 * X))
+    A = -s * X**-1.5 * math.exp(-s * s / (2.0 * X)) / math.pi
+
+    def near(u):
+        y = x - u * u
+        gap = x - y
+        return np.array(
+            [
+                2.0 * math.sqrt(g) * hit_under_density(x, s, v) if g > 0.0 else 2.0 * A
+                for g, v in zip(gap, y)
+            ]
+        )
+
+    def far(y_abs):
+        return np.array([hit_under_density(x, s, -v) for v in y_abs])
+
+    spec = QuadratureSpec(1e-300, 1e-13, 5000)
+    got = integrate_adaptive(near, 0.0, math.sqrt(X), spec).value
+    got += integrate_semi_infinite(far, 2.0 * X, spec).value
+    # worst measured 2.0e-14
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_hit_under_negative_level_finite_over_wide_ranges():
+    vals = np.geomspace(1e-100, 1e100, 21)
+    for X, a, d in itertools.product(vals, vals, vals):
+        x, y = -X, -(X + d)
+        if y == x:
+            continue  # the gap is below an ulp of X: the boundary y == x
+        v = hit_under_density(x, -a, y)
+        assert np.isfinite(v) and v >= 0.0, (X, a, d, v)
+
+
+@pytest.mark.parametrize(
+    "w", [0.1, 1.0, 5.0, 7.99, 8.0, np.nextafter(8.0, 9.0), 8.01, 12.0, 30.0, 1e3, 1e6]
+)
+def test_g_tail_matches_quadrature_on_both_sides_of_the_switch(w):
+    # g(w) = 1 - sqrt(pi) w erfcx(w) = int_0^inf e^(-v) (1 - exp(-v^2/(4 w^2))) dv,
+    # from erfcx(w) = 2/sqrt(pi) int_0^inf exp(-t^2 - 2wt) dt with v = 2wt;
+    # the integrand has no cancellation for any w.  Worst measured 1.0e-14,
+    # the direct form's cancellation at w = 5; without the series it would
+    # be 2e-10 off at w = 1e3
+    spec = QuadratureSpec(1e-300, 1e-15, 2000)
+
+    def f(v):
+        return np.exp(-v) * -np.expm1(-v * v / (4.0 * w * w))
+
+    want = integrate_adaptive(f, 0.0, 1.0, spec).value + integrate_semi_infinite(f, 1.0, spec).value
+    assert abs(_g_tail(w) - want) <= 1e-13 * want
 
 
 # ---------------------------------------------------------------------------

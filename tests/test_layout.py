@@ -1,0 +1,66 @@
+"""Guards on the package layout, read from the source with ``ast``.
+
+* Every law in ``goupsim`` is closed form: no module imports the quadrature
+  engine, which lives on in the tests as their independent oracle.
+* Modules share only public names: no module imports, or reaches through a
+  sibling module for, another module's ``_``-prefixed name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import goupsim
+
+MODULES = sorted(Path(goupsim.__file__).parent.glob("*.py"))
+
+
+def _imports(tree):
+    """``(module, name)`` for every imported name; ``name`` is None for a
+    plain ``import module``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield "." * node.level + (node.module or ""), alias.name
+
+
+def test_package_modules_found():
+    assert {p.stem for p in MODULES} >= {"ig_analytics", "levy_paths", "montecarlo_validation"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_quadrature(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bad = [
+        (module, name)
+        for module, name in _imports(tree)
+        if "quadrature" in module.split(".")
+        or name is not None
+        and (name == "quadrature" or name.startswith("integrate_"))
+    ]
+    assert not bad, f"{path.name} imports quadrature: {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_private_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bad = [
+        (module, name)
+        for module, name in _imports(tree)
+        if name is not None and name.startswith("_") and module != "__future__"
+    ]
+    # sibling modules bound by ``from . import m`` are reached as ``m._name``
+    siblings = {name for module, name in _imports(tree) if module == "."}
+    bad += [
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in siblings
+        and node.attr.startswith("_")
+    ]
+    assert not bad, f"{path.name} imports private names: {bad}"

@@ -22,6 +22,7 @@ from goupsim.levy_paths import (
     backward_increments,
     build_two_sided_path,
     forward_increments,
+    forward_values_until,
     hitting_time,
     polygon_eval,
     polygon_inverse,
@@ -265,6 +266,23 @@ def test_lazy_block_extension_is_bitwise_stable():
     bsmall = backward_increments(spec, 2.0**-8, SEED, 50)
     blarge = backward_increments(spec, 2.0**-8, SEED, BLOCK + 50)
     assert np.array_equal(bsmall, blarge[:50])
+
+
+@pytest.mark.parametrize("level, hit_block", [(0.05, 0), (300.0, 1), (1e4, None)])
+def test_forward_values_until_is_the_eager_prefix(level, hit_block):
+    # stops at the first x_k >= level, bitwise equal to the eager build; the
+    # levels are hit in the first block, a later one and not at all
+    spec = StableHalf()
+    count = 3 * BLOCK + 17
+    fwd = build_two_sided_path(spec, 8, 0, count, SEED, (4,)).values[1:]
+    got = forward_values_until(spec, 2.0**-8, SEED, level, count, (4,))
+    if hit_block is None:
+        assert fwd[-1] < level and got is None
+        return
+    k = int(np.argmax(fwd >= level)) + 1
+    assert (k - 1) // BLOCK >= hit_block
+    assert np.array_equal(got, fwd[:k])
+    assert got[-1] >= level and (k == 1 or got[-2] < level)
 
 
 def test_build_windows_nest_bitwise():

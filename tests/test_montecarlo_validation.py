@@ -28,7 +28,7 @@ from goupsim.montecarlo_validation import (
     write_report_json,
     write_samples_csv,
 )
-from goupsim.quadrature import (
+from quadrature import (
     QuadratureSpec,
     integrate_adaptive,
     integrate_semi_infinite,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from goupsim.quadrature import (
+from quadrature import (
     QuadratureError,
     QuadratureResult,
     QuadratureSpec,
