@@ -318,6 +318,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"invalid validation input: {exc}")
+    except RuntimeError as exc:  # too many samples left the window
+        raise SystemExit(f"cannot validate: {exc}")
     montecarlo_validation.write_samples_csv(result.samples, out_dir / "samples.csv")
     montecarlo_validation.write_histogram_csv(result.hist, out_dir / "histogram.csv")
     if result.curve is not None:

@@ -468,7 +468,7 @@ def default_z_grid(
     n_band = n - n_neg - n_pos_geo
     neg = -np.geomspace(-z_neg_far, inner, n_neg)
     pos_geo = np.geomspace(inner, 0.9 * x, n_pos_geo)
-    band = np.linspace(0.9 * x + 1e-9, 1.1 * x, n_band)
+    band = np.linspace((0.9 + 1e-9) * x, 1.1 * x, n_band)
     return np.unique(np.concatenate([neg, [0.0], pos_geo, band]))
 
 

@@ -23,7 +23,9 @@ CDF; ``validate_basepoints`` takes the exact base-point CDF of
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -97,10 +99,15 @@ class McConfig:
 
 @dataclass(frozen=True, eq=False)
 class BasepointSamples:
-    values: np.ndarray   # successful samples, in sample-index order
-    indices: np.ndarray  # originating sample indices
+    values: np.ndarray    # successful samples, in sample-index order
+    indices: np.ndarray   # originating sample indices
     n_requested: int
-    n_failed: int
+    n_unreached: int      # paths that do not reach the level by the window's k_max
+    n_before_window: int  # shifted times that fall before the window's k_min
+
+    @property
+    def n_failed(self) -> int:
+        return self.n_unreached + self.n_before_window
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,43 +133,52 @@ class Histogram:
 # base-point sampling
 
 
+#: why ``_one_basepoint`` found no base point inside the window
+_UNREACHED = "unreached"           # the level is not reached by k_max
+_BEFORE_WINDOW = "before window"   # the shifted time falls before k_min
+
+
 def _one_basepoint(
     spec: ProcessSpec,
     x0: float,
     t0: float,
     cfg: McConfig,
     sample: int,
-) -> float | None:
+) -> float | str:
     """Base point of one sampled path, materializing only the blocks that the
     evaluation actually reads (bitwise identical to building the full
-    window).  Returns None when the window is exhausted."""
+    window).  Returns ``_UNREACHED`` or ``_BEFORE_WINDOW`` when the window
+    is exhausted at its upper or its lower end."""
     dt = 2.0**-cfg.n_max
     k_min, k_max = cfg.window
     sub = (sample,)
     fwd = forward_values_until(spec, dt, cfg.root_seed, x0, k_max, sub)
     if fwd is None:
-        return None  # level not attained inside the window
+        return _UNREACHED
 
     # grid index of the shifted time  hitting_time - t0  (step semantics)
     m = int(np.floor(fwd.size - t0 * 2.0**cfg.n_max))
     if m < k_min:
-        return None  # shifted time leaves the sampled window
+        return _BEFORE_WINDOW
     if m >= 0:
         return float(fwd[m - 1]) if m > 0 else 0.0
     bwd = backward_increments(spec, dt, cfg.root_seed, -m, sub)
     return float(-np.cumsum(bwd)[-1])
 
 
-def _basepoint_chunk(args) -> tuple[list[int], list[float]]:
+def _basepoint_chunk(args) -> tuple[list[int], list[float], Counter]:
     spec, x0, t0, cfg, lo, hi = args
     indices: list[int] = []
     values: list[float] = []
+    failures: Counter = Counter()
     for i in range(lo, hi):
         v = _one_basepoint(spec, x0, t0, cfg, i)
-        if v is not None:
+        if isinstance(v, str):
+            failures[v] += 1
+        else:
             indices.append(i)
             values.append(v)
-    return indices, values
+    return indices, values, failures
 
 
 def sample_basepoints(
@@ -176,7 +192,8 @@ def sample_basepoints(
 
     Sample ``i`` draws from substream ``(root_seed, i)``, so the output is
     bitwise independent of ``workers``.  Per-sample window exhaustion is
-    counted; a failure rate above 1% raises with advice to widen the window.
+    counted by the end of the window it hits; a failure rate above 1% raises
+    with both counts and the end of the window to widen.
     """
     if not t0 > 0.0:
         raise ValueError(f"t0 must be positive, got {t0}")
@@ -194,25 +211,34 @@ def sample_basepoints(
             parts = list(pool.map(_basepoint_chunk, tasks))
         indices = [i for part in parts for i in part[0]]
         values = [v for part in parts for v in part[1]]
+        failures = sum((part[2] for part in parts), Counter())
     else:
-        indices, values = _basepoint_chunk((spec, x0, t0, cfg, 0, n))
+        indices, values, failures = _basepoint_chunk((spec, x0, t0, cfg, 0, n))
 
-    n_failed = n - len(values)
-    if n_failed > 0.01 * n:
-        raise RuntimeError(
-            f"{n_failed}/{n} samples exhausted the window {cfg.window}; "
-            "widen the k range"
-        )
-    return BasepointSamples(
+    samples = BasepointSamples(
         values=np.asarray(values, dtype=float),
         indices=np.asarray(indices, dtype=np.int64),
         n_requested=n,
-        n_failed=n_failed,
+        n_unreached=failures[_UNREACHED],
+        n_before_window=failures[_BEFORE_WINDOW],
     )
+    if samples.n_failed > 0.01 * n:
+        k_min, k_max = cfg.window
+        raise RuntimeError(
+            f"{samples.n_failed}/{n} samples exhausted the window {cfg.window}: "
+            f"{samples.n_unreached} paths do not reach x0 = {x0!r} by k_max = {k_max} "
+            f"(widen the upper end of --range), {samples.n_before_window} shifted "
+            f"times fall before k_min = {k_min} (widen the lower end of --range)"
+        )
+    return samples
 
 
 # ---------------------------------------------------------------------------
 # Brownian-motion functional oracle
+
+#: rows of an oracle batch meshed, refined and reduced at a time; at step
+#: 1e-4 a group's normals and path take 1.3 MB each
+_ROW_GROUP = 16
 
 
 def _first_max_segments(
@@ -246,6 +272,13 @@ def _first_max_segments(
     return group_max, group_seg
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def bm_functionals_oracle(
     x: float,
     step: float,
@@ -269,6 +302,19 @@ def bm_functionals_oracle(
     the undershoot marginal, since overshoot search length and undershoot
     location are correlated).  ``include_overshoot=False`` skips the search
     when only the hitting/undershoot functionals are needed.
+
+    Samples come in batches of ``batch_size`` rows; batch ``b`` draws only
+    from its own streams ``stream_for(seed, b, .)``.  A batch is meshed 16
+    rows at a time (``_ROW_GROUP``) into reused buffers, and its overshoot
+    search draws ``chunk_steps`` steps at a time into one flat buffer, so a
+    batch holds a few MB instead of its whole mesh.  The batches run on a
+    thread pool as wide as the CPUs this process may use: numpy fills and
+    sums arrays without holding the GIL, and each batch's generators have
+    their own locks.  The output is bitwise the same for any thread count.
+    ``sample_basepoints`` keeps a process pool instead: its 4096-increment
+    blocks spend most of their time holding the GIL, and on a 2-vCPU host
+    4000 headline samples (level 14) took 7.4 s on 2 threads against 4.4 s
+    on 2 processes.
     """
     if not x > 0.0:
         raise ValueError(f"x must be positive, got {x}")
@@ -277,51 +323,73 @@ def bm_functionals_oracle(
     n_steps = int(round(x / step))
     if abs(n_steps * step - x) > 1e-9 * x:
         raise ValueError(f"x={x} is not an integer multiple of step={step}")
+    for name, value in (("n", n), ("batch_size", batch_size), ("chunk_steps", chunk_steps)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if cap_length is None:
         cap_length = 4.0 * x
     cap_steps = int(round(cap_length / step))
+    if include_overshoot and cap_steps < 1:
+        raise ValueError(
+            f"cap_length must cover at least one step of {step}, got {cap_length}"
+        )
 
     sqrt_step = np.sqrt(step)
     hit = np.empty(n)
     undershoot = np.empty(n)
     overshoot = np.full(n, np.nan)
-    n_capped = 0
 
-    for batch, lo in enumerate(range(0, n, batch_size)):
+    def run_batch(batch: int) -> int:
+        """Fill the batch's slices of the outputs; return its capped count."""
+        lo = batch * batch_size
         hi = min(lo + batch_size, n)
-        rows = hi - lo
         rng_path = stream_for(seed, batch, 0)
         rng_bridge = stream_for(seed, batch, 1)
-
-        w = np.empty((rows, n_steps + 1))
+        group = min(_ROW_GROUP, hi - lo)
+        z = np.empty((group, n_steps))
+        w = np.empty((group, n_steps + 1))
         w[:, 0] = 0.0
-        np.cumsum(rng_path.standard_normal((rows, n_steps)) * sqrt_step, axis=1, out=w[:, 1:])
-        s_batch, seg = _first_max_segments(w, step, rng_bridge)
-        hit[lo:hi] = s_batch
-        undershoot[lo:hi] = (seg + 0.5) * step
+        current = np.empty(hi - lo)  # path value at x, per row
+        for g in range(lo, hi, group):
+            rows = min(group, hi - g)
+            zg, wg = z[:rows], w[:rows]
+            rng_path.standard_normal(out=zg)
+            zg *= sqrt_step
+            np.cumsum(zg, axis=1, out=wg[:, 1:])
+            s, seg = _first_max_segments(wg, step, rng_bridge)
+            hit[g : g + rows] = s
+            undershoot[g : g + rows] = (seg + 0.5) * step
+            current[g - lo : g - lo + rows] = wg[:, -1]
+        if not include_overshoot:
+            return 0
 
-        if include_overshoot:
-            active = np.arange(rows)
-            current = w[:, -1].copy()
-            levels = s_batch
-            steps_done = 0
-            chunk = 0
-            while active.size and steps_done < cap_steps:
-                cs = min(chunk_steps, cap_steps - steps_done)
-                rng_over = stream_for(seed, batch, 2, chunk)
-                wc = current[:, None] + np.cumsum(
-                    rng_over.standard_normal((active.size, cs)) * sqrt_step, axis=1
-                )
-                above = wc > levels[active, None]
-                found = above.any(axis=1)
-                first = np.argmax(above, axis=1)
-                overshoot[lo + active[found]] = x + (steps_done + first[found] + 1) * step
-                current = wc[~found, -1]
-                active = active[~found]
-                steps_done += cs
-                chunk += 1
-            n_capped += active.size
+        levels = hit[lo:hi]
+        buf = np.empty((hi - lo) * min(chunk_steps, cap_steps))
+        active = np.arange(hi - lo)
+        steps_done = 0
+        chunk = 0
+        while active.size and steps_done < cap_steps:
+            cs = min(chunk_steps, cap_steps - steps_done)
+            wc = buf[: active.size * cs].reshape(active.size, cs)
+            stream_for(seed, batch, 2, chunk).standard_normal(out=wc)
+            wc *= sqrt_step
+            np.cumsum(wc, axis=1, out=wc)
+            # the carry is added to the finished sums, not folded into them,
+            # so every value rounds as in  current + cumsum(steps)
+            wc += current[:, None]
+            above = wc > levels[active, None]
+            found = above.any(axis=1)
+            first = np.argmax(above, axis=1)
+            overshoot[lo + active[found]] = x + (steps_done + first[found] + 1) * step
+            current = wc[~found, -1]
+            active = active[~found]
+            steps_done += cs
+            chunk += 1
+        return active.size
 
+    n_batches = -(-n // batch_size)
+    with ThreadPoolExecutor(max_workers=min(n_batches, _usable_cpus())) as pool:
+        n_capped = sum(pool.map(run_batch, range(n_batches)))
     return OracleSamples(hit, undershoot, overshoot, n_capped, x, step)
 
 

@@ -198,7 +198,7 @@ def test_criterion_06_brownian_oracle_agreement():
         ks = ks_distance(oracle.hit, lambda s: erf(s / math.sqrt(2.0 * x)))
         assert ks <= 1.628 / math.sqrt(n)
         elapsed = time.monotonic() - start
-        assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds 2min"
+        assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 1min"
 
 
 def test_criterion_07_basepoint_density_reproduction():

@@ -304,6 +304,19 @@ def test_validate_refuses_nonpositive_level(tmp_path, x0):
         )
 
 
+def test_validate_window_exhaustion_is_an_error_line(tmp_path):
+    # one time unit rarely reaches level 8; the error line says which end
+    # of --range is short
+    with pytest.raises(SystemExit, match="widen the upper end of --range"):
+        main(
+            [
+                "validate", "--process", "stable-half", "--x0", "8", "--t0", "0.5",
+                "--n", "100", "--nmax", "8", "--range=-1:1",
+                "--seed", "5", "--out", str(tmp_path / "run"),
+            ]
+        )
+
+
 def test_paths_non_increasing_is_an_error_line(tmp_path):
     # a stable-1/2 jump to 4.35e6 is followed by increments below half an
     # ulp of the path value, so the sampled path stalls at k=161133

@@ -104,7 +104,7 @@ def test_characteristic_trace_csv(tmp_path):
 
 
 def test_samples_csv(tmp_path):
-    samples = BasepointSamples(awkward(), np.arange(N) * 3 - N, N, 0)
+    samples = BasepointSamples(awkward(), np.arange(N) * 3 - N, N, 0, 0)
     ref = "i,z\n" + "".join(
         f"{i},{z:.17g}\n" for i, z in zip(samples.indices, samples.values)
     )

@@ -569,6 +569,16 @@ def test_default_z_grid_shape():
         default_z_grid(-2.0)
 
 
+@pytest.mark.parametrize("x", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 8.0, 1e3, 1e6])
+def test_default_z_grid_band_straddles_the_level(x):
+    # the linear band resolves the density cutoff at z = x on any scale; an
+    # absolute offset once put every band point above x for x below 1e-8
+    grid = default_z_grid(x)
+    assert np.all(np.diff(grid) > 0.0)
+    assert np.count_nonzero((grid > 0.9 * x) & (grid < x)) >= 30
+    assert np.count_nonzero((grid > x) & (grid <= 1.1 * x)) >= 30
+
+
 def test_export_files(tmp_path):
     zs = np.array([0.5, 1.0, 2.0])
     query = IGQuery(8.0, 1.0, zs)

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from goupsim import montecarlo_validation
 from goupsim.goupillaud import basepoint
 from goupsim.ig_analytics import running_max_density
 from goupsim.levy_paths import (
@@ -102,9 +105,26 @@ def test_sample_basepoints_refuses_nonpositive_level(x0):
 
 
 def test_sample_basepoints_window_exhaustion():
-    cfg = McConfig(100, 8, (-2**8, 2**8), SEED)  # one time unit cannot reach 8
-    with pytest.raises(RuntimeError, match="widen"):
+    # one time unit rarely reaches 8: the upper end of the window is short
+    cfg = McConfig(100, 8, (-2**8, 2**8), SEED)
+    with pytest.raises(
+        RuntimeError,
+        match=r"(\d+)/100 samples .*: \1 paths do not reach x0 = 8.0 by k_max = 256 "
+        r"\(widen the upper end of --range\), 0 shifted times",
+    ):
         sample_basepoints(StableHalf(), 8.0, 0.5, cfg)
+
+
+def test_sample_basepoints_counts_shifted_times_before_the_window():
+    # level 8 is hit by time 14 but rarely after time 11, so hitting time
+    # minus 12 falls before the window's start at time -1
+    cfg = McConfig(100, 8, (-2**8, 14 * 2**8), SEED)
+    with pytest.raises(
+        RuntimeError,
+        match=r"(\d+)/100 samples .*: 0 paths do not reach .*, \1 shifted times fall "
+        r"before k_min = -256 \(widen the lower end of --range\)",
+    ):
+        sample_basepoints(StableHalf(), 8.0, 12.0, cfg)
 
 
 def test_basepoint_discretization_consistency():
@@ -144,6 +164,75 @@ def test_oracle_input_validation():
         bm_functionals_oracle(-1.0, 1e-2, 10, SEED)
     with pytest.raises(ValueError):
         bm_functionals_oracle(1.0, 2.0, 10, SEED)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        bm_functionals_oracle(1.0, 1e-2, 0, SEED)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        bm_functionals_oracle(1.0, 1e-2, 10, SEED, batch_size=0)
+    with pytest.raises(ValueError, match="chunk_steps must be >= 1"):
+        bm_functionals_oracle(1.0, 1e-2, 10, SEED, chunk_steps=0)
+    for cap in (0.0, -1.0, 0.004):
+        with pytest.raises(ValueError, match="cap_length"):
+            bm_functionals_oracle(1.0, 1e-2, 10, SEED, cap_length=cap)
+    # without the overshoot search the cap is never used
+    res = bm_functionals_oracle(1.0, 1e-2, 10, SEED, include_overshoot=False, cap_length=0.0)
+    assert res.n_capped == 0
+
+
+def _oracle_digest(res) -> str:
+    h = hashlib.sha256()
+    for a in (res.hit, res.undershoot, res.overshoot):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(str(res.n_capped).encode())
+    return h.hexdigest()
+
+
+# 2500 samples make two full batches and a short last one; with a cap of
+# 2 x about 40% of the overshoot searches stop at the cap, and 64-step
+# chunks end in a short chunk (200 = 3 * 64 + 8).  The digests were taken
+# from the whole-batch implementation that preceded the streamed one.
+ORACLE_GOLDEN = [
+    (
+        dict(cap_length=2.0, chunk_steps=64),
+        1081,
+        "00e1e1edc5b420254cff8d90925e6b89dcf63271afd94483141bc94099856e8d",
+    ),
+    (
+        dict(cap_length=2.0),
+        1018,
+        "896059b6a9a32eab0fdce8d14857e1f26271d9405b5d089beda745dcdaf700bc",
+    ),
+    (
+        dict(include_overshoot=False),
+        0,
+        "d92fd41d0e7efe2d731c3c5990547d561b9cdec28346f54ccf83886b1110c4c0",
+    ),
+]
+
+
+@pytest.mark.parametrize("cpus,row_group", [(1, 16), (3, 16), (2, 5)])
+@pytest.mark.parametrize(
+    "kwargs,n_capped,digest", ORACLE_GOLDEN, ids=["capped-short-chunk", "capped", "no-overshoot"]
+)
+def test_oracle_bitwise_golden_for_any_thread_count(
+    monkeypatch, cpus, row_group, kwargs, n_capped, digest
+):
+    monkeypatch.setattr(montecarlo_validation, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(montecarlo_validation, "_ROW_GROUP", row_group)
+    res = bm_functionals_oracle(1.0, 1e-2, 2500, RngSeed(2024), **kwargs)
+    assert res.n_capped == n_capped
+    assert _oracle_digest(res) == digest
+
+
+def test_oracle_streams_rows_of_a_batch():
+    # one 1024-row batch at step 1e-4 used to hold its normals, their
+    # scaled copy and the path at once, about 250 MB
+    tracemalloc.start()
+    try:
+        bm_functionals_oracle(1.0, 1e-4, 1024, SEED, cap_length=0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_oracle_running_max_half_normal():
