@@ -8,6 +8,9 @@ dyadic grids.  The package provides
 * ``levy_paths``              reproducible two-sided path sampling, aggregation
                               across dyadic levels, polygon/step evaluation and
                               generalized inverses,
+* ``bridge_tree``             stable-1/2 paths as keyed dyadic bridge trees,
+                              searched by descent (hit index, value at a
+                              grid index) without materializing a window,
 * ``goupillaud``              media, broken and limiting characteristic curves,
 * ``transport``               transport solutions along characteristics and
                               L^p convergence measurements,
@@ -24,6 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "levy_paths",
+    "bridge_tree",
     "goupillaud",
     "transport",
     "ig_analytics",

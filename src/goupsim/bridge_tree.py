@@ -1,0 +1,242 @@
+"""Stable-1/2 paths as keyed dyadic bridge trees, sampled coarse to fine.
+
+Each side of a path (forward from ``t = 0``, or backward, where the side's
+value at time ``s >= 0`` is ``-x(-s)``) is a row of unit-length top nodes.
+Top node ``j`` covers ``(j, j+1]`` and carries the increment
+``L(1) = 1/Z^2``; the side's values at the integers are the running sum of
+those increments.  A node of length ``2h`` and sum ``v`` splits into two
+halves of length ``h`` by one exact bridge draw: with ``s = Z sqrt(v)/h``
+the left half is ``v r``, ``r = (1 + s/sqrt(s^2 + 4))/2``, because under the
+conditional law ``f_h(u) f_h(v-u) / f_2h(v)`` of the left half the quantity
+``(2r - 1)/sqrt(r(1 - r)) h/sqrt(v)`` is standard normal.  The value at a
+node's midpoint is ``min(lo + left, hi)``, with ``lo`` and ``hi`` the values
+at its ends, so every dyadic time has one value, shared by every level, and
+the values never decrease.
+
+Every ``Z`` is ``ndtri`` of one 64-bit word of Philox4x64-10 (Salmon et al.,
+SC'11), computed here for whole arrays of counters at once.  The key comes
+from the run's seed under the purpose tag ``PURPOSE``; the counter of a draw
+is ``(node index, code << 1 | side, sample, 0)``, where ``code`` is 0 for a
+top node's increment and ``d + 1`` for the split of a node at depth ``d``.
+Any node of any sample can therefore be drawn on its own, in any order, with
+bitwise the same value.  A search that knows which node it needs (the one
+holding a crossing, or a grid time) descends into that node alone: a level-n
+value costs ``n`` draws, not the ``2^n`` increments of a unit of time.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+from numpy.random import SeedSequence
+from scipy.special import ndtri
+
+from .levy_paths import RngSeed
+
+__all__ = [
+    "PURPOSE",
+    "FORWARD",
+    "BACKWARD",
+    "tree_key",
+    "philox4x64",
+    "top_increments",
+    "split",
+    "hit_index",
+    "values_at",
+]
+
+#: spawn-key tag of the tree's Philox key, apart from every block stream
+PURPOSE = 0x74726565  # "tree"
+
+#: side bit of a counter
+FORWARD = 0
+BACKWARD = 1
+
+#: top nodes drawn per pass of a scan
+_TOP_BATCH = 4
+
+# Philox4x64 round multipliers and key (Weyl) increments, as in Random123
+_M0 = 0xD2E7470EE14C6C93
+_M1 = 0xCA5A826395121157
+_W0 = 0x9E3779B97F4A7C15
+_W1 = 0xBB67AE8584CAA73B
+_MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def tree_key(seed: RngSeed) -> np.ndarray:
+    """The two Philox key words of the tree under ``seed``."""
+    ss = SeedSequence(seed.root_seed, spawn_key=(seed.stream_id, PURPOSE))
+    return ss.generate_state(2, np.uint64)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product ``m * x``, from 32-bit
+    halves: every partial product, and every partial product plus the carry
+    word added to it, fits in 64 bits (Warren, Hacker's Delight, 8-2)."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo = x & _LOW32
+    x_hi = x >> _32
+    t = x_lo * m_lo
+    t >>= _32
+    t += x_hi * m_lo  # plus the carry of x_lo m_lo
+    w = t & _LOW32
+    t >>= _32
+    x_lo *= m_hi
+    w += x_lo  # x_lo m_hi + low half of t
+    x_hi *= m_hi
+    x_hi += t
+    w >>= _32
+    x_hi += w
+    return x_hi, x * np.uint64(m)
+
+
+def philox4x64(counter, key) -> np.ndarray:
+    """Philox4x64-10 of ``counter`` (4 broadcastable ``uint64`` words) under
+    ``key`` (2 words); returns the 4 output words stacked on a new first
+    axis.  ``numpy.random.Philox`` adds 1 to its counter before each block of
+    4 words, so its first block is this function of ``counter + 1``."""
+    c0, c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    k0, k1 = (int(k) for k in key)
+    with np.errstate(over="ignore"):  # products wrap modulo 2^64 by design
+        for rnd in range(10):
+            if rnd:
+                k0, k1 = (k0 + _W0) & _MASK64, (k1 + _W1) & _MASK64
+            hi0, lo0 = _mulhilo(_M0, c0)
+            hi1, lo1 = _mulhilo(_M1, c2)
+            hi1 ^= c1
+            hi1 ^= np.uint64(k0)
+            hi0 ^= c3
+            hi0 ^= np.uint64(k1)
+            c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    return np.stack([c0, c1, c2, c3])
+
+
+def _node_normals(key, index, code, side, sample) -> np.ndarray:
+    """One standard normal per counter ``(index, code << 1 | side, sample,
+    0)`` (broadcast): ``ndtri`` of the first output word's top 53 bits, at
+    the midpoint of its 2^-53 cell, so ``u`` is never 0, 1 or 1/2."""
+    index, code, side, sample = (
+        np.asarray(a, dtype=np.uint64) for a in (index, code, side, sample)
+    )
+    word = philox4x64((index, (code << np.uint64(1)) | side, sample, 0), key)[0]
+    return ndtri(((word >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53)
+
+
+def top_increments(key, side, sample, index) -> np.ndarray:
+    """Increments ``L(1) = 1/Z^2`` of the top nodes ``index`` (broadcast)."""
+    z = _node_normals(key, index, 0, side, sample)
+    return 1.0 / (z * z)
+
+
+def split(key, side, sample, depth: int, index, v) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right halves of the depth-``depth`` nodes ``index`` with sums
+    ``v``: one normal each, drawn under code ``depth + 1``.
+
+    The smaller half is ``2v / (q (q + |s|))`` with ``q = sqrt(s^2 + 4)``,
+    the same as ``v min(r, 1 - r)`` without the cancellation in ``1 - r``
+    for large ``|s|``, and the larger one is ``v`` minus it."""
+    z = _node_normals(key, index, depth + 1, side, sample)
+    s = z * np.sqrt(v) * 2.0 ** (depth + 1)
+    q = np.sqrt(s * s + 4.0)
+    small = 2.0 * v / (q * (q + np.abs(s)))
+    large = v - small
+    right_small = s > 0.0
+    return np.where(right_small, large, small), np.where(right_small, small, large)
+
+
+def _top_nodes(
+    key, side: np.ndarray, sample: np.ndarray, count: int, stop: Callable
+) -> tuple[np.ndarray, ...]:
+    """Per sample, the first top node among ``0 .. count-1`` whose
+    ``stop(rows, j, right_values)`` is true, with the values at its ends and
+    its increment; node -1 where none is.
+
+    Top nodes are drawn ``_TOP_BATCH`` at a time for the samples still
+    searching, and each batch's sum starts from the running sum carried into
+    its first increment, so every value equals one sequential sum."""
+    n = sample.size
+    node = np.full(n, -1, dtype=np.int64)
+    lo, hi, v = np.zeros(n), np.zeros(n), np.zeros(n)
+    rows = np.arange(n)
+    carry = np.zeros(n)
+    for j0 in range(0, count, _TOP_BATCH):
+        if rows.size == 0:
+            break
+        j = np.arange(j0, min(j0 + _TOP_BATCH, count))
+        inc = top_increments(key, side[rows, None], sample[rows, None], j[None, :])
+        cum = inc.copy()
+        cum[:, 0] += carry
+        np.cumsum(cum, axis=1, out=cum)
+        hit = stop(rows, j, cum)
+        found = hit.any(axis=1)
+        f = np.flatnonzero(found)
+        c = np.argmax(hit[f], axis=1)
+        r = rows[f]
+        node[r] = j[c]
+        hi[r] = cum[f, c]
+        v[r] = inc[f, c]
+        lo[r] = np.where(c > 0, cum[f, c - 1], carry[f])
+        carry = cum[~found, -1]
+        rows = rows[~found]
+    return node, lo, hi, v
+
+
+def _descend(key, side, sample, node, lo, hi, v, levels: int, go_left: Callable) -> tuple:
+    """Walk ``levels`` levels down from depth-0 nodes, splitting only the
+    node walked into: ``go_left(depth, mid)`` picks the half per sample.
+    Returns the leaf indices and the values at their ends."""
+    for depth in range(levels):
+        left, right = split(key, side, sample, depth, node, v)
+        mid = np.minimum(lo + left, hi)
+        to_left = go_left(depth, mid)
+        node = 2 * node + ~to_left
+        lo = np.where(to_left, lo, mid)
+        hi = np.where(to_left, mid, hi)
+        v = np.where(to_left, left, right)
+    return node, lo, hi
+
+
+def hit_index(key, level: int, x0: float, k_max: int, sample) -> np.ndarray:
+    """Per sample, the first grid index ``1 <= k <= k_max`` at ``level``
+    whose forward value reaches ``x0 > 0``, or 0 where none does."""
+    sample = np.asarray(sample, dtype=np.int64)
+    count = -(-k_max >> level)  # top nodes covering (0, k_max]
+    side = np.full(sample.size, FORWARD)
+    node, lo, hi, v = _top_nodes(key, side, sample, count, lambda rows, j, cum: cum >= x0)
+    out = np.zeros(sample.size, dtype=np.int64)
+    ok = np.flatnonzero(node >= 0)
+    leaf, _, _ = _descend(
+        key, side[ok], sample[ok], node[ok], lo[ok], hi[ok], v[ok], level,
+        lambda depth, mid: mid >= x0,
+    )
+    out[ok] = np.where(leaf < k_max, leaf + 1, 0)
+    return out
+
+
+def values_at(key, level: int, k, sample) -> np.ndarray:
+    """Path values ``x_k`` at grid indices ``k`` of ``level``, one index per
+    sample (1-d arrays; either side, ``x_0 = 0``).  The value at ``k != 0`` is the right end of
+    its side's leaf ``|k| - 1``, found by descending along that leaf's bits."""
+    k = np.asarray(k, dtype=np.int64)
+    sample = np.asarray(sample, dtype=np.int64)
+    out = np.zeros(k.shape)
+    nz = np.flatnonzero(k != 0)
+    if nz.size == 0:
+        return out
+    side = (k[nz] < 0).astype(np.int64)
+    leaf = np.abs(k[nz]) - 1
+    top = leaf >> level
+    node, lo, hi, v = _top_nodes(
+        key, side, sample[nz], int(top.max()) + 1,
+        lambda rows, j, cum: j[None, :] == top[rows, None],
+    )
+
+    def go_left(depth, mid):
+        return (leaf >> (level - depth - 1)) & 1 == 0
+
+    _, _, value = _descend(key, side, sample[nz], node, lo, hi, v, level, go_left)
+    out[nz] = np.where(side == BACKWARD, -value, value)
+    return out

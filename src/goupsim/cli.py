@@ -73,7 +73,8 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=_env("THREADS", int, 1),
-        help="worker processes; results are identical for any count "
+        help="worker processes for Gamma/Poisson Monte Carlo sampling (stable-1/2 "
+        "sampling runs in one process); results are identical for any count "
         "(env GOUPSIM_THREADS)",
     )
     for flag in ("--tol-abs", "--tol-rel"):
@@ -135,6 +136,8 @@ def _k_window(t_range: tuple[float, float], n_max: int) -> tuple[int, int]:
 
 def _path_from_args(args: argparse.Namespace, spec: ProcessSpec):
     """``--range``, its k window and the path sampled on it."""
+    if args.nmax < 0:
+        raise SystemExit(f"--nmax must be >= 0, got {args.nmax}")
     t_range = _parse_range(args.range)
     k_window = _k_window(t_range, args.nmax)
     seed = RngSeed(args.seed, args.stream)
@@ -445,6 +448,8 @@ def main(argv: list[str] | None = None) -> int:
         RngSeed(args.seed, args.stream)  # reject bad seeds before any work
     except ValueError as exc:
         raise SystemExit(f"invalid seed: {exc}")
+    if args.threads < 1:
+        raise SystemExit(f"--threads must be >= 1, got {args.threads}")
     return args.func(args)
 
 

@@ -3,10 +3,14 @@
 Two sample sources:
 
 * ``sample_basepoints``      base points of limiting characteristics, one
-                             sampled path per sample, keyed substreams per
-                             sample index (deterministic under any degree of
-                             parallelism; discarded samples consume their own
-                             streams),
+                             sampled path per sample: stable-1/2 paths are
+                             searched in keyed bridge trees
+                             (``bridge_tree``), two descents per sample, all
+                             samples in one process; Gamma and Poisson paths
+                             walk keyed substreams per sample index over a
+                             process pool (deterministic under any degree of
+                             parallelism; discarded samples consume their
+                             own draws),
 * ``bm_functionals_oracle``  Brownian-motion functionals (running maximum,
                              first argmax location, overshoot location) on a
                              fine spatial mesh; the recorded maximum is
@@ -32,7 +36,9 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from scipy.special import bdtr
 
+from .bridge_tree import hit_index, tree_key, values_at
 from .csvio import write_csv
 from .ig_analytics import (
     DensityCurve,
@@ -66,6 +72,7 @@ __all__ = [
     "ks_distance",
     "hit_under_bin_masses",
     "spike_refined_bin_edges",
+    "concentration_shortfall",
     "validate_basepoints",
     "write_samples_csv",
     "write_histogram_csv",
@@ -91,10 +98,18 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
         if not self.window[0] <= 0 <= self.window[1]:
             raise ValueError("window must contain k = 0")
+        if max(-self.window[0], self.window[1]) >= 2**53:
+            # grid indices beyond 2^53 have no exact float64 time
+            raise ValueError(
+                f"window {self.window} reaches 2^53 grid steps from k = 0; "
+                "lower n_max or narrow the range"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +148,7 @@ class Histogram:
 # base-point sampling
 
 
-#: why ``_one_basepoint`` found no base point inside the window
+#: why a sample found no base point inside the window
 _UNREACHED = "unreached"           # the level is not reached by k_max
 _BEFORE_WINDOW = "before window"   # the shifted time falls before k_min
 
@@ -145,10 +160,10 @@ def _one_basepoint(
     cfg: McConfig,
     sample: int,
 ) -> float | str:
-    """Base point of one sampled path, materializing only the blocks that the
-    evaluation actually reads (bitwise identical to building the full
-    window).  Returns ``_UNREACHED`` or ``_BEFORE_WINDOW`` when the window
-    is exhausted at its upper or its lower end."""
+    """Base point of one sampled Gamma or Poisson path, materializing only
+    the blocks that the evaluation actually reads (bitwise identical to
+    building the full window).  Returns ``_UNREACHED`` or ``_BEFORE_WINDOW``
+    when the window is exhausted at its upper or its lower end."""
     dt = 2.0**-cfg.n_max
     k_min, k_max = cfg.window
     sub = (sample,)
@@ -181,6 +196,36 @@ def _basepoint_chunk(args) -> tuple[list[int], list[float], Counter]:
     return indices, values, failures
 
 
+#: samples whose stable-1/2 trees are searched together
+_TREE_CHUNK = 4096
+
+
+def _tree_basepoints(
+    x0: float, t0: float, cfg: McConfig
+) -> tuple[np.ndarray, np.ndarray, Counter]:
+    """Stable-1/2 base points from each sample's bridge tree: one descent to
+    the hit, one to the shifted time, ``_TREE_CHUNK`` samples at a time.
+    Every draw is keyed by its sample, so the chunking changes no value."""
+    key = tree_key(cfg.root_seed)
+    k_min, k_max = cfg.window
+    indices: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    failures: Counter = Counter()
+    for lo in range(0, cfg.n_samples, _TREE_CHUNK):
+        sample = np.arange(lo, min(lo + _TREE_CHUNK, cfg.n_samples))
+        hit = hit_index(key, cfg.n_max, x0, k_max, sample)
+        # grid index of the shifted time  hitting_time - t0  (step semantics)
+        m = np.floor(hit - t0 * 2.0**cfg.n_max)
+        unreached = hit == 0
+        before = ~unreached & (m < k_min)
+        ok = ~(unreached | before)
+        failures[_UNREACHED] += int(unreached.sum())
+        failures[_BEFORE_WINDOW] += int(before.sum())
+        indices.append(sample[ok])
+        values.append(values_at(key, cfg.n_max, m[ok].astype(np.int64), sample[ok]))
+    return np.concatenate(indices), np.concatenate(values), failures
+
+
 def sample_basepoints(
     spec: ProcessSpec,
     x0: float,
@@ -190,17 +235,24 @@ def sample_basepoints(
 ) -> BasepointSamples:
     """Base points of ``cfg.n_samples`` independently sampled paths.
 
-    Sample ``i`` draws from substream ``(root_seed, i)``, so the output is
-    bitwise independent of ``workers``.  Per-sample window exhaustion is
-    counted by the end of the window it hits; a failure rate above 1% raises
-    with both counts and the end of the window to widen.
+    Stable-1/2 samples are searched in their keyed bridge trees
+    (:mod:`goupsim.bridge_tree`), all in this process.  Gamma and Poisson
+    sample ``i`` walks the keyed blocks of substream ``(root_seed, i)``,
+    over ``workers`` processes.  Either way the output is bitwise
+    independent of ``workers``.  Per-sample window exhaustion is counted by
+    the end of the window it hits; a failure rate above 1% raises with both
+    counts and the end of the window to widen.
     """
     if not t0 > 0.0:
         raise ValueError(f"t0 must be positive, got {t0}")
-    if not x0 > 0.0:
-        raise ValueError(f"x0 must be positive (forward hitting search only), got {x0}")
+    if not 0.0 < x0 < np.inf:
+        raise ValueError(
+            f"x0 must be positive and finite (forward hitting search only), got {x0}"
+        )
     n = cfg.n_samples
-    if workers > 1:
+    if isinstance(spec, StableHalf):
+        indices, values, failures = _tree_basepoints(x0, t0, cfg)
+    elif workers > 1:
         bounds = np.linspace(0, n, workers * 4 + 1, dtype=int)
         tasks = [
             (spec, x0, t0, cfg, int(lo), int(hi))
@@ -311,10 +363,10 @@ def bm_functionals_oracle(
     thread pool as wide as the CPUs this process may use: numpy fills and
     sums arrays without holding the GIL, and each batch's generators have
     their own locks.  The output is bitwise the same for any thread count.
-    ``sample_basepoints`` keeps a process pool instead: its 4096-increment
-    blocks spend most of their time holding the GIL, and on a 2-vCPU host
-    4000 headline samples (level 14) took 7.4 s on 2 threads against 4.4 s
-    on 2 processes.
+    ``sample_basepoints`` runs its Gamma/Poisson block walks on a process
+    pool instead, since those blocks spend most of their time holding the
+    GIL; its stable-1/2 tree descents need no pool, as 2000 headline samples
+    take a few tens of milliseconds in one process.
     """
     if not x > 0.0:
         raise ValueError(f"x must be positive, got {x}")
@@ -451,10 +503,26 @@ def spike_refined_bin_edges(hi: float = 8.5, bins: int = 60) -> np.ndarray:
     return np.concatenate([[0.0], geo, lin])
 
 
+#: false-alarm rate of the concentration verdict, the level of the KS verdict
+CONCENTRATION_ALPHA = 0.01
+
+
+def concentration_shortfall(count: int, n: int, mass: float) -> int:
+    """How far ``count`` falls below the ``CONCENTRATION_ALPHA`` lower
+    quantile of Binomial(``n``, ``mass``), the law of a bin's count among
+    ``n`` samples of a correct sampler: positive with probability below
+    ``CONCENTRATION_ALPHA`` at any ``n``, and 0 or less otherwise."""
+    # the quantile is at most the median, which is at most ceil(n mass)
+    k = np.arange(int(np.ceil(n * mass)) + 1)
+    quantile = int(np.searchsorted(bdtr(k, n, mass), CONCENTRATION_ALPHA))
+    return quantile - count
+
+
 @dataclass(frozen=True)
 class Check:
     """One verdict of :func:`validate_basepoints`: ``value`` (a ``what``)
-    passes when it is at most ``threshold``."""
+    passes when it is at most ``threshold`` (the concentration verdict also
+    needs the exact law's densest bin to be bin 0)."""
 
     name: str
     what: str
@@ -488,10 +556,12 @@ def validate_basepoints(
 
     Checks: L1 distance of the histogram from the exact bin masses of the
     analytic CDF below ``l1_max``, vanishing analytic density above the
-    level, mass concentration at the origin (the bin nearest 0 carries the
-    maximal density on both sides of the comparison), and optionally a
-    Kolmogorov-Smirnov test of the exact CDF at the samples at the 1%
-    asymptotic critical value.  ``checks`` lists the verdicts of the checks
+    level, mass concentration at the origin (the exact law's densest bin is
+    the bin nearest 0, and the sample's count there is not below the 1%
+    lower quantile of its exact binomial law, see
+    :func:`concentration_shortfall`), and optionally a Kolmogorov-Smirnov
+    test of the exact CDF at the samples at the 1% asymptotic critical
+    value.  ``checks`` lists the verdicts of the checks
     that ran; ``report["pass"]`` is true when all of them passed.  ``curve``
     and ``cdf`` tabulate the law on :func:`default_z_grid` of ``x0``.
 
@@ -543,12 +613,19 @@ def validate_basepoints(
         report["l1"] = l1
         report["l1_pass"] = bool(l1 <= l1_max)
         checks.append(Check("l1", "histogram L1 distance", l1, l1_max, report["l1_pass"]))
-        widths = np.diff(edges)
-        bin_density = np.diff(cdf(edges)) / widths
-        emp_density = hist.counts / (hist.n * widths)
-        densest = max(int(np.argmax(bin_density)), int(np.argmax(emp_density)))
-        report["concentration_pass"] = densest == 0
-        checks.append(Check("concentration", "densest bin index", densest, 0, densest == 0))
+        masses = np.diff(cdf(edges))
+        shortfall = concentration_shortfall(int(hist.counts[0]), hist.n, float(masses[0]))
+        law_densest = int(np.argmax(masses / np.diff(edges)))
+        report["concentration_pass"] = law_densest == 0 and shortfall <= 0
+        checks.append(
+            Check(
+                "concentration",
+                "bin-0 count below its 1% binomial quantile",
+                shortfall,
+                0,
+                report["concentration_pass"],
+            )
+        )
     else:
         report["skipped"].append(
             f"l1 and concentration: no sample in the histogram range [0, {hist_hi!r}] "

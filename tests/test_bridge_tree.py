@@ -1,0 +1,219 @@
+import hashlib
+
+import numpy as np
+import pytest
+from scipy import stats
+from scipy.special import erfc, ndtr
+
+from goupsim import bridge_tree, montecarlo_validation
+from goupsim.bridge_tree import (
+    BACKWARD,
+    FORWARD,
+    hit_index,
+    philox4x64,
+    split,
+    top_increments,
+    tree_key,
+    values_at,
+)
+from goupsim.goupillaud import basepoint
+from goupsim.ig_analytics import basepoint_cdf, bridge_density
+from goupsim.levy_paths import DyadicGrid, LevyPathSample, RngSeed, StableHalf
+from goupsim.montecarlo_validation import McConfig, ks_distance, sample_basepoints
+from quadrature import QuadratureSpec, integrate_adaptive
+
+SEED = RngSeed(97531)
+KEY = tree_key(SEED)
+_MASK64 = (1 << 64) - 1
+
+
+def marginal_cdf(t):
+    """CDF of the stable-1/2 increment L(t) =d t^2 / Z^2."""
+    return lambda v: erfc(t / np.sqrt(2.0 * np.asarray(v)))
+
+
+def test_philox_matches_numpy_bitwise():
+    # numpy's Philox adds 1 to its counter before each block of 4 words, so
+    # its first block under counter c is philox4x64(c + 1); the counters
+    # include carries across all four words
+    rng = np.random.default_rng(11)
+    counters = [[_MASK64, _MASK64, _MASK64, 7], [_MASK64, 3, 0, 0]]
+    counters += [[int(w) for w in rng.integers(0, 2**64, 4, dtype=np.uint64)] for _ in range(30)]
+    keys = rng.integers(0, 2**64, (len(counters), 2), dtype=np.uint64)
+    plus_one = []
+    for ctr in counters:
+        c = (sum(w << (64 * i) for i, w in enumerate(ctr)) + 1) & ((1 << 256) - 1)
+        plus_one.append([(c >> (64 * i)) & _MASK64 for i in range(4)])
+    for ctr, key, nxt in zip(counters, keys, plus_one):
+        want = np.random.Philox(counter=np.array(ctr, dtype=np.uint64), key=key).random_raw(4)
+        got = philox4x64([np.uint64(w) for w in nxt], key)
+        assert np.array_equal(got, want)
+    # one vectorised call over many counters under one key
+    key = keys[0]
+    batch = philox4x64(np.array(plus_one, dtype=np.uint64).T, key)
+    for i, ctr in enumerate(counters):
+        want = np.random.Philox(counter=np.array(ctr, dtype=np.uint64), key=key).random_raw(4)
+        assert np.array_equal(batch[:, i], want)
+
+
+def test_tree_key_is_purpose_tagged():
+    from numpy.random import SeedSequence
+
+    assert tree_key(RngSeed(5, 2)).dtype == np.uint64
+    assert not np.array_equal(tree_key(RngSeed(5, 0)), tree_key(RngSeed(5, 1)))
+    # the path blocks' key (stream_id, direction, block) = (0, 0, 0) differs
+    block = SeedSequence(5, spawn_key=(0, 0, 0)).generate_state(2, np.uint64)
+    assert not np.array_equal(tree_key(RngSeed(5)), block)
+
+
+def test_split_law_is_the_exact_bridge():
+    # the split's CDF  P(left <= v r) = Phi((2r-1)/sqrt(r(1-r)) h/sqrt(v))
+    # against a quadrature of f_h(u) f_h(v-u) / f_2h(v), then the drawn
+    # halves against that CDF
+    spec = QuadratureSpec(1e-13, 1e-11, 2000)
+    n = 20000
+    sample = np.arange(n)
+    for depth, v in ((0, 0.3), (0, 4.0), (3, 1e-3), (9, 5e-7)):
+        h = 2.0 ** -(depth + 1)
+
+        def cdf(u):
+            r = np.asarray(u) / v
+            return ndtr((2.0 * r - 1.0) / np.sqrt(r * (1.0 - r)) * h / np.sqrt(v))
+
+        for r in (0.05, 0.2, 0.5, 0.7, 0.97):
+            want = integrate_adaptive(
+                lambda u: bridge_density(h, 2.0 * h, v, u), 0.0, r * v, spec
+            ).value
+            assert abs(cdf(r * v) - want) <= 1e-9
+        left, right = split(KEY, FORWARD, sample, depth, 5, np.full(n, v))
+        assert np.all(left >= 0.0) and np.all(right >= 0.0)
+        assert np.max(np.abs(left + right - v)) <= 4e-16 * v
+        assert stats.kstest(left, cdf).pvalue > 1e-3
+
+
+def test_split_halves_follow_the_marginal():
+    # a top node's L(1) splits into two L(1/2) halves
+    n = 50000
+    sample = np.arange(n)
+    v = top_increments(KEY, BACKWARD, sample, 3)
+    assert stats.kstest(v, marginal_cdf(1.0)).pvalue > 1e-3
+    left, right = split(KEY, BACKWARD, sample, 0, 3, v)
+    for half in (left, right):
+        assert stats.kstest(half, marginal_cdf(0.5)).pvalue > 1e-3
+
+
+def test_node_increments_follow_the_marginal_at_every_level():
+    # one node per sample and depth, down a path picked by the sample's bits:
+    # the node sum at depth d follows L(2^-d)
+    n = 20000
+    sample = np.arange(n)
+    node = np.full(n, 2)
+    v = top_increments(KEY, FORWARD, sample, node)
+    for depth in range(12):
+        left, right = split(KEY, FORWARD, sample, depth, node, v)
+        go_right = (sample * 2654435761 >> depth) & 1 == 1
+        v = np.where(go_right, right, left)
+        node = 2 * node + go_right
+        assert stats.kstest(v, marginal_cdf(2.0 ** -(depth + 1))).pvalue > 1e-3, depth
+
+
+def test_values_are_shared_across_levels():
+    sample = np.repeat(np.arange(6), 50)
+    k = np.tile(np.arange(-25, 25) * 3, 6)
+    fine = values_at(KEY, 10, 4 * k, sample)
+    coarse = values_at(KEY, 8, k, sample)
+    assert np.array_equal(fine, coarse)
+    assert np.all(coarse[k == 0] == 0.0)
+    assert np.all(np.sign(coarse) == np.sign(k))
+
+
+def expand_side(side: int, sample: int, level: int, count: int) -> np.ndarray:
+    """Values of one side at grid indices 0 .. count 2^level, every node of
+    every depth split breadth first."""
+    inc = top_increments(KEY, side, sample, np.arange(count))
+    values = np.concatenate([[0.0], np.cumsum(inc)])
+    sums = inc
+    for depth in range(level):
+        left, right = split(KEY, side, sample, depth, np.arange(sums.size), sums)
+        finer = np.empty(2 * values.size - 1)
+        finer[0::2] = values
+        finer[1::2] = np.minimum(values[:-1] + left, values[1:])
+        values = finer
+        sums = np.column_stack([left, right]).ravel()
+    return values
+
+
+@pytest.mark.parametrize(
+    "x0, cfg",
+    [
+        (2.0, McConfig(40, 8, (-2 * 2**8, 6 * 2**8), SEED)),
+        (8.0, McConfig(40, 10, (-(2**10) - 3, 14 * 2**10 + 5), SEED)),
+    ],
+)
+def test_descent_matches_breadth_first_expansion(x0, cfg):
+    # the stable-1/2 sampler descends into two nodes per sample; expanding
+    # every node of the same keyed tree and taking the base point through
+    # the path operations must give the same bits
+    got = sample_basepoints(StableHalf(), x0, 1.0, cfg)
+    assert got.n_failed == 0
+    assert np.any(got.values < 0.0) and np.any(got.values > 0.0)
+    n, (k_min, k_max) = cfg.n_max, cfg.window
+    direct = []
+    for i in range(cfg.n_samples):
+        fwd = expand_side(FORWARD, i, n, -(-k_max >> n))[1 : k_max + 1]
+        bwd = expand_side(BACKWARD, i, n, -(-(-k_min) >> n))[1 : 1 - k_min]
+        values = np.concatenate([-bwd[::-1], [0.0], fwd])
+        assert np.all(np.diff(values) >= 0.0)
+        path = LevyPathSample(DyadicGrid(n, k_min, k_max), values, SEED, StableHalf())
+        direct.append(basepoint(path, x0, 1.0))
+        hit = hit_index(KEY, n, x0, k_max, [i])[0]
+        assert fwd[hit - 1] >= x0 > (fwd[hit - 2] if hit > 1 else 0.0)
+    assert np.array_equal(got.values, np.array(direct))
+
+
+def test_hit_index_reports_unreached_samples():
+    # level 8 is rarely reached within one time unit
+    hit = hit_index(KEY, 6, 8.0, 64, np.arange(200))
+    reached = hit > 0
+    assert 0 < reached.sum() < 200 and np.all(hit <= 64)
+    ends = values_at(KEY, 6, np.full(200, 64), np.arange(200))
+    assert np.array_equal(reached, ends >= 8.0)
+
+
+def test_output_is_the_same_for_any_chunk_size(monkeypatch):
+    cfg = McConfig(300, 12, (-(2**12) - 40, 14 * 2**12), RngSeed(8))
+    whole = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
+    monkeypatch.setattr(montecarlo_validation, "_TREE_CHUNK", 7)
+    monkeypatch.setattr(bridge_tree, "_TOP_BATCH", 3)
+    chunked = sample_basepoints(StableHalf(), 8.0, 1.0, cfg, workers=3)
+    assert np.array_equal(whole.values, chunked.values)
+    assert np.array_equal(whole.indices, chunked.indices)
+
+
+# sha256 of the indices and values of 500 headline base points, pinned at
+# the tree's introduction; any change to the key, the counter layout, the
+# uniform or the split formula changes it
+GOLDEN = "c6b9fb2e3f029d1036570aec981a18a79fdf3be12e8475cf39df76ab40e46eb7"
+
+
+def test_stable_half_basepoints_golden_digest():
+    cfg = McConfig(500, 14, (-(2**14) - 164, 14 * 2**14), RngSeed(20230915))
+    out = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
+    h = hashlib.sha256()
+    h.update(out.indices.astype(np.int64).tobytes())
+    h.update(out.values.tobytes())
+    assert out.n_failed == 0
+    assert h.hexdigest() == GOLDEN
+
+
+def test_level_24_headline_run_passes_ks():
+    # the headline law at level 24: the block walk would sum about 2.3e8
+    # increments per sample to find the hit
+    n_max, n = 24, 10**4
+    cfg = McConfig(n, n_max, (-(2**n_max) - 2**12, 14 * 2**n_max), RngSeed(24))
+    out = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
+    assert out.n_failed == 0
+    assert np.all(out.values < 8.0)
+    ks = ks_distance(out.values, lambda z: basepoint_cdf(8.0, 1.0, z))
+    assert ks <= 1.628 / np.sqrt(n)
+

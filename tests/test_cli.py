@@ -290,10 +290,11 @@ def test_validate_bad_sizes_are_error_lines(tmp_path, sizes):
         )
 
 
-@pytest.mark.parametrize("x0", ["-1", "0"])
+@pytest.mark.parametrize("x0", ["-1", "0", "inf"])
 def test_validate_refuses_nonpositive_level(tmp_path, x0):
     # the lazy sampler searches forward only; it refuses instead of returning
-    # a wrong law, and the command turns that into an error line
+    # a wrong law, and the command turns that into an error line (x0 = inf
+    # used to blame the window)
     with pytest.raises(SystemExit, match="x0 must be positive"):
         main(
             [
@@ -386,3 +387,44 @@ def test_validate_prints_one_verdict_per_check(tmp_path, capsys):
     assert verdicts["concentration"].endswith(
         "pass" if report["concentration_pass"] else "FAIL"
     )
+
+
+def test_validate_negative_level_is_an_error_line(tmp_path):
+    # --nmax -1 used to run with dt = 2 and print {"pass": false}
+    with pytest.raises(SystemExit, match="invalid validation input: n_max must be >= 0") as exc:
+        main(
+            [
+                "validate", "--process", "stable-half", "--n", "50", "--nmax", "-1",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+    assert "\n" not in str(exc.value.code)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["paths", "--range=-1:1"],
+        ["solve", "--range=-1:4", "--times", "1"],
+        ["converge", "--range=-1:4", "--levels", "2"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_negative_nmax_is_an_error_line(tmp_path, command):
+    # used to die with the traceback "ValueError: level must be nonnegative"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--process", "gamma", "--nmax", "-2", "--out", str(tmp_path / "run")])
+    assert exc.value.code == "--nmax must be >= 0, got -2"
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_an_error_line(tmp_path, threads):
+    # --threads -2 used to run serially without a word
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "validate", "--process", "gamma", "--n", "20", "--nmax", "6",
+                f"--threads={threads}", "--out", str(tmp_path / "run"),
+            ]
+        )
+    assert exc.value.code == f"--threads must be >= 1, got {threads}"

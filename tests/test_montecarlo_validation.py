@@ -49,19 +49,25 @@ def test_mc_config_validation():
         McConfig(10, 10, (-8, 8), SEED, bins=1)
     with pytest.raises(ValueError):
         McConfig(10, 10, (2, 8), SEED)
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        McConfig(10, -1, (-8, 8), SEED)
+    with pytest.raises(ValueError, match="reaches 2\\^53 grid steps"):
+        McConfig(10, 60, (-8, 14 * 2**60), SEED)
 
 
 def test_sample_basepoints_matches_full_path_route():
-    # the lazy sampler must agree bitwise with building the whole window and
-    # evaluating the base point through the path operations; the second
-    # window spans several BLOCKs, across which the sampler carries its
-    # running sum and must still match one sequential sum
+    # the lazy Gamma/Poisson sampler must agree bitwise with building the
+    # whole window and evaluating the base point through the path
+    # operations; the second window spans several BLOCKs, across which the
+    # sampler carries its running sum and must still match one sequential
+    # sum (stable-1/2 samples come from the bridge tree, checked against its
+    # breadth-first expansion in test_bridge_tree)
     cases = [
         (2.0, McConfig(40, 8, (-2 * 2**8, 6 * 2**8), SEED)),
         (8.0, McConfig(40, 10, (-2**10, 14 * 2**10), SEED)),
     ]
     for (x0, cfg), spec in itertools.product(
-        cases, (StableHalf(), GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0))
+        cases, (GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0))
     ):
         got = sample_basepoints(spec, x0, 1.0, cfg)
         assert got.n_failed == 0
@@ -82,10 +88,11 @@ def test_sample_basepoints_matches_full_path_route():
 
 def test_sample_basepoints_worker_invariance():
     cfg = McConfig(60, 10, (-2**10, 8 * 2**10), SEED)
-    serial = sample_basepoints(StableHalf(), 4.0, 1.0, cfg, workers=1)
-    parallel = sample_basepoints(StableHalf(), 4.0, 1.0, cfg, workers=3)
-    assert np.array_equal(serial.values, parallel.values)
-    assert np.array_equal(serial.indices, parallel.indices)
+    for spec in (StableHalf(), GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0)):
+        serial = sample_basepoints(spec, 4.0, 1.0, cfg, workers=1)
+        parallel = sample_basepoints(spec, 4.0, 1.0, cfg, workers=3)
+        assert np.array_equal(serial.values, parallel.values)
+        assert np.array_equal(serial.indices, parallel.indices)
 
 
 def test_sample_basepoints_below_level():
@@ -95,10 +102,11 @@ def test_sample_basepoints_below_level():
     assert np.all(out.values < 8.0)
 
 
-@pytest.mark.parametrize("x0", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("x0", [-1.0, 0.0, float("nan"), float("inf")])
 def test_sample_basepoints_refuses_nonpositive_level(x0):
     # the lazy search runs forward only; at x0 = -1 it used to return base
-    # points at or above x0, and at x0 = 0 it hit one grid step late
+    # points at or above x0, and at x0 = 0 it hit one grid step late; no
+    # path reaches x0 = inf, which used to be reported as a short window
     cfg = McConfig(200, 10, (-4 * 2**10, 14 * 2**10), RngSeed(5))
     with pytest.raises(ValueError, match="x0"):
         sample_basepoints(StableHalf(), x0, 1.0, cfg)
@@ -449,6 +457,37 @@ def test_validation_scores_on_the_exact_cdf():
     assert np.array_equal(result.curve.z, grid)
     assert np.array_equal(result.cdf, np.column_stack([grid, basepoint_cdf(x0, t0, grid)]))
     assert report["mass"] == result.cdf[-1, 1] - result.cdf[0, 1]
+
+
+def test_concentration_verdict_is_a_one_percent_binomial_test():
+    # a correct sampler's bin-0 count is Binomial(n, mass): the shortfall
+    # below its 1% quantile is positive with probability below 1% at any n,
+    # and a sample with half the bin-0 mass falls short almost surely
+    from scipy.stats import binom
+
+    from goupsim.montecarlo_validation import concentration_shortfall
+
+    for n, mass in [(50, 0.3), (200, 0.0175), (2500, 0.01322), (10**4, 0.01322), (10**6, 1e-4)]:
+        q = concentration_shortfall(0, n, mass)
+        assert q == binom.ppf(0.01, n, mass)
+        assert binom.cdf(q - 1, n, mass) < 0.01 <= binom.cdf(q, n, mass)
+        assert concentration_shortfall(q, n, mass) == 0
+        assert concentration_shortfall(q - 1, n, mass) == 1
+    q = concentration_shortfall(0, 10**4, 0.01322)
+    assert binom.cdf(q - 1, 10**4, 0.01322 / 2) > 0.999
+
+
+def test_concentration_verdict_scores_bin_zero():
+    from goupsim.ig_analytics import basepoint_cdf
+    from goupsim.montecarlo_validation import concentration_shortfall, validate_basepoints
+
+    cfg = McConfig(2500, 10, (-(2**10) - 8, 14 * 2**10), SEED, bins=40)
+    result = validate_basepoints(StableHalf(), 8.0, 1.0, cfg, with_ks=False)
+    h = result.hist
+    mass = float(np.diff(basepoint_cdf(8.0, 1.0, h.edges[:2]))[0])
+    (check,) = [c for c in result.checks if c.name == "concentration"]
+    assert check.value == concentration_shortfall(int(h.counts[0]), h.n, mass)
+    assert check.passed is result.report["concentration_pass"] is (check.value <= 0)
 
 
 def test_exports(tmp_path):
