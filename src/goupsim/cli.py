@@ -27,6 +27,7 @@ speeds in space per unit time.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -50,29 +51,27 @@ def _env(name: str, cast, fallback):
         raise SystemExit(f"invalid {_ENV_PREFIX}{name}={raw!r}: {exc}")
 
 
+#: global flags whose default comes from ``GOUPSIM_<NAME>``, read on every
+#: call of :func:`main` (the parser is built once per process)
+_ENV_DEFAULTS = {
+    "seed": ("SEED", int, 20230915),
+    "out": ("OUT", Path, Path("goupsim-out")),
+    "threads": ("THREADS", int, 1),
+}
+
+
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=_env("SEED", int, 20230915),
-        help="64-bit root seed (env GOUPSIM_SEED)",
-    )
+    parser.add_argument("--seed", type=int, help="64-bit root seed (env GOUPSIM_SEED)")
     parser.add_argument(
         "--stream",
         type=int,
         default=0,
         help="stream id under the root seed (independent substreams)",
     )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=_env("OUT", Path, Path("goupsim-out")),
-        help="output directory (env GOUPSIM_OUT)",
-    )
+    parser.add_argument("--out", type=Path, help="output directory (env GOUPSIM_OUT)")
     parser.add_argument(
         "--threads",
         type=int,
-        default=_env("THREADS", int, 1),
         help="worker processes for Gamma/Poisson Monte Carlo sampling (stable-1/2 "
         "sampling runs in one process); results are identical for any count "
         "(env GOUPSIM_THREADS)",
@@ -125,6 +124,16 @@ def _parse_floats(text: str) -> list[float]:
         return [float(part) for part in text.split(",") if part]
     except ValueError:
         raise SystemExit(f"expected comma-separated numbers, got {text!r}")
+
+
+def _parse_levels(text: str) -> list[int]:
+    try:
+        levels = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise SystemExit(f"expected comma-separated integer levels, got {text!r}")
+    if not levels:
+        raise SystemExit("--levels names no level")
+    return levels
 
 
 def _k_window(t_range: tuple[float, float], n_max: int) -> tuple[int, int]:
@@ -245,11 +254,13 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     w_x = _parse_range(args.window_x)
     nt, nx = (int(v) for v in args.kgrid.split(":"))
     window = transport.WindowK(w_t, w_x, (nt, nx))
-    levels = [int(v) for v in _parse_floats(args.levels)]
+    levels = _parse_levels(args.levels)
     try:
         table = transport.convergence_table(path, datum, window, args.p, levels)
     except levy_paths.WindowError as exc:
         raise SystemExit(f"query left the sampled window ({exc}); enlarge --range")
+    except ValueError as exc:  # p or levels out of range
+        raise SystemExit(f"invalid convergence input: {exc}")
     transport.write_convergence_csv(table, args.p, out_dir / "convergence.csv")
     _write_manifest(
         out_dir,
@@ -359,7 +370,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if result.report["pass"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``goupsim`` parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="goupsim",
         description="Transport in stochastic Goupillaud media: sampling, "
@@ -444,6 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, (name, cast, fallback) in _ENV_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, _env(name, cast, fallback))
     try:
         RngSeed(args.seed, args.stream)  # reject bad seeds before any work
     except ValueError as exc:

@@ -381,7 +381,7 @@ def basepoint_cdf(x: float, t: float, z) -> np.ndarray:
     """Exact CDF ``F(z) = P(Z < z)`` of the base point ``Z = I(I*(x) - t)``
     at points ``z`` of any shape and order (module docstring).
 
-    ``F`` is 1 at and above the level.  Negative levels raise
+    ``F`` is 1 at and above the level and 0 at ``-inf``.  Negative levels raise
     ``ValueError``: no correct law is implemented for them.
     """
     if not t > 0.0:
@@ -395,8 +395,10 @@ def basepoint_cdf(x: float, t: float, z) -> np.ndarray:
     with np.errstate(divide="ignore"):
         f0 = erf(t / np.sqrt(2.0 * x))
     # each side clipped to its bound, F(0) or 1, which the sums may exceed
-    # by an ulp next to the origin and the level
-    neg = z < 0.0
+    # by an ulp next to the origin and the level; F(-inf) = 0 is set apart,
+    # as the negative side's closed form takes inf / inf there
+    F[z == -np.inf] = 0.0
+    neg = (z < 0.0) & (z > -np.inf)
     F[neg] = np.minimum(_cdf_negative_side(x, t, -z[neg]), f0)
     pos = (z >= 0.0) & (z < x)
     if pos.any():

@@ -412,25 +412,37 @@ def aggregate_to_level(path: LevyPathSample, n: int) -> LevyPathSample:
 
 
 def _check_window_tau(path: LevyPathSample, pos: np.ndarray) -> None:
+    """Refuse grid positions outside ``[k_min, k_max]``, NaN included."""
     grid = path.grid
-    if np.any(pos < grid.k_min):
-        bad = float(np.min(pos)) * grid.dt
+    if pos.size == 0:
+        return
+    lo, hi = np.min(pos), np.max(pos)
+    if not (grid.k_min <= lo and hi <= grid.k_max):
+        if lo < grid.k_min:
+            raise WindowError(
+                f"time {float(lo) * grid.dt!r} below sampled window start t_min={grid.t_min!r}"
+            )
+        if hi > grid.k_max:
+            raise WindowError(
+                f"time {float(hi) * grid.dt!r} above sampled window end t_max={grid.t_max!r}"
+            )
         raise WindowError(
-            f"time {bad!r} below sampled window start t_min={grid.t_min!r}"
-        )
-    if np.any(pos > grid.k_max):
-        bad = float(np.max(pos)) * grid.dt
-        raise WindowError(
-            f"time {bad!r} above sampled window end t_max={grid.t_max!r}"
+            f"time nan is not in the sampled window [{grid.t_min!r}, {grid.t_max!r}]"
         )
 
 
 def _check_window_x(path: LevyPathSample, x: np.ndarray) -> None:
+    """Refuse levels outside the sampled value range, NaN included."""
     lo, hi = path.values[0], path.values[-1]
-    if np.any(x < lo):
-        raise WindowError(f"level {float(np.min(x))!r} below sampled range min {lo!r}")
-    if np.any(x > hi):
-        raise WindowError(f"level {float(np.max(x))!r} above sampled range max {hi!r}")
+    if x.size == 0:
+        return
+    x_lo, x_hi = np.min(x), np.max(x)
+    if not (lo <= x_lo and x_hi <= hi):
+        if x_lo < lo:
+            raise WindowError(f"level {float(x_lo)!r} below sampled range min {lo!r}")
+        if x_hi > hi:
+            raise WindowError(f"level {float(x_hi)!r} above sampled range max {hi!r}")
+        raise WindowError(f"level nan is not in the sampled range [{lo!r}, {hi!r}]")
 
 
 def polygon_eval(path: LevyPathSample, tau):
@@ -441,13 +453,22 @@ def polygon_eval(path: LevyPathSample, tau):
     """
     grid = path.grid
     tau_arr = np.asarray(tau, dtype=float)
-    pos = tau_arr * 2.0**grid.level
+    pos = tau_arr.reshape(-1) * 2.0**grid.level
     _check_window_tau(path, pos)
-    m = np.minimum(np.floor(pos).astype(np.int64), grid.k_max - 1)
-    alpha = (m + 1) - pos
-    i = m - grid.k_min
-    out = alpha * path.values[i] + (1.0 - alpha) * path.values[i + 1]
-    return float(out) if np.isscalar(tau) else out
+    m = np.floor(pos)  # grid indices are exact in float
+    np.minimum(m, grid.k_max - 1, out=m)
+    alpha = np.add(m, 1.0)
+    alpha -= pos
+    m -= grid.k_min
+    i = m.astype(np.intp)
+    out = path.values[i]
+    out *= alpha
+    i += 1
+    upper = path.values[i]
+    np.subtract(1.0, alpha, out=alpha)
+    upper *= alpha
+    out += upper
+    return float(out[0]) if np.isscalar(tau) else out.reshape(tau_arr.shape)
 
 
 def polygon_inverse(path: LevyPathSample, x):
@@ -465,11 +486,13 @@ def step_eval(path: LevyPathSample, tau):
     """Right-continuous step value: ``x_k`` for ``tau in [t_k, t_(k+1))``."""
     grid = path.grid
     tau_arr = np.asarray(tau, dtype=float)
-    pos = tau_arr * 2.0**grid.level
+    pos = tau_arr.reshape(-1) * 2.0**grid.level
     _check_window_tau(path, pos)
-    m = np.minimum(np.floor(pos).astype(np.int64), grid.k_max)
-    out = path.values[m - grid.k_min]
-    return float(out) if np.isscalar(tau) else out
+    np.floor(pos, out=pos)  # grid indices are exact in float
+    np.minimum(pos, grid.k_max, out=pos)
+    pos -= grid.k_min
+    out = path.values[pos.astype(np.intp)]
+    return float(out[0]) if np.isscalar(tau) else out.reshape(tau_arr.shape)
 
 
 def hitting_time(path: LevyPathSample, x):

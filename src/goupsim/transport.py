@@ -11,14 +11,16 @@ realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .csvio import write_csv
 from .levy_paths import (
     LevyPathSample,
+    WindowError,
     aggregate_to_level,
     hitting_time,
     polygon_eval,
@@ -125,44 +127,72 @@ class WindowK:
 
 
 def eval_initial(datum: InitialDatum, x):
-    xs = np.asarray(x, dtype=float)
-    if isinstance(datum, Constant):
-        out = np.full_like(xs, datum.value)
-    elif isinstance(datum, Triangular):
-        out = datum.height * np.maximum(
-            0.0, 1.0 - np.abs(xs - datum.center) / datum.halfwidth
-        )
-    elif isinstance(datum, PiecewiseLinear):
-        out = np.interp(xs, datum.xs, datum.values, left=0.0, right=0.0)
-    else:
-        raise TypeError(f"unsupported initial datum: {datum!r}")
+    out = _eval_initial_in_place(datum, np.array(x, dtype=float))
     return float(out) if np.isscalar(x) else out
 
 
-def _solver(path: LevyPathSample, datum: InitialDatum, level: int | None, xs):
-    """``t -> SolutionField`` on the grid ``xs`` at ``level`` (``None``: the
-    limit).  The aggregation and the inverse at ``xs`` do not depend on
-    ``t``, so they are computed here, once for every time solved."""
+def _eval_initial_in_place(datum: InitialDatum, x: np.ndarray) -> np.ndarray:
+    """``u0(x)``, written over the float array ``x``."""
+    if isinstance(datum, Constant):
+        x.fill(datum.value)
+    elif isinstance(datum, Triangular):
+        # height * max(0, 1 - |x - center| / halfwidth), one pass at a time
+        np.subtract(x, datum.center, out=x)
+        np.abs(x, out=x)
+        np.divide(x, datum.halfwidth, out=x)
+        np.subtract(1.0, x, out=x)
+        np.maximum(0.0, x, out=x)
+        np.multiply(datum.height, x, out=x)
+    elif isinstance(datum, PiecewiseLinear):
+        x[...] = np.interp(x, datum.xs, datum.values, left=0.0, right=0.0)
+    else:
+        raise TypeError(f"unsupported initial datum: {datum!r}")
+    return x
+
+
+#: time slices solved per batch: a batch's temporaries are a few arrays of
+#: ``ROWS x len(xs)`` floats (0.5 MB each at 2048 points)
+_ROWS = 32
+
+
+def _solution_rows(path: LevyPathSample, datum: InitialDatum, level: int | None, xs, times):
+    """Solution values at ``level`` (``None``: the limit) on the grid ``xs``,
+    one row per time, yielded as ``(rows, *xs.shape)`` arrays of at most
+    :data:`_ROWS` rows.  The aggregation and the inverse at ``xs`` do not
+    depend on time, so they are computed once for every row.  The window is
+    checked once per batch; when a batch leaves it, the error names the first
+    offending time, as solving one time at a time would."""
     xs = np.asarray(xs, dtype=float)
     if level is None:
-        ev, agg, label = step_eval, path, "limit"
+        ev, agg = step_eval, path
         inv = hitting_time(path, xs)
     else:
-        ev, agg, label = polygon_eval, aggregate_to_level(path, level), level
+        ev, agg = polygon_eval, aggregate_to_level(path, level)
         inv = polygon_inverse(agg, xs)
-    return lambda t: SolutionField(float(t), xs, eval_initial(datum, ev(agg, inv - t)), label)
+    times = np.asarray(times, dtype=float).reshape((-1,) + (1,) * xs.ndim)
+    for start in range(0, len(times), _ROWS):
+        tau = inv - times[start : start + _ROWS]
+        try:
+            base = ev(agg, tau)
+        except WindowError:
+            for row in tau:
+                ev(agg, row)
+            raise
+        yield _eval_initial_in_place(datum, base)
 
 
 def solve_at_level(
     path: LevyPathSample, n: int, datum: InitialDatum, t: float, xs
 ) -> SolutionField:
     """Level-``n`` solution ``u0(gamma_n(x, t; 0))`` on the grid ``xs``."""
-    return _solver(path, datum, n, xs)(t)
+    (values,) = next(_solution_rows(path, datum, n, xs, [t]))
+    return SolutionField(float(t), np.asarray(xs, dtype=float), values, n)
 
 
 def solve_limit(path: LevyPathSample, datum: InitialDatum, t: float, xs) -> SolutionField:
     """Limiting solution ``u0(gamma(x, t; 0))`` in step semantics."""
-    return _solver(path, datum, None, xs)(t)
+    (values,) = next(_solution_rows(path, datum, None, xs, [t]))
+    return SolutionField(float(t), np.asarray(xs, dtype=float), values, "limit")
 
 
 def _check_fields_on_window(fields: Sequence[SolutionField], window: WindowK) -> None:
@@ -193,25 +223,29 @@ def lp_distance(
     _check_p(p)
     _check_fields_on_window(fields_a, window)
     _check_fields_on_window(fields_b, window)
-    return _lp_norm(fields_a, fields_b, window, p)
+    diffs = (
+        np.subtract(fa.values, fb.values, dtype=float)[None]
+        for fa, fb in zip(fields_a, fields_b)
+    )
+    return _lp_norm(diffs, window, p)
 
 
 def _check_p(p: float) -> None:
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"p must be >= 1 and finite, got {p!r}")
 
 
-def _lp_norm(
-    fields_a: Sequence[SolutionField],
-    fields_b: Sequence[SolutionField],
-    window: WindowK,
-    p: float,
-) -> float:
-    """:func:`lp_distance` on sequences known to lie on ``window``."""
+def _lp_norm(diffs: Iterable[np.ndarray], window: WindowK, p: float) -> float:
+    """Midpoint-rule L^p(K) norm of a difference given as ``(rows, nx)``
+    arrays in time order, each overwritten.  Row sums are added one at a
+    time, in time order."""
     cell = window.dt * window.dx
     total = 0.0
-    for fa, fb in zip(fields_a, fields_b):
-        total += float(np.sum(np.abs(fa.values - fb.values) ** p)) * cell
+    for d in diffs:
+        np.abs(d, out=d)
+        d **= p
+        for row_sum in np.sum(d, axis=1):
+            total += float(row_sum) * cell
     return total ** (1.0 / p)
 
 
@@ -224,8 +258,10 @@ def solve_on_window(
     """One solution slice per window grid time; ``level=None`` solves the
     limiting problem at the finest sampled level.  Bitwise equal to calling
     :func:`solve_limit` or :func:`solve_at_level` once per grid time."""
-    solve = _solver(path, datum, level, window.x_midpoints())
-    return [solve(float(t)) for t in window.t_midpoints()]
+    xs, times = window.x_midpoints(), window.t_midpoints()
+    label = "limit" if level is None else level
+    rows = chain.from_iterable(_solution_rows(path, datum, level, xs, times))
+    return [SolutionField(float(t), xs, u, label) for t, u in zip(times, rows)]
 
 
 def convergence_table(
@@ -238,18 +274,23 @@ def convergence_table(
     """L^p(K) distances of level-``N`` solutions to the finest-level solution.
 
     The finest sampled level stands in for the limit on this realization.
-    Every field sequence comes from :func:`solve_on_window` on ``window``
-    itself, so none is checked against it again.
+    Each level is solved on the window a batch of rows at a time, and the
+    rows' sums are added in time order, so every distance is bitwise the
+    :func:`lp_distance` of the :func:`solve_on_window` slices.
     """
     n_max = path.grid.level
-    if max(levels) > n_max:
-        raise ValueError(f"levels beyond the sampled level {n_max}: {levels}")
+    if len(levels) == 0:
+        raise ValueError("no levels to compare")
+    if not 0 <= min(levels) <= max(levels) <= n_max:
+        raise ValueError(f"levels must lie in 0..{n_max}, the sampled level: {list(levels)}")
     _check_p(p)
-    reference = solve_on_window(path, datum, window, level=n_max)
+    xs, times = window.x_midpoints(), window.t_midpoints()
+    reference = list(_solution_rows(path, datum, n_max, xs, times))
     table = []
     for n in levels:
-        fields = solve_on_window(path, datum, window, level=int(n))
-        table.append((int(n), _lp_norm(fields, reference, window, p)))
+        rows = _solution_rows(path, datum, int(n), xs, times)
+        diffs = (np.subtract(u, ref, out=u) for u, ref in zip(rows, reference))
+        table.append((int(n), _lp_norm(diffs, window, p)))
     return table
 
 

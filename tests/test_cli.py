@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import gammainc
 
-from goupsim.cli import main
+from goupsim.cli import build_parser, main
 
 
 def read_rows(path, cols):
@@ -171,6 +172,83 @@ def test_converge_gamma_decreasing(tmp_path):
     d = rows["distance"]
     assert d[0] > 0.0
     assert np.all(np.diff(d) <= 0.0)
+
+
+CONVERGE_PINS = {
+    # sha256 of convergence.csv and manifest.json, written by the per-slice
+    # solver that the row-batched one replaced
+    "gamma": (
+        ["--process", "gamma", "--k", "1", "--theta", "1", "--drift", "1",
+         "--nmax", "10", "--range=-4:10", "--levels", "2,4,6,8,10", "--p", "1.5",
+         "--window-t", "0:3", "--window-x", "0:8", "--kgrid", "37:96", "--seed", "17"],
+        "18bf46c0d7ea22d381505b225e2664876a386665ed7dec4770dfc71a86c6a092",
+        "8101b6aaf816b4ac59ecc8572474f4e23a25d177865de7c114690426d0397504",
+    ),
+    "poisson": (
+        ["--process", "poisson", "--intensity", "1", "--jump", "1", "--drift", "1",
+         "--nmax", "10", "--range=-4:10", "--levels", "1,3,5,7,9", "--p", "2",
+         "--window-t", "0.5:2.5", "--window-x", "0:6", "--kgrid", "33:80",
+         "--datum", "triangular", "--center", "1.5", "--halfwidth", "0.75", "--seed", "23"],
+        "5bb70c0edd7c29c23dc68b0a319242ab600aaba548d9932a049f3648ff38a3d0",
+        "9bcdfca9d507d2afc40ea2b29c7bbb6afd98f47682679fdb398fc50fefcc62bd",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONVERGE_PINS))
+def test_converge_outputs_are_pinned(tmp_path, family):
+    argv, table_sha, manifest_sha = CONVERGE_PINS[family]
+    out = tmp_path / "run"
+    assert main(["converge", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "convergence.csv").read_bytes()).hexdigest() == table_sha
+    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == manifest_sha
+
+
+CONVERGE_SMALL = [
+    "converge", "--process", "gamma", "--nmax", "8", "--range=-4:10",
+    "--window-t", "0:2", "--window-x", "0:6", "--kgrid", "8:32", "--seed", "3",
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # --p inf wrote a distance of 1 for every level and --p nan wrote
+        # nan, both with exit status 0
+        (["--levels", "2,4", "--p", "inf"], "invalid convergence input: p must be >= 1"),
+        (["--levels", "2,4", "--p", "nan"], "invalid convergence input: p must be >= 1"),
+        (["--levels", "2,4", "--p", "0.5"], "invalid convergence input: p must be >= 1"),
+        # 2.5 silently ran level 2
+        (["--levels", "2.5,4"], "expected comma-separated integer levels, got '2.5,4'"),
+        # these two ended in a ValueError traceback
+        (["--levels="], "--levels names no level"),
+        ([], "invalid convergence input: levels must lie in 0..8"),
+    ],
+)
+def test_converge_bad_p_or_levels_is_an_error_line(tmp_path, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*CONVERGE_SMALL, *flags, "--out", str(tmp_path / "run")])
+    assert str(exc.value.code).startswith(message)
+    assert "\n" not in str(exc.value.code)
+
+
+def test_parser_is_built_once_and_calls_do_not_share_values(tmp_path, monkeypatch):
+    monkeypatch.delenv("GOUPSIM_SEED", raising=False)
+    assert build_parser() is build_parser()
+    first, second, third = (tmp_path / name for name in ("first", "second", "third"))
+    main(["paths", "--process", "stable-half", "--nmax", "4", "--range=-1:1",
+          "--seed", "42", "--stream", "3", "--out", str(first)])
+    main([*CONVERGE_SMALL[:-2], "--levels", "2,4", "--p", "2", "--datum", "constant",
+          "--out", str(second)])
+    # the environment is read on every call, not when the parser is built
+    monkeypatch.setenv("GOUPSIM_SEED", "1234")
+    main(["converge", "--process", "poisson", "--nmax", "6", "--range=-4:10",
+          "--levels", "3", "--kgrid", "4:16", "--out", str(third)])
+    configs = [json.loads((d / "manifest.json").read_text())["config"] for d in (first, second, third)]
+    assert [(c["seed"], c["stream"]) for c in configs] == [(42, 3), (20230915, 0), (1234, 0)]
+    assert (configs[1]["p"], configs[1]["levels"], configs[1]["datum"]) == (2.0, [2, 4], "constant")
+    assert (configs[2]["p"], configs[2]["levels"], configs[2]["datum"]) == (1.0, [3], "triangular")
+    assert configs[2]["process"]["family"] == "poisson" and configs[2]["grid"] == [4, 16]
 
 
 def test_density_rejects_nonpositive_time(tmp_path):

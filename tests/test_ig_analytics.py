@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -551,6 +552,17 @@ def test_basepoint_cdf_monotone_and_finite_over_wide_ranges():
                 assert np.all(np.isfinite(F)), (x, t)
                 assert np.all((F >= 0.0) & (F <= 1.0)), (x, t)
                 assert np.all(np.diff(F) >= 0.0), (x, t)
+
+
+@pytest.mark.parametrize("x", [0.0, 8.0])
+def test_basepoint_cdf_is_zero_at_minus_infinity(x):
+    # F(-inf) used to be NaN, with a RuntimeWarning from inf / inf
+    z = np.array([-np.inf, -1e300, -1.0, 0.0, 4.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        F = basepoint_cdf(x, 1.0, z)
+    assert F[0] == 0.0
+    assert np.all(np.diff(F) >= 0.0) and F[-1] == 1.0
 
 
 def test_basepoint_cdf_refuses_bad_inputs():

@@ -360,6 +360,23 @@ def test_polygon_eval_window_errors(drift_path):
         polygon_eval(drift_path, -4.1)
 
 
+@pytest.mark.parametrize("query", [polygon_eval, step_eval, polygon_inverse, hitting_time])
+def test_nan_arguments_raise_window_errors(drift_path, query):
+    # polygon_eval and step_eval used to fail with IndexError on NaN,
+    # hitting_time returned a time past t_max
+    for arg in (np.nan, np.array([0.5, np.nan, 1.0]), np.array([np.nan, -9.0])):
+        with pytest.raises(WindowError):
+            query(drift_path, arg)
+
+
+def test_window_errors_name_the_offending_end(drift_path):
+    with pytest.raises(WindowError, match="time -4.5 below sampled window start t_min=-4.0"):
+        polygon_eval(drift_path, np.array([[0.0, -4.5], [4.2, 1.0]]))
+    with pytest.raises(WindowError, match="time 4.25 above sampled window end t_max=4.0"):
+        step_eval(drift_path, np.array([[0.0, 4.25], [4.2, 1.0]]))
+    assert polygon_eval(drift_path, np.empty((0, 3))).shape == (0, 3)
+
+
 def test_polygon_inverse_nodes_and_roundtrip():
     path = build_two_sided_path(GammaDrift(1.0, 1.0, 1.0), 8, -128, 128, SEED)
     ks = np.arange(-128, 129)

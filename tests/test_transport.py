@@ -219,7 +219,7 @@ def test_exports(tmp_path):
     assert len(lines) == 3
 
 
-def _per_slice(path, window, level):
+def _per_slice(path, window, level, datum=TRIANGLE):
     """Per-time solves that aggregate and invert afresh for every slice."""
     xs = window.x_midpoints()
     fields = []
@@ -230,8 +230,17 @@ def _per_slice(path, window, level):
             agg = aggregate_to_level(path, level)
             base = polygon_eval(agg, polygon_inverse(agg, xs) - t)
         label = "limit" if level is None else level
-        fields.append(SolutionField(float(t), xs, eval_initial(TRIANGLE, base), label))
+        fields.append(SolutionField(float(t), xs, eval_initial(datum, base), label))
     return fields
+
+
+def _lp_per_slice(fields_a, fields_b, window, p):
+    """L^p(K) distance summed one slice at a time."""
+    cell = window.dt * window.dx
+    total = 0.0
+    for fa, fb in zip(fields_a, fields_b):
+        total += float(np.sum(np.abs(fa.values - fb.values) ** p)) * cell
+    return total ** (1.0 / p)
 
 
 @pytest.mark.parametrize("level", [None, 3, 7])
@@ -282,3 +291,71 @@ def test_solve_on_window_raises_the_per_slice_window_error(level):
         _per_slice(path, window, level)
     with pytest.raises(WindowError, match=re.escape(str(per_slice.value))):
         solve_on_window(path, TRIANGLE, window, level=level)
+
+
+PWL = PiecewiseLinear(np.array([0.0, 0.7, 1.9, 3.0]), np.array([0.2, 1.5, -0.4, 0.9]))
+DATA = [TRIANGLE, Constant(2.0), PWL]
+
+
+# slice counts on both sides of the 32-row batches
+@pytest.mark.parametrize("n_t", [1, 31, 32, 33, 37])
+@pytest.mark.parametrize("level", [None, 5])
+def test_batched_window_solve_matches_per_slice_bitwise(n_t, level):
+    path = gamma_path(n_max=8, t_lo=-4, t_hi=8)
+    window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(n_t, 48))
+    for datum in DATA:
+        fields = solve_on_window(path, datum, window, level=level)
+        reference = _per_slice(path, window, level, datum)
+        assert len(fields) == len(reference) == n_t
+        for got, ref in zip(fields, reference):
+            assert (got.time, got.level) == (ref.time, ref.level)
+            assert got.xs.tobytes() == ref.xs.tobytes()
+            assert got.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("n_t", [1, 31, 32, 33, 37])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_batched_convergence_table_matches_per_slice_bitwise(n_t, p):
+    path = gamma_path(n_max=8, t_lo=-4, t_hi=8)
+    window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(n_t, 48))
+    levels = [0, 3, 6, 8]
+    for datum in DATA:
+        reference = _per_slice(path, window, 8, datum)
+        expected = [
+            (n, _lp_per_slice(_per_slice(path, window, n, datum), reference, window, p))
+            for n in levels
+        ]
+        assert convergence_table(path, datum, window, p, levels) == expected
+
+
+@pytest.mark.parametrize("p", [float("inf"), float("nan")])
+def test_convergence_table_refuses_infinite_or_nan_p(p):
+    # p = inf used to give a distance of 1 for every level, p = nan gave nan
+    path = gamma_path(n_max=7, t_lo=-4, t_hi=8)
+    window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(8, 32))
+    with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+        convergence_table(path, TRIANGLE, window, p, [2, 4])
+    fields = solve_on_window(path, TRIANGLE, window, level=4)
+    with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+        lp_distance(fields, fields, window, p)
+
+
+@pytest.mark.parametrize(
+    "levels, message", [([], "no levels to compare"), ([-1, 4], r"levels must lie in 0\.\.7")]
+)
+def test_convergence_table_refuses_empty_or_negative_levels(levels, message):
+    path = gamma_path(n_max=7, t_lo=-4, t_hi=8)
+    window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(8, 32))
+    with pytest.raises(ValueError, match=message):
+        convergence_table(path, TRIANGLE, window, 1.0, levels)
+
+
+def test_nan_arguments_leave_the_window():
+    path = gamma_path(n_max=7, t_lo=-4, t_hi=8)
+    xs = np.array([1.0, np.nan, 2.0])
+    with pytest.raises(WindowError, match="nan"):
+        solve_limit(path, TRIANGLE, 1.0, xs)
+    with pytest.raises(WindowError, match="nan"):
+        solve_at_level(path, 4, TRIANGLE, 1.0, xs)
+    with pytest.raises(WindowError, match="nan"):
+        solve_at_level(path, 4, TRIANGLE, float("nan"), np.array([1.0, 2.0]))
