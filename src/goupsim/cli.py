@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -109,21 +110,39 @@ def _process_from_args(args: argparse.Namespace) -> ProcessSpec:
         raise SystemExit(f"invalid process parameters: {exc}")
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_range(text: str, flag: str) -> tuple[float, float]:
     try:
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError:
-        raise SystemExit(f"expected LO:HI, got {text!r}")
-    if not lo < hi:
-        raise SystemExit(f"need LO < HI in range, got {text!r}")
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise SystemExit(f"{flag} must be LO:HI with finite LO < HI, got {text!r}")
     return lo, hi
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part]
+        values = [float(part) for part in text.split(",") if part]
     except ValueError:
-        raise SystemExit(f"expected comma-separated numbers, got {text!r}")
+        values = []
+    if not values or not all(math.isfinite(v) for v in values):
+        raise SystemExit(f"{flag} must be comma-separated finite numbers, got {text!r}")
+    return values
+
+
+def _parse_kgrid(text: str) -> tuple[int, int]:
+    try:
+        nt, nx = (int(part) for part in text.split(":"))
+    except ValueError:
+        nt = nx = 0
+    if min(nt, nx) < 1:
+        raise SystemExit(f"--kgrid must be NT:NX with positive integers, got {text!r}")
+    return nt, nx
+
+
+def _check_positive(value: float, flag: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise SystemExit(f"{flag} must be positive and finite, got {value}")
 
 
 def _parse_levels(text: str) -> list[int]:
@@ -147,7 +166,7 @@ def _path_from_args(args: argparse.Namespace, spec: ProcessSpec):
     """``--range``, its k window and the path sampled on it."""
     if args.nmax < 0:
         raise SystemExit(f"--nmax must be >= 0, got {args.nmax}")
-    t_range = _parse_range(args.range)
+    t_range = _parse_range(args.range, "--range")
     k_window = _k_window(t_range, args.nmax)
     seed = RngSeed(args.seed, args.stream)
     try:
@@ -176,8 +195,8 @@ def _prepare_out(args: argparse.Namespace) -> Path:
 
 def _cmd_paths(args: argparse.Namespace) -> int:
     spec = _process_from_args(args)
-    out_dir = _prepare_out(args)
     t_range, k_window, path = _path_from_args(args, spec)
+    out_dir = _prepare_out(args)
     levy_paths.write_path_csv(path, out_dir / "path.csv")
     levy_paths.write_path_metadata(path, out_dir / "path_meta.json")
     _write_manifest(
@@ -196,18 +215,25 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 def _datum_from_args(args: argparse.Namespace):
-    if args.datum == "triangular":
-        return transport.Triangular(args.center, args.halfwidth, args.height)
-    return transport.Constant(args.value)
+    try:
+        if args.datum == "triangular":
+            return transport.Triangular(args.center, args.halfwidth, args.height)
+        return transport.Constant(args.value)
+    except ValueError as exc:
+        raise SystemExit(f"invalid datum (--center, --halfwidth, --height, --value): {exc}")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _process_from_args(args)
-    out_dir = _prepare_out(args)
-    t_range, _, path = _path_from_args(args, spec)
+    times = _parse_floats(args.times, "--times")
+    x_lo, x_hi = _parse_range(args.xgrid, "--xgrid")
+    if args.xcount < 1:
+        raise SystemExit(f"--xcount must be >= 1, got {args.xcount}")
+    if args.level is not None and not 0 <= args.level <= max(args.nmax, 0):
+        raise SystemExit(f"--level must lie in 0..{args.nmax} (--nmax), got {args.level}")
     datum = _datum_from_args(args)
-    times = _parse_floats(args.times)
-    x_lo, x_hi = _parse_range(args.xgrid)
+    t_range, _, path = _path_from_args(args, spec)
+    out_dir = _prepare_out(args)
     xs = np.linspace(x_lo, x_hi, args.xcount)
     fields = []
     try:
@@ -247,14 +273,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     spec = _process_from_args(args)
-    out_dir = _prepare_out(args)
-    t_range, _, path = _path_from_args(args, spec)
-    datum = _datum_from_args(args)
-    w_t = _parse_range(args.window_t)
-    w_x = _parse_range(args.window_x)
-    nt, nx = (int(v) for v in args.kgrid.split(":"))
-    window = transport.WindowK(w_t, w_x, (nt, nx))
+    w_t = _parse_range(args.window_t, "--window-t")
+    w_x = _parse_range(args.window_x, "--window-x")
+    nt, nx = _parse_kgrid(args.kgrid)
     levels = _parse_levels(args.levels)
+    datum = _datum_from_args(args)
+    t_range, _, path = _path_from_args(args, spec)
+    out_dir = _prepare_out(args)
+    window = transport.WindowK(w_t, w_x, (nt, nx))
     try:
         table = transport.convergence_table(path, datum, window, args.p, levels)
     except levy_paths.WindowError as exc:
@@ -283,15 +309,13 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    out_dir = _prepare_out(args)
-    if args.t <= 0.0:
-        raise SystemExit(f"--t must be positive (elapsed time), got {args.t}")
-    if args.x <= 0.0:
-        raise SystemExit(f"--x must be positive, got {args.x}")
+    _check_positive(args.t, "--t (elapsed time)")
+    _check_positive(args.x, "--x")
     try:
         grid = ig_analytics.default_z_grid(args.x, n=args.zcount, z_neg_far=args.zfar)
     except ValueError as exc:
         raise SystemExit(f"invalid density grid (--zcount, --zfar): {exc}")
+    out_dir = _prepare_out(args)
     query = ig_analytics.IGQuery(args.x, args.t, grid)
     curve = ig_analytics.basepoint_density(query)
     cdf = np.column_stack([grid, ig_analytics.basepoint_cdf(args.x, args.t, grid)])
@@ -313,10 +337,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = _process_from_args(args)
+    _check_positive(args.t0, "--t0")
+    t_range = _parse_range(args.range, "--range")
     out_dir = _prepare_out(args)
-    if args.t0 <= 0.0:
-        raise SystemExit(f"--t0 must be positive, got {args.t0}")
-    t_range = _parse_range(args.range)
     k_min, k_max = _k_window(t_range, args.nmax)
     try:
         cfg = montecarlo_validation.McConfig(

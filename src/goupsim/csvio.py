@@ -1,22 +1,273 @@
 """CSV export from whole columns.
 
-Every writer in the package formats its rows through :func:`write_csv`: the
-columns are converted to Python scalars ``BLOCK`` rows at a time
-(``ndarray.tolist``) and mapped through one ``str.format`` row template.
-The bytes equal those of formatting each row on its own with the same
-template (floats use ``.17g``, which round-trips exactly), while memory stays
-bounded by one chunk of text whatever the column length.
+Every writer in the package formats its rows through :func:`write_csv` with
+one ``str.format`` row template, ``BLOCK`` rows at a time, so memory stays
+bounded by one chunk of text whatever the column length.  Floats use
+``.17g``, which round-trips exactly.  The bytes always equal those of
+``row.format(*values)`` on each row's Python scalars (``ndarray.tolist``).
+
+Two code paths produce those bytes:
+
+* ``str.format`` on the ``tolist`` scalars.  It formats any template and
+  every partial last chunk (fewer than ``BLOCK`` rows), and it is the
+  tests' reference.
+* A numpy kernel for each full ``BLOCK``-row chunk, when every field of the
+  template is ``{}`` over an integer column or ``{:.17g}`` over a float64
+  column.  Its fixed cost per call loses to ``str.format`` below a few
+  hundred rows, so files shorter than ``BLOCK`` rows (density grids,
+  histograms, solution fields of a few thousand rows) never reach it; long
+  ones such as ``path.csv`` take it for all but their last chunk.
+
+The kernel follows correctly rounded binary-to-decimal conversion (Gay,
+1990).  For ``|x|`` in ``[1e-200, 1e200]`` it takes ``E = floor(log10|x|)``
+and forms ``|x|·10^(16-E)`` as a double-double product (Dekker, 1971) with
+an exact ``(hi, lo)`` table of powers of ten.  The integer part ``N`` of
+that product fixes the decade: when ``N`` is not in ``[10^16, 10^17)``, the
+product is redone with ``E ± 1``.  The 17 significant digits are ``N``
+rounded half to even by the fraction.  The product's error is below about
+``2^-47`` of a unit, so a fraction within ``2^-30`` of ½ cannot be rounded
+safely here; such a value goes through ``format(v, ".17g")`` on its own.
+So do ``±0.0``, non-finite values, subnormals and values outside the range
+above.  Digits come from a 10 000-entry table of four-digit groups.  Each
+row is laid out in byte slots with NUL in the unused ones, which
+``bytes.translate`` removes.  The tables are built on first use.
 """
 
 from __future__ import annotations
 
+import functools
+import string
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .levy_paths import BLOCK
 
 __all__ = ["write_csv"]
+
+_RANGE = 200  # the kernel formats |x| in [1e-200, 1e200]
+_E_MIN = -_RANGE - 2  # lowest decade of a table row, with room for E ± 1
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
+_TIE_MARGIN = 2.0**-30  # fractions this close to 1/2 are formatted one by one
+
+# A float field is six little-endian uint64 words, 45 byte slots: the sign,
+# the "0.000" of 0.000ddd, then 17 digit slots with a dot slot after each,
+# then "e", the exponent's sign and three exponent digits.  An integer field
+# is five uint32 words, 20 digit slots, with the sign in the slot before the
+# first digit.  A field's last word has spare slots for the separator after
+# it.
+_F_WORDS, _F_USED = 6, 45
+_I_WORDS, _I_USED = 5, 20
+# fixed notation for decimal exponents -4..16, else scientific: a float's
+# layout depends on its exponent only through one of 23 classes
+_E_CLASSES = 23
+# the first word of a float field before masking: "\0" "0.000", then the
+# leading digit's slot and a dot
+_HEAD = int.from_bytes(b"\0" b"0.000" b"\0.", "little")
+
+
+def _byte_words(rows: list[bytes], dtype) -> np.ndarray:
+    return np.frombuffer(b"".join(rows), dtype).reshape(len(rows), -1)
+
+
+@functools.cache
+def _tables():
+    """The kernel's constant tables, built on first use (a few ms)."""
+    from fractions import Fraction  # only here: keeps it out of import time
+    g = np.arange(10_000, dtype=np.uint64)
+    digit = [(g // 10 ** (3 - i) % 10) + ord("0") for i in range(4)]
+    # four digits "dddd" packed into a uint32, and "d.d.d.d." into a uint64
+    int_groups = sum(d << 8 * i for i, d in enumerate(digit)).astype(np.uint32)
+    float_groups = sum((d | ord(".") << 8) << 16 * i for i, d in enumerate(digit))
+    # significant length of a group: up to its last nonzero digit for the
+    # fraction of a float, from its first for an integer; -64 for 0000
+    trailing = sum((g % 10**i == 0).astype(np.int64) for i in range(1, 5))
+    float_sig = np.where(g == 0, -64, 4 - trailing)
+    int_len = np.where(g == 0, -64, 1 + (g >= 10) + (g >= 100) + (g >= 1000))
+
+    # float slot masks by (exponent class, number of significant digits)
+    float_masks = []
+    for c in range(_E_CLASSES):
+        e = c - 5  # a representative decimal exponent of the class
+        for nd in range(18):
+            m = bytearray(8 * _F_WORDS)
+            if -4 <= e < 0:  # 0.ddd, 0.0ddd, ...
+                m[1 : 2 - e] = b"\xff" * (1 - e)
+            shown = nd if e < 0 or e > 16 else max(nd, e + 1)
+            for i in range(shown):
+                m[6 + 2 * i] = 0xFF
+            dot = 0 if e < -4 or e > 16 else e
+            if e >= 0 and nd > dot + 1 or e < -4 and nd > 1:
+                m[7 + 2 * dot] = 0xFF
+            float_masks.append(bytes(m))
+    float_masks = _byte_words(float_masks, np.uint64)[:, :5].T.copy()
+
+    exp_words = []
+    for e in range(_E_MIN, -_E_MIN + 1):
+        text = b"" if -4 <= e <= 16 else b"e%c%03d" % (b"-+"[e >= 0], abs(e))
+        if len(text) == 5 and text[2:3] == b"0":
+            text = text[:2] + b"\0" + text[3:]
+        exp_words.append(text.ljust(8, b"\0"))
+    exp_words = _byte_words(exp_words, np.uint64)[:, 0].copy()
+
+    # integer slot masks and "-" signs, by number of digits and sign
+    int_masks, int_signs = [], []
+    for neg in (False, True):
+        for nd in range(_I_USED + 1):
+            m, s = bytearray(_I_USED), bytearray(_I_USED)
+            m[_I_USED - nd :] = b"\xff" * nd
+            if neg and nd < _I_USED:
+                s[_I_USED - nd - 1] = ord("-")
+            int_masks.append(bytes(m))
+            int_signs.append(bytes(s))
+    int_masks = _byte_words(int_masks, np.uint32).T.copy()
+    int_signs = _byte_words(int_signs, np.uint32).T.copy()
+
+    pow10 = np.empty((4, -2 * _E_MIN + 1))
+    for i, e in enumerate(range(_E_MIN, -_E_MIN + 1)):
+        exact = Fraction(10) ** (16 - e)
+        hi = float(exact)  # int / int true division rounds correctly
+        c = _SPLIT * hi
+        hi_hi = c - (c - hi)
+        pow10[:, i] = hi, hi_hi, hi - hi_hi, float(exact - Fraction(hi))
+    return SimpleNamespace(
+        int_groups=int_groups, float_groups=float_groups, float_sig=float_sig,
+        int_len=int_len, float_masks=float_masks, exp_words=exp_words,
+        int_masks=int_masks, int_signs=int_signs, pow10=pow10,
+    )
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, pow10: np.ndarray):
+    """Integer part and fraction of ``a·10^(16-e)``, both from the
+    double-double product; their error is below ``2^-47``."""
+    i = e - _E_MIN
+    hi, hi_hi, hi_lo, lo = (row[i] for row in pow10)
+    p = a * hi
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    s = (((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * lo
+    whole = np.floor(s)
+    # p >= 2^53 is a whole number whenever the decade is right; below it,
+    # truncation only has to leave the sum under 10^16
+    return p.astype(np.int64) + whole.astype(np.int64), s - whole
+
+
+def _groups(n: np.ndarray):
+    """The four-digit groups of ``n < 10^20``, most significant first."""
+    out = []
+    for div in (10**16, 10**12, 10**8, 10**4):
+        q = n // div
+        out.append(q)
+        n = n - q * div
+    return out + [n]
+
+
+def _float_field(x: np.ndarray, words: np.ndarray) -> None:
+    """Write ``format(v, ".17g")`` of each float64 ``v`` into the
+    ``(rows, _F_WORDS)`` uint64 slot rows ``words``, NUL-padded."""
+    tab = _tables()
+    a = np.abs(x)
+    fast = (a >= 10.0**-_RANGE) & (a <= 10.0**_RANGE)  # False on 0, nan, inf
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    n, frac = _scaled(a, e, tab.pow10)
+    off = (n < 10**16).astype(np.int64) - (n >= 10**17)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        e[redo] -= off[redo]
+        n[redo], frac[redo] = _scaled(a[redo], e[redo], tab.pow10)
+        fast[redo[(n[redo] < 10**16) | (n[redo] >= 10**17)]] = False
+    fast &= np.abs(frac - 0.5) >= _TIE_MARGIN
+    n += frac > 0.5
+    carry = n == 10**17  # rounded up into the next decade
+    n[carry] = 10**16
+    e += carry
+
+    lead, *rest = _groups(n)
+    nd = 1
+    for j, g in enumerate(rest):
+        nd = np.maximum(nd, 1 + 4 * j + tab.float_sig[g])
+    form = (np.clip(e, -5, 17) + 5) * 18 + nd  # exponent class and digit count
+    lead = lead.view(np.uint64) + ord("0") << 48 | _HEAD
+    words[:, 0] = lead & tab.float_masks[0][form] | (x < 0) * np.uint64(ord("-"))
+    for j, g in enumerate(rest, 1):
+        words[:, j] = tab.float_groups[g] & tab.float_masks[j][form]
+    words[:, 5] = tab.exp_words[e - _E_MIN]
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join(
+            format(v, ".17g").encode().ljust(8 * _F_WORDS, b"\0") for v in x[slow].tolist()
+        )
+        words[slow] = np.frombuffer(text, np.uint64).reshape(-1, _F_WORDS)
+
+
+def _int_field(k: np.ndarray, words: np.ndarray) -> None:
+    """Write ``str(v)`` of each integer ``v`` into the ``(rows, _I_WORDS)``
+    uint32 slot rows ``words``, NUL-padded."""
+    tab = _tables()
+    k = k.astype(np.int64)  # a copy, turned into magnitudes in place
+    neg = k < 0
+    mag = k.view(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # two's complement: |int64 min| fits
+    groups = [g.view(np.int64) for g in _groups(mag)]
+    nd = 1
+    for j, g in enumerate(groups):
+        nd = np.maximum(nd, tab.int_len[g] + 4 * (4 - j))
+    row = neg * (_I_USED + 1) + nd
+    for j, g in enumerate(groups):
+        words[:, j] = tab.int_groups[g] & tab.int_masks[j][row] | tab.int_signs[j][row]
+
+
+def _kernel_layout(row: str, cols: list[np.ndarray]):
+    """Where the kernel puts each field and literal text of ``row + "\\n"``:
+    ``(width, fields, literals)`` in bytes of one slot row, or None when a
+    field is not a kernel field or the words are not little-endian."""
+    if sys.byteorder != "little":
+        return None
+    parts = list(string.Formatter().parse(row + "\n"))
+    fields, literals, at = [], [], 0
+    for text, name, spec, conversion in parts:
+        text = text.encode()
+        if b"\0" in text:
+            return None
+        literals.append((at, text))
+        at += len(text)
+        if name is None:
+            continue
+        if name != "" or conversion is not None or len(fields) == len(cols):
+            return None
+        dtype = cols[len(fields)].dtype
+        if spec == ".17g" and dtype == np.float64:
+            writer, word, size, used = _float_field, np.uint64, 8 * _F_WORDS, _F_USED
+        elif spec == "" and dtype.kind in "iu" and np.can_cast(dtype, np.int64):
+            writer, word, size, used = _int_field, np.uint32, 4 * _I_WORDS, _I_USED
+        else:
+            return None
+        at = -(-at // 8) * 8  # fields start on a word boundary
+        fields.append((writer, at, size, word))
+        at += used  # the next literal may fill the field's spare slots
+    if len(fields) != len(cols):
+        return None
+    width = -(-max(at, *(f[1] + f[2] for f in fields)) // 8) * 8
+    return width, fields, literals
+
+
+def _kernel_rows(layout, chunk: list[np.ndarray], buf: bytearray) -> bytes:
+    """The text of the rows of ``chunk``, one slot row each in ``buf``.
+
+    Fields and literals rewrite the same slots of every chunk, so the slots
+    between them stay as zeroed when ``buf`` was made."""
+    width, fields, literals = layout
+    slots = np.frombuffer(buf, np.uint8).reshape(-1, width)
+    for (writer, at, size, word), col in zip(fields, chunk):
+        writer(col, slots[:, at : at + size].view(word))
+    for at, text in literals:  # after the fields: they may share a word
+        slots[:, at : at + len(text)] = np.frombuffer(text, np.uint8)
+    return buf.translate(None, b"\0")
 
 
 def write_csv(out: Path | str, header: str, row: str, *columns) -> None:
@@ -27,7 +278,14 @@ def write_csv(out: Path | str, header: str, row: str, *columns) -> None:
     if any(len(c) != n for c in cols):
         raise ValueError(f"column lengths differ: {[len(c) for c in cols]}")
     fmt = (row + "\n").format
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    layout = _kernel_layout(row, cols) if n >= BLOCK else None
+    if layout is not None:
+        buf = bytearray(BLOCK * layout[0])
+    with open(out, "wb") as fh:
+        fh.write((header + "\n").encode())
         for lo in range(0, n, BLOCK):
-            fh.write("".join(map(fmt, *(c[lo : lo + BLOCK].tolist() for c in cols))))
+            chunk = [c[lo : lo + BLOCK] for c in cols]
+            if layout is not None and lo + BLOCK <= n:
+                fh.write(_kernel_rows(layout, chunk, buf))
+            else:
+                fh.write("".join(map(fmt, *(c.tolist() for c in chunk))).encode())

@@ -461,6 +461,8 @@ def default_z_grid(
     if n < 64:
         raise ValueError(f"need at least 64 grid points, got {n}")
     inner = rel_inner * x
+    if not np.isfinite(z_neg_far):
+        raise ValueError(f"the far negative end must be finite, got {z_neg_far!r}")
     if not z_neg_far < -inner:
         raise ValueError(
             f"the far negative end must lie below the innermost point -{inner:g}, got {z_neg_far!r}"

@@ -433,7 +433,7 @@ def _check_window_tau(path: LevyPathSample, pos: np.ndarray) -> None:
 
 def _check_window_x(path: LevyPathSample, x: np.ndarray) -> None:
     """Refuse levels outside the sampled value range, NaN included."""
-    lo, hi = path.values[0], path.values[-1]
+    lo, hi = float(path.values[0]), float(path.values[-1])
     if x.size == 0:
         return
     x_lo, x_hi = np.min(x), np.max(x)

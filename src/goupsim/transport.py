@@ -49,6 +49,10 @@ __all__ = [
 class Constant:
     value: float
 
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value}")
+
 
 @dataclass(frozen=True)
 class Triangular:
@@ -59,8 +63,10 @@ class Triangular:
     height: float
 
     def __post_init__(self) -> None:
-        if not self.halfwidth > 0.0:
-            raise ValueError("halfwidth must be positive")
+        if not 0.0 < self.halfwidth < np.inf:
+            raise ValueError(f"halfwidth must be positive and finite, got {self.halfwidth}")
+        if not np.isfinite(self.center) or not np.isfinite(self.height):
+            raise ValueError(f"center and height must be finite, got {self.center}, {self.height}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -506,3 +506,63 @@ def test_threads_below_one_is_an_error_line(tmp_path, threads):
             ]
         )
     assert exc.value.code == f"--threads must be >= 1, got {threads}"
+
+
+SOLVE_SMALL = ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # tracebacks: ValueError from WindowK and from unpacking NT:NX
+        ([*CONVERGE_SMALL[:-6], "--kgrid", "0:16"],
+         "--kgrid must be NT:NX with positive integers, got '0:16'"),
+        ([*CONVERGE_SMALL[:-6], "--kgrid", "8"],
+         "--kgrid must be NT:NX with positive integers, got '8'"),
+        ([*CONVERGE_SMALL, "--window-t=nan:2"],
+         "--window-t must be LO:HI with finite LO < HI, got 'nan:2'"),
+        # exit 0 with a header-only solution.csv, and a numpy traceback
+        ([*SOLVE_SMALL, "--xcount", "0"], "--xcount must be >= 1, got 0"),
+        ([*SOLVE_SMALL, "--xcount", "-3"], "--xcount must be >= 1, got -3"),
+        # tracebacks from solve_at_level
+        ([*SOLVE_SMALL, "--level", "9"], "--level must lie in 0..6 (--nmax), got 9"),
+        ([*SOLVE_SMALL, "--level", "-1"], "--level must lie in 0..6 (--nmax), got -1"),
+        # OverflowError traceback from the k window
+        (["paths", "--process", "gamma", "--nmax", "6", "--range=-inf:4"],
+         "--range must be LO:HI with finite LO < HI, got '-inf:4'"),
+        (["paths", "--process", "gamma", "--nmax", "6", "--range=4:2"],
+         "--range must be LO:HI with finite LO < HI, got '4:2'"),
+        # these blamed the window: "enlarge --range"
+        ([*SOLVE_SMALL, "--times", "1,nan"],
+         "--times must be comma-separated finite numbers, got '1,nan'"),
+        ([*SOLVE_SMALL, "--times", "inf"],
+         "--times must be comma-separated finite numbers, got 'inf'"),
+        ([*SOLVE_SMALL, "--xgrid=-inf:4"],
+         "--xgrid must be LO:HI with finite LO < HI, got '-inf:4'"),
+        ([*SOLVE_SMALL, "--times="], "--times must be comma-separated finite numbers, got ''"),
+        # traceback from the density grid
+        (["density", "--x", "8", "--t", "nan"],
+         "--t (elapsed time) must be positive and finite, got nan"),
+        (["density", "--x", "inf", "--t", "1"], "--x must be positive and finite, got inf"),
+        (["validate", "--process", "stable-half", "--t0", "nan"],
+         "--t0 must be positive and finite, got nan"),
+        # tracebacks from the datum and the density grid, and a silent nan
+        ([*SOLVE_SMALL, "--halfwidth", "0"], "invalid datum (--center, --halfwidth, "
+         "--height, --value): halfwidth must be positive and finite, got 0.0"),
+        ([*CONVERGE_SMALL, "--center", "nan"], "invalid datum (--center, --halfwidth, "
+         "--height, --value): center and height must be finite, got nan, 1.0"),
+        ([*SOLVE_SMALL, "--datum", "constant", "--value", "inf"], "invalid datum (--center, "
+         "--halfwidth, --height, --value): value must be finite, got inf"),
+        (["density", "--x", "8", "--t", "1", "--zfar=-inf"],
+         "invalid density grid (--zcount, --zfar): the far negative end must be finite, got -inf"),
+    ],
+)
+def test_bad_numbers_are_refused_before_any_path(tmp_path, monkeypatch, argv, message):
+    def no_path(*args, **kwargs):
+        raise AssertionError("a path was built for refused input")
+
+    monkeypatch.setattr("goupsim.levy_paths.build_two_sided_path", no_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "run")])
+    assert exc.value.code == message
+    assert not (tmp_path / "run").exists()

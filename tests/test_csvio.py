@@ -5,11 +5,20 @@ f-strings over numpy scalars, the way every writer formatted its rows before
 they moved to :func:`goupsim.csvio.write_csv`.  The columns hold awkward
 values (signed zero, the smallest subnormal, huge and non-finite floats,
 integral floats, negative indices) and run past one ``BLOCK`` chunk.
+
+Full chunks go through ``csvio``'s numpy kernel: further tests compare it
+with ``format(v, ".17g")`` and ``str(k)`` on hard values at row counts on both
+sides of ``BLOCK``, and pin ``path.csv`` digests taken before the kernel.
 """
+
+import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from goupsim.cli import main
 from goupsim.csvio import write_csv
 from goupsim.goupillaud import (
     GoupillaudMedium,
@@ -142,3 +151,105 @@ def test_cdf_csv(tmp_path):
 def test_write_csv_refuses_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="column lengths"):
         write_csv(tmp_path / "x.csv", "a,b", "{},{}", [1, 2, 3], [1, 2])
+
+
+def _random_doubles(n):
+    bits = np.random.default_rng(20231018).integers(0, 2**64, size=2 * n, dtype=np.uint64)
+    x = bits.view(np.float64)
+    return x[np.isfinite(x)][:n]
+
+
+def _ties(n):
+    """18-digit decimals ending in 5, whose 17-digit rounding is nearly a
+    tie, and exact ties ``N + j/8`` with 15-digit ``N`` and odd ``j``."""
+    rng = np.random.default_rng(5)
+    digits = rng.integers(10**16, 10**17, size=n)
+    exps = rng.integers(-215, 183, size=n)
+    near = [float(f"{d}5e{e}") for d, e in zip(digits.tolist(), exps.tolist())]
+    exact = rng.integers(10**14, 10**15, size=n) + rng.integers(0, 4, size=n) * 0.25 + 0.125
+    return np.concatenate([near, exact])
+
+
+def _decade_neighbours():
+    """nextafter and 1 ± k·2^-53 neighbours of every 10^p, p in [-199, 199]."""
+    p10 = np.array([float(f"1e{p}") for p in range(-199, 200)])
+    near = [np.nextafter(p10, 0.0), p10, np.nextafter(p10, np.inf)]
+    near += [p10 * (1.0 + k * 2.0**-53) for k in range(-6, 7)]
+    return np.concatenate(near)
+
+
+def _decade_round_ups():
+    """Doubles below 10^p whose 17 digits round up to 1e+p."""
+    ups = [
+        v for v in (float(f"1e{p}") for p in range(-199, 200))
+        if Fraction(v) < Fraction(10) ** round(math.log10(v)) and format(v, ".17g")[0] == "1"
+    ]
+    assert len(ups) >= 10
+    return np.array(ups)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, np.inf, -np.inf,
+           np.nan, 1e200, -1e200, 1.0000000000000002e200, 1e300, -1.7976931348623157e308,
+           1e-200, 9.9999999999999e-201, 1e16, 1e17, 0.0001, 1e-5, 123456789.0, 0.5]
+KERNEL_SETS = {
+    "random_bits": lambda: _random_doubles(100_000),
+    "ties": lambda: _ties(30_000),
+    "decade_neighbours": _decade_neighbours,
+    "decade_round_ups": _decade_round_ups,
+    "special": lambda: np.array(SPECIAL),
+}
+INTS = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1, -9, 10, -10**18, 10**18,
+        -9999, 10000, -123456789]
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+@pytest.mark.parametrize("values", sorted(KERNEL_SETS))
+def test_full_chunks_equal_str_format(tmp_path, values, n):
+    """Each value lands in a full chunk at least once when n >= BLOCK; the
+    bytes equal format(v, ".17g") and str(k) whichever path formats them."""
+    x = KERNEL_SETS[values]()
+    x = np.concatenate([x, -x])
+    floats = np.resize(x, (-(-x.size // n), n))  # the values as columns of n rows
+    rng = np.random.default_rng(n)
+    ints = np.resize(np.concatenate([INTS, rng.integers(-(2**63), 2**63 - 1, 999)]), n)
+    row = ",".join(["{}"] + ["{:.17g}"] * len(floats))
+    write_csv(tmp_path / "x.csv", "k,x", row, ints, *floats)
+    ref = ["k,x"] + [
+        ",".join([str(k)] + [format(v, ".17g") for v in vs])
+        for k, *vs in zip(ints.tolist(), *(f.tolist() for f in floats))
+    ]
+    got = (tmp_path / "x.csv").read_bytes().split(b"\n")
+    assert got.pop() == b"" and len(got) == len(ref)
+    bad = [(i, line, want) for i, (line, want) in enumerate(zip(got, ref)) if line != want.encode()]
+    assert not bad, bad[:3]  # first differing rows, not a diff of the whole file
+
+
+# sha256 of path.csv and manifest.json, taken before path.csv rows were
+# formatted by the numpy kernel
+PATHS_PINS = {
+    "gamma": (
+        ["--process", "gamma", "--k", "1", "--theta", "1", "--drift", "1"],
+        "c0efc08ff676eaba84263e7c4a0aeed866e0313c05a5ed1fcc15d986a1ce9827",
+        "3cf0f7891729daded7a70d618cac5bd77694731d1e10a205eecf0ab7005250fb",
+    ),
+    "poisson": (
+        ["--process", "poisson", "--intensity", "1", "--jump", "1", "--drift", "1"],
+        "599852847f87d1d6d977c3cc910a0cd2232c95d62da89842c7849adf51f3d089",
+        "7353f6a4e5b21929cf5c3e39f7914754faec8e936670df212f5a79333eb7896e",
+    ),
+    "stable-half": (
+        ["--process", "stable-half"],
+        "6fb75c9d6821632a11458e963386e7545627e8b2f5e9249d0a5e9d8c4f84377e",
+        "c102a0876791090e6b0a9a4d6117d3bdd91deeae6744c406e64b5b1f8a021477",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PATHS_PINS))
+def test_paths_outputs_are_pinned(tmp_path, family):
+    flags, path_sha, manifest_sha = PATHS_PINS[family]
+    out = tmp_path / "run"
+    argv = ["paths", *flags, "--nmax", "12", "--range=-4:14", "--seed", "7", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256((out / "path.csv").read_bytes()).hexdigest() == path_sha
+    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == manifest_sha

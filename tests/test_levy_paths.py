@@ -375,6 +375,15 @@ def test_window_errors_name_the_offending_end(drift_path):
     with pytest.raises(WindowError, match="time 4.25 above sampled window end t_max=4.0"):
         step_eval(drift_path, np.array([[0.0, 4.25], [4.2, 1.0]]))
     assert polygon_eval(drift_path, np.empty((0, 3))).shape == (0, 3)
+    for query, arg, message in [
+        (polygon_inverse, [0.0, -4.5], "level -4.5 below sampled range min -4.0"),
+        (hitting_time, [4.25, 1.0], "level 4.25 above sampled range max 4.0"),
+        (polygon_inverse, [np.nan], r"level nan is not in the sampled range \[-4.0, 4.0\]"),
+        (polygon_eval, [np.nan], r"time nan is not in the sampled window \[-4.0, 4.0\]"),
+    ]:
+        with pytest.raises(WindowError, match=message) as info:
+            query(drift_path, np.array(arg))
+        assert "np.float64(" not in str(info.value)
 
 
 def test_polygon_inverse_nodes_and_roundtrip():
