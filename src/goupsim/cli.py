@@ -107,7 +107,8 @@ def _process_from_args(args: argparse.Namespace) -> ProcessSpec:
             return PoissonDrift(args.intensity, args.jump, args.drift)
         return StableHalf()
     except ValueError as exc:
-        raise SystemExit(f"invalid process parameters: {exc}")
+        flags = "--k, --theta" if args.process == "gamma" else "--intensity, --jump"
+        raise SystemExit(f"invalid process parameters ({flags}, --drift): {exc}")
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -338,6 +339,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = _process_from_args(args)
     _check_positive(args.t0, "--t0")
+    _check_positive(args.hist_hi, "--hist-hi")
+    if not 0.0 <= args.l1_max < math.inf:
+        raise SystemExit(f"--l1-max must be nonnegative and finite, got {args.l1_max}")
     t_range = _parse_range(args.range, "--range")
     out_dir = _prepare_out(args)
     k_min, k_max = _k_window(t_range, args.nmax)

@@ -14,6 +14,7 @@ re-materialized in any order, by any worker, with bitwise identical values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,12 +69,12 @@ class GammaDrift:
     drift: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.shape_rate > 0.0:
-            raise ValueError("shape_rate must be positive")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
-        if self.drift < 0.0:
-            raise ValueError("drift must be nonnegative")
+        if not 0.0 < self.shape_rate < math.inf:
+            raise ValueError(f"shape_rate must be positive and finite, got {self.shape_rate}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not 0.0 <= self.drift < math.inf:
+            raise ValueError(f"drift must be nonnegative and finite, got {self.drift}")
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,12 @@ class PoissonDrift:
     drift: float
 
     def __post_init__(self) -> None:
-        if not self.intensity > 0.0:
-            raise ValueError("intensity must be positive")
-        if not self.jump_size > 0.0:
-            raise ValueError("jump_size must be positive")
-        if not self.drift > 0.0:
-            raise ValueError("drift must be positive")
+        if not 0.0 < self.intensity < math.inf:
+            raise ValueError(f"intensity must be positive and finite, got {self.intensity}")
+        if not 0.0 < self.jump_size < math.inf:
+            raise ValueError(f"jump_size must be positive and finite, got {self.jump_size}")
+        if not 0.0 < self.drift < math.inf:
+            raise ValueError(f"drift must be positive and finite, got {self.drift}")
 
 
 @dataclass(frozen=True)
@@ -182,23 +183,35 @@ def _poisson_icdf(lam: float, u: np.ndarray) -> np.ndarray:
 
     The cumulative probabilities do not depend on ``u``, so they are summed
     once as scalars, only as far as the largest ``u`` needs, and each ``u``
-    of the tail ``u >= P(K = 0)`` is placed among them by binary search.
+    of the tail ``u >= P(K = k_lo)`` is placed among them by binary search.
+
+    The sum starts at ``k_lo = 0`` from ``exp(-lam)``.  Where that underflows
+    (``lam`` above about 745) it starts instead at ``k_lo = lam - 12
+    sqrt(lam) - 60`` from the log-space probability of ``k_lo``, and the mass
+    below ``k_lo`` (under ``e^-72``, far below the ``2^-53`` resolution of
+    ``u``) is left out.
     """
+    k_lo = 0
     term = np.exp(-lam)
+    if term == 0.0:
+        k_lo = int(lam - 12.0 * np.sqrt(lam) - 60.0)
+        term = np.exp(k_lo * np.log(lam) - lam - gammaln(k_lo + 1.0))
     out = np.zeros(u.shape, dtype=np.int64)
-    tail = np.flatnonzero(u >= term)  # every other u has k = 0
+    tail = np.flatnonzero(u >= term)  # every other u has k = k_lo
     if tail.size:
         u_tail = u[tail]
         u_max = u_tail.max()
         cdf = [term]
         k_cap = int(lam + 12.0 * np.sqrt(lam) + 60.0)
-        k = 0
+        k = k_lo
         while cdf[-1] <= u_max and k < k_cap:
             k += 1
             term *= lam / k
             cdf.append(cdf[-1] + term)
         # u at or beyond cdf[k_cap] gets k_cap + 1 (probability < 1e-12)
         out[tail] = np.searchsorted(cdf, u_tail, side="right")
+    if k_lo:
+        out += k_lo
     return out
 
 
@@ -206,30 +219,55 @@ def _poisson_icdf(lam: float, u: np.ndarray) -> np.ndarray:
 #: Gamma quantile under 2^-1100 rounds to 0.0 with a wide margin
 _LOG_TINY = -1100.0 * np.log(2.0)
 
+#: log of 2^-60: a Gamma jump below 2^-60 drift*dt is lost when added to it
+_LOG_MARGIN = -60.0 * np.log(2.0)
+
+
+def _gamma_log_cut(spec: GammaDrift, a: float, dt: float) -> float:
+    """``log`` of ``e^(-q) q^a / Gamma(1 + a)``, a lower bound of ``P(a, q)``,
+    with ``q = max(2^-1100, 2^-60 drift dt / scale)`` held at most 1."""
+    log_q = _LOG_TINY
+    if spec.drift > 0.0:
+        log_q = math.log(spec.drift) + math.log(dt) - math.log(spec.scale) + _LOG_MARGIN
+        log_q = min(max(log_q, _LOG_TINY), 0.0)
+    return a * log_q - gammaln(1.0 + a) - math.exp(log_q)
+
 
 def _increments_from_uniforms(spec: ProcessSpec, dt: float, u: np.ndarray) -> np.ndarray:
     """Map one uniform word per increment to one draw of ``L(dt)``.
 
     Gamma: ``scale * gammaincinv(a, u) + drift * dt`` with ``a = shape_rate *
-    dt``, bit for bit, but without calling ``gammaincinv`` where it returns
-    ``0.0``.  For every ``x > 0`` the regularized incomplete gamma function
-    obeys ``P(a, x) >= e^(-x) x^a / Gamma(a + 1)``, so every ``u`` with
-    ``log u <= a log(2^-1100) - gammaln(1 + a)`` has its quantile below
-    ``2^-1100`` (the ``e^(-x)`` factor moves the log by only ``2^-1100``),
-    and that quantile rounds to ``0.0``.  Rounding to ``0.0`` needs only a
-    quantile below ``2^-1075``, so the cut keeps a margin of ``25 a log 2``
-    in the log, against rounding errors near ``1e-15 |log u|`` in the two
-    sides.  The comparison is made on ``log u`` rather than on ``u``: for
-    tiny ``a`` the cut sits next to ``u = 1``, where ``exp`` of it would
-    round by more than the margin, while ``log u`` keeps full relative
-    precision.  The cut increments are set to ``scale * 0.0 + drift * dt``,
-    the value the call gives; at fine dyadic levels that is almost all of
-    them.
+    dt``, bit for bit, but without calling ``gammaincinv`` where its result
+    cannot reach the sum.  Let ``q = max(2^-1100, 2^-60 drift dt / scale)``,
+    held at most 1 (any smaller ``q`` only cuts less).  For every ``x > 0``
+    the regularized incomplete gamma function obeys ``P(a, x) >= e^(-x) x^a /
+    Gamma(1 + a)``, so every ``u`` with ``log u <= a log q - gammaln(1 + a) -
+    q`` has ``u <= P(a, q)``: its quantile is at most ``q``.  Two cases:
+
+    * ``q = 2^-1100`` (always when ``drift = 0``): the quantile lies below
+      ``2^-1075`` and rounds to ``0.0``, so ``gammaincinv`` returns ``0.0``.
+    * ``q = 2^-60 drift dt / scale``: the jump ``scale * gammaincinv(a, u)``
+      is at most about ``2^-60 drift dt``, below a quarter ulp of
+      ``fl(drift dt)`` whether that is normal, subnormal or 0, so the sum
+      rounds to ``fl(drift dt)``.
+
+    Either way the increment is ``scale * 0.0 + drift * dt``, which is what
+    the cut branch writes.  The ``-q`` term keeps the bound true when
+    ``drift / scale`` is large and ``q`` is not small against ``a``.  Between
+    ``2^-60`` and a quarter ulp (at least ``2^-55`` of ``fl(drift dt)``) lies a
+    factor ``2^5``, and between ``2^-1100`` and ``2^-1075`` a factor
+    ``2^25``: they absorb the error of ``gammaincinv`` and the rounding of
+    the two sides of the comparison, near ``1e-15 |log u|`` each.  The
+    comparison is made on ``log u`` rather than on ``u``: for tiny ``a`` the
+    cut sits next to ``u = 1``, where ``exp`` of it would round by more than
+    the margin, while ``log u`` keeps full relative precision.  At fine
+    dyadic levels almost every increment is cut: at ``a = 2^-16`` with
+    ``drift = scale = 1``, all but about 0.077% of them.
     """
     if isinstance(spec, GammaDrift):
         a = spec.shape_rate * dt
         q = np.zeros_like(u)
-        live = np.log(u) > a * _LOG_TINY - gammaln(1.0 + a)
+        live = np.log(u) > _gamma_log_cut(spec, a, dt)
         q[live] = gammaincinv(a, u[live])
         return spec.scale * q + spec.drift * dt
     if isinstance(spec, PoissonDrift):
@@ -244,10 +282,11 @@ def _increments_from_uniforms(spec: ProcessSpec, dt: float, u: np.ndarray) -> np
 def sample_increment(spec: ProcessSpec, dt: float, rng: Generator, size: int | None = None):
     """Draw ``L(dt)`` (or an array of independent copies) from ``rng``.
 
-    ``dt`` must be positive.  Each draw consumes exactly one uniform word.
+    ``dt`` must be positive and finite.  Each draw consumes exactly one
+    uniform word.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     n = 1 if size is None else int(size)
     u = _open_uniforms(rng, n)
     draws = _increments_from_uniforms(spec, dt, u)

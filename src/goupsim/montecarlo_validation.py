@@ -495,6 +495,8 @@ def spike_refined_bin_edges(hi: float = 8.5, bins: int = 60) -> np.ndarray:
     stays statistically meaningful at typical sample sizes."""
     if bins < 8:
         raise ValueError("need at least 8 bins")
+    if not 0.0 < hi < np.inf:
+        raise ValueError(f"the histogram upper edge must be positive and finite, got {hi}")
     n_geo = max(bins // 3, 4)
     n_lin = bins - n_geo
     split = hi / 17.0
@@ -572,6 +574,8 @@ def validate_basepoints(
     and the L1 and concentration checks when no sample lands in the
     histogram range ``[0, hist_hi]``: an empty histogram tests nothing.
     """
+    if not 0.0 <= l1_max < np.inf:
+        raise ValueError(f"l1_max must be nonnegative and finite, got {l1_max}")
     edges = spike_refined_bin_edges(hist_hi, cfg.bins)
     samples = sample_basepoints(spec, x0, t0, cfg, workers=workers)
     hist = histogram(samples.values, edges)

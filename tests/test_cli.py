@@ -555,6 +555,26 @@ SOLVE_SMALL = ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10"]
          "--halfwidth, --height, --value): value must be finite, got inf"),
         (["density", "--x", "8", "--t", "1", "--zfar=-inf"],
          "invalid density grid (--zcount, --zfar): the far negative end must be finite, got -inf"),
+        # "not strictly increasing ... lower --nmax", and an OverflowError traceback
+        (["paths", "--process", "gamma", "--nmax", "6", "--range=-1:4", "--drift", "nan"],
+         "invalid process parameters (--k, --theta, --drift): "
+         "drift must be nonnegative and finite, got nan"),
+        (["paths", "--process", "gamma", "--nmax", "6", "--range=-1:4", "--theta", "inf"],
+         "invalid process parameters (--k, --theta, --drift): "
+         "scale must be positive and finite, got inf"),
+        ([*SOLVE_SMALL, "--k", "inf"], "invalid process parameters (--k, --theta, --drift): "
+         "shape_rate must be positive and finite, got inf"),
+        (["paths", "--process", "poisson", "--nmax", "6", "--range=-1:4", "--drift", "inf"],
+         "invalid process parameters (--intensity, --jump, --drift): "
+         "drift must be positive and finite, got inf"),
+        ([*CONVERGE_SMALL[:1], "--process", "poisson", *CONVERGE_SMALL[3:], "--intensity", "inf"],
+         "invalid process parameters (--intensity, --jump, --drift): "
+         "intensity must be positive and finite, got inf"),
+        # an edges error naming no flag; a whole run failing L1 against nan
+        (["validate", "--process", "stable-half", "--hist-hi", "nan"],
+         "--hist-hi must be positive and finite, got nan"),
+        (["validate", "--process", "stable-half", "--l1-max", "nan"],
+         "--l1-max must be nonnegative and finite, got nan"),
     ],
 )
 def test_bad_numbers_are_refused_before_any_path(tmp_path, monkeypatch, argv, message):
@@ -566,3 +586,32 @@ def test_bad_numbers_are_refused_before_any_path(tmp_path, monkeypatch, argv, me
         main([*argv, "--out", str(tmp_path / "run")])
     assert exc.value.code == message
     assert not (tmp_path / "run").exists()
+
+
+# sha256 of samples.csv and report.json of small Gamma and Poisson
+# validations, taken before the Gamma quantile cut moved up to 2^-60 drift*dt
+VALIDATE_PINS = {
+    "gamma": (
+        "74514c29347becf8dd872e356f6a96f58d32c84f27fa2ffe6528bdecb4741d66",
+        "5dd731ebc011b4f1261fb60401371bdf3ba7eeed3c8d48bd70f113c3ccc1e05c",
+    ),
+    "poisson": (
+        "233fe259b44a6e1936dd69ab5762ce0bc4f243a7246d98b79c7590963159c2ac",
+        "99f89ea0c7e81e8c0036dde400c392a8d6a6f0b603693097c68e8457688fd37d",
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("family", sorted(VALIDATE_PINS))
+def test_validate_outputs_are_pinned(tmp_path, family, threads):
+    samples_sha, report_sha = VALIDATE_PINS[family]
+    out = tmp_path / "run"
+    argv = [
+        "validate", "--process", family, "--x0", "4", "--t0", "1", "--n", "300",
+        "--nmax", "12", "--range=-1.01:10", "--bins", "12", "--seed", "5",
+        "--threads", threads, "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest() == samples_sha
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == report_sha

@@ -55,6 +55,22 @@ def positive(n=N):
     return np.resize(np.array([5e-324, 1e300, np.inf, 3.0, 0.1, 1.0 / 3.0]), n)
 
 
+def assert_file_text(path, ref):
+    """The file's text equals ``ref``; on failure name the first differing
+    rows rather than diff two files of a few hundred KB."""
+    got = path.read_text()
+    if got != ref:
+        got_rows, ref_rows = got.split("\n"), ref.split("\n")
+        bad = [
+            (i, g, r) for i, (g, r) in enumerate(zip(got_rows, ref_rows)) if g != r
+        ][:3]
+        pytest.fail(
+            f"{path.name}: {len(got_rows)} rows, want {len(ref_rows)}; "
+            f"first differing (row, got, want): {bad}",
+            pytrace=False,
+        )
+
+
 def test_path_csv(tmp_path):
     grid = DyadicGrid(3, -(N // 2), N - 1 - N // 2)
     path = LevyPathSample(grid, awkward(), RngSeed(1), StableHalf())
@@ -63,7 +79,7 @@ def test_path_csv(tmp_path):
         for i, k in enumerate(range(grid.k_min, grid.k_max + 1))
     )
     write_path_csv(path, tmp_path / "path.csv")
-    assert (tmp_path / "path.csv").read_text() == ref
+    assert_file_text(tmp_path / "path.csv", ref)
 
 
 def test_solution_csv(tmp_path):
@@ -79,10 +95,10 @@ def test_solution_csv(tmp_path):
         for x, u in zip(field.xs, field.values)
     )
     write_solution_csv(fields, tmp_path / "solution.csv")
-    assert (tmp_path / "solution.csv").read_text() == ref
+    assert_file_text(tmp_path / "solution.csv", ref)
 
     write_solution_csv([], tmp_path / "empty.csv")
-    assert (tmp_path / "empty.csv").read_text() == "t,x,u\n"
+    assert_file_text(tmp_path / "empty.csv", "t,x,u\n")
 
 
 def test_convergence_csv(tmp_path):
@@ -91,7 +107,7 @@ def test_convergence_csv(tmp_path):
         table = [(n - 20, float(d)) for n, d in enumerate(dists)]
         ref = "N,distance,p\n" + "".join(f"{n},{dist:.17g},{p:.17g}\n" for n, dist in table)
         write_convergence_csv(table, p, tmp_path / "convergence.csv")
-        assert (tmp_path / "convergence.csv").read_text() == ref
+        assert_file_text(tmp_path / "convergence.csv", ref)
 
 
 def test_medium_csv(tmp_path):
@@ -102,14 +118,14 @@ def test_medium_csv(tmp_path):
         for i in range(medium.speeds.size)
     )
     write_medium_csv(medium, tmp_path / "medium.csv")
-    assert (tmp_path / "medium.csv").read_text() == ref
+    assert_file_text(tmp_path / "medium.csv", ref)
 
 
 def test_characteristic_trace_csv(tmp_path):
     taus, gammas = awkward(), awkward(shift=3)
     ref = "tau,gamma\n" + "".join(f"{tau:.17g},{g:.17g}\n" for tau, g in zip(taus, gammas))
     write_characteristic_trace_csv(taus, gammas, tmp_path / "trace.csv")
-    assert (tmp_path / "trace.csv").read_text() == ref
+    assert_file_text(tmp_path / "trace.csv", ref)
 
 
 def test_samples_csv(tmp_path):
@@ -118,7 +134,7 @@ def test_samples_csv(tmp_path):
         f"{i},{z:.17g}\n" for i, z in zip(samples.indices, samples.values)
     )
     write_samples_csv(samples, tmp_path / "samples.csv")
-    assert (tmp_path / "samples.csv").read_text() == ref
+    assert_file_text(tmp_path / "samples.csv", ref)
 
 
 def test_histogram_csv(tmp_path):
@@ -129,7 +145,7 @@ def test_histogram_csv(tmp_path):
         for i in range(h.counts.size)
     )
     write_histogram_csv(h, tmp_path / "histogram.csv")
-    assert (tmp_path / "histogram.csv").read_text() == ref
+    assert_file_text(tmp_path / "histogram.csv", ref)
 
 
 def test_density_csv(tmp_path):
@@ -138,14 +154,14 @@ def test_density_csv(tmp_path):
         f"{z:.17g},{f:.17g},{e:.17g}\n" for z, f, e in zip(curve.z, curve.f, curve.err)
     )
     write_density_csv(curve, tmp_path / "density.csv")
-    assert (tmp_path / "density.csv").read_text() == ref
+    assert_file_text(tmp_path / "density.csv", ref)
 
 
 def test_cdf_csv(tmp_path):
     cdf = np.column_stack([awkward(), awkward(shift=7)])
     ref = "z,F\n" + "".join(f"{z:.17g},{F:.17g}\n" for z, F in cdf)
     write_cdf_csv(cdf, tmp_path / "cdf.csv")
-    assert (tmp_path / "cdf.csv").read_text() == ref
+    assert_file_text(tmp_path / "cdf.csv", ref)
 
 
 def test_write_csv_refuses_ragged_columns(tmp_path):

@@ -42,6 +42,12 @@ SEED = RngSeed(20240817)
 def test_spec_validation():
     with pytest.raises(ValueError):
         GammaDrift(0.0, 1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        for params in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                GammaDrift(*params)
+            with pytest.raises(ValueError, match="finite"):
+                PoissonDrift(*params)
     with pytest.raises(ValueError):
         GammaDrift(1.0, 1.0, -0.5)
     with pytest.raises(ValueError):
@@ -57,6 +63,8 @@ def test_sample_increment_rejects_bad_dt():
         sample_increment(GammaDrift(1.0, 1.0, 1.0), 0.0, stream_for(SEED, 9))
     with pytest.raises(ValueError):
         sample_increment(StableHalf(), -1.0, stream_for(SEED, 9))
+    with pytest.raises(ValueError):
+        sample_increment(GammaDrift(1.0, 1.0, 1.0), math.inf, stream_for(SEED, 9))
 
 
 def test_gamma_increment_mean():
@@ -73,16 +81,47 @@ def test_poisson_increment_zero_count_is_pure_drift():
     assert _increments_from_uniforms(spec, 1.0, u)[0] == 1.0
 
 
-def _gamma_test_uniforms(a):
+LN2 = math.log(2.0)
+
+#: (scale, drift) pairs of the bitwise test
+GAMMA_SCALE_DRIFT = [
+    (0.7, 0.3),
+    (2.0, 0.0),  # no drift: the quantile-underflow cut alone
+    (0.7, 1.0),  # drift * dt an exact power of two
+    (1e-10, 1e10),  # drift / scale = 1e20: the -q term matters
+    (1e-300, 1e300),  # drift / scale overflows: q is held at 1
+    (1e150, 1e-150),  # drift / scale = 1e-300: q near 2^-1100
+    (1e160, 1e-160),  # drift / scale = 1e-320: q falls to 2^-1100
+    (0.5, 1e-300),  # drift * dt subnormal below dt = 2^-26
+    (1e-30, 5e-324),  # drift * dt rounds to 0 below dt = 1
+]
+
+
+def _log_cuts(a, dt):
+    """``log u`` of the quantile-underflow cut ``a log(2^-1100) - gammaln(1 +
+    a)`` and of the cut ``a log q - gammaln(1 + a) - q``, ``q = min(1,
+    max(2^-1100, 2^-60 drift dt / scale))``, for every pair above."""
+    cuts = [a * -1100.0 * LN2 - gammaln(1.0 + a)]
+    for scale, drift in GAMMA_SCALE_DRIFT:
+        if drift > 0.0:
+            log_q = math.log(drift) + math.log(dt) - math.log(scale) - 60.0 * LN2
+            log_q = min(max(log_q, -1100.0 * LN2), 0.0)
+            cuts.append(a * log_q - gammaln(1.0 + a) - math.exp(log_q))
+    return cuts
+
+
+def _gamma_test_uniforms(log_cuts):
     """Random words, a log sweep, a sweep towards 1, and the neighbours of
-    the quantile-underflow cut ``log u = a log(2^-1100) - gammaln(1 + a)``."""
-    cut = math.exp(a * -1100.0 * math.log(2.0) - gammaln(1.0 + a))
-    near = [cut]
-    for toward in (0.0, 2.0):
-        u = cut
-        for _ in range(3):
-            u = np.nextafter(u, toward)
-            near.append(u)
+    each cut."""
+    near = []
+    for log_cut in log_cuts:
+        cut = math.exp(log_cut)
+        near.append(cut)
+        for toward in (0.0, 2.0):
+            u = cut
+            for _ in range(3):
+                u = np.nextafter(u, toward)
+                near.append(u)
     u = np.concatenate(
         [
             np.maximum(np.random.default_rng(11).random(2048), 1e-300),
@@ -95,16 +134,30 @@ def _gamma_test_uniforms(a):
 
 
 def test_gamma_transform_equals_gammaincinv_bitwise():
-    # the quantile-underflow fast path changes no bit of any increment
+    # the cuts change no bit of any increment
     shapes = [(rate, 2.0**-n) for n in range(41) for rate in (0.25, 1.0, 3.0)]
     shapes += [(1e-17, 1.0), (1e-30, 1.0)]
     for rate, dt in shapes:
-        u = _gamma_test_uniforms(rate * dt)
-        for scale, drift in ((0.7, 0.3), (2.0, 0.0)):
-            spec = GammaDrift(rate, scale, drift)
-            want = scale * gammaincinv(rate * dt, u) + drift * dt
-            got = _increments_from_uniforms(spec, dt, u)
+        u = _gamma_test_uniforms(_log_cuts(rate * dt, dt))
+        quantiles = gammaincinv(rate * dt, u)
+        for scale, drift in GAMMA_SCALE_DRIFT:
+            want = scale * quantiles + drift * dt
+            got = _increments_from_uniforms(GammaDrift(rate, scale, drift), dt, u)
             assert got.tobytes() == want.tobytes(), (rate, dt, scale, drift)
+
+
+def test_gamma_cut_skips_all_but_a_sliver_at_fine_levels(monkeypatch):
+    # at a = 2^-16 with drift = scale = 1 about 0.077% of words need a quantile
+    calls = []
+
+    def counting(a, u):
+        calls.append(u.size)
+        return gammaincinv(a, u)
+
+    monkeypatch.setattr("goupsim.levy_paths.gammaincinv", counting)
+    u = np.maximum(np.random.default_rng(12).random(10**6), 1e-300)
+    _increments_from_uniforms(GammaDrift(1.0, 1.0, 1.0), 2.0**-16, u)
+    assert 0.0005 < sum(calls) / u.size < 0.001
 
 
 def _poisson_icdf_full_loop(lam, u):
@@ -154,6 +207,16 @@ def test_poisson_icdf_equals_full_array_loop(lam):
     assert np.array_equal(got, _poisson_icdf_full_loop(lam, u))
     # all of one block resolving at k = 0 takes the no-tail branch
     assert np.array_equal(_poisson_icdf(lam, u[u < partial[0]]), np.zeros(np.sum(u < partial[0])))
+
+
+def test_poisson_counts_past_exp_underflow():
+    # exp(-2000) underflows to 0.0; the counts used to be 2597 for every word
+    # and the path a straight line of slope 2598
+    lam = 2000.0
+    path = build_two_sided_path(PoissonDrift(lam, 1.0, 1.0), 0, -BLOCK, BLOCK, SEED)
+    counts = np.diff(path.values) - 1.0
+    assert abs(counts.mean() - lam) <= 3.0 * math.sqrt(lam / counts.size)
+    assert abs(counts.var() / lam - 1.0) <= 5.0 * math.sqrt(2.0 / counts.size)
 
 
 def _path_by_concatenation(spec, n_max, k_min, k_max, seed):
