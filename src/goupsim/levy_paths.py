@@ -6,9 +6,18 @@ exact sums of fine increments) holds by construction on a single realization.
 
 Reproducibility: every increment is a deterministic transform of exactly one
 uniform word drawn from a counter-based (Philox) stream.  Streams are keyed
-by ``(root_seed, stream_id, direction, block)``, where blocks are fixed-size
-runs of ``BLOCK`` consecutive grid increments, so any window of a path can be
-re-materialized in any order, by any worker, with bitwise identical values.
+by ``(root_seed, stream_id, *substream, direction, block)``, where blocks are
+fixed-size runs of ``BLOCK`` consecutive grid increments, so any window of a
+path can be re-materialized in any order, by any worker, with bitwise
+identical values.
+
+Block ``b`` is the Philox4x64 stream whose key is ``SeedSequence(root_seed,
+spawn_key=(stream_id, *substream, direction, b)).generate_state(2,
+np.uint64)``, read from counter 0: the stream ``stream_for`` gives for that
+key.  A run of blocks does not build a ``SeedSequence`` per block.  It takes
+the pool of the prefix ``(stream_id, *substream, direction)`` once, mixes the
+block word into it with ``SeedSequence``'s own hash for all blocks at once
+(:func:`_block_keys`), and resets one ``Philox`` to each block's key in turn.
 """
 
 from __future__ import annotations
@@ -178,6 +187,19 @@ def _open_uniforms(rng: Generator, size: int) -> np.ndarray:
     return np.maximum(rng.random(size), 1e-300)
 
 
+#: smallest normal float
+_TINY = np.finfo(float).tiny
+
+
+def _poisson_start(lam: float) -> tuple[int, float]:
+    """``(k_lo, P(K = k_lo))``: where :func:`_poisson_icdf` starts its sum."""
+    term = np.exp(-lam)
+    if term >= _TINY:
+        return 0, term
+    k_lo = int(lam - 12.0 * np.sqrt(lam) - 60.0)
+    return k_lo, np.exp(k_lo * np.log(lam) - lam - gammaln(k_lo + 1.0))
+
+
 def _poisson_icdf(lam: float, u: np.ndarray) -> np.ndarray:
     """Vectorized Poisson quantile: smallest k with u < P(K <= k).
 
@@ -185,17 +207,14 @@ def _poisson_icdf(lam: float, u: np.ndarray) -> np.ndarray:
     once as scalars, only as far as the largest ``u`` needs, and each ``u``
     of the tail ``u >= P(K = k_lo)`` is placed among them by binary search.
 
-    The sum starts at ``k_lo = 0`` from ``exp(-lam)``.  Where that underflows
-    (``lam`` above about 745) it starts instead at ``k_lo = lam - 12
-    sqrt(lam) - 60`` from the log-space probability of ``k_lo``, and the mass
-    below ``k_lo`` (under ``e^-72``, far below the ``2^-53`` resolution of
-    ``u``) is left out.
+    The sum starts at ``k_lo = 0`` from ``exp(-lam)``.  Where that is not a
+    normal float (``lam`` above about 708.4; a subnormal start loses bits in
+    every later term) it starts instead at ``k_lo = lam - 12 sqrt(lam) - 60``
+    from the log-space probability of ``k_lo``, and the mass below ``k_lo``
+    (under ``e^-72``, far below the ``2^-53`` resolution of ``u``) is left
+    out.
     """
-    k_lo = 0
-    term = np.exp(-lam)
-    if term == 0.0:
-        k_lo = int(lam - 12.0 * np.sqrt(lam) - 60.0)
-        term = np.exp(k_lo * np.log(lam) - lam - gammaln(k_lo + 1.0))
+    k_lo, term = _poisson_start(lam)
     out = np.zeros(u.shape, dtype=np.int64)
     tail = np.flatnonzero(u >= term)  # every other u has k = k_lo
     if tail.size:
@@ -293,6 +312,149 @@ def sample_increment(spec: ProcessSpec, dt: float, rng: Generator, size: int | N
     return float(draws[0]) if size is None else draws
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator, after
+# M. E. O'Neill's seed_seq_fe); every product is taken mod 2^32
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, first: int) -> np.ndarray:
+    """Column of ``init * mult^(first + i)`` mod 2^32, ``i = 0 .. 4``."""
+    return np.array(
+        [[init * pow(mult, first + i, 1 << 32) & _MASK32] for i in range(5)], dtype=np.uint64
+    )
+
+
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0)
+
+
+def _block_keys(prefix: SeedSequence, n_blocks: int) -> np.ndarray:
+    """Philox keys of blocks ``0 .. n_blocks - 1`` under ``prefix``, one row
+    each: row ``b`` is ``SeedSequence(prefix.entropy,
+    spawn_key=(*prefix.spawn_key, b)).generate_state(2, np.uint64)``.
+
+    ``SeedSequence`` mixes its first four entropy words (the root seed,
+    zero-padded to four 32-bit words) into a four-word pool in 16 hash steps,
+    then hashes each spawn-key word into all four pool words in four more.
+    So ``prefix.pool`` is the pool before the block word, and the hash
+    constant has taken ``16 + 4 * (prefix words)`` steps.  The block word is
+    mixed in, then ``generate_state``'s output hash is applied, all on 64-bit
+    lanes masked to 32 bits.  A block below ``2^32`` is one word.
+    """
+    words = sum(max(1, (int(k).bit_length() + 31) // 32) for k in prefix.spawn_key)
+    mix = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * words)
+    w = np.arange(n_blocks, dtype=np.uint64) ^ mix[:4]
+    w *= mix[1:]
+    w &= _MASK32
+    w ^= w >> 16
+    w *= _MIX_R
+    w = prefix.pool.astype(np.uint64)[:, None] * _MIX_L - w
+    w &= _MASK32
+    w ^= w >> 16
+    w ^= _STATE_CONSTS[:4]
+    w *= _STATE_CONSTS[1:]
+    w &= _MASK32
+    w ^= w >> 16
+    return (w[0::2] | w[1::2] << 32).T
+
+
+#: blocks drawn and transformed together in an eager run
+_GROUP = 8
+
+
+def _quiet_words(spec: ProcessSpec, dt: float) -> int:
+    """``M`` such that every raw word below ``M << 11`` gives the base
+    increment ``drift * dt`` (no jump), or 0 where no such bound is kept.
+
+    A raw word ``w`` is the uniform ``max((w >> 11) 2^-53, 1e-300)``, so
+    every word below ``M << 11`` with ``M = ceil(u_q 2^53)`` has a uniform
+    below ``u_q`` when ``u_q > 1e-300``.
+
+    * Gamma: ``u_q = exp(cut) (1 - 2^-30)`` with ``cut`` the cut of
+      :func:`_increments_from_uniforms`.  Below ``u_q``, ``log u`` is at
+      least ``2^-30`` under ``cut``, far beyond the rounding of ``log`` and
+      ``exp``, so ``log u <= cut`` and the quantile is skipped there too.
+    * Poisson: ``u_q = exp(-lam dt) = P(K = 0)``, where the count is 0, kept
+      only when :func:`_poisson_icdf` sums from ``k_lo = 0``.
+    * Stable-1/2: no bound; every increment is a jump.
+    """
+    u_q = 0.0
+    if isinstance(spec, GammaDrift):
+        u_q = math.exp(_gamma_log_cut(spec, spec.shape_rate * dt, dt)) * (1.0 - 2.0**-30)
+    elif isinstance(spec, PoissonDrift):
+        k_lo, term = _poisson_start(spec.intensity * dt)
+        u_q = float(term) if k_lo == 0 else 0.0
+    return math.ceil(u_q * 2.0**53) if u_q > 1e-300 else 0
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """``Generator.random``'s doubles from raw words, clamped like
+    :func:`_open_uniforms`."""
+    return np.maximum((raw >> 11) * 2.0**-53, 1e-300)
+
+
+def _increments_from_raw(
+    spec: ProcessSpec, dt: float, quiet: int, raw: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write the increments of raw Philox words ``raw`` into ``out`` (which
+    may be a strided view, and may share ``raw``'s memory) and return it;
+    ``quiet`` is ``_quiet_words(spec, dt)``.
+
+    Bitwise equal to :func:`_increments_from_uniforms` on the words'
+    uniforms, which only the words at or above ``quiet << 11`` go through.
+    Every other increment has no jump: ``scale * 0.0 + drift * dt``, which
+    is ``drift * dt``.
+    """
+    if not quiet:
+        out[...] = _increments_from_uniforms(spec, dt, _uniforms(raw))
+        return out
+    live = np.flatnonzero(raw > np.uint64((quiet << 11) - 1))
+    u = _uniforms(raw[live])
+    out[...] = spec.drift * dt
+    if live.size:
+        out[live] = _increments_from_uniforms(spec, dt, u)
+    return out
+
+
+class _KeyedRun:
+    """The keyed blocks ``0 .. n_blocks - 1`` of one direction of one path.
+
+    Every key is derived on construction, and one ``Philox`` is reset to each
+    block's key in turn, so a run is never shared between threads.
+    """
+
+    def __init__(
+        self,
+        spec: ProcessSpec,
+        dt: float,
+        seed: RngSeed,
+        substream: tuple[int, ...],
+        direction: int,
+        n_blocks: int,
+    ) -> None:
+        prefix = SeedSequence(seed.root_seed, spawn_key=(seed.stream_id, *substream, direction))
+        self.spec, self.dt = spec, dt
+        self.quiet = _quiet_words(spec, dt)
+        self.keys = _block_keys(prefix, n_blocks)
+        self.bitgen = Philox(prefix)
+        self.state = self.bitgen.state  # a fresh Philox: counter 0, empty buffer
+
+    def fill(self, block: int, out: np.ndarray) -> np.ndarray:
+        """Write the first ``out.size`` increments from ``block`` on into
+        ``out`` (which may be a strided view) and return it.  The raw words
+        are staged in ``out``'s own memory, so a fill allocates no buffer
+        beyond one block."""
+        raw = out.view(np.uint64)
+        for start in range(0, out.size, BLOCK):
+            self.state["state"]["key"] = self.keys[block + start // BLOCK]
+            self.bitgen.state = self.state
+            stop = min(start + BLOCK, out.size)
+            raw[start:stop] = self.bitgen.random_raw(BLOCK)[: stop - start]
+        return _increments_from_raw(self.spec, self.dt, self.quiet, raw, out)
+
+
 def _increment_block(
     spec: ProcessSpec,
     dt: float,
@@ -302,16 +464,9 @@ def _increment_block(
     count: int = BLOCK,
     substream: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """First ``count`` increments of one keyed block.
-
-    The uniform block is always generated in full (that is what pins the
-    stream), but only the needed prefix goes through the increment transform;
-    the transform is elementwise, so lazily materialized windows match
-    eagerly built ones bitwise.
-    """
-    rng = stream_for(seed, *substream, direction, block)
-    u = _open_uniforms(rng, BLOCK)
-    return _increments_from_uniforms(spec, dt, u[:count])
+    """First ``count`` increments of one keyed block."""
+    run = _KeyedRun(spec, dt, seed, substream, direction, block + 1)
+    return run.fill(block, np.empty(count))
 
 
 def _increment_run(
@@ -323,12 +478,11 @@ def _increment_run(
     substream: tuple[int, ...],
 ) -> np.ndarray:
     """Fill ``out`` with the first ``out.size`` increments of one direction,
-    one keyed block at a time; ``out`` may be a strided view."""
-    for block, start in enumerate(range(0, out.size, BLOCK)):
-        stop = min(start + BLOCK, out.size)
-        out[start:stop] = _increment_block(
-            spec, dt, seed, direction, block, stop - start, substream
-        )
+    ``_GROUP`` keyed blocks at a time; ``out`` may be a strided view."""
+    n_blocks = -(-out.size // BLOCK)
+    run = _KeyedRun(spec, dt, seed, substream, direction, n_blocks)
+    for block in range(0, n_blocks, _GROUP):
+        run.fill(block, out[block * BLOCK : (block + _GROUP) * BLOCK])
     return out
 
 
@@ -348,12 +502,11 @@ def forward_values_until(
     carries the previous block's last value into its first increment: one
     sequential sum, bitwise equal to the eager :func:`build_two_sided_path`.
     """
+    run = _KeyedRun(spec, dt, seed, substream, _FORWARD, -(-count // BLOCK))
     chunks: list[np.ndarray] = []
     total = 0.0
     for block, start in enumerate(range(0, count, BLOCK)):
-        inc = _increment_block(
-            spec, dt, seed, _FORWARD, block, min(BLOCK, count - start), substream
-        )
+        inc = run.fill(block, np.empty(min(BLOCK, count - start)))
         inc[0] += total
         cum = np.cumsum(inc, out=inc)
         chunks.append(cum)

@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import gammainc
 
+import goupsim
 from goupsim.cli import build_parser, main
 
 
@@ -18,6 +23,16 @@ def read_rows(path, cols):
         for c, v in zip(cols, parts):
             out[c].append(float(v))
     return {c: np.array(v) for c, v in out.items()}
+
+
+def test_python_dash_m_goupsim_runs_the_cli():
+    src = str(Path(goupsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "goupsim", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout and "validate" in done.stdout
 
 
 def test_paths_gamma(tmp_path):

@@ -1,10 +1,16 @@
+import hashlib
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from numpy.random import SeedSequence
 from scipy.special import gammainc, gammaincinv, gammaln
+from scipy.stats import poisson
 
 from goupsim.levy_paths import (
     BLOCK,
@@ -15,9 +21,14 @@ from goupsim.levy_paths import (
     RngSeed,
     StableHalf,
     WindowError,
+    _block_keys,
+    _gamma_log_cut,
     _increment_block,
+    _increments_from_raw,
     _increments_from_uniforms,
+    _open_uniforms,
     _poisson_icdf,
+    _quiet_words,
     aggregate_to_level,
     backward_increments,
     build_two_sided_path,
@@ -219,6 +230,29 @@ def test_poisson_counts_past_exp_underflow():
     assert abs(counts.var() / lam - 1.0) <= 5.0 * math.sqrt(2.0 / counts.size)
 
 
+@pytest.mark.parametrize("lam", [720.0, 744.0])
+def test_poisson_icdf_equals_scipy_where_exp_is_subnormal(lam):
+    # exp(-lam) is subnormal for lam in (708.4, 745.1); a sum started there
+    # lost bits in every term (at lam = 744 every count was off)
+    assert 0.0 < math.exp(-lam) < np.finfo(float).tiny
+    u = np.maximum(np.random.default_rng(int(lam)).random(2**16), 1e-300)
+    assert np.array_equal(_poisson_icdf(lam, u), poisson.ppf(u, lam))
+
+
+@pytest.mark.parametrize(
+    "lam, digest",
+    [
+        (700.0, "0f5c25988b593d1ede651c059f40de799c93843ef33028cf2ca81d2a4c16e27e"),
+        (746.0, "ee79ede55bb990fbc97493c8cc7dc558407de8b0fcd3f1ba45902a08ad0892a6"),
+    ],
+)
+def test_poisson_icdf_unchanged_outside_subnormal_band(lam, digest):
+    # counts of the sum from exp(-lam) (700) and from k_lo (746) are pinned
+    u = np.maximum(np.random.default_rng(744).random(2**16), 1e-300)
+    got = _poisson_icdf(lam, u)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+
 def _path_by_concatenation(spec, n_max, k_min, k_max, seed):
     """Reference build: whole blocks concatenated, then one cumsum per side."""
     dt = 2.0**-n_max
@@ -253,6 +287,153 @@ def test_build_non_increasing_error_names_first_bad_k():
     bad = k_min + int(np.argmin(np.diff(values) > 0.0))
     with pytest.raises(RuntimeError, match=rf"not strictly increasing at k={bad};"):
         build_two_sided_path(spec, 16, k_min, k_max, SEED)
+
+
+@pytest.mark.parametrize("root", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_block_keys_equal_seed_sequence(root):
+    prefixes = [(0, 0), (7, 1), (2**32, 0), (2**40 + 3, 5, 1), (3, 2**33, 0, 9, 1)]
+    for prefix in prefixes:
+        ss = SeedSequence(root, spawn_key=prefix)
+        keys = _block_keys(ss, 300)
+        assert keys.shape == (300, 2) and keys.dtype == np.uint64
+        for b in range(300):
+            want = SeedSequence(root, spawn_key=(*prefix, b)).generate_state(2, np.uint64)
+            assert np.array_equal(keys[b], want), (root, prefix, b)
+        assert np.array_equal(_block_keys(ss, 7), keys[:7])
+
+
+@pytest.mark.parametrize("spec", [GammaDrift(0.5, 1.0, 0.25), PoissonDrift(3.0, 1.0, 0.5), StableHalf()])
+def test_keyed_blocks_equal_their_stream_for_streams(spec):
+    # block b of a run is stream_for(seed, *substream, direction, b) read
+    # through _open_uniforms and _increments_from_uniforms
+    dt = 2.0**-12
+    seed = RngSeed(2**63 + 11, stream_id=2**33 + 1)
+    for substream in ((), (6,), (2**40, 3)):
+        for direction, run in ((0, forward_increments), (1, backward_increments)):
+            count = 2 * BLOCK + 9
+            got = run(spec, dt, seed, count, substream)
+            want = np.concatenate(
+                [
+                    _increments_from_uniforms(
+                        spec, dt, _open_uniforms(stream_for(seed, *substream, direction, b), BLOCK)
+                    )
+                    for b in range(3)
+                ]
+            )[:count]
+            assert got.tobytes() == want.tobytes(), (substream, direction)
+            one = _increment_block(spec, dt, seed, direction, 2, 9, substream)
+            assert one.tobytes() == want[2 * BLOCK :].tobytes()
+
+
+#: specs of the quiet-word grid; every one runs at levels 0..16
+QUIET_SPECS = [
+    GammaDrift(1.0, 1.0, 1.0),
+    GammaDrift(0.25, 0.7, 0.3),
+    GammaDrift(3.0, 2.0, 0.0),  # no drift: the quantile-underflow cut
+    GammaDrift(1e-12, 1.0, 1.0),  # tiny a: the bound sits next to u = 1
+    GammaDrift(1.0, 1e-300, 1e300),  # q held at 1
+    GammaDrift(1.0, 1e150, 1e-150),  # q near 2^-1100
+    PoissonDrift(1.0, 1.0, 1.0),
+    PoissonDrift(3.0, 0.5, 0.5),
+    PoissonDrift(1e-20, 1.0, 1.0),  # exp(-lam dt) rounds to 1: every word is quiet
+    PoissonDrift(2000.0, 1.0, 1.0),  # exp(-lam dt) underflows at coarse levels
+    PoissonDrift(720.0, 1.0, 1.0),  # subnormal exp(-lam dt) at level 0: k_lo > 0
+    StableHalf(),
+]
+
+
+def _expected_quiet_words(spec, dt):
+    """The bound as documented: ``ceil(u_q 2^53)`` for ``u_q > 1e-300``."""
+    u_q = 0.0
+    if isinstance(spec, GammaDrift):
+        a = spec.shape_rate * dt
+        u_q = math.exp(_gamma_log_cut(spec, a, dt)) * (1.0 - 2.0**-30)
+    elif isinstance(spec, PoissonDrift):
+        lam = spec.intensity * dt
+        u_q = float(np.exp(-lam)) if np.exp(-lam) >= np.finfo(float).tiny else 0.0
+    return math.ceil(u_q * 2.0**53) if u_q > 1e-300 else 0
+
+
+def test_quiet_words_are_exactly_the_words_below_the_bound(monkeypatch):
+    # every word equals the elementwise reference, and exactly the words at
+    # or above M << 11 reach it, so a bound moved by one word fails
+    seen = []
+
+    def recording(spec, dt, u):
+        seen.append(u.copy())
+        return _increments_from_uniforms(spec, dt, u)
+
+    monkeypatch.setattr("goupsim.levy_paths._increments_from_uniforms", recording)
+    random_words = np.random.default_rng(17).integers(0, 2**64, 512, dtype=np.uint64, endpoint=False)
+    n_bounds = {"none": 0, "near 1": 0}
+    for spec in QUIET_SPECS:
+        for level in range(17):
+            dt = 2.0**-level
+            m = _quiet_words(spec, dt)
+            assert m == _expected_quiet_words(spec, dt), (spec, level)
+            n_bounds["none"] += m == 0
+            n_bounds["near 1"] += m > 2**53 - 2**30
+            edge = m << 11
+            near = [edge + d for d in (-(2**11) - 1, -(2**11), -1, 0, 1, 2**11 - 1, 2**11)]
+            words = np.array(
+                [w for w in (0, 1, 2**11, 2**64 - 1, *near) if 0 <= w < 2**64], dtype=np.uint64
+            )
+            words = np.concatenate([words, random_words])
+            u = np.maximum((words >> 11) * 2.0**-53, 1e-300)
+            want = _increments_from_uniforms(spec, dt, u)
+            seen.clear()
+            got = _increments_from_raw(spec, dt, m, words, np.empty(words.size))
+            assert got.tobytes() == want.tobytes(), (spec, level)
+            sent = np.concatenate(seen) if seen else np.empty(0)
+            assert np.array_equal(sent, u[words >> 11 >= m] if m else u), (spec, level)
+    assert n_bounds["none"] >= 17 + 3 and n_bounds["near 1"] >= 17
+
+
+#: sha256 of the level-16 values over -4:14, as built with one SeedSequence
+#: per block
+BUILD_DIGESTS = {
+    "gamma": "83f549dd625c720caae0e151c30a6b97c3db38b7f023a381368848fe944a4ace",
+    "poisson": "e842ebbd0fafad22f82bb9c28e7547fa8ddac7a96dce49f7f2159dbe6ccc2695",
+}
+
+
+@pytest.mark.parametrize(
+    "family, spec", [("gamma", GammaDrift(1.0, 1.0, 1.0)), ("poisson", PoissonDrift(1.0, 1.0, 1.0))]
+)
+def test_level_16_build_digest(family, spec):
+    path = build_two_sided_path(spec, 16, -4 * 2**16, 14 * 2**16, RngSeed(1))
+    assert hashlib.sha256(path.values.tobytes()).hexdigest() == BUILD_DIGESTS[family]
+
+
+def test_concurrent_builds_equal_serial_builds():
+    # each run owns its Philox, so threads building at once (more threads
+    # than cores, switching often) cannot interleave their key resets
+    specs = (GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0))
+    window = (14, -2 * 2**14, 6 * 2**14)
+    serial = [build_two_sided_path(spec, *window, SEED).values for spec in specs]
+    n_threads = min(9, max(3, (os.cpu_count() or 1) + 1))
+    barrier = threading.Barrier(n_threads, timeout=60)
+    results = [[None] * len(specs) for _ in range(n_threads)]
+
+    def build(slot):
+        for i, spec in enumerate(specs):
+            barrier.wait()
+            results[slot][i] = build_two_sided_path(spec, *window, SEED).values
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        for want, values in zip(serial, got):
+            assert values is not None and values.tobytes() == want.tobytes()
 
 
 def test_stable_half_median():
