@@ -16,12 +16,16 @@ spawn_key=(stream_id, *substream, direction, b)).generate_state(2,
 np.uint64)``, read from counter 0: the stream ``stream_for`` gives for that
 key.  A run of blocks does not build a ``SeedSequence`` per block.  It takes
 the pool of the prefix ``(stream_id, *substream, direction)`` once, mixes the
-block word into it with ``SeedSequence``'s own hash for all blocks at once
-(:func:`_block_keys`), and resets one ``Philox`` to each block's key in turn.
+block word into it with ``SeedSequence``'s own hash for a batch of blocks at
+once (:func:`_block_keys`), and resets one ``Philox`` to each block's key in
+turn.  An eager build derives the keys of all its blocks in one batch; a lazy
+walk derives them in growing batches as it reads, so it never derives keys
+far past the block where it stops.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -182,9 +186,15 @@ def stream_for(seed: RngSeed, *key: int) -> Generator:
     return Generator(Philox(ss))
 
 
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """``Generator.random``'s doubles ``(w >> 11) 2^-53`` from raw words,
+    clamped away from the measure-2^-53 ``u == 0`` event."""
+    return np.maximum((raw >> 11) * 2.0**-53, 1e-300)
+
+
 def _open_uniforms(rng: Generator, size: int) -> np.ndarray:
-    # one 64-bit word per value; clamp away the measure-2^-53 u == 0 event
-    return np.maximum(rng.random(size), 1e-300)
+    # one 64-bit word per value, read in the order Generator.random reads them
+    return _uniforms(rng.bit_generator.random_raw(size))
 
 
 #: smallest normal float
@@ -320,20 +330,25 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, first: int) -> np.ndarray:
-    """Column of ``init * mult^(first + i)`` mod 2^32, ``i = 0 .. 4``."""
-    return np.array(
+    """Column of ``init * mult^(first + i)`` mod 2^32, ``i = 0 .. 4``
+    (read-only: one array serves every call)."""
+    consts = np.array(
         [[init * pow(mult, first + i, 1 << 32) & _MASK32] for i in range(5)], dtype=np.uint64
     )
+    consts.setflags(write=False)
+    return consts
 
 
 _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0)
 
 
-def _block_keys(prefix: SeedSequence, n_blocks: int) -> np.ndarray:
-    """Philox keys of blocks ``0 .. n_blocks - 1`` under ``prefix``, one row
-    each: row ``b`` is ``SeedSequence(prefix.entropy,
-    spawn_key=(*prefix.spawn_key, b)).generate_state(2, np.uint64)``.
+def _block_keys(prefix: SeedSequence, first: int, n_blocks: int) -> np.ndarray:
+    """Philox keys of blocks ``first .. first + n_blocks - 1`` under
+    ``prefix``, one row each: the row of block ``b`` is
+    ``SeedSequence(prefix.entropy, spawn_key=(*prefix.spawn_key,
+    b)).generate_state(2, np.uint64)``.
 
     ``SeedSequence`` mixes its first four entropy words (the root seed,
     zero-padded to four 32-bit words) into a four-word pool in 16 hash steps,
@@ -341,11 +356,12 @@ def _block_keys(prefix: SeedSequence, n_blocks: int) -> np.ndarray:
     So ``prefix.pool`` is the pool before the block word, and the hash
     constant has taken ``16 + 4 * (prefix words)`` steps.  The block word is
     mixed in, then ``generate_state``'s output hash is applied, all on 64-bit
-    lanes masked to 32 bits.  A block below ``2^32`` is one word.
+    lanes masked to 32 bits.  A block below ``2^32`` is one word; the keys of
+    any later block (``2^44`` increments on) come from ``SeedSequence``.
     """
     words = sum(max(1, (int(k).bit_length() + 31) // 32) for k in prefix.spawn_key)
     mix = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * words)
-    w = np.arange(n_blocks, dtype=np.uint64) ^ mix[:4]
+    w = np.arange(first, first + n_blocks, dtype=np.uint64) ^ mix[:4]
     w *= mix[1:]
     w &= _MASK32
     w ^= w >> 16
@@ -357,11 +373,21 @@ def _block_keys(prefix: SeedSequence, n_blocks: int) -> np.ndarray:
     w *= _STATE_CONSTS[1:]
     w &= _MASK32
     w ^= w >> 16
-    return (w[0::2] | w[1::2] << 32).T
+    keys = (w[0::2] | w[1::2] << 32).T
+    for b in range(max(first, 1 << 32), first + n_blocks):
+        spawn_key = (*prefix.spawn_key, b)
+        keys[b - first] = SeedSequence(prefix.entropy, spawn_key=spawn_key).generate_state(
+            2, np.uint64
+        )
+    return keys
 
 
 #: blocks drawn and transformed together in an eager run
 _GROUP = 8
+
+#: blocks in a lazy walk's first batch of keys; a batch of 64 costs about
+#: what one key costs, so most walks derive their keys in one step
+_WALK_KEYS = 64
 
 
 def _quiet_words(spec: ProcessSpec, dt: float) -> int:
@@ -387,12 +413,6 @@ def _quiet_words(spec: ProcessSpec, dt: float) -> int:
         k_lo, term = _poisson_start(spec.intensity * dt)
         u_q = float(term) if k_lo == 0 else 0.0
     return math.ceil(u_q * 2.0**53) if u_q > 1e-300 else 0
-
-
-def _uniforms(raw: np.ndarray) -> np.ndarray:
-    """``Generator.random``'s doubles from raw words, clamped like
-    :func:`_open_uniforms`."""
-    return np.maximum((raw >> 11) * 2.0**-53, 1e-300)
 
 
 def _increments_from_raw(
@@ -421,8 +441,11 @@ def _increments_from_raw(
 class _KeyedRun:
     """The keyed blocks ``0 .. n_blocks - 1`` of one direction of one path.
 
-    Every key is derived on construction, and one ``Philox`` is reset to each
-    block's key in turn, so a run is never shared between threads.
+    Keys are derived as blocks are read, in batches: ``batch`` blocks from
+    the first block read, then each batch twice the last, never past
+    ``n_blocks``.  So a walk that stops early derives keys only for about
+    the blocks it read.  One ``Philox`` is reset to each block's key in
+    turn, so a run is never shared between threads.
     """
 
     def __init__(
@@ -433,13 +456,24 @@ class _KeyedRun:
         substream: tuple[int, ...],
         direction: int,
         n_blocks: int,
+        batch: int,
     ) -> None:
-        prefix = SeedSequence(seed.root_seed, spawn_key=(seed.stream_id, *substream, direction))
+        self.prefix = SeedSequence(
+            seed.root_seed, spawn_key=(seed.stream_id, *substream, direction)
+        )
         self.spec, self.dt = spec, dt
         self.quiet = _quiet_words(spec, dt)
-        self.keys = _block_keys(prefix, n_blocks)
-        self.bitgen = Philox(prefix)
+        self.n_blocks, self.batch = n_blocks, batch
+        self.first, self.keys = 0, np.empty((0, 2), dtype=np.uint64)
+        self.bitgen = Philox(self.prefix)
         self.state = self.bitgen.state  # a fresh Philox: counter 0, empty buffer
+
+    def _key(self, block: int) -> np.ndarray:
+        if not self.first <= block < self.first + len(self.keys):
+            n = min(self.batch, self.n_blocks - block)
+            self.first, self.keys = block, _block_keys(self.prefix, block, n)
+            self.batch *= 2
+        return self.keys[block - self.first]
 
     def fill(self, block: int, out: np.ndarray) -> np.ndarray:
         """Write the first ``out.size`` increments from ``block`` on into
@@ -448,25 +482,11 @@ class _KeyedRun:
         beyond one block."""
         raw = out.view(np.uint64)
         for start in range(0, out.size, BLOCK):
-            self.state["state"]["key"] = self.keys[block + start // BLOCK]
+            self.state["state"]["key"] = self._key(block + start // BLOCK)
             self.bitgen.state = self.state
             stop = min(start + BLOCK, out.size)
-            raw[start:stop] = self.bitgen.random_raw(BLOCK)[: stop - start]
+            raw[start:stop] = self.bitgen.random_raw(stop - start)
         return _increments_from_raw(self.spec, self.dt, self.quiet, raw, out)
-
-
-def _increment_block(
-    spec: ProcessSpec,
-    dt: float,
-    seed: RngSeed,
-    direction: int,
-    block: int,
-    count: int = BLOCK,
-    substream: tuple[int, ...] = (),
-) -> np.ndarray:
-    """First ``count`` increments of one keyed block."""
-    run = _KeyedRun(spec, dt, seed, substream, direction, block + 1)
-    return run.fill(block, np.empty(count))
 
 
 def _increment_run(
@@ -480,7 +500,7 @@ def _increment_run(
     """Fill ``out`` with the first ``out.size`` increments of one direction,
     ``_GROUP`` keyed blocks at a time; ``out`` may be a strided view."""
     n_blocks = -(-out.size // BLOCK)
-    run = _KeyedRun(spec, dt, seed, substream, direction, n_blocks)
+    run = _KeyedRun(spec, dt, seed, substream, direction, n_blocks, n_blocks)
     for block in range(0, n_blocks, _GROUP):
         run.fill(block, out[block * BLOCK : (block + _GROUP) * BLOCK])
     return out
@@ -498,11 +518,13 @@ def forward_values_until(
     ``k <= count`` with ``x_k >= level``, or None if ``x_count < level``.
 
     Keyed blocks are drawn one at a time and the walk stops at the block
-    holding the hit, so no later block is materialized.  Each block's sum
-    carries the previous block's last value into its first increment: one
-    sequential sum, bitwise equal to the eager :func:`build_two_sided_path`.
+    holding the hit, so no later block is materialized and its key is
+    derived only if it shares a batch with a block read: the cost of a walk
+    follows the hit, not ``count``.  Each block's sum carries the previous
+    block's last value into its first increment: one sequential sum, bitwise
+    equal to the eager :func:`build_two_sided_path`.
     """
-    run = _KeyedRun(spec, dt, seed, substream, _FORWARD, -(-count // BLOCK))
+    run = _KeyedRun(spec, dt, seed, substream, _FORWARD, -(-count // BLOCK), _WALK_KEYS)
     chunks: list[np.ndarray] = []
     total = 0.0
     for block, start in enumerate(range(0, count, BLOCK)):

@@ -21,9 +21,10 @@ from goupsim.levy_paths import (
     RngSeed,
     StableHalf,
     WindowError,
+    _WALK_KEYS,
+    _KeyedRun,
     _block_keys,
     _gamma_log_cut,
-    _increment_block,
     _increments_from_raw,
     _increments_from_uniforms,
     _open_uniforms,
@@ -254,12 +255,15 @@ def test_poisson_icdf_unchanged_outside_subnormal_band(lam, digest):
 
 
 def _path_by_concatenation(spec, n_max, k_min, k_max, seed):
-    """Reference build: whole blocks concatenated, then one cumsum per side."""
+    """Reference build: whole blocks, each from its own ``stream_for`` stream,
+    concatenated, then one cumsum per side."""
     dt = 2.0**-n_max
 
     def run(direction, count):
         blocks = [
-            _increment_block(spec, dt, seed, direction, j, min(BLOCK, count - j * BLOCK))
+            _increments_from_uniforms(
+                spec, dt, _open_uniforms(stream_for(seed, direction, j), BLOCK)
+            )[: count - j * BLOCK]
             for j in range((count + BLOCK - 1) // BLOCK)
         ]
         return np.concatenate(blocks) if blocks else np.empty(0)
@@ -294,12 +298,25 @@ def test_block_keys_equal_seed_sequence(root):
     prefixes = [(0, 0), (7, 1), (2**32, 0), (2**40 + 3, 5, 1), (3, 2**33, 0, 9, 1)]
     for prefix in prefixes:
         ss = SeedSequence(root, spawn_key=prefix)
-        keys = _block_keys(ss, 300)
+        keys = _block_keys(ss, 0, 300)
         assert keys.shape == (300, 2) and keys.dtype == np.uint64
         for b in range(300):
             want = SeedSequence(root, spawn_key=(*prefix, b)).generate_state(2, np.uint64)
             assert np.array_equal(keys[b], want), (root, prefix, b)
-        assert np.array_equal(_block_keys(ss, 7), keys[:7])
+        assert np.array_equal(_block_keys(ss, 0, 7), keys[:7])
+        assert np.array_equal(_block_keys(ss, 123, 45), keys[123:168])
+        # blocks from 2^32 on are two spawn-key words
+        wide = _block_keys(ss, 2**32 - 2, 4)
+        for i, b in enumerate(range(2**32 - 2, 2**32 + 2)):
+            want = SeedSequence(root, spawn_key=(*prefix, b)).generate_state(2, np.uint64)
+            assert np.array_equal(wide[i], want), (root, prefix, b)
+
+
+def test_open_uniforms_are_generator_random_clamped():
+    # the raw-word rule that keyed blocks share is Generator.random's
+    got = _open_uniforms(stream_for(SEED, 5), 10**5)
+    want = np.maximum(stream_for(SEED, 5).random(10**5), 1e-300)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", [GammaDrift(0.5, 1.0, 0.25), PoissonDrift(3.0, 1.0, 0.5), StableHalf()])
@@ -321,7 +338,9 @@ def test_keyed_blocks_equal_their_stream_for_streams(spec):
                 ]
             )[:count]
             assert got.tobytes() == want.tobytes(), (substream, direction)
-            one = _increment_block(spec, dt, seed, direction, 2, 9, substream)
+            # a run whose first read is block 2 derives its first key there
+            run = _KeyedRun(spec, dt, seed, substream, direction, 3, 1)
+            one = run.fill(2, np.empty(9))
             assert one.tobytes() == want[2 * BLOCK :].tobytes()
 
 
@@ -527,6 +546,32 @@ def test_forward_values_until_is_the_eager_prefix(level, hit_block):
     assert (k - 1) // BLOCK >= hit_block
     assert np.array_equal(got, fwd[:k])
     assert got[-1] >= level and (k == 1 or got[-2] < level)
+
+
+def test_forward_values_until_derives_keys_only_near_the_hit(monkeypatch):
+    # a count of 2^53 increments (about 2^41 blocks) costs the walk nothing
+    # beyond the batches holding the blocks it reads
+    derived = []
+
+    def recording(prefix, first, n_blocks):
+        derived.append((first, n_blocks))
+        return _block_keys(prefix, first, n_blocks)
+
+    monkeypatch.setattr("goupsim.levy_paths._block_keys", recording)
+    spec = GammaDrift(1.0, 1.0, 1.0)  # about 32 per block at level 8
+    fwd = build_two_sided_path(spec, 8, 0, (_WALK_KEYS + 24) * BLOCK, SEED, (4,)).values[1:]
+    first, second = (0, _WALK_KEYS), (_WALK_KEYS, 2 * _WALK_KEYS)
+    for level, batches in ((1.0, [first]), (34.0 * _WALK_KEYS, [first, second])):
+        derived.clear()
+        got = forward_values_until(spec, 2.0**-8, SEED, level, 2**53, (4,))
+        k = int(np.argmax(fwd >= level)) + 1
+        assert fwd[-1] >= level and len(batches) - 1 == (k - 1) // BLOCK // _WALK_KEYS
+        assert got.tobytes() == fwd[:k].tobytes()
+        assert derived == batches
+    # no batch reaches past the last block the count reaches
+    derived.clear()
+    assert forward_values_until(spec, 2.0**-8, SEED, 1e9, _WALK_KEYS * BLOCK + 1, (4,)) is None
+    assert derived == [first, (_WALK_KEYS, 1)]
 
 
 def test_build_windows_nest_bitwise():
