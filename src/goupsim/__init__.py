@@ -8,7 +8,7 @@ dyadic grids.  The package provides
 * ``levy_paths``              reproducible two-sided path sampling, aggregation
                               across dyadic levels, polygon/step evaluation and
                               generalized inverses,
-* ``bridge_tree``             stable-1/2 paths as keyed dyadic bridge trees,
+* ``bridge_tree``             paths of every family as keyed dyadic bridge trees,
                               searched by descent (hit index, value at a
                               grid index) without materializing a window,
 * ``goupillaud``              media, broken and limiting characteristic curves,

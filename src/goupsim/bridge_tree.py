@@ -1,27 +1,35 @@
-"""Stable-1/2 paths as keyed dyadic bridge trees, sampled coarse to fine.
+"""Levy paths as keyed dyadic bridge trees, sampled coarse to fine.
 
 Each side of a path (forward from ``t = 0``, or backward, where the side's
 value at time ``s >= 0`` is ``-x(-s)``) is a row of unit-length top nodes.
-Top node ``j`` covers ``(j, j+1]`` and carries the increment
-``L(1) = 1/Z^2``; the side's values at the integers are the running sum of
-those increments.  A node of length ``2h`` and sum ``v`` splits into two
-halves of length ``h`` by one exact bridge draw: with ``s = Z sqrt(v)/h``
-the left half is ``v r``, ``r = (1 + s/sqrt(s^2 + 4))/2``, because under the
-conditional law ``f_h(u) f_h(v-u) / f_2h(v)`` of the left half the quantity
-``(2r - 1)/sqrt(r(1 - r)) h/sqrt(v)`` is standard normal.  The value at a
-node's midpoint is ``min(lo + left, hi)``, with ``lo`` and ``hi`` the values
-at its ends, so every dyadic time has one value, shared by every level, and
-the values never decrease.
+A node carries its jump sum ``v``, the part of its increment beyond the
+deterministic ``drift * length``.  Top node ``j`` covers ``(j, j+1]`` and its
+increment ``L(1) = v + drift`` comes from the unit-time quantile of one
+uniform: ``1/Z^2`` for stable-1/2 (``Z = ndtri(u)``, no drift),
+``scale * gammaincinv(shape_rate, u)`` for Gamma and
+``jump_size * poisson_icdf(intensity, u)`` for Poisson.  The side's values at
+the integers are the running sum of those increments.  A node of length
+``2h`` splits its jump sum into two halves of length ``h`` by one exact
+draw from the law of the left half given ``v``,
+``f_h(u) f_h(v-u) / f_2h(v)`` (:func:`split`): a closed-form bridge for
+stable-1/2, Beta(``shape_rate h``, ``shape_rate h``) for Gamma (Avramidis,
+L'Ecuyer & Tremblay, WSC 2003; Ribeiro & Webber, J. Comput. Finance 7, 2004)
+and Binomial(count, 1/2) for the Poisson count.  A node with no jumps splits
+into two without a draw.  The value at a node's midpoint is
+``min(lo + (drift h + left), hi)``, with ``lo`` and ``hi`` the values at its
+ends, so every dyadic time has one value, shared by every level, and the
+values never decrease.
 
-Every ``Z`` is ``ndtri`` of one 64-bit word of Philox4x64-10 (Salmon et al.,
-SC'11), computed here for whole arrays of counters at once.  The key comes
-from the run's seed under the purpose tag ``PURPOSE``; the counter of a draw
-is ``(node index, code << 1 | side, sample, 0)``, where ``code`` is 0 for a
-top node's increment and ``d + 1`` for the split of a node at depth ``d``.
-Any node of any sample can therefore be drawn on its own, in any order, with
-bitwise the same value.  A search that knows which node it needs (the one
-holding a crossing, or a grid time) descends into that node alone: a level-n
-value costs ``n`` draws, not the ``2^n`` increments of a unit of time.
+Every uniform is the top 53 bits of one 64-bit word of Philox4x64-10
+(Salmon et al., SC'11), computed here for whole arrays of counters at once.
+The key comes from the run's seed under the purpose tag ``PURPOSE``; the
+counter of a draw is ``(node index, code << 1 | side, sample, 0)``, where
+``code`` is 0 for a top node's increment and ``d + 1`` for the split of a
+node at depth ``d``, the same for every family.  Any node of any sample can
+therefore be drawn on its own, in any order, with bitwise the same value.  A
+search that knows which node it needs (the one holding a crossing, or a grid
+time) descends into that node alone: a level-n value costs at most ``n``
+draws, not the ``2^n`` increments of a unit of time.
 """
 
 from __future__ import annotations
@@ -30,9 +38,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.random import SeedSequence
-from scipy.special import ndtri
+from scipy.special import bdtr, betaincinv, gammaincinv, ndtri
 
-from .levy_paths import RngSeed
+from .levy_paths import GammaDrift, PoissonDrift, ProcessSpec, RngSeed, StableHalf, poisson_icdf
 
 __all__ = [
     "PURPOSE",
@@ -40,7 +48,7 @@ __all__ = [
     "BACKWARD",
     "tree_key",
     "philox4x64",
-    "top_increments",
+    "top_jumps",
     "split",
     "hit_index",
     "values_at",
@@ -64,6 +72,9 @@ _W1 = 0xBB67AE8584CAA73B
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
+
+#: smallest normal float
+_TINY = np.finfo(float).tiny
 
 
 def tree_key(seed: RngSeed) -> np.ndarray:
@@ -114,50 +125,113 @@ def philox4x64(counter, key) -> np.ndarray:
     return np.stack([c0, c1, c2, c3])
 
 
-def _node_normals(key, index, code, side, sample) -> np.ndarray:
-    """One standard normal per counter ``(index, code << 1 | side, sample,
-    0)`` (broadcast): ``ndtri`` of the first output word's top 53 bits, at
-    the midpoint of its 2^-53 cell, so ``u`` is never 0, 1 or 1/2."""
+def _node_uniforms(key, index, code, side, sample) -> np.ndarray:
+    """One uniform per counter ``(index, code << 1 | side, sample, 0)``
+    (broadcast): the first output word's top 53 bits, at the midpoint of its
+    2^-53 cell, so ``u`` is never 0, 1 or 1/2."""
     index, code, side, sample = (
         np.asarray(a, dtype=np.uint64) for a in (index, code, side, sample)
     )
     word = philox4x64((index, (code << np.uint64(1)) | side, sample, 0), key)[0]
-    return ndtri(((word >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53)
+    return ((word >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
 
 
-def top_increments(key, side, sample, index) -> np.ndarray:
-    """Increments ``L(1) = 1/Z^2`` of the top nodes ``index`` (broadcast)."""
-    z = _node_normals(key, index, 0, side, sample)
-    return 1.0 / (z * z)
+def _drift(spec: ProcessSpec) -> float:
+    return 0.0 if isinstance(spec, StableHalf) else spec.drift
 
 
-def split(key, side, sample, depth: int, index, v) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right halves of the depth-``depth`` nodes ``index`` with sums
-    ``v``: one normal each, drawn under code ``depth + 1``.
+def top_jumps(spec: ProcessSpec, key, side, sample, index) -> np.ndarray:
+    """Jump sums ``L(1) - drift`` of the top nodes ``index`` (broadcast), by
+    the unit-time quantile of each node's uniform."""
+    u = _node_uniforms(key, index, 0, side, sample)
+    if isinstance(spec, GammaDrift):
+        return spec.scale * gammaincinv(spec.shape_rate, u)
+    if isinstance(spec, PoissonDrift):
+        return spec.jump_size * poisson_icdf(spec.intensity, u)
+    if isinstance(spec, StableHalf):
+        z = ndtri(u)
+        return 1.0 / (z * z)
+    raise TypeError(f"unsupported process spec: {spec!r}")
 
-    The smaller half is ``2v / (q (q + |s|))`` with ``q = sqrt(s^2 + 4)``,
-    the same as ``v min(r, 1 - r)`` without the cancellation in ``1 - r``
-    for large ``|s|``, and the larger one is ``v`` minus it."""
-    z = _node_normals(key, index, depth + 1, side, sample)
-    s = z * np.sqrt(v) * 2.0 ** (depth + 1)
-    q = np.sqrt(s * s + 4.0)
-    small = 2.0 * v / (q * (q + np.abs(s)))
+
+def _binomial_half_icdf(n: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Smallest ``k`` with ``u < bdtr(k, n, 1/2)``, by bisection on ``0 .. n``
+    (``bdtr(n, n, 1/2) = 1 > u``)."""
+    lo, hi = np.zeros_like(n), n.copy()
+    rows = np.flatnonzero(hi > 0)
+    while rows.size:
+        mid = (lo[rows] + hi[rows]) >> 1
+        left = u[rows] < bdtr(mid, n[rows], 0.5)
+        hi[rows] = np.where(left, mid, hi[rows])
+        lo[rows] = np.where(left, lo[rows], mid + 1)
+        rows = rows[lo[rows] < hi[rows]]
+    return lo
+
+
+def split(spec: ProcessSpec, key, side, sample, depth: int, index, v) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right jump sums of the depth-``depth`` nodes ``index`` with
+    jump sums ``v`` (broadcast): one uniform ``u`` each, drawn under code
+    ``depth + 1``.  A node with ``v = 0`` splits into zeros without a draw.
+
+    * Stable-1/2: with ``s = ndtri(u) sqrt(v)/h`` the left half is ``v r``,
+      ``r = (1 + s/q)/2`` and ``q = sqrt(s^2 + 4)``, because under the bridge
+      law the quantity ``(2r - 1)/sqrt(r(1 - r)) h/sqrt(v)`` is standard
+      normal.  The smaller half is ``2v / (q (q + |s|))``, the same as
+      ``v min(r, 1 - r)`` without the cancellation in ``1 - r`` for large
+      ``|s|``.
+    * Gamma: the smaller half is ``v betaincinv(a, a, min(u, 1 - u))``, with
+      ``a = shape_rate h``; a quotient at or below the smallest normal float
+      is 0, as ``betaincinv`` returns that float for every quantile that
+      underflows.
+    * Either way the smaller half is the right one where ``u > 1/2``, and the
+      larger one is ``v`` minus it, so no ``1 - r`` is ever formed.
+    * Poisson: the left count is the exact Binomial(count, 1/2) quantile of
+      ``u``, the right one the rest.
+    """
+    arrays = np.broadcast_arrays(side, sample, index, np.asarray(v, dtype=float))
+    return _split(spec, key, depth, *arrays)
+
+
+def _split(spec, key, depth: int, side, sample, index, v) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`split` of arrays of one shape."""
+    live = v > 0.0
+    if not live.all():
+        left, right = np.zeros(v.shape), np.zeros(v.shape)
+        if live.any():
+            left[live], right[live] = _split(
+                spec, key, depth, side[live], sample[live], index[live], v[live]
+            )
+        return left, right
+    u = _node_uniforms(key, index, depth + 1, side, sample)
+    if isinstance(spec, PoissonDrift):
+        n = np.rint(v / spec.jump_size).astype(np.int64)
+        k = _binomial_half_icdf(n, u)
+        return spec.jump_size * k, spec.jump_size * (n - k)
+    if isinstance(spec, GammaDrift):
+        a = spec.shape_rate * 2.0 ** -(depth + 1)
+        r = betaincinv(a, a, np.minimum(u, 1.0 - u))
+        small = v * np.where(r > _TINY, r, 0.0)
+    else:
+        s = ndtri(u) * np.sqrt(v) * 2.0 ** (depth + 1)
+        q = np.sqrt(s * s + 4.0)
+        small = 2.0 * v / (q * (q + np.abs(s)))
     large = v - small
-    right_small = s > 0.0
+    right_small = u > 0.5
     return np.where(right_small, large, small), np.where(right_small, small, large)
 
 
 def _top_nodes(
-    key, side: np.ndarray, sample: np.ndarray, count: int, stop: Callable
+    spec: ProcessSpec, key, side: np.ndarray, sample: np.ndarray, count: int, stop: Callable
 ) -> tuple[np.ndarray, ...]:
     """Per sample, the first top node among ``0 .. count-1`` whose
     ``stop(rows, j, right_values)`` is true, with the values at its ends and
-    its increment; node -1 where none is.
+    its jump sum; node -1 where none is.
 
     Top nodes are drawn ``_TOP_BATCH`` at a time for the samples still
     searching, and each batch's sum starts from the running sum carried into
     its first increment, so every value equals one sequential sum."""
     n = sample.size
+    drift = _drift(spec)
     node = np.full(n, -1, dtype=np.int64)
     lo, hi, v = np.zeros(n), np.zeros(n), np.zeros(n)
     rows = np.arange(n)
@@ -166,8 +240,8 @@ def _top_nodes(
         if rows.size == 0:
             break
         j = np.arange(j0, min(j0 + _TOP_BATCH, count))
-        inc = top_increments(key, side[rows, None], sample[rows, None], j[None, :])
-        cum = inc.copy()
+        jumps = top_jumps(spec, key, side[rows, None], sample[rows, None], j[None, :])
+        cum = jumps + drift
         cum[:, 0] += carry
         np.cumsum(cum, axis=1, out=cum)
         hit = stop(rows, j, cum)
@@ -177,20 +251,21 @@ def _top_nodes(
         r = rows[f]
         node[r] = j[c]
         hi[r] = cum[f, c]
-        v[r] = inc[f, c]
+        v[r] = jumps[f, c]
         lo[r] = np.where(c > 0, cum[f, c - 1], carry[f])
         carry = cum[~found, -1]
         rows = rows[~found]
     return node, lo, hi, v
 
 
-def _descend(key, side, sample, node, lo, hi, v, levels: int, go_left: Callable) -> tuple:
+def _descend(spec, key, side, sample, node, lo, hi, v, levels: int, go_left: Callable) -> tuple:
     """Walk ``levels`` levels down from depth-0 nodes, splitting only the
     node walked into: ``go_left(depth, mid)`` picks the half per sample.
     Returns the leaf indices and the values at their ends."""
+    drift = _drift(spec)
     for depth in range(levels):
-        left, right = split(key, side, sample, depth, node, v)
-        mid = np.minimum(lo + left, hi)
+        left, right = _split(spec, key, depth, side, sample, node, v)
+        mid = np.minimum(lo + (drift * 2.0 ** -(depth + 1) + left), hi)
         to_left = go_left(depth, mid)
         node = 2 * node + ~to_left
         lo = np.where(to_left, lo, mid)
@@ -199,27 +274,30 @@ def _descend(key, side, sample, node, lo, hi, v, levels: int, go_left: Callable)
     return node, lo, hi
 
 
-def hit_index(key, level: int, x0: float, k_max: int, sample) -> np.ndarray:
+def hit_index(spec: ProcessSpec, key, level: int, x0: float, k_max: int, sample) -> np.ndarray:
     """Per sample, the first grid index ``1 <= k <= k_max`` at ``level``
     whose forward value reaches ``x0 > 0``, or 0 where none does."""
     sample = np.asarray(sample, dtype=np.int64)
     count = -(-k_max >> level)  # top nodes covering (0, k_max]
     side = np.full(sample.size, FORWARD)
-    node, lo, hi, v = _top_nodes(key, side, sample, count, lambda rows, j, cum: cum >= x0)
+    node, lo, hi, v = _top_nodes(
+        spec, key, side, sample, count, lambda rows, j, cum: cum >= x0
+    )
     out = np.zeros(sample.size, dtype=np.int64)
     ok = np.flatnonzero(node >= 0)
     leaf, _, _ = _descend(
-        key, side[ok], sample[ok], node[ok], lo[ok], hi[ok], v[ok], level,
+        spec, key, side[ok], sample[ok], node[ok], lo[ok], hi[ok], v[ok], level,
         lambda depth, mid: mid >= x0,
     )
     out[ok] = np.where(leaf < k_max, leaf + 1, 0)
     return out
 
 
-def values_at(key, level: int, k, sample) -> np.ndarray:
+def values_at(spec: ProcessSpec, key, level: int, k, sample) -> np.ndarray:
     """Path values ``x_k`` at grid indices ``k`` of ``level``, one index per
-    sample (1-d arrays; either side, ``x_0 = 0``).  The value at ``k != 0`` is the right end of
-    its side's leaf ``|k| - 1``, found by descending along that leaf's bits."""
+    sample (1-d arrays; either side, ``x_0 = 0``).  The value at ``k != 0`` is
+    the right end of its side's leaf ``|k| - 1``, found by descending along
+    that leaf's bits."""
     k = np.asarray(k, dtype=np.int64)
     sample = np.asarray(sample, dtype=np.int64)
     out = np.zeros(k.shape)
@@ -230,13 +308,13 @@ def values_at(key, level: int, k, sample) -> np.ndarray:
     leaf = np.abs(k[nz]) - 1
     top = leaf >> level
     node, lo, hi, v = _top_nodes(
-        key, side, sample[nz], int(top.max()) + 1,
+        spec, key, side, sample[nz], int(top.max()) + 1,
         lambda rows, j, cum: j[None, :] == top[rows, None],
     )
 
     def go_left(depth, mid):
         return (leaf >> (level - depth - 1)) & 1 == 0
 
-    _, _, value = _descend(key, side, sample[nz], node, lo, hi, v, level, go_left)
+    _, _, value = _descend(spec, key, side, sample[nz], node, lo, hi, v, level, go_left)
     out[nz] = np.where(side == BACKWARD, -value, value)
     return out

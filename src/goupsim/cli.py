@@ -13,7 +13,9 @@ Global flags (``--seed``, ``--out``, ``--threads``) can also be set through
 environment variables with the ``GOUPSIM_`` prefix (``GOUPSIM_SEED``,
 ``GOUPSIM_OUT``, ``GOUPSIM_THREADS``); flags win over the environment.
 ``--tol-abs`` and ``--tol-rel`` are still accepted but no longer affect any
-output: the base-point law is evaluated in closed form.
+output: the base-point law is evaluated in closed form.  ``--threads`` is
+still accepted, and refused below 1, but no longer affects any output either:
+every Monte Carlo sampler runs in one process.
 
 Every command writes ``manifest.json`` echoing the resolved scientific
 configuration; rerunning from the same manifest reproduces all numeric
@@ -73,8 +75,7 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        help="worker processes for Gamma/Poisson Monte Carlo sampling (stable-1/2 "
-        "sampling runs in one process); results are identical for any count "
+        help="accepted for compatibility (at least 1); no longer affects any output "
         "(env GOUPSIM_THREADS)",
     )
     for flag in ("--tol-abs", "--tol-rel"):
@@ -355,7 +356,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
         result = montecarlo_validation.validate_basepoints(
             spec, args.x0, args.t0, cfg, l1_max=args.l1_max, hist_hi=args.hist_hi,
-            workers=args.threads, with_ks=not args.no_ks,
+            with_ks=not args.no_ks,
         )
     except ValueError as exc:
         raise SystemExit(f"invalid validation input: {exc}")

@@ -14,13 +14,14 @@ identical values.
 Block ``b`` is the Philox4x64 stream whose key is ``SeedSequence(root_seed,
 spawn_key=(stream_id, *substream, direction, b)).generate_state(2,
 np.uint64)``, read from counter 0: the stream ``stream_for`` gives for that
-key.  A run of blocks does not build a ``SeedSequence`` per block.  It takes
-the pool of the prefix ``(stream_id, *substream, direction)`` once, mixes the
-block word into it with ``SeedSequence``'s own hash for a batch of blocks at
-once (:func:`_block_keys`), and resets one ``Philox`` to each block's key in
-turn.  An eager build derives the keys of all its blocks in one batch; a lazy
-walk derives them in growing batches as it reads, so it never derives keys
-far past the block where it stops.
+key.  A build does not make a ``SeedSequence`` per block.  It takes the pool
+of the prefix ``(stream_id, *substream, direction)`` once, mixes every block
+word into it with ``SeedSequence``'s own hash in one batch
+(:func:`_block_keys`), and resets one ``Philox`` to each block's key in turn.
+
+Monte Carlo base points do not read these streams: they descend keyed bridge
+trees (:mod:`goupsim.bridge_tree`), whose Poisson top nodes reuse
+:func:`poisson_icdf`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ __all__ = [
     "WindowError",
     "stream_for",
     "sample_increment",
-    "forward_values_until",
+    "poisson_icdf",
     "build_two_sided_path",
     "aggregate_to_level",
     "polygon_eval",
@@ -202,7 +203,7 @@ _TINY = np.finfo(float).tiny
 
 
 def _poisson_start(lam: float) -> tuple[int, float]:
-    """``(k_lo, P(K = k_lo))``: where :func:`_poisson_icdf` starts its sum."""
+    """``(k_lo, P(K = k_lo))``: where :func:`poisson_icdf` starts its sum."""
     term = np.exp(-lam)
     if term >= _TINY:
         return 0, term
@@ -210,8 +211,9 @@ def _poisson_start(lam: float) -> tuple[int, float]:
     return k_lo, np.exp(k_lo * np.log(lam) - lam - gammaln(k_lo + 1.0))
 
 
-def _poisson_icdf(lam: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized Poisson quantile: smallest k with u < P(K <= k).
+def poisson_icdf(lam: float, u: np.ndarray) -> np.ndarray:
+    """Vectorized Poisson quantile: smallest k with u < P(K <= k), for ``u``
+    of any shape.
 
     The cumulative probabilities do not depend on ``u``, so they are summed
     once as scalars, only as far as the largest ``u`` needs, and each ``u``
@@ -226,8 +228,8 @@ def _poisson_icdf(lam: float, u: np.ndarray) -> np.ndarray:
     """
     k_lo, term = _poisson_start(lam)
     out = np.zeros(u.shape, dtype=np.int64)
-    tail = np.flatnonzero(u >= term)  # every other u has k = k_lo
-    if tail.size:
+    tail = u >= term  # every other u has k = k_lo
+    if tail.any():
         u_tail = u[tail]
         u_max = u_tail.max()
         cdf = [term]
@@ -300,7 +302,7 @@ def _increments_from_uniforms(spec: ProcessSpec, dt: float, u: np.ndarray) -> np
         q[live] = gammaincinv(a, u[live])
         return spec.scale * q + spec.drift * dt
     if isinstance(spec, PoissonDrift):
-        counts = _poisson_icdf(spec.intensity * dt, u)
+        counts = poisson_icdf(spec.intensity * dt, u)
         return spec.jump_size * counts.astype(float) + spec.drift * dt
     if isinstance(spec, StableHalf):
         z = ndtri(u)
@@ -382,12 +384,8 @@ def _block_keys(prefix: SeedSequence, first: int, n_blocks: int) -> np.ndarray:
     return keys
 
 
-#: blocks drawn and transformed together in an eager run
+#: blocks drawn and transformed together in a build
 _GROUP = 8
-
-#: blocks in a lazy walk's first batch of keys; a batch of 64 costs about
-#: what one key costs, so most walks derive their keys in one step
-_WALK_KEYS = 64
 
 
 def _quiet_words(spec: ProcessSpec, dt: float) -> int:
@@ -403,7 +401,7 @@ def _quiet_words(spec: ProcessSpec, dt: float) -> int:
       least ``2^-30`` under ``cut``, far beyond the rounding of ``log`` and
       ``exp``, so ``log u <= cut`` and the quantile is skipped there too.
     * Poisson: ``u_q = exp(-lam dt) = P(K = 0)``, where the count is 0, kept
-      only when :func:`_poisson_icdf` sums from ``k_lo = 0``.
+      only when :func:`poisson_icdf` sums from ``k_lo = 0``.
     * Stable-1/2: no bound; every increment is a jump.
     """
     u_q = 0.0
@@ -439,14 +437,9 @@ def _increments_from_raw(
 
 
 class _KeyedRun:
-    """The keyed blocks ``0 .. n_blocks - 1`` of one direction of one path.
-
-    Keys are derived as blocks are read, in batches: ``batch`` blocks from
-    the first block read, then each batch twice the last, never past
-    ``n_blocks``.  So a walk that stops early derives keys only for about
-    the blocks it read.  One ``Philox`` is reset to each block's key in
-    turn, so a run is never shared between threads.
-    """
+    """The keyed blocks ``0 .. n_blocks - 1`` of one direction of one path,
+    their keys derived in one batch.  One ``Philox`` is reset to each block's
+    key in turn, so a run is never shared between threads."""
 
     def __init__(
         self,
@@ -456,24 +449,13 @@ class _KeyedRun:
         substream: tuple[int, ...],
         direction: int,
         n_blocks: int,
-        batch: int,
     ) -> None:
-        self.prefix = SeedSequence(
-            seed.root_seed, spawn_key=(seed.stream_id, *substream, direction)
-        )
+        prefix = SeedSequence(seed.root_seed, spawn_key=(seed.stream_id, *substream, direction))
         self.spec, self.dt = spec, dt
         self.quiet = _quiet_words(spec, dt)
-        self.n_blocks, self.batch = n_blocks, batch
-        self.first, self.keys = 0, np.empty((0, 2), dtype=np.uint64)
-        self.bitgen = Philox(self.prefix)
+        self.keys = _block_keys(prefix, 0, n_blocks)
+        self.bitgen = Philox(prefix)
         self.state = self.bitgen.state  # a fresh Philox: counter 0, empty buffer
-
-    def _key(self, block: int) -> np.ndarray:
-        if not self.first <= block < self.first + len(self.keys):
-            n = min(self.batch, self.n_blocks - block)
-            self.first, self.keys = block, _block_keys(self.prefix, block, n)
-            self.batch *= 2
-        return self.keys[block - self.first]
 
     def fill(self, block: int, out: np.ndarray) -> np.ndarray:
         """Write the first ``out.size`` increments from ``block`` on into
@@ -482,7 +464,7 @@ class _KeyedRun:
         beyond one block."""
         raw = out.view(np.uint64)
         for start in range(0, out.size, BLOCK):
-            self.state["state"]["key"] = self._key(block + start // BLOCK)
+            self.state["state"]["key"] = self.keys[block + start // BLOCK]
             self.bitgen.state = self.state
             stop = min(start + BLOCK, out.size)
             raw[start:stop] = self.bitgen.random_raw(stop - start)
@@ -500,65 +482,10 @@ def _increment_run(
     """Fill ``out`` with the first ``out.size`` increments of one direction,
     ``_GROUP`` keyed blocks at a time; ``out`` may be a strided view."""
     n_blocks = -(-out.size // BLOCK)
-    run = _KeyedRun(spec, dt, seed, substream, direction, n_blocks, n_blocks)
+    run = _KeyedRun(spec, dt, seed, substream, direction, n_blocks)
     for block in range(0, n_blocks, _GROUP):
         run.fill(block, out[block * BLOCK : (block + _GROUP) * BLOCK])
     return out
-
-
-def forward_values_until(
-    spec: ProcessSpec,
-    dt: float,
-    seed: RngSeed,
-    level: float,
-    count: int,
-    substream: tuple[int, ...] = (),
-) -> np.ndarray | None:
-    """Forward path values ``x_1 .. x_k`` up to and including the first
-    ``k <= count`` with ``x_k >= level``, or None if ``x_count < level``.
-
-    Keyed blocks are drawn one at a time and the walk stops at the block
-    holding the hit, so no later block is materialized and its key is
-    derived only if it shares a batch with a block read: the cost of a walk
-    follows the hit, not ``count``.  Each block's sum carries the previous
-    block's last value into its first increment: one sequential sum, bitwise
-    equal to the eager :func:`build_two_sided_path`.
-    """
-    run = _KeyedRun(spec, dt, seed, substream, _FORWARD, -(-count // BLOCK), _WALK_KEYS)
-    chunks: list[np.ndarray] = []
-    total = 0.0
-    for block, start in enumerate(range(0, count, BLOCK)):
-        inc = run.fill(block, np.empty(min(BLOCK, count - start)))
-        inc[0] += total
-        cum = np.cumsum(inc, out=inc)
-        chunks.append(cum)
-        if cum[-1] >= level:
-            hit = start + int(np.searchsorted(cum, level, side="left")) + 1
-            return np.concatenate(chunks)[:hit]
-        total = cum[-1]
-    return None
-
-
-def forward_increments(
-    spec: ProcessSpec,
-    dt: float,
-    seed: RngSeed,
-    count: int,
-    substream: tuple[int, ...] = (),
-) -> np.ndarray:
-    """Increments ``dx_k`` for ``k = 1 .. count``."""
-    return _increment_run(spec, dt, seed, _FORWARD, np.empty(count), substream)
-
-
-def backward_increments(
-    spec: ProcessSpec,
-    dt: float,
-    seed: RngSeed,
-    count: int,
-    substream: tuple[int, ...] = (),
-) -> np.ndarray:
-    """Increments ``dx_k`` for ``k = 0, -1, .. -(count-1)`` (that order)."""
-    return _increment_run(spec, dt, seed, _BACKWARD, np.empty(count), substream)
 
 
 def build_two_sided_path(

@@ -3,14 +3,10 @@
 Two sample sources:
 
 * ``sample_basepoints``      base points of limiting characteristics, one
-                             sampled path per sample: stable-1/2 paths are
-                             searched in keyed bridge trees
-                             (``bridge_tree``), two descents per sample, all
-                             samples in one process; Gamma and Poisson paths
-                             walk keyed substreams per sample index over a
-                             process pool (deterministic under any degree of
-                             parallelism; discarded samples consume their
-                             own draws),
+                             sampled path per sample, searched in its keyed
+                             bridge tree (``bridge_tree``) for every process
+                             family: two descents per sample, all samples in
+                             one process, every draw keyed by its sample,
 * ``bm_functionals_oracle``  Brownian-motion functionals (running maximum,
                              first argmax location, overshoot location) on a
                              fine spatial mesh; the recorded maximum is
@@ -29,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -48,15 +44,7 @@ from .ig_analytics import (
     default_z_grid,
     hit_under_bin_masses,
 )
-from .levy_paths import (
-    ProcessSpec,
-    RngSeed,
-    StableHalf,
-    backward_increments,
-    forward_values_until,
-    process_to_dict,
-    stream_for,
-)
+from .levy_paths import ProcessSpec, RngSeed, StableHalf, process_to_dict, stream_for
 
 __all__ = [
     "McConfig",
@@ -152,60 +140,16 @@ class Histogram:
 _UNREACHED = "unreached"           # the level is not reached by k_max
 _BEFORE_WINDOW = "before window"   # the shifted time falls before k_min
 
-
-def _one_basepoint(
-    spec: ProcessSpec,
-    x0: float,
-    t0: float,
-    cfg: McConfig,
-    sample: int,
-) -> float | str:
-    """Base point of one sampled Gamma or Poisson path, materializing only
-    the blocks that the evaluation actually reads (bitwise identical to
-    building the full window).  Returns ``_UNREACHED`` or ``_BEFORE_WINDOW``
-    when the window is exhausted at its upper or its lower end."""
-    dt = 2.0**-cfg.n_max
-    k_min, k_max = cfg.window
-    sub = (sample,)
-    fwd = forward_values_until(spec, dt, cfg.root_seed, x0, k_max, sub)
-    if fwd is None:
-        return _UNREACHED
-
-    # grid index of the shifted time  hitting_time - t0  (step semantics)
-    m = int(np.floor(fwd.size - t0 * 2.0**cfg.n_max))
-    if m < k_min:
-        return _BEFORE_WINDOW
-    if m >= 0:
-        return float(fwd[m - 1]) if m > 0 else 0.0
-    bwd = backward_increments(spec, dt, cfg.root_seed, -m, sub)
-    return float(-np.cumsum(bwd)[-1])
-
-
-def _basepoint_chunk(args) -> tuple[list[int], list[float], Counter]:
-    spec, x0, t0, cfg, lo, hi = args
-    indices: list[int] = []
-    values: list[float] = []
-    failures: Counter = Counter()
-    for i in range(lo, hi):
-        v = _one_basepoint(spec, x0, t0, cfg, i)
-        if isinstance(v, str):
-            failures[v] += 1
-        else:
-            indices.append(i)
-            values.append(v)
-    return indices, values, failures
-
-
-#: samples whose stable-1/2 trees are searched together
+#: samples whose trees are searched together
 _TREE_CHUNK = 4096
 
 
 def _tree_basepoints(
-    x0: float, t0: float, cfg: McConfig
+    spec: ProcessSpec, x0: float, t0: float, cfg: McConfig
 ) -> tuple[np.ndarray, np.ndarray, Counter]:
-    """Stable-1/2 base points from each sample's bridge tree: one descent to
-    the hit, one to the shifted time, ``_TREE_CHUNK`` samples at a time.
-    Every draw is keyed by its sample, so the chunking changes no value."""
+    """Base points from each sample's bridge tree: one descent to the hit,
+    one to the shifted time, ``_TREE_CHUNK`` samples at a time.  Every draw
+    is keyed by its sample, so the chunking changes no value."""
     key = tree_key(cfg.root_seed)
     k_min, k_max = cfg.window
     indices: list[np.ndarray] = []
@@ -213,7 +157,7 @@ def _tree_basepoints(
     failures: Counter = Counter()
     for lo in range(0, cfg.n_samples, _TREE_CHUNK):
         sample = np.arange(lo, min(lo + _TREE_CHUNK, cfg.n_samples))
-        hit = hit_index(key, cfg.n_max, x0, k_max, sample)
+        hit = hit_index(spec, key, cfg.n_max, x0, k_max, sample)
         # grid index of the shifted time  hitting_time - t0  (step semantics)
         m = np.floor(hit - t0 * 2.0**cfg.n_max)
         unreached = hit == 0
@@ -222,7 +166,7 @@ def _tree_basepoints(
         failures[_UNREACHED] += int(unreached.sum())
         failures[_BEFORE_WINDOW] += int(before.sum())
         indices.append(sample[ok])
-        values.append(values_at(key, cfg.n_max, m[ok].astype(np.int64), sample[ok]))
+        values.append(values_at(spec, key, cfg.n_max, m[ok].astype(np.int64), sample[ok]))
     return np.concatenate(indices), np.concatenate(values), failures
 
 
@@ -231,45 +175,24 @@ def sample_basepoints(
     x0: float,
     t0: float,
     cfg: McConfig,
-    workers: int = 1,
 ) -> BasepointSamples:
-    """Base points of ``cfg.n_samples`` independently sampled paths.
-
-    Stable-1/2 samples are searched in their keyed bridge trees
-    (:mod:`goupsim.bridge_tree`), all in this process.  Gamma and Poisson
-    sample ``i`` walks the keyed blocks of substream ``(root_seed, i)``,
-    over ``workers`` processes.  Either way the output is bitwise
-    independent of ``workers``.  Per-sample window exhaustion is counted by
-    the end of the window it hits; a failure rate above 1% raises with both
-    counts and the end of the window to widen.
+    """Base points of ``cfg.n_samples`` independently sampled paths, each
+    searched in its keyed bridge tree (:mod:`goupsim.bridge_tree`), all in
+    this process.  Per-sample window exhaustion is counted by the end of the
+    window it hits; a failure rate above 1% raises with both counts and the
+    end of the window to widen.
     """
-    if not t0 > 0.0:
-        raise ValueError(f"t0 must be positive, got {t0}")
+    if not 0.0 < t0 < np.inf:
+        raise ValueError(f"t0 must be positive and finite, got {t0}")
     if not 0.0 < x0 < np.inf:
         raise ValueError(
             f"x0 must be positive and finite (forward hitting search only), got {x0}"
         )
     n = cfg.n_samples
-    if isinstance(spec, StableHalf):
-        indices, values, failures = _tree_basepoints(x0, t0, cfg)
-    elif workers > 1:
-        bounds = np.linspace(0, n, workers * 4 + 1, dtype=int)
-        tasks = [
-            (spec, x0, t0, cfg, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_basepoint_chunk, tasks))
-        indices = [i for part in parts for i in part[0]]
-        values = [v for part in parts for v in part[1]]
-        failures = sum((part[2] for part in parts), Counter())
-    else:
-        indices, values, failures = _basepoint_chunk((spec, x0, t0, cfg, 0, n))
-
+    indices, values, failures = _tree_basepoints(spec, x0, t0, cfg)
     samples = BasepointSamples(
-        values=np.asarray(values, dtype=float),
-        indices=np.asarray(indices, dtype=np.int64),
+        values=values,
+        indices=indices,
         n_requested=n,
         n_unreached=failures[_UNREACHED],
         n_before_window=failures[_BEFORE_WINDOW],
@@ -363,13 +286,9 @@ def bm_functionals_oracle(
     thread pool as wide as the CPUs this process may use: numpy fills and
     sums arrays without holding the GIL, and each batch's generators have
     their own locks.  The output is bitwise the same for any thread count.
-    ``sample_basepoints`` runs its Gamma/Poisson block walks on a process
-    pool instead, since those blocks spend most of their time holding the
-    GIL; its stable-1/2 tree descents need no pool, as 2000 headline samples
-    take a few tens of milliseconds in one process.
     """
-    if not x > 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"x must be positive and finite, got {x}")
     if not 0.0 < step < x:
         raise ValueError("need 0 < step < x")
     n_steps = int(round(x / step))
@@ -380,6 +299,8 @@ def bm_functionals_oracle(
             raise ValueError(f"{name} must be >= 1, got {value}")
     if cap_length is None:
         cap_length = 4.0 * x
+    if not np.isfinite(cap_length):
+        raise ValueError(f"cap_length must be finite, got {cap_length}")
     cap_steps = int(round(cap_length / step))
     if include_overshoot and cap_steps < 1:
         raise ValueError(
@@ -551,7 +472,6 @@ def validate_basepoints(
     *,
     l1_max: float = 0.10,
     hist_hi: float = 8.5,
-    workers: int = 1,
     with_ks: bool = True,
 ) -> ValidationResult:
     """Monte Carlo base points against the exact base-point law.
@@ -577,7 +497,7 @@ def validate_basepoints(
     if not 0.0 <= l1_max < np.inf:
         raise ValueError(f"l1_max must be nonnegative and finite, got {l1_max}")
     edges = spike_refined_bin_edges(hist_hi, cfg.bins)
-    samples = sample_basepoints(spec, x0, t0, cfg, workers=workers)
+    samples = sample_basepoints(spec, x0, t0, cfg)
     hist = histogram(samples.values, edges)
 
     report: dict = {

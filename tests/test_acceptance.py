@@ -274,14 +274,6 @@ def test_criterion_09_solution_convergence():
 
 def test_criterion_10_thread_count_determinism(tmp_path):
     with criterion(10, "validation outputs identical across worker counts"):
-        args = [
-            "validate", "--process", "stable-half", "--x0", "4", "--t0", "1",
-            "--n", "300", "--nmax", "10", "--range=-1.01:12", "--bins", "24",
-            "--tol-abs", "1e-7", "--tol-rel", "1e-6", "--seed", "777",
-        ]
-        rc1 = cli_main(args + ["--threads", "1", "--out", str(tmp_path / "t1")])
-        rc8 = cli_main(args + ["--threads", "8", "--out", str(tmp_path / "t8")])
-        assert rc1 == rc8
         names = [
             "samples.csv",
             "histogram.csv",
@@ -290,7 +282,21 @@ def test_criterion_10_thread_count_determinism(tmp_path):
             "report.json",
             "manifest.json",
         ]
-        for name in names:
-            a = (tmp_path / "t1" / name).read_bytes()
-            b = (tmp_path / "t8" / name).read_bytes()
-            assert a == b, f"{name} differs between 1 and 8 workers"
+        for process in ("stable-half", "gamma", "poisson"):
+            args = [
+                "validate", "--process", process, "--x0", "4", "--t0", "1",
+                "--n", "300", "--nmax", "10", "--range=-1.01:12", "--bins", "24",
+                "--tol-abs", "1e-7", "--tol-rel", "1e-6", "--seed", "777",
+            ]
+            t1, t8 = tmp_path / process / "t1", tmp_path / process / "t8"
+            rc1 = cli_main(args + ["--threads", "1", "--out", str(t1)])
+            rc8 = cli_main(args + ["--threads", "8", "--out", str(t8)])
+            assert rc1 == rc8
+            # Gamma and Poisson have no analytic law, so no density or cdf
+            written = [name for name in names if (t1 / name).exists()]
+            assert written == [name for name in names if (t8 / name).exists()]
+            assert len(written) == (6 if process == "stable-half" else 4), process
+            for name in written:
+                a = (t1 / name).read_bytes()
+                b = (t8 / name).read_bytes()
+                assert a == b, f"{process} {name} differs between 1 and 8 workers"

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import erfc, ndtr
+from scipy.special import bdtr, betainc, erfc, gammainc, gammaln, ndtr, pdtr
 
 from goupsim import bridge_tree, montecarlo_validation
 from goupsim.bridge_tree import (
@@ -12,19 +12,30 @@ from goupsim.bridge_tree import (
     hit_index,
     philox4x64,
     split,
-    top_increments,
+    top_jumps,
     tree_key,
     values_at,
 )
 from goupsim.goupillaud import basepoint
 from goupsim.ig_analytics import basepoint_cdf, bridge_density
-from goupsim.levy_paths import DyadicGrid, LevyPathSample, RngSeed, StableHalf
+from goupsim.levy_paths import (
+    DyadicGrid,
+    GammaDrift,
+    LevyPathSample,
+    PoissonDrift,
+    RngSeed,
+    StableHalf,
+)
 from goupsim.montecarlo_validation import McConfig, ks_distance, sample_basepoints
 from quadrature import QuadratureSpec, integrate_adaptive
 
 SEED = RngSeed(97531)
 KEY = tree_key(SEED)
 _MASK64 = (1 << 64) - 1
+STABLE = StableHalf()
+GAMMA = GammaDrift(1.0, 1.0, 1.0)
+POISSON = PoissonDrift(1.0, 1.0, 1.0)
+JUMP_FAMILIES = [pytest.param(GAMMA, id="gamma"), pytest.param(POISSON, id="poisson")]
 
 
 def marginal_cdf(t):
@@ -85,7 +96,7 @@ def test_split_law_is_the_exact_bridge():
                 lambda u: bridge_density(h, 2.0 * h, v, u), 0.0, r * v, spec
             ).value
             assert abs(cdf(r * v) - want) <= 1e-9
-        left, right = split(KEY, FORWARD, sample, depth, 5, np.full(n, v))
+        left, right = split(STABLE, KEY, FORWARD, sample, depth, 5, np.full(n, v))
         assert np.all(left >= 0.0) and np.all(right >= 0.0)
         assert np.max(np.abs(left + right - v)) <= 4e-16 * v
         assert stats.kstest(left, cdf).pvalue > 1e-3
@@ -95,99 +106,215 @@ def test_split_halves_follow_the_marginal():
     # a top node's L(1) splits into two L(1/2) halves
     n = 50000
     sample = np.arange(n)
-    v = top_increments(KEY, BACKWARD, sample, 3)
+    v = top_jumps(STABLE, KEY, BACKWARD, sample, 3)
     assert stats.kstest(v, marginal_cdf(1.0)).pvalue > 1e-3
-    left, right = split(KEY, BACKWARD, sample, 0, 3, v)
+    left, right = split(STABLE, KEY, BACKWARD, sample, 0, 3, v)
     for half in (left, right):
         assert stats.kstest(half, marginal_cdf(0.5)).pvalue > 1e-3
 
 
-def test_node_increments_follow_the_marginal_at_every_level():
-    # one node per sample and depth, down a path picked by the sample's bits:
-    # the node sum at depth d follows L(2^-d)
-    n = 20000
+def node_sums(spec, n: int, depths: int):
+    """Jump sums of one node per sample at depths 0 .. depths, down a path
+    picked by the sample's bits."""
     sample = np.arange(n)
     node = np.full(n, 2)
-    v = top_increments(KEY, FORWARD, sample, node)
-    for depth in range(12):
-        left, right = split(KEY, FORWARD, sample, depth, node, v)
+    v = top_jumps(spec, KEY, FORWARD, sample, node)
+    sums = [v]
+    for depth in range(depths):
+        left, right = split(spec, KEY, FORWARD, sample, depth, node, v)
         go_right = (sample * 2654435761 >> depth) & 1 == 1
         v = np.where(go_right, right, left)
         node = 2 * node + go_right
-        assert stats.kstest(v, marginal_cdf(2.0 ** -(depth + 1))).pvalue > 1e-3, depth
+        sums.append(v)
+    return sums
+
+
+def test_node_increments_follow_the_marginal_at_every_level():
+    # the node sum at depth d follows L(2^-d)
+    for depth, v in enumerate(node_sums(STABLE, 20000, 12)):
+        if depth:
+            assert stats.kstest(v, marginal_cdf(2.0**-depth)).pvalue > 1e-3, depth
+
+
+def inner_ks_pvalue(p) -> float:
+    """KS p-value of the probability transforms ``p`` of draws against the
+    uniform law, taken only at ``0 < p < 1``.  A Gamma half below the
+    smallest normal float is 0 and a half that leaves its sibling 0 rounds to
+    the whole sum, so their transforms are exactly 0 or 1; their true values
+    lie below or above every other one, so they keep their ranks and the
+    statistic at the other points is what it would be without rounding."""
+    p = np.sort(np.asarray(p))
+    n = p.size
+    i = np.arange(1, n + 1)[(p > 0.0) & (p < 1.0)]
+    inner = p[(p > 0.0) & (p < 1.0)]
+    d = max(np.max(i / n - inner), np.max(inner - (i - 1) / n))
+    return stats.kstwo.sf(d, n)
+
+
+def atom_ks_pvalue(counts, cdf) -> float:
+    """KS p-value of integer draws against the integer law ``cdf``: both
+    CDFs jump only at the integers, so the sup of their difference is taken
+    there, and the continuous law's p-value is conservative."""
+    atoms = np.arange(int(counts.max()) + 1)
+    ecdf = np.searchsorted(np.sort(counts), atoms, side="right") / counts.size
+    return stats.kstwo.sf(np.max(np.abs(ecdf - cdf(atoms))), counts.size)
+
+
+def log_gamma_pdf(a, u):
+    return (a - 1.0) * np.log(u) - u - gammaln(a)
+
+
+def log_poisson_pmf(lam, k):
+    return k * np.log(lam) - lam - gammaln(k + 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec, cases",
+    [
+        # (depth, jump sum); Gamma shapes a = 2^-(depth+1) down to 2^-17
+        (GAMMA, [(0, 0.3), (1, 4.0), (3, 1e-3), (13, 0.7), (16, 2.0)]),
+        (POISSON, [(0, 1.0), (0, 4.0), (6, 2.0)]),
+        (PoissonDrift(2000.0, 1.0, 1.0), [(0, 2000.0), (0, 1917.0), (4, 131.0)]),
+    ],
+    ids=["gamma", "poisson", "poisson-2000"],
+)
+def test_jump_split_law_is_the_exact_conditional(spec, cases):
+    # the closed-form split law against f_h(u) f_h(v-u) / f_2h(v), then the
+    # drawn left halves against that law
+    n = 20000
+    sample = np.arange(n)
+    for depth, v in cases:
+        left, right = split(spec, KEY, FORWARD, sample, depth, 5, np.full(n, v))
+        assert np.all(left >= 0.0) and np.all(right >= 0.0)
+        if isinstance(spec, PoissonDrift):
+            lam = spec.intensity * 2.0 ** -(depth + 1)
+            k = np.arange(v + 1.0)
+            exact = np.exp(
+                log_poisson_pmf(lam, k) + log_poisson_pmf(lam, v - k) - log_poisson_pmf(2 * lam, v)
+            )
+            # at v = 2000 the log-pmfs, near gammaln(2001) = 1.3e4, carry
+            # absolute errors near 1e-12
+            assert np.max(np.abs(np.cumsum(exact) - bdtr(k.astype(int), int(v), 0.5))) <= 1e-10
+            assert np.array_equal(left + right, np.full(n, v))
+            assert np.all(left == np.round(left))
+            assert atom_ks_pvalue(left, lambda k: bdtr(k, int(v), 0.5)) > 1e-3, (depth, v)
+            continue
+        a = spec.shape_rate * 2.0 ** -(depth + 1)
+        u = v * np.array([1e-9, 0.01, 0.3, 0.5, 0.8, 0.999])
+        exact = log_gamma_pdf(a, u) + log_gamma_pdf(a, v - u) - log_gamma_pdf(2 * a, v)
+        beta = stats.beta.logpdf(u / v, a, a) - np.log(v)
+        assert np.max(np.abs(exact - beta)) <= 1e-9
+        assert np.max(np.abs(left + right - v)) <= 4e-16 * v
+        p = np.where(left <= right, betainc(a, a, left / v), 1.0 - betainc(a, a, right / v))
+        assert inner_ks_pvalue(p) > 1e-3, (depth, v)
+
+
+@pytest.mark.parametrize("spec", JUMP_FAMILIES)
+def test_jump_node_sums_follow_the_marginal_at_every_level(spec):
+    # the jump sum of a node at depth d follows L(2^-d) - drift 2^-d
+    for depth, v in enumerate(node_sums(spec, 20000, 12)):
+        if isinstance(spec, PoissonDrift):
+            lam = spec.intensity * 2.0**-depth
+            assert atom_ks_pvalue(v / spec.jump_size, lambda k: pdtr(k, lam)) > 1e-3, depth
+        else:
+            p = gammainc(spec.shape_rate * 2.0**-depth, v / spec.scale)
+            assert inner_ks_pvalue(p) > 1e-3, depth
 
 
 def test_values_are_shared_across_levels():
     sample = np.repeat(np.arange(6), 50)
     k = np.tile(np.arange(-25, 25) * 3, 6)
-    fine = values_at(KEY, 10, 4 * k, sample)
-    coarse = values_at(KEY, 8, k, sample)
+    fine = values_at(STABLE, KEY, 10, 4 * k, sample)
+    coarse = values_at(STABLE, KEY, 8, k, sample)
     assert np.array_equal(fine, coarse)
     assert np.all(coarse[k == 0] == 0.0)
     assert np.all(np.sign(coarse) == np.sign(k))
 
 
-def expand_side(side: int, sample: int, level: int, count: int) -> np.ndarray:
+def expand_side(spec, side: int, sample: int, level: int, count: int) -> np.ndarray:
     """Values of one side at grid indices 0 .. count 2^level, every node of
     every depth split breadth first."""
-    inc = top_increments(KEY, side, sample, np.arange(count))
-    values = np.concatenate([[0.0], np.cumsum(inc)])
-    sums = inc
+    drift = 0.0 if isinstance(spec, StableHalf) else spec.drift
+    jumps = top_jumps(spec, KEY, side, sample, np.arange(count))
+    values = np.concatenate([[0.0], np.cumsum(jumps + drift)])
+    sums = jumps
     for depth in range(level):
-        left, right = split(KEY, side, sample, depth, np.arange(sums.size), sums)
+        left, right = split(spec, KEY, side, sample, depth, np.arange(sums.size), sums)
         finer = np.empty(2 * values.size - 1)
         finer[0::2] = values
-        finer[1::2] = np.minimum(values[:-1] + left, values[1:])
+        finer[1::2] = np.minimum(values[:-1] + (drift * 2.0 ** -(depth + 1) + left), values[1:])
         values = finer
         sums = np.column_stack([left, right]).ravel()
     return values
 
 
+# (x0, t0, cfg); a jump family's path climbs at about 2 per unit of time,
+# so its shifted times are brought near 0 by a larger t0, and the window
+# reaches down to -4
+DESCENT_CASES = {
+    "": [
+        (2.0, 1.0, McConfig(40, 8, (-2 * 2**8, 6 * 2**8), SEED)),
+        (8.0, 1.0, McConfig(40, 10, (-(2**10) - 3, 14 * 2**10 + 5), SEED)),
+    ],
+    "jumps": [
+        (2.0, 1.5, McConfig(40, 8, (-2 * 2**8, 6 * 2**8), SEED)),
+        (8.0, 4.0, McConfig(40, 10, (-4 * 2**10 - 3, 14 * 2**10 + 5), SEED)),
+    ],
+}
+
+
 @pytest.mark.parametrize(
-    "x0, cfg",
+    "spec, x0, t0, cfg",
     [
-        (2.0, McConfig(40, 8, (-2 * 2**8, 6 * 2**8), SEED)),
-        (8.0, McConfig(40, 10, (-(2**10) - 3, 14 * 2**10 + 5), SEED)),
+        pytest.param(spec, x0, t0, cfg, id=f"{family}{x0}-cfg{i}")
+        for family, spec, cases in (
+            ("", STABLE, DESCENT_CASES[""]),
+            ("gamma-", GAMMA, DESCENT_CASES["jumps"]),
+            ("poisson-", POISSON, DESCENT_CASES["jumps"]),
+        )
+        for i, (x0, t0, cfg) in enumerate(cases)
     ],
 )
-def test_descent_matches_breadth_first_expansion(x0, cfg):
-    # the stable-1/2 sampler descends into two nodes per sample; expanding
-    # every node of the same keyed tree and taking the base point through
-    # the path operations must give the same bits
-    got = sample_basepoints(StableHalf(), x0, 1.0, cfg)
+def test_descent_matches_breadth_first_expansion(spec, x0, t0, cfg):
+    # the sampler descends into two nodes per sample; expanding every node
+    # of the same keyed tree and taking the base point through the path
+    # operations must give the same bits
+    got = sample_basepoints(spec, x0, t0, cfg)
     assert got.n_failed == 0
     assert np.any(got.values < 0.0) and np.any(got.values > 0.0)
     n, (k_min, k_max) = cfg.n_max, cfg.window
     direct = []
     for i in range(cfg.n_samples):
-        fwd = expand_side(FORWARD, i, n, -(-k_max >> n))[1 : k_max + 1]
-        bwd = expand_side(BACKWARD, i, n, -(-(-k_min) >> n))[1 : 1 - k_min]
+        fwd = expand_side(spec, FORWARD, i, n, -(-k_max >> n))[1 : k_max + 1]
+        bwd = expand_side(spec, BACKWARD, i, n, -(-(-k_min) >> n))[1 : 1 - k_min]
         values = np.concatenate([-bwd[::-1], [0.0], fwd])
         assert np.all(np.diff(values) >= 0.0)
-        path = LevyPathSample(DyadicGrid(n, k_min, k_max), values, SEED, StableHalf())
-        direct.append(basepoint(path, x0, 1.0))
-        hit = hit_index(KEY, n, x0, k_max, [i])[0]
+        path = LevyPathSample(DyadicGrid(n, k_min, k_max), values, SEED, spec)
+        direct.append(basepoint(path, x0, t0))
+        hit = hit_index(spec, KEY, n, x0, k_max, [i])[0]
         assert fwd[hit - 1] >= x0 > (fwd[hit - 2] if hit > 1 else 0.0)
     assert np.array_equal(got.values, np.array(direct))
 
 
 def test_hit_index_reports_unreached_samples():
     # level 8 is rarely reached within one time unit
-    hit = hit_index(KEY, 6, 8.0, 64, np.arange(200))
+    hit = hit_index(STABLE, KEY, 6, 8.0, 64, np.arange(200))
     reached = hit > 0
     assert 0 < reached.sum() < 200 and np.all(hit <= 64)
-    ends = values_at(KEY, 6, np.full(200, 64), np.arange(200))
+    ends = values_at(STABLE, KEY, 6, np.full(200, 64), np.arange(200))
     assert np.array_equal(reached, ends >= 8.0)
 
 
 def test_output_is_the_same_for_any_chunk_size(monkeypatch):
     cfg = McConfig(300, 12, (-(2**12) - 40, 14 * 2**12), RngSeed(8))
-    whole = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
-    monkeypatch.setattr(montecarlo_validation, "_TREE_CHUNK", 7)
-    monkeypatch.setattr(bridge_tree, "_TOP_BATCH", 3)
-    chunked = sample_basepoints(StableHalf(), 8.0, 1.0, cfg, workers=3)
-    assert np.array_equal(whole.values, chunked.values)
-    assert np.array_equal(whole.indices, chunked.indices)
+    for spec in (STABLE, GAMMA, POISSON):
+        monkeypatch.undo()
+        whole = sample_basepoints(spec, 8.0, 1.0, cfg)
+        monkeypatch.setattr(montecarlo_validation, "_TREE_CHUNK", 7)
+        monkeypatch.setattr(bridge_tree, "_TOP_BATCH", 3)
+        chunked = sample_basepoints(spec, 8.0, 1.0, cfg)
+        assert np.array_equal(whole.values, chunked.values), spec
+        assert np.array_equal(whole.indices, chunked.indices), spec
 
 
 # sha256 of the indices and values of 500 headline base points, pinned at
@@ -217,3 +344,25 @@ def test_level_24_headline_run_passes_ks():
     ks = ks_distance(out.values, lambda z: basepoint_cdf(8.0, 1.0, z))
     assert ks <= 1.628 / np.sqrt(n)
 
+
+
+# sha256 of the indices and values of 500 Gamma(1,1,1) and Poisson(1,1,1)
+# base points at the validate defaults (x0 = 8, t0 = 1, level 14), pinned
+# when these families moved onto the tree
+JUMP_GOLDEN = {
+    "gamma": "405bdcbbbfae454df695cecd9effa1460cbf5f42622767e0d6ad0d22db7e55a1",
+    "poisson": "1c86653d3832efb23605d0c2cfc8b3153fac76b1b799a743308ce372538d024f",
+}
+
+
+@pytest.mark.parametrize(
+    "family, spec", [("gamma", GAMMA), ("poisson", POISSON)], ids=["gamma", "poisson"]
+)
+def test_jump_family_basepoints_golden_digest(family, spec):
+    cfg = McConfig(500, 14, (-(2**14) - 164, 14 * 2**14), RngSeed(20230915))
+    out = sample_basepoints(spec, 8.0, 1.0, cfg)
+    h = hashlib.sha256()
+    h.update(out.indices.astype(np.int64).tobytes())
+    h.update(out.values.tobytes())
+    assert out.n_failed == 0
+    assert h.hexdigest() == JUMP_GOLDEN[family]

@@ -4,6 +4,8 @@
   engine, which lives on in the tests as their independent oracle.
 * Modules share only public names: no module imports, or reaches through a
   sibling module for, another module's ``_``-prefixed name.
+* No module starts a process pool: every sampler runs in the calling
+  process, on threads where it needs more than one core.
 """
 
 import ast
@@ -64,3 +66,26 @@ def test_no_module_imports_private_names(path):
         and node.attr.startswith("_")
     ]
     assert not bad, f"{path.name} imports private names: {bad}"
+
+
+
+def _starts_processes(module: str, name: str | None) -> bool:
+    full = f"{module}.{name}" if name else module
+    return (
+        full.split(".")[0] == "multiprocessing"
+        or full.startswith("concurrent.futures.process")
+        or name == "ProcessPoolExecutor"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_process_pool(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bad = [(module, name) for module, name in _imports(tree) if _starts_processes(module, name)]
+    # ``import concurrent.futures`` reaches the pool as an attribute
+    bad += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "ProcessPoolExecutor"
+    ]
+    assert not bad, f"{path.name} imports a process pool: {bad}"

@@ -21,22 +21,19 @@ from goupsim.levy_paths import (
     RngSeed,
     StableHalf,
     WindowError,
-    _WALK_KEYS,
     _KeyedRun,
     _block_keys,
     _gamma_log_cut,
+    _increment_run,
     _increments_from_raw,
     _increments_from_uniforms,
     _open_uniforms,
-    _poisson_icdf,
     _quiet_words,
     aggregate_to_level,
-    backward_increments,
     build_two_sided_path,
-    forward_increments,
-    forward_values_until,
     hitting_time,
     polygon_eval,
+    poisson_icdf,
     polygon_inverse,
     process_from_dict,
     process_to_dict,
@@ -214,11 +211,14 @@ def test_poisson_icdf_equals_full_array_loop(lam):
         ]
     )
     u = u[(u > 0.0) & (u < 1.0)]
-    got = _poisson_icdf(lam, u)
+    got = poisson_icdf(lam, u)
     assert got.dtype == np.int64
     assert np.array_equal(got, _poisson_icdf_full_loop(lam, u))
+    # any shape: the bridge tree draws (sample, node) arrays
+    n = u.size - u.size % 4
+    assert np.array_equal(poisson_icdf(lam, u[:n].reshape(4, -1)), got[:n].reshape(4, -1))
     # all of one block resolving at k = 0 takes the no-tail branch
-    assert np.array_equal(_poisson_icdf(lam, u[u < partial[0]]), np.zeros(np.sum(u < partial[0])))
+    assert np.array_equal(poisson_icdf(lam, u[u < partial[0]]), np.zeros(np.sum(u < partial[0])))
 
 
 def test_poisson_counts_past_exp_underflow():
@@ -237,7 +237,7 @@ def test_poisson_icdf_equals_scipy_where_exp_is_subnormal(lam):
     # lost bits in every term (at lam = 744 every count was off)
     assert 0.0 < math.exp(-lam) < np.finfo(float).tiny
     u = np.maximum(np.random.default_rng(int(lam)).random(2**16), 1e-300)
-    assert np.array_equal(_poisson_icdf(lam, u), poisson.ppf(u, lam))
+    assert np.array_equal(poisson_icdf(lam, u), poisson.ppf(u, lam))
 
 
 @pytest.mark.parametrize(
@@ -250,7 +250,7 @@ def test_poisson_icdf_equals_scipy_where_exp_is_subnormal(lam):
 def test_poisson_icdf_unchanged_outside_subnormal_band(lam, digest):
     # counts of the sum from exp(-lam) (700) and from k_lo (746) are pinned
     u = np.maximum(np.random.default_rng(744).random(2**16), 1e-300)
-    got = _poisson_icdf(lam, u)
+    got = poisson_icdf(lam, u)
     assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
 
@@ -326,9 +326,9 @@ def test_keyed_blocks_equal_their_stream_for_streams(spec):
     dt = 2.0**-12
     seed = RngSeed(2**63 + 11, stream_id=2**33 + 1)
     for substream in ((), (6,), (2**40, 3)):
-        for direction, run in ((0, forward_increments), (1, backward_increments)):
+        for direction in (0, 1):
             count = 2 * BLOCK + 9
-            got = run(spec, dt, seed, count, substream)
+            got = _increment_run(spec, dt, seed, direction, np.empty(count), substream)
             want = np.concatenate(
                 [
                     _increments_from_uniforms(
@@ -338,8 +338,8 @@ def test_keyed_blocks_equal_their_stream_for_streams(spec):
                 ]
             )[:count]
             assert got.tobytes() == want.tobytes(), (substream, direction)
-            # a run whose first read is block 2 derives its first key there
-            run = _KeyedRun(spec, dt, seed, substream, direction, 3, 1)
+            # a run can start its reads at any block
+            run = _KeyedRun(spec, dt, seed, substream, direction, 3)
             one = run.fill(2, np.empty(9))
             assert one.tobytes() == want[2 * BLOCK :].tobytes()
 
@@ -523,55 +523,12 @@ def test_build_gamma_growth_rate():
 
 def test_lazy_block_extension_is_bitwise_stable():
     spec = StableHalf()
-    small = forward_increments(spec, 2.0**-8, SEED, 100)
-    large = forward_increments(spec, 2.0**-8, SEED, 3 * BLOCK + 17)
+    small = _increment_run(spec, 2.0**-8, SEED, 0, np.empty(100), ())
+    large = _increment_run(spec, 2.0**-8, SEED, 0, np.empty(3 * BLOCK + 17), ())
     assert np.array_equal(small, large[:100])
-    bsmall = backward_increments(spec, 2.0**-8, SEED, 50)
-    blarge = backward_increments(spec, 2.0**-8, SEED, BLOCK + 50)
+    bsmall = _increment_run(spec, 2.0**-8, SEED, 1, np.empty(50), ())
+    blarge = _increment_run(spec, 2.0**-8, SEED, 1, np.empty(BLOCK + 50), ())
     assert np.array_equal(bsmall, blarge[:50])
-
-
-@pytest.mark.parametrize("level, hit_block", [(0.05, 0), (300.0, 1), (1e4, None)])
-def test_forward_values_until_is_the_eager_prefix(level, hit_block):
-    # stops at the first x_k >= level, bitwise equal to the eager build; the
-    # levels are hit in the first block, a later one and not at all
-    spec = StableHalf()
-    count = 3 * BLOCK + 17
-    fwd = build_two_sided_path(spec, 8, 0, count, SEED, (4,)).values[1:]
-    got = forward_values_until(spec, 2.0**-8, SEED, level, count, (4,))
-    if hit_block is None:
-        assert fwd[-1] < level and got is None
-        return
-    k = int(np.argmax(fwd >= level)) + 1
-    assert (k - 1) // BLOCK >= hit_block
-    assert np.array_equal(got, fwd[:k])
-    assert got[-1] >= level and (k == 1 or got[-2] < level)
-
-
-def test_forward_values_until_derives_keys_only_near_the_hit(monkeypatch):
-    # a count of 2^53 increments (about 2^41 blocks) costs the walk nothing
-    # beyond the batches holding the blocks it reads
-    derived = []
-
-    def recording(prefix, first, n_blocks):
-        derived.append((first, n_blocks))
-        return _block_keys(prefix, first, n_blocks)
-
-    monkeypatch.setattr("goupsim.levy_paths._block_keys", recording)
-    spec = GammaDrift(1.0, 1.0, 1.0)  # about 32 per block at level 8
-    fwd = build_two_sided_path(spec, 8, 0, (_WALK_KEYS + 24) * BLOCK, SEED, (4,)).values[1:]
-    first, second = (0, _WALK_KEYS), (_WALK_KEYS, 2 * _WALK_KEYS)
-    for level, batches in ((1.0, [first]), (34.0 * _WALK_KEYS, [first, second])):
-        derived.clear()
-        got = forward_values_until(spec, 2.0**-8, SEED, level, 2**53, (4,))
-        k = int(np.argmax(fwd >= level)) + 1
-        assert fwd[-1] >= level and len(batches) - 1 == (k - 1) // BLOCK // _WALK_KEYS
-        assert got.tobytes() == fwd[:k].tobytes()
-        assert derived == batches
-    # no batch reaches past the last block the count reaches
-    derived.clear()
-    assert forward_values_until(spec, 2.0**-8, SEED, 1e9, _WALK_KEYS * BLOCK + 1, (4,)) is None
-    assert derived == [first, (_WALK_KEYS, 1)]
 
 
 def test_build_windows_nest_bitwise():

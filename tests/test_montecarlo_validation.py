@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import erf
 
 from goupsim import montecarlo_validation
@@ -56,21 +57,21 @@ def test_mc_config_validation():
 
 
 def test_sample_basepoints_matches_full_path_route():
-    # the lazy Gamma/Poisson sampler must agree bitwise with building the
-    # whole window and evaluating the base point through the path
-    # operations; the second window spans several BLOCKs, across which the
-    # sampler carries its running sum and must still match one sequential
-    # sum (stable-1/2 samples come from the bridge tree, checked against its
-    # breadth-first expansion in test_bridge_tree)
+    # Gamma/Poisson tree base points against base points taken through the
+    # path operations on full path builds of the same level and window: the
+    # two are drawn from independent streams, so they agree in law, not
+    # bitwise (a two-sample KS test; stable-1/2 trees are checked against
+    # the exact law and their breadth-first expansion in test_bridge_tree)
     cases = [
-        (2.0, McConfig(40, 8, (-2 * 2**8, 6 * 2**8), SEED)),
-        (8.0, McConfig(40, 10, (-2**10, 14 * 2**10), SEED)),
+        (2.0, McConfig(400, 8, (-2 * 2**8, 6 * 2**8), SEED)),
+        (8.0, McConfig(400, 10, (-2**10, 14 * 2**10), SEED)),
     ]
     for (x0, cfg), spec in itertools.product(
         cases, (GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0))
     ):
         got = sample_basepoints(spec, x0, 1.0, cfg)
         assert got.n_failed == 0
+        assert np.all(got.values < x0)
         direct = np.array(
             [
                 basepoint(
@@ -83,14 +84,18 @@ def test_sample_basepoints_matches_full_path_route():
                 for i in range(cfg.n_samples)
             ]
         )
-        assert np.array_equal(got.values, direct)
+        assert stats.ks_2samp(got.values, direct).pvalue > 1e-3, (x0, spec)
 
 
 def test_sample_basepoints_worker_invariance():
+    # a sample's value follows from its index alone, not from how the
+    # samples are split up (here into tree chunks of 3)
     cfg = McConfig(60, 10, (-2**10, 8 * 2**10), SEED)
     for spec in (StableHalf(), GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0)):
-        serial = sample_basepoints(spec, 4.0, 1.0, cfg, workers=1)
-        parallel = sample_basepoints(spec, 4.0, 1.0, cfg, workers=3)
+        serial = sample_basepoints(spec, 4.0, 1.0, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo_validation, "_TREE_CHUNK", 3)
+            parallel = sample_basepoints(spec, 4.0, 1.0, cfg)
         assert np.array_equal(serial.values, parallel.values)
         assert np.array_equal(serial.indices, parallel.indices)
 
@@ -110,6 +115,15 @@ def test_sample_basepoints_refuses_nonpositive_level(x0):
     cfg = McConfig(200, 10, (-4 * 2**10, 14 * 2**10), RngSeed(5))
     with pytest.raises(ValueError, match="x0"):
         sample_basepoints(StableHalf(), x0, 1.0, cfg)
+
+
+@pytest.mark.parametrize("t0", [0.0, -1.0, float("nan"), float("inf")])
+def test_sample_basepoints_refuses_a_nonpositive_or_infinite_shift(t0):
+    # t0 = inf used to pass and then fail every sample as before the window,
+    # with advice to widen a range that no width can fix
+    cfg = McConfig(200, 10, (-4 * 2**10, 14 * 2**10), RngSeed(5))
+    with pytest.raises(ValueError, match=f"t0 must be positive and finite, got {t0}"):
+        sample_basepoints(StableHalf(), 8.0, t0, cfg)
 
 
 def test_sample_basepoints_window_exhaustion():
@@ -184,6 +198,23 @@ def test_oracle_input_validation():
     # without the overshoot search the cap is never used
     res = bm_functionals_oracle(1.0, 1e-2, 10, SEED, include_overshoot=False, cap_length=0.0)
     assert res.n_capped == 0
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_oracle_refuses_a_nonfinite_level(x):
+    # x = inf used to raise a bare OverflowError from int(inf)
+    with pytest.raises(ValueError, match=f"x must be positive and finite, got {x}"):
+        bm_functionals_oracle(x, 1e-2, 10, SEED)
+
+
+@pytest.mark.parametrize("cap", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("include_overshoot", [True, False])
+def test_oracle_refuses_a_nonfinite_cap(cap, include_overshoot):
+    # cap_length = nan used to raise "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=f"cap_length must be finite, got {cap}"):
+        bm_functionals_oracle(
+            1.0, 1e-2, 10, SEED, include_overshoot=include_overshoot, cap_length=cap
+        )
 
 
 def _oracle_digest(res) -> str:
