@@ -54,7 +54,8 @@ __all__ = [
     "values_at",
 ]
 
-#: spawn-key tag of the tree's Philox key, apart from every block stream
+#: spawn-key tag of the tree's Philox key, apart from every path stream
+#: (``levy_paths.PATH_PURPOSE``)
 PURPOSE = 0x74726565  # "tree"
 
 #: side bit of a counter

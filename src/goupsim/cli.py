@@ -175,6 +175,12 @@ def _path_from_args(args: argparse.Namespace, spec: ProcessSpec):
         path = levy_paths.build_two_sided_path(spec, args.nmax, *k_window, seed)
     except RuntimeError as exc:  # the path is not strictly increasing
         raise SystemExit(f"cannot sample this path: {exc}; lower --nmax")
+    except MemoryError:
+        points = k_window[1] - k_window[0] + 1
+        raise SystemExit(
+            f"cannot sample this path: its {points} grid points (--nmax {args.nmax}, "
+            f"--range {args.range}) do not fit in memory; lower --nmax or narrow --range"
+        )
     return t_range, k_window, path
 
 

@@ -43,9 +43,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .levy_paths import BLOCK
-
 __all__ = ["write_csv"]
+
+#: rows formatted per chunk
+BLOCK = 4096
 
 _RANGE = 200  # the kernel formats |x| in [1e-200, 1e200]
 _E_MIN = -_RANGE - 2  # lowest decade of a table row, with room for E ± 1

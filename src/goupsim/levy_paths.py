@@ -5,19 +5,13 @@ by aggregation, so the dyadic consistency relation (coarse increments are
 exact sums of fine increments) holds by construction on a single realization.
 
 Reproducibility: every increment is a deterministic transform of exactly one
-uniform word drawn from a counter-based (Philox) stream.  Streams are keyed
-by ``(root_seed, stream_id, *substream, direction, block)``, where blocks are
-fixed-size runs of ``BLOCK`` consecutive grid increments, so any window of a
-path can be re-materialized in any order, by any worker, with bitwise
-identical values.
-
-Block ``b`` is the Philox4x64 stream whose key is ``SeedSequence(root_seed,
-spawn_key=(stream_id, *substream, direction, b)).generate_state(2,
-np.uint64)``, read from counter 0: the stream ``stream_for`` gives for that
-key.  A build does not make a ``SeedSequence`` per block.  It takes the pool
-of the prefix ``(stream_id, *substream, direction)`` once, mixes every block
-word into it with ``SeedSequence``'s own hash in one batch
-(:func:`_block_keys`), and resets one ``Philox`` to each block's key in turn.
+uniform word drawn from a counter-based (Philox) stream.  Side ``direction``
+of a path (0 forward, 1 backward) reads the single stream
+``stream_for(seed, PATH_PURPOSE, *substream, direction)`` from counter 0,
+one word per grid increment, outward from ``t = 0``.  The purpose tag keeps
+these streams apart from every other stream under the same seed.  Because a
+side is one stream read in order, a wider window extends a narrower one bit
+for bit.
 
 Monte Carlo base points do not read these streams: they descend keyed bridge
 trees (:mod:`goupsim.bridge_tree`), whose Poisson top nodes reuse
@@ -26,7 +20,6 @@ trees (:mod:`goupsim.bridge_tree`), whose Poisson top nodes reuse
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -36,12 +29,15 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import gammaincinv, gammaln, ndtri
 
+from .csvio import write_csv
+
 __all__ = [
     "GammaDrift",
     "PoissonDrift",
     "StableHalf",
     "ProcessSpec",
     "RngSeed",
+    "PATH_PURPOSE",
     "DyadicGrid",
     "LevyPathSample",
     "WindowError",
@@ -60,8 +56,12 @@ __all__ = [
     "process_from_dict",
 ]
 
-#: increments per keyed RNG block
-BLOCK = 4096
+#: spawn-key tag of a path side's Philox stream, apart from every other
+#: stream under the same seed
+PATH_PURPOSE = 0x70617468  # "path"
+
+#: raw words drawn and transformed together in a build
+_CHUNK = 8 * 4096
 
 _FORWARD = 0
 _BACKWARD = 1
@@ -324,70 +324,6 @@ def sample_increment(spec: ProcessSpec, dt: float, rng: Generator, size: int | N
     return float(draws[0]) if size is None else draws
 
 
-# SeedSequence's hash constants (numpy.random.bit_generator, after
-# M. E. O'Neill's seed_seq_fe); every product is taken mod 2^32
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-@functools.cache
-def _hash_consts(init: int, mult: int, first: int) -> np.ndarray:
-    """Column of ``init * mult^(first + i)`` mod 2^32, ``i = 0 .. 4``
-    (read-only: one array serves every call)."""
-    consts = np.array(
-        [[init * pow(mult, first + i, 1 << 32) & _MASK32] for i in range(5)], dtype=np.uint64
-    )
-    consts.setflags(write=False)
-    return consts
-
-
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0)
-
-
-def _block_keys(prefix: SeedSequence, first: int, n_blocks: int) -> np.ndarray:
-    """Philox keys of blocks ``first .. first + n_blocks - 1`` under
-    ``prefix``, one row each: the row of block ``b`` is
-    ``SeedSequence(prefix.entropy, spawn_key=(*prefix.spawn_key,
-    b)).generate_state(2, np.uint64)``.
-
-    ``SeedSequence`` mixes its first four entropy words (the root seed,
-    zero-padded to four 32-bit words) into a four-word pool in 16 hash steps,
-    then hashes each spawn-key word into all four pool words in four more.
-    So ``prefix.pool`` is the pool before the block word, and the hash
-    constant has taken ``16 + 4 * (prefix words)`` steps.  The block word is
-    mixed in, then ``generate_state``'s output hash is applied, all on 64-bit
-    lanes masked to 32 bits.  A block below ``2^32`` is one word; the keys of
-    any later block (``2^44`` increments on) come from ``SeedSequence``.
-    """
-    words = sum(max(1, (int(k).bit_length() + 31) // 32) for k in prefix.spawn_key)
-    mix = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * words)
-    w = np.arange(first, first + n_blocks, dtype=np.uint64) ^ mix[:4]
-    w *= mix[1:]
-    w &= _MASK32
-    w ^= w >> 16
-    w *= _MIX_R
-    w = prefix.pool.astype(np.uint64)[:, None] * _MIX_L - w
-    w &= _MASK32
-    w ^= w >> 16
-    w ^= _STATE_CONSTS[:4]
-    w *= _STATE_CONSTS[1:]
-    w &= _MASK32
-    w ^= w >> 16
-    keys = (w[0::2] | w[1::2] << 32).T
-    for b in range(max(first, 1 << 32), first + n_blocks):
-        spawn_key = (*prefix.spawn_key, b)
-        keys[b - first] = SeedSequence(prefix.entropy, spawn_key=spawn_key).generate_state(
-            2, np.uint64
-        )
-    return keys
-
-
-#: blocks drawn and transformed together in a build
-_GROUP = 8
-
-
 def _quiet_words(spec: ProcessSpec, dt: float) -> int:
     """``M`` such that every raw word below ``M << 11`` gives the base
     increment ``drift * dt`` (no jump), or 0 where no such bound is kept.
@@ -436,41 +372,6 @@ def _increments_from_raw(
     return out
 
 
-class _KeyedRun:
-    """The keyed blocks ``0 .. n_blocks - 1`` of one direction of one path,
-    their keys derived in one batch.  One ``Philox`` is reset to each block's
-    key in turn, so a run is never shared between threads."""
-
-    def __init__(
-        self,
-        spec: ProcessSpec,
-        dt: float,
-        seed: RngSeed,
-        substream: tuple[int, ...],
-        direction: int,
-        n_blocks: int,
-    ) -> None:
-        prefix = SeedSequence(seed.root_seed, spawn_key=(seed.stream_id, *substream, direction))
-        self.spec, self.dt = spec, dt
-        self.quiet = _quiet_words(spec, dt)
-        self.keys = _block_keys(prefix, 0, n_blocks)
-        self.bitgen = Philox(prefix)
-        self.state = self.bitgen.state  # a fresh Philox: counter 0, empty buffer
-
-    def fill(self, block: int, out: np.ndarray) -> np.ndarray:
-        """Write the first ``out.size`` increments from ``block`` on into
-        ``out`` (which may be a strided view) and return it.  The raw words
-        are staged in ``out``'s own memory, so a fill allocates no buffer
-        beyond one block."""
-        raw = out.view(np.uint64)
-        for start in range(0, out.size, BLOCK):
-            self.state["state"]["key"] = self.keys[block + start // BLOCK]
-            self.bitgen.state = self.state
-            stop = min(start + BLOCK, out.size)
-            raw[start:stop] = self.bitgen.random_raw(stop - start)
-        return _increments_from_raw(self.spec, self.dt, self.quiet, raw, out)
-
-
 def _increment_run(
     spec: ProcessSpec,
     dt: float,
@@ -479,12 +380,18 @@ def _increment_run(
     out: np.ndarray,
     substream: tuple[int, ...],
 ) -> np.ndarray:
-    """Fill ``out`` with the first ``out.size`` increments of one direction,
-    ``_GROUP`` keyed blocks at a time; ``out`` may be a strided view."""
-    n_blocks = -(-out.size // BLOCK)
-    run = _KeyedRun(spec, dt, seed, substream, direction, n_blocks)
-    for block in range(0, n_blocks, _GROUP):
-        run.fill(block, out[block * BLOCK : (block + _GROUP) * BLOCK])
+    """Fill ``out`` (which may be a strided view) with the first
+    ``out.size`` increments of side ``direction``: the words of
+    ``stream_for(seed, PATH_PURPOSE, *substream, direction)`` in order,
+    ``_CHUNK`` at a time.  The raw words are staged in ``out``'s own memory,
+    so a run allocates no buffer beyond one chunk."""
+    bitgen = stream_for(seed, PATH_PURPOSE, *substream, direction).bit_generator
+    quiet = _quiet_words(spec, dt)
+    raw = out.view(np.uint64)
+    for lo in range(0, out.size, _CHUNK):
+        words = raw[lo : lo + _CHUNK]
+        words[...] = bitgen.random_raw(words.size)
+        _increments_from_raw(spec, dt, quiet, words, out[lo : lo + _CHUNK])
     return out
 
 
@@ -682,8 +589,6 @@ def process_from_dict(d: dict) -> ProcessSpec:
 
 def write_path_csv(path: LevyPathSample, out: Path | str) -> None:
     """Write ``k,t,x`` rows, one per grid index, 17 significant digits."""
-    from .csvio import write_csv  # csvio imports BLOCK from this module
-
     k = np.arange(path.grid.k_min, path.grid.k_max + 1)
     write_csv(out, "k,t,x", "{},{:.17g},{:.17g}", k, path.grid.time(k), path.values)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -136,38 +135,8 @@ class Histogram:
 # base-point sampling
 
 
-#: why a sample found no base point inside the window
-_UNREACHED = "unreached"           # the level is not reached by k_max
-_BEFORE_WINDOW = "before window"   # the shifted time falls before k_min
-
 #: samples whose trees are searched together
 _TREE_CHUNK = 4096
-
-
-def _tree_basepoints(
-    spec: ProcessSpec, x0: float, t0: float, cfg: McConfig
-) -> tuple[np.ndarray, np.ndarray, Counter]:
-    """Base points from each sample's bridge tree: one descent to the hit,
-    one to the shifted time, ``_TREE_CHUNK`` samples at a time.  Every draw
-    is keyed by its sample, so the chunking changes no value."""
-    key = tree_key(cfg.root_seed)
-    k_min, k_max = cfg.window
-    indices: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    failures: Counter = Counter()
-    for lo in range(0, cfg.n_samples, _TREE_CHUNK):
-        sample = np.arange(lo, min(lo + _TREE_CHUNK, cfg.n_samples))
-        hit = hit_index(spec, key, cfg.n_max, x0, k_max, sample)
-        # grid index of the shifted time  hitting_time - t0  (step semantics)
-        m = np.floor(hit - t0 * 2.0**cfg.n_max)
-        unreached = hit == 0
-        before = ~unreached & (m < k_min)
-        ok = ~(unreached | before)
-        failures[_UNREACHED] += int(unreached.sum())
-        failures[_BEFORE_WINDOW] += int(before.sum())
-        indices.append(sample[ok])
-        values.append(values_at(spec, key, cfg.n_max, m[ok].astype(np.int64), sample[ok]))
-    return np.concatenate(indices), np.concatenate(values), failures
 
 
 def sample_basepoints(
@@ -178,9 +147,11 @@ def sample_basepoints(
 ) -> BasepointSamples:
     """Base points of ``cfg.n_samples`` independently sampled paths, each
     searched in its keyed bridge tree (:mod:`goupsim.bridge_tree`), all in
-    this process.  Per-sample window exhaustion is counted by the end of the
-    window it hits; a failure rate above 1% raises with both counts and the
-    end of the window to widen.
+    this process: one descent to the hit, one to the shifted time,
+    ``_TREE_CHUNK`` samples at a time.  Every draw is keyed by its sample, so
+    the chunking changes no value.  Per-sample window exhaustion is counted
+    by the end of the window it hits; a failure rate above 1% raises with
+    both counts and the end of the window to widen.
     """
     if not 0.0 < t0 < np.inf:
         raise ValueError(f"t0 must be positive and finite, got {t0}")
@@ -189,16 +160,31 @@ def sample_basepoints(
             f"x0 must be positive and finite (forward hitting search only), got {x0}"
         )
     n = cfg.n_samples
-    indices, values, failures = _tree_basepoints(spec, x0, t0, cfg)
+    key = tree_key(cfg.root_seed)
+    k_min, k_max = cfg.window
+    indices: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    n_unreached = n_before_window = 0
+    for lo in range(0, n, _TREE_CHUNK):
+        sample = np.arange(lo, min(lo + _TREE_CHUNK, n))
+        hit = hit_index(spec, key, cfg.n_max, x0, k_max, sample)
+        # grid index of the shifted time  hitting_time - t0  (step semantics)
+        m = np.floor(hit - t0 * 2.0**cfg.n_max)
+        unreached = hit == 0  # the level is not reached by k_max
+        before = ~unreached & (m < k_min)  # the shifted time falls before k_min
+        ok = ~(unreached | before)
+        n_unreached += int(unreached.sum())
+        n_before_window += int(before.sum())
+        indices.append(sample[ok])
+        values.append(values_at(spec, key, cfg.n_max, m[ok].astype(np.int64), sample[ok]))
     samples = BasepointSamples(
-        values=values,
-        indices=indices,
+        values=np.concatenate(values),
+        indices=np.concatenate(indices),
         n_requested=n,
-        n_unreached=failures[_UNREACHED],
-        n_before_window=failures[_BEFORE_WINDOW],
+        n_unreached=n_unreached,
+        n_before_window=n_before_window,
     )
     if samples.n_failed > 0.01 * n:
-        k_min, k_max = cfg.window
         raise RuntimeError(
             f"{samples.n_failed}/{n} samples exhausted the window {cfg.window}: "
             f"{samples.n_unreached} paths do not reach x0 = {x0!r} by k_max = {k_max} "

@@ -3,10 +3,13 @@ import pytest
 
 from goupsim.ig_analytics import _log_hit_under_pos
 from goupsim.levy_paths import (
+    PATH_PURPOSE,
     DyadicGrid,
     GammaDrift,
     LevyPathSample,
     RngSeed,
+    sample_increment,
+    stream_for,
 )
 from quadrature import QuadratureSpec, integrate_adaptive, integrate_sqrt_endpoint
 
@@ -20,6 +23,19 @@ def make_drift_path(level: int, k_min: int, k_max: int, drift: float = 1.0) -> L
     ks = np.arange(k_min, k_max + 1, dtype=float)
     values = drift * ks * grid.dt
     return LevyPathSample(grid, values, RngSeed(0), GammaDrift(1.0, 1.0, drift))
+
+
+def path_by_concatenation(spec, n_max: int, k_min: int, k_max: int, seed: RngSeed) -> np.ndarray:
+    """Reference build from public API only: each side is ``sample_increment``
+    on its own ``stream_for(seed, PATH_PURPOSE, direction)`` stream, then one
+    cumsum per side (test oracle for ``build_two_sided_path``)."""
+    dt = 2.0**-n_max
+
+    def run(direction, count):
+        return sample_increment(spec, dt, stream_for(seed, PATH_PURPOSE, direction), count)
+
+    fwd, bwd = run(0, k_max), run(1, -k_min)
+    return np.concatenate([-np.cumsum(bwd)[::-1], [0.0], np.cumsum(fwd)])
 
 
 @pytest.fixture

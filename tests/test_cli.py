@@ -13,6 +13,8 @@ from scipy.special import gammainc
 
 import goupsim
 from goupsim.cli import build_parser, main
+from goupsim.levy_paths import GammaDrift, RngSeed
+from conftest import path_by_concatenation
 
 
 def read_rows(path, cols):
@@ -190,13 +192,15 @@ def test_converge_gamma_decreasing(tmp_path):
 
 
 CONVERGE_PINS = {
-    # sha256 of convergence.csv and manifest.json, written by the per-slice
-    # solver that the row-batched one replaced
+    # sha256 of convergence.csv and manifest.json; the tables equalled those
+    # of the per-slice solver that the row-batched one replaced, on the paths
+    # of their time, and were re-taken when each path side became one
+    # PATH_PURPOSE stream
     "gamma": (
         ["--process", "gamma", "--k", "1", "--theta", "1", "--drift", "1",
          "--nmax", "10", "--range=-4:10", "--levels", "2,4,6,8,10", "--p", "1.5",
          "--window-t", "0:3", "--window-x", "0:8", "--kgrid", "37:96", "--seed", "17"],
-        "18bf46c0d7ea22d381505b225e2664876a386665ed7dec4770dfc71a86c6a092",
+        "0e0e2d4bf4fd31cd24bfbd767f5002ae6f7c703d837cf871b37ef657e2e18041",
         "8101b6aaf816b4ac59ecc8572474f4e23a25d177865de7c114690426d0397504",
     ),
     "poisson": (
@@ -204,7 +208,7 @@ CONVERGE_PINS = {
          "--nmax", "10", "--range=-4:10", "--levels", "1,3,5,7,9", "--p", "2",
          "--window-t", "0.5:2.5", "--window-x", "0:6", "--kgrid", "33:80",
          "--datum", "triangular", "--center", "1.5", "--halfwidth", "0.75", "--seed", "23"],
-        "5bb70c0edd7c29c23dc68b0a319242ab600aaba548d9932a049f3648ff38a3d0",
+        "3cea832efd6260f4a052d6d6762148ef77b27c05af5e468fb62d6415c7ba7f65",
         "9bcdfca9d507d2afc40ea2b29c7bbb6afd98f47682679fdb398fc50fefcc62bd",
     ),
 }
@@ -412,18 +416,35 @@ def test_validate_window_exhaustion_is_an_error_line(tmp_path):
 
 
 def test_paths_non_increasing_is_an_error_line(tmp_path):
-    # a stable-1/2 jump to 4.35e6 is followed by increments below half an
-    # ulp of the path value, so the sampled path stalls at k=161133
+    # a driftless Gamma path at level 16 has increments whose quantiles
+    # underflow to 0.0, so the sampled path stalls; the first flat step is
+    # read from the reference build
+    k_min = -4 * 2**16
+    values = path_by_concatenation(GammaDrift(1.0, 1.0, 0.0), 16, k_min, 14 * 2**16, RngSeed(7))
+    bad = k_min + int(np.argmin(np.diff(values) > 0.0))
     with pytest.raises(SystemExit) as exc:
         main(
             [
-                "paths", "--process", "stable-half", "--seed", "7",
-                "--nmax", "14", "--range=-4:14", "--out", str(tmp_path / "run"),
+                "paths", "--process", "gamma", "--drift", "0", "--seed", "7",
+                "--nmax", "16", "--range=-4:14", "--out", str(tmp_path / "run"),
             ]
         )
     message = str(exc.value.code)
-    assert "not strictly increasing at k=161133;" in message
+    assert f"not strictly increasing at k={bad};" in message
     assert "below half an ulp" in message and "Gamma" not in message
+
+
+@pytest.mark.parametrize("command", ["paths", "solve", "converge"])
+def test_window_too_large_to_allocate_is_an_error_line(tmp_path, command):
+    # 2^46 + 1 grid points take 512 TiB, beyond a 47-bit user address space
+    out = tmp_path / "run"
+    argv = [command, "--process", "gamma", "--nmax", "46", "--range=0:1", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert f"its {2**46 + 1} grid points" in message
+    assert "--nmax" in message and "--range" in message
+    assert not out.exists()
 
 
 def test_validate_empty_histogram_skips_l1(tmp_path, capsys):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from goupsim.cli import main
-from goupsim.csvio import write_csv
+from goupsim.csvio import BLOCK, write_csv
 from goupsim.goupillaud import (
     GoupillaudMedium,
     write_characteristic_trace_csv,
@@ -27,7 +27,6 @@ from goupsim.goupillaud import (
 )
 from goupsim.ig_analytics import DensityCurve, write_cdf_csv, write_density_csv
 from goupsim.levy_paths import (
-    BLOCK,
     DyadicGrid,
     LevyPathSample,
     RngSeed,
@@ -240,22 +239,23 @@ def test_full_chunks_equal_str_format(tmp_path, values, n):
     assert not bad, bad[:3]  # first differing rows, not a diff of the whole file
 
 
-# sha256 of path.csv and manifest.json, taken before path.csv rows were
-# formatted by the numpy kernel
+# sha256 of path.csv and manifest.json; the path.csv digests equal those of
+# conftest.path_by_concatenation's values formatted row by row with f-strings,
+# not by the numpy kernel
 PATHS_PINS = {
     "gamma": (
         ["--process", "gamma", "--k", "1", "--theta", "1", "--drift", "1"],
-        "c0efc08ff676eaba84263e7c4a0aeed866e0313c05a5ed1fcc15d986a1ce9827",
+        "192de3ce6d5aa7260f9c66c57942401d05f5853bbcfd9e2eccf2b1187f200b94",
         "3cf0f7891729daded7a70d618cac5bd77694731d1e10a205eecf0ab7005250fb",
     ),
     "poisson": (
         ["--process", "poisson", "--intensity", "1", "--jump", "1", "--drift", "1"],
-        "599852847f87d1d6d977c3cc910a0cd2232c95d62da89842c7849adf51f3d089",
+        "1ec8f830b0c0d0e8458c33b45180c2a1df563d2fbefef1b7008de4fdcea8092e",
         "7353f6a4e5b21929cf5c3e39f7914754faec8e936670df212f5a79333eb7896e",
     ),
     "stable-half": (
         ["--process", "stable-half"],
-        "6fb75c9d6821632a11458e963386e7545627e8b2f5e9249d0a5e9d8c4f84377e",
+        "ad86c8fe6182bf73b0091f6b3178228243d22de8795f0ef52228df4ad617f51c",
         "c102a0876791090e6b0a9a4d6117d3bdd91deeae6744c406e64b5b1f8a021477",
     ),
 }

@@ -6,6 +6,9 @@
   sibling module for, another module's ``_``-prefixed name.
 * No module starts a process pool: every sampler runs in the calling
   process, on threads where it needs more than one core.
+* The modules import each other without a cycle, counting imports made
+  inside functions too: each module can be read, and loaded, after the
+  modules it uses.
 """
 
 import ast
@@ -89,3 +92,33 @@ def test_no_module_imports_a_process_pool(path):
         if isinstance(node, ast.Attribute) and node.attr == "ProcessPoolExecutor"
     ]
     assert not bad, f"{path.name} imports a process pool: {bad}"
+
+
+def _imported_siblings(tree) -> set[str]:
+    """Modules of the package that a module imports, at its top level or
+    inside a function: ``from .x import y``, ``from . import x`` and their
+    absolute ``goupsim`` forms."""
+    found = set()
+    for module, name in _imports(tree):
+        if module in (".", "goupsim"):
+            found.add(name)
+        elif module.startswith(".") or module.startswith("goupsim."):
+            found.add(module.lstrip(".").removeprefix("goupsim.").split(".")[0])
+    return found & {p.stem for p in MODULES}
+
+
+def test_package_import_graph_is_acyclic():
+    left = {
+        p.stem: _imported_siblings(ast.parse(p.read_text(encoding="utf-8"))) - {p.stem}
+        for p in MODULES
+    }
+    # peel off, round by round, the modules that import no module still left
+    # and those that no module still left imports; what remains lies on cycles
+    while peel := [
+        m for m, uses in left.items()
+        if not uses & left.keys() or not any(m in u for u in left.values())
+    ]:
+        for m in peel:
+            del left[m]
+    cycles = {m: sorted(uses & left.keys()) for m, uses in left.items()}
+    assert not cycles, f"import cycle among {cycles}"

@@ -8,12 +8,11 @@ import threading
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from numpy.random import SeedSequence
 from scipy.special import gammainc, gammaincinv, gammaln
 from scipy.stats import poisson
 
 from goupsim.levy_paths import (
-    BLOCK,
+    PATH_PURPOSE,
     DyadicGrid,
     GammaDrift,
     LevyPathSample,
@@ -21,8 +20,7 @@ from goupsim.levy_paths import (
     RngSeed,
     StableHalf,
     WindowError,
-    _KeyedRun,
-    _block_keys,
+    _CHUNK,
     _gamma_log_cut,
     _increment_run,
     _increments_from_raw,
@@ -43,9 +41,13 @@ from goupsim.levy_paths import (
     write_path_csv,
     write_path_metadata,
 )
-from conftest import make_drift_path
+from conftest import make_drift_path, path_by_concatenation
 
 SEED = RngSeed(20240817)
+
+#: a run of increments: the unit of the window sizes below and of the
+#: comparisons against the Brownian oracle's streams
+BLOCK = 4096
 
 
 def test_spec_validation():
@@ -254,32 +256,21 @@ def test_poisson_icdf_unchanged_outside_subnormal_band(lam, digest):
     assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
 
-def _path_by_concatenation(spec, n_max, k_min, k_max, seed):
-    """Reference build: whole blocks, each from its own ``stream_for`` stream,
-    concatenated, then one cumsum per side."""
-    dt = 2.0**-n_max
-
-    def run(direction, count):
-        blocks = [
-            _increments_from_uniforms(
-                spec, dt, _open_uniforms(stream_for(seed, direction, j), BLOCK)
-            )[: count - j * BLOCK]
-            for j in range((count + BLOCK - 1) // BLOCK)
-        ]
-        return np.concatenate(blocks) if blocks else np.empty(0)
-
-    fwd, bwd = run(0, k_max), run(1, -k_min)
-    return np.concatenate([-np.cumsum(bwd)[::-1], [0.0], np.cumsum(fwd)])
-
-
 @pytest.mark.parametrize(
     "k_min, k_max",
-    [(-BLOCK - 5, 2 * BLOCK + 7), (0, BLOCK + 3), (-2 * BLOCK - 1, 0), (0, 0), (-3, 1)],
+    [
+        (-BLOCK - 5, 2 * BLOCK + 7),
+        (0, BLOCK + 3),
+        (-2 * BLOCK - 1, 0),
+        (0, 0),
+        (-3, 1),
+        (-_CHUNK - 1, 2 * _CHUNK + 3),  # both sides cross a chunk boundary
+    ],
 )
 def test_build_in_place_equals_concatenated_reference(k_min, k_max):
     for spec in (GammaDrift(0.5, 1.0, 0.25), PoissonDrift(3.0, 1.0, 0.5), StableHalf()):
         path = build_two_sided_path(spec, 12, k_min, k_max, SEED)
-        want = _path_by_concatenation(spec, 12, k_min, k_max, SEED)
+        want = path_by_concatenation(spec, 12, k_min, k_max, SEED)
         assert path.values.tobytes() == want.tobytes()
 
 
@@ -287,33 +278,14 @@ def test_build_non_increasing_error_names_first_bad_k():
     # a driftless Gamma path at level 16 underflows to flat runs
     spec = GammaDrift(1.0, 1.0, 0.0)
     k_min, k_max = -BLOCK - 9, BLOCK + 9
-    values = _path_by_concatenation(spec, 16, k_min, k_max, SEED)
+    values = path_by_concatenation(spec, 16, k_min, k_max, SEED)
     bad = k_min + int(np.argmin(np.diff(values) > 0.0))
     with pytest.raises(RuntimeError, match=rf"not strictly increasing at k={bad};"):
         build_two_sided_path(spec, 16, k_min, k_max, SEED)
 
 
-@pytest.mark.parametrize("root", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
-def test_block_keys_equal_seed_sequence(root):
-    prefixes = [(0, 0), (7, 1), (2**32, 0), (2**40 + 3, 5, 1), (3, 2**33, 0, 9, 1)]
-    for prefix in prefixes:
-        ss = SeedSequence(root, spawn_key=prefix)
-        keys = _block_keys(ss, 0, 300)
-        assert keys.shape == (300, 2) and keys.dtype == np.uint64
-        for b in range(300):
-            want = SeedSequence(root, spawn_key=(*prefix, b)).generate_state(2, np.uint64)
-            assert np.array_equal(keys[b], want), (root, prefix, b)
-        assert np.array_equal(_block_keys(ss, 0, 7), keys[:7])
-        assert np.array_equal(_block_keys(ss, 123, 45), keys[123:168])
-        # blocks from 2^32 on are two spawn-key words
-        wide = _block_keys(ss, 2**32 - 2, 4)
-        for i, b in enumerate(range(2**32 - 2, 2**32 + 2)):
-            want = SeedSequence(root, spawn_key=(*prefix, b)).generate_state(2, np.uint64)
-            assert np.array_equal(wide[i], want), (root, prefix, b)
-
-
 def test_open_uniforms_are_generator_random_clamped():
-    # the raw-word rule that keyed blocks share is Generator.random's
+    # the raw-word rule of every path stream is Generator.random's
     got = _open_uniforms(stream_for(SEED, 5), 10**5)
     want = np.maximum(stream_for(SEED, 5).random(10**5), 1e-300)
     assert got.tobytes() == want.tobytes()
@@ -321,27 +293,31 @@ def test_open_uniforms_are_generator_random_clamped():
 
 @pytest.mark.parametrize("spec", [GammaDrift(0.5, 1.0, 0.25), PoissonDrift(3.0, 1.0, 0.5), StableHalf()])
 def test_keyed_blocks_equal_their_stream_for_streams(spec):
-    # block b of a run is stream_for(seed, *substream, direction, b) read
-    # through _open_uniforms and _increments_from_uniforms
+    # side `direction` of a run is stream_for(seed, PATH_PURPOSE, *substream,
+    # direction) read through sample_increment, across a chunk boundary
     dt = 2.0**-12
     seed = RngSeed(2**63 + 11, stream_id=2**33 + 1)
     for substream in ((), (6,), (2**40, 3)):
         for direction in (0, 1):
-            count = 2 * BLOCK + 9
+            count = _CHUNK + 9
             got = _increment_run(spec, dt, seed, direction, np.empty(count), substream)
-            want = np.concatenate(
-                [
-                    _increments_from_uniforms(
-                        spec, dt, _open_uniforms(stream_for(seed, *substream, direction, b), BLOCK)
-                    )
-                    for b in range(3)
-                ]
-            )[:count]
+            rng = stream_for(seed, PATH_PURPOSE, *substream, direction)
+            want = sample_increment(spec, dt, rng, count)
             assert got.tobytes() == want.tobytes(), (substream, direction)
-            # a run can start its reads at any block
-            run = _KeyedRun(spec, dt, seed, substream, direction, 3)
-            one = run.fill(2, np.empty(9))
-            assert one.tobytes() == want[2 * BLOCK :].tobytes()
+
+
+def test_path_streams_are_apart_from_oracle_streams():
+    # the Brownian oracle reads stream_for(seed, b, k) for its batch b; no run
+    # of BLOCK increments of either side of a path may repeat one of them
+    spec, dt, runs = StableHalf(), 2.0**-12, 3
+    sides = [_increment_run(spec, dt, SEED, d, np.empty(runs * BLOCK), ()) for d in (0, 1)]
+    for b in (0, 1):
+        for k in (0, 1, 2):
+            oracle = sample_increment(spec, dt, stream_for(SEED, b, k), BLOCK).tobytes()
+            for direction, side in enumerate(sides):
+                for j in range(runs):
+                    run = side[j * BLOCK : (j + 1) * BLOCK].tobytes()
+                    assert run != oracle, (direction, j, b, k)
 
 
 #: specs of the quiet-word grid; every one runs at levels 0..16
@@ -408,11 +384,11 @@ def test_quiet_words_are_exactly_the_words_below_the_bound(monkeypatch):
     assert n_bounds["none"] >= 17 + 3 and n_bounds["near 1"] >= 17
 
 
-#: sha256 of the level-16 values over -4:14, as built with one SeedSequence
-#: per block
+#: sha256 of the level-16 values over -4:14, each side read from its one
+#: PATH_PURPOSE stream
 BUILD_DIGESTS = {
-    "gamma": "83f549dd625c720caae0e151c30a6b97c3db38b7f023a381368848fe944a4ace",
-    "poisson": "e842ebbd0fafad22f82bb9c28e7547fa8ddac7a96dce49f7f2159dbe6ccc2695",
+    "gamma": "cd46c82ce9860e72d574af8e0d1550c58ebdb4b9252e4f79c61582e2a2a41d5a",
+    "poisson": "04127e613b9ba60132c0874564aa1c4b23148798f800c63d295faa95893b53a3",
 }
 
 
