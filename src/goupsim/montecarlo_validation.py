@@ -9,10 +9,10 @@ Two sample sources:
                              one process, every draw keyed by its sample,
 * ``bm_functionals_oracle``  Brownian-motion functionals (running maximum,
                              first argmax location, overshoot location) on a
-                             fine spatial mesh; the recorded maximum is
-                             refined with exact per-segment Brownian-bridge
-                             maxima so that it is free of the O(sqrt(step))
-                             discretization bias of the bare mesh maximum.
+                             fine spatial mesh; exact per-segment bridge
+                             maxima free the maximum of the O(sqrt(step))
+                             bias of the bare mesh maximum, and Levy passage
+                             times find the overshoot without a mesh walk.
 
 Comparison tools: left-closed histograms with overflow tracking, and the L1
 distance (bin masses) and Kolmogorov-Smirnov statistic of samples against a
@@ -233,6 +233,20 @@ def _first_max_segments(
     return group_max, group_seg
 
 
+def _next_mesh_crossing(k, w, s, z, step: float, cap_steps: int):
+    """One overshoot-search round per row, from mesh index ``k`` past ``x``
+    where the path is ``w <= s``: it stays below ``s`` for the passage time,
+    ``D = ((s - w)/z[0])^2 / step`` steps (Levy; Karatzas & Shreve 1991, 2.6)
+    clamped at ``cap_steps + 1``, and is ``s + sqrt((k' - k - D) step) z[1]``
+    at the next mesh point ``k' = k + floor(D) + 1`` (strong Markov property).
+    Returns ``k'``, the path there, and whether it is above ``s`` within the cap."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.fmin((s - w) ** 2 / (step * z[0] ** 2), cap_steps + 1.0)
+    k_next = k + d.astype(np.int64) + 1  # d >= 0: truncation is floor
+    w_next = s + np.sqrt((k_next - k - d) * step) * z[1]
+    return k_next, w_next, (w_next > s) & (k_next <= cap_steps)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -248,7 +262,6 @@ def bm_functionals_oracle(
     include_overshoot: bool = True,
     cap_length: float | None = None,
     batch_size: int = 1024,
-    chunk_steps: int = 2048,
 ) -> OracleSamples:
     """Simulate standard Brownian motion on a spatial mesh of width ``step``
     and record, per sample, the running maximum ``s`` over ``[0, x]``, the
@@ -257,21 +270,21 @@ def bm_functionals_oracle(
 
     The recorded maximum is the exact continuum maximum given the mesh
     skeleton (per-segment bridge maxima), not the biased mesh maximum.  The
-    overshoot search runs to at most ``cap_length`` (default ``4 x``) past
-    ``x``; samples that exceed the cap keep ``b = NaN`` and are counted in
-    ``n_capped`` (their ``(s, a)`` pair is retained: dropping them would bias
-    the undershoot marginal, since overshoot search length and undershoot
-    location are correlated).  ``include_overshoot=False`` skips the search
-    when only the hitting/undershoot functionals are needed.
+    overshoot search jumps from passage time to passage time
+    (:func:`_next_mesh_crossing`) to at most ``cap_length`` (default ``4 x``)
+    past ``x``; samples that exceed the cap keep ``b = NaN`` and are counted
+    in ``n_capped`` (their ``(s, a)`` pair is retained: dropping them would
+    bias the undershoot marginal, since overshoot search length and
+    undershoot location are correlated).  ``include_overshoot=False`` skips
+    the search when only the hitting/undershoot functionals are needed.
 
     Samples come in batches of ``batch_size`` rows; batch ``b`` draws only
     from its own streams ``stream_for(seed, b, .)``.  A batch is meshed 16
-    rows at a time (``_ROW_GROUP``) into reused buffers, and its overshoot
-    search draws ``chunk_steps`` steps at a time into one flat buffer, so a
-    batch holds a few MB instead of its whole mesh.  The batches run on a
-    thread pool as wide as the CPUs this process may use: numpy fills and
-    sums arrays without holding the GIL, and each batch's generators have
-    their own locks.  The output is bitwise the same for any thread count.
+    rows at a time (``_ROW_GROUP``) into reused buffers, so it holds a few MB
+    instead of its whole mesh.  The batches run on a thread pool as wide as
+    the CPUs this process may use: numpy fills and sums arrays without
+    holding the GIL, and each batch's generators have their own locks.  The
+    output is bitwise the same for any thread count.
     """
     if not 0.0 < x < np.inf:
         raise ValueError(f"x must be positive and finite, got {x}")
@@ -280,7 +293,7 @@ def bm_functionals_oracle(
     n_steps = int(round(x / step))
     if abs(n_steps * step - x) > 1e-9 * x:
         raise ValueError(f"x={x} is not an integer multiple of step={step}")
-    for name, value in (("n", n), ("batch_size", batch_size), ("chunk_steps", chunk_steps)):
+    for name, value in (("n", n), ("batch_size", batch_size)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     if cap_length is None:
@@ -289,9 +302,7 @@ def bm_functionals_oracle(
         raise ValueError(f"cap_length must be finite, got {cap_length}")
     cap_steps = int(round(cap_length / step))
     if include_overshoot and cap_steps < 1:
-        raise ValueError(
-            f"cap_length must cover at least one step of {step}, got {cap_length}"
-        )
+        raise ValueError(f"cap_length must cover at least one step of {step}, got {cap_length}")
 
     sqrt_step = np.sqrt(step)
     hit = np.empty(n)
@@ -322,29 +333,17 @@ def bm_functionals_oracle(
         if not include_overshoot:
             return 0
 
+        rng_search = stream_for(seed, batch, 2)
         levels = hit[lo:hi]
-        buf = np.empty((hi - lo) * min(chunk_steps, cap_steps))
         active = np.arange(hi - lo)
-        steps_done = 0
-        chunk = 0
-        while active.size and steps_done < cap_steps:
-            cs = min(chunk_steps, cap_steps - steps_done)
-            wc = buf[: active.size * cs].reshape(active.size, cs)
-            stream_for(seed, batch, 2, chunk).standard_normal(out=wc)
-            wc *= sqrt_step
-            np.cumsum(wc, axis=1, out=wc)
-            # the carry is added to the finished sums, not folded into them,
-            # so every value rounds as in  current + cumsum(steps)
-            wc += current[:, None]
-            above = wc > levels[active, None]
-            found = above.any(axis=1)
-            first = np.argmax(above, axis=1)
-            overshoot[lo + active[found]] = x + (steps_done + first[found] + 1) * step
-            current = wc[~found, -1]
-            active = active[~found]
-            steps_done += cs
-            chunk += 1
-        return active.size
+        k = np.zeros(hi - lo, dtype=np.int64)  # mesh index past x, per active row
+        while active.size:
+            zs = rng_search.standard_normal((2, active.size))
+            k, current, found = _next_mesh_crossing(k, current, levels[active], zs, step, cap_steps)
+            overshoot[lo + active[found]] = x + k[found] * step
+            live = ~found & (k <= cap_steps)
+            active, k, current = active[live], k[live], current[live]
+        return int(np.isnan(overshoot[lo:hi]).sum())
 
     n_batches = -(-n // batch_size)
     with ThreadPoolExecutor(max_workers=min(n_batches, _usable_cpus())) as pool:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,8 +191,6 @@ def test_oracle_input_validation():
         bm_functionals_oracle(1.0, 1e-2, 0, SEED)
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
         bm_functionals_oracle(1.0, 1e-2, 10, SEED, batch_size=0)
-    with pytest.raises(ValueError, match="chunk_steps must be >= 1"):
-        bm_functionals_oracle(1.0, 1e-2, 10, SEED, chunk_steps=0)
     for cap in (0.0, -1.0, 0.004):
         with pytest.raises(ValueError, match="cap_length"):
             bm_functionals_oracle(1.0, 1e-2, 10, SEED, cap_length=cap)
@@ -226,19 +225,21 @@ def _oracle_digest(res) -> str:
 
 
 # 2500 samples make two full batches and a short last one; with a cap of
-# 2 x about 40% of the overshoot searches stop at the cap, and 64-step
-# chunks end in a short chunk (200 = 3 * 64 + 8).  The digests were taken
-# from the whole-batch implementation that preceded the streamed one.
+# 2 x about 40% of the overshoot searches stop at the cap, and with a cap
+# of one step all but about 4%.  The hitting/undershoot digest is shared by
+# every case and was taken from the whole-batch implementation that preceded
+# the streamed one; the overshoot digests from the passage-time search.
+HIT_UNDER_GOLDEN = "8602490bf08ca7e45539eff9ba6227aeb7f46e704a57e579992c60fba57ed71c"
 ORACLE_GOLDEN = [
     (
-        dict(cap_length=2.0, chunk_steps=64),
-        1081,
-        "00e1e1edc5b420254cff8d90925e6b89dcf63271afd94483141bc94099856e8d",
+        dict(cap_length=0.01),
+        2408,
+        "e072a72645aeae899b9ac528a549abe1ea8f77c6c8923a0e453ab7186e47074a",
     ),
     (
         dict(cap_length=2.0),
-        1018,
-        "896059b6a9a32eab0fdce8d14857e1f26271d9405b5d089beda745dcdaf700bc",
+        1038,
+        "cde19384d2b3b8a0cd6d5a839bba1d42e1bb5a03c4abfac64d54dc683782e537",
     ),
     (
         dict(include_overshoot=False),
@@ -250,7 +251,7 @@ ORACLE_GOLDEN = [
 
 @pytest.mark.parametrize("cpus,row_group", [(1, 16), (3, 16), (2, 5)])
 @pytest.mark.parametrize(
-    "kwargs,n_capped,digest", ORACLE_GOLDEN, ids=["capped-short-chunk", "capped", "no-overshoot"]
+    "kwargs,n_capped,digest", ORACLE_GOLDEN, ids=["one-step-cap", "capped", "no-overshoot"]
 )
 def test_oracle_bitwise_golden_for_any_thread_count(
     monkeypatch, cpus, row_group, kwargs, n_capped, digest
@@ -258,6 +259,10 @@ def test_oracle_bitwise_golden_for_any_thread_count(
     monkeypatch.setattr(montecarlo_validation, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(montecarlo_validation, "_ROW_GROUP", row_group)
     res = bm_functionals_oracle(1.0, 1e-2, 2500, RngSeed(2024), **kwargs)
+    h = hashlib.sha256()
+    for a in (res.hit, res.undershoot):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == HIT_UNDER_GOLDEN
     assert res.n_capped == n_capped
     assert _oracle_digest(res) == digest
 
@@ -272,6 +277,147 @@ def test_oracle_streams_rows_of_a_batch():
     finally:
         tracemalloc.stop()
     assert peak <= 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_oracle_overshoot_search_holds_no_walk_buffer(monkeypatch):
+    # the mesh walk past x held a (rows x 2048) buffer of steps, 16.8 MB,
+    # and peaked at 23.1 MB here; the passage-time search holds a few
+    # values per row
+    monkeypatch.setattr(montecarlo_validation, "_usable_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        bm_functionals_oracle(1.0, 1e-4, 1024, SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _walk_overshoot(w, s, rng, step, cap_steps):
+    """Mesh index past x of the first mesh point above ``s``, 0 where the
+    cap is reached first: the walk over the mesh that the passage-time
+    search replaced, 64 normal steps at a time."""
+    out = np.zeros(w.size, dtype=np.int64)
+    active, current = np.arange(w.size), w.copy()
+    done = 0
+    while active.size and done < cap_steps:
+        cs = min(64, cap_steps - done)
+        wc = np.cumsum(rng.standard_normal((active.size, cs)) * np.sqrt(step), axis=1)
+        wc += current[:, None]
+        above = wc > s[active, None]
+        found = above.any(axis=1)
+        out[active[found]] = done + np.argmax(above[found], axis=1) + 1
+        current, active = wc[~found, -1], active[~found]
+        done += cs
+    return out
+
+
+def _walk_oracle(x, step, n, seed, cap_length):
+    """Overshoot mesh indices (0 where capped) of ``n`` Brownian paths meshed
+    at ``step`` over ``[0, x]``, with exact bridge maxima, and the walk."""
+    rng = np.random.default_rng(seed)
+    n_steps, cap_steps = round(x / step), round(cap_length / step)
+    out = []
+    for lo in range(0, n, 4096):
+        rows = min(4096, n - lo)
+        w = np.zeros((rows, n_steps + 1))
+        np.cumsum(rng.standard_normal((rows, n_steps)) * np.sqrt(step), axis=1, out=w[:, 1:])
+        s, _ = montecarlo_validation._first_max_segments(w, step, rng)
+        out.append(_walk_overshoot(w[:, -1], s, rng, step, cap_steps))
+    return np.concatenate(out)
+
+
+def test_passage_time_search_has_the_law_of_the_mesh_walk():
+    # the search and the walk it replaced, from independent streams, at
+    # x = 1, step 1e-2, a cap of 200 steps and 2e4 samples each.  Capped
+    # counts: Fisher's exact test of the 2 x 2 table, whose false-alarm
+    # rate is at most its level 1e-3.  Mesh indices of the found samples:
+    # a chi-square test of homogeneity over the index bins 1, 2, 3-5, 6-20,
+    # 21-100 and 101-200, false-alarm rate 1e-3 (asymptotic; every expected
+    # count is above 100).
+    x, step, n, cap = 1.0, 1e-2, 2 * 10**4, 2.0
+    res = bm_functionals_oracle(x, step, n, SEED, cap_length=cap)
+    found = np.isfinite(res.overshoot)
+    search = np.rint((res.overshoot[found] - x) / step).astype(np.int64)
+    walk = _walk_oracle(x, step, n, 4242, cap)
+    assert res.n_capped == n - found.sum()
+    n_capped_walk = int(np.sum(walk == 0))
+    table = [[res.n_capped, n - res.n_capped], [n_capped_walk, n - n_capped_walk]]
+    assert stats.fisher_exact(table).pvalue > 1e-3, table
+    bins = np.array([1, 2, 3, 6, 21, 101, 201])
+    counts = [np.histogram(k, bins)[0] for k in (search, walk[walk > 0])]
+    assert stats.contingency.expected_freq(counts).min() > 100, counts
+    assert stats.chi2_contingency(counts).pvalue > 1e-3, counts
+
+
+def test_next_mesh_crossing_edge_cases():
+    from goupsim.montecarlo_validation import _next_mesh_crossing
+
+    step, cap = 0.25, 10
+    k = np.array([0, 3, 2, 4, 0, 0, 7])
+    s = np.ones(7)
+    # D = ((s - w)/z0)^2 / step: 4 (an integer), 4 again, then two zero
+    # gaps (w = s), then z0 = 0 (an infinite passage time), z0 so small
+    # that z0^2 underflows, and a zero gap with z0 = 0
+    w = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+    z = np.array(
+        [[1.0, -1.0, 0.5, 2.0, 0.0, 1e-300, 0.0], [2.0, -2.0, 1.0, -1.0, 1.0, 1.0, 1.0]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k2, w2, found = _next_mesh_crossing(k, w, s, z, step, cap)
+    # an integer D = j lands on k + j + 1, one full step after the passage
+    assert k2[:2].tolist() == [5, 8]
+    assert w2[:2].tolist() == [1.0 + 0.5 * 2.0, 1.0 - 0.5 * 2.0]
+    assert found[:2].tolist() == [True, False]
+    # a zero gap still moves on one mesh point
+    assert k2[2:4].tolist() == [3, 5]
+    assert w2[2:4].tolist() == [1.5, 0.5]
+    assert found[2:4].tolist() == [True, False]
+    # an infinite passage time is capped, with an exact index past the cap
+    assert k2.dtype == np.int64
+    assert k2[4:].tolist() == [cap + 2, cap + 2, 7 + cap + 2]
+    assert np.all(np.isfinite(w2)) and not found[4:].any()
+
+
+def test_oracle_overshoot_indices_are_mesh_points_within_the_cap():
+    for cap, n_cap in ((0.01, 1), (0.37, 37), (2.0, 200)):
+        res = bm_functionals_oracle(1.0, 1e-2, 3000, SEED, cap_length=cap)
+        found = np.isfinite(res.overshoot)
+        j = (res.overshoot[found] - 1.0) / 1e-2
+        assert np.all(np.abs(j - np.rint(j)) <= 1e-9 * n_cap)
+        assert np.rint(j).min() >= 1 and np.rint(j).max() <= n_cap
+        assert np.all(res.overshoot[found] <= 1.0 + n_cap * 1e-2 * (1 + 1e-12))
+        assert res.n_capped == int(np.sum(~found))
+        assert 0 < res.n_capped < 3000
+
+
+def test_oracle_search_ends_when_no_row_rises_above_its_level(monkeypatch):
+    # a search stream whose second normal is always -1 never puts a mesh
+    # point above the level; every round still moves each row on at least
+    # one mesh point, so every row is capped within cap + 1 rounds
+    stream_for = montecarlo_validation.stream_for
+    rounds = []
+
+    class Falling:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size):
+            rounds.append(size[1])
+            z = self.rng.standard_normal(size)
+            z[0] = 1e3  # passage times far below one step
+            z[1] = -1.0
+            return z
+
+    def fake(seed, *key):
+        rng = stream_for(seed, *key)
+        return Falling(rng) if key[1:] == (2,) else rng
+
+    monkeypatch.setattr(montecarlo_validation, "stream_for", fake)
+    res = bm_functionals_oracle(1.0, 1e-2, 300, SEED, cap_length=0.2, batch_size=128)
+    assert res.n_capped == 300 and np.all(np.isnan(res.overshoot))
+    assert len(rounds) == 3 * 21  # 20 steps: every row moves on one per round
 
 
 def test_oracle_running_max_half_normal():
