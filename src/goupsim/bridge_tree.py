@@ -5,9 +5,8 @@ value at time ``s >= 0`` is ``-x(-s)``) is a row of unit-length top nodes.
 A node carries its jump sum ``v``, the part of its increment beyond the
 deterministic ``drift * length``.  Top node ``j`` covers ``(j, j+1]`` and its
 increment ``L(1) = v + drift`` comes from the unit-time quantile of one
-uniform: ``1/Z^2`` for stable-1/2 (``Z = ndtri(u)``, no drift),
-``scale * gammaincinv(shape_rate, u)`` for Gamma and
-``jump_size * poisson_icdf(intensity, u)`` for Poisson.  The side's values at
+uniform, ``v = levy_paths.jump_quantile(spec, 1, u)``, the same law the
+eager path builds use (stable-1/2 has no drift).  The side's values at
 the integers are the running sum of those increments.  A node of length
 ``2h`` splits its jump sum into two halves of length ``h`` by one exact
 draw from the law of the left half given ``v``,
@@ -38,9 +37,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.random import SeedSequence
-from scipy.special import bdtr, betaincinv, gammaincinv, ndtri
+from scipy.special import bdtr, betaincinv, ndtri
 
-from .levy_paths import GammaDrift, PoissonDrift, ProcessSpec, RngSeed, StableHalf, poisson_icdf
+from .levy_paths import GammaDrift, PoissonDrift, ProcessSpec, RngSeed, jump_quantile
 
 __all__ = [
     "PURPOSE",
@@ -137,22 +136,10 @@ def _node_uniforms(key, index, code, side, sample) -> np.ndarray:
     return ((word >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
 
 
-def _drift(spec: ProcessSpec) -> float:
-    return 0.0 if isinstance(spec, StableHalf) else spec.drift
-
-
 def top_jumps(spec: ProcessSpec, key, side, sample, index) -> np.ndarray:
     """Jump sums ``L(1) - drift`` of the top nodes ``index`` (broadcast), by
     the unit-time quantile of each node's uniform."""
-    u = _node_uniforms(key, index, 0, side, sample)
-    if isinstance(spec, GammaDrift):
-        return spec.scale * gammaincinv(spec.shape_rate, u)
-    if isinstance(spec, PoissonDrift):
-        return spec.jump_size * poisson_icdf(spec.intensity, u)
-    if isinstance(spec, StableHalf):
-        z = ndtri(u)
-        return 1.0 / (z * z)
-    raise TypeError(f"unsupported process spec: {spec!r}")
+    return jump_quantile(spec, 1.0, _node_uniforms(key, index, 0, side, sample))
 
 
 def _binomial_half_icdf(n: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -232,7 +219,7 @@ def _top_nodes(
     searching, and each batch's sum starts from the running sum carried into
     its first increment, so every value equals one sequential sum."""
     n = sample.size
-    drift = _drift(spec)
+    drift = spec.drift
     node = np.full(n, -1, dtype=np.int64)
     lo, hi, v = np.zeros(n), np.zeros(n), np.zeros(n)
     rows = np.arange(n)
@@ -263,7 +250,7 @@ def _descend(spec, key, side, sample, node, lo, hi, v, levels: int, go_left: Cal
     """Walk ``levels`` levels down from depth-0 nodes, splitting only the
     node walked into: ``go_left(depth, mid)`` picks the half per sample.
     Returns the leaf indices and the values at their ends."""
-    drift = _drift(spec)
+    drift = spec.drift
     for depth in range(levels):
         left, right = _split(spec, key, depth, side, sample, node, v)
         mid = np.minimum(lo + (drift * 2.0 ** -(depth + 1) + left), hi)

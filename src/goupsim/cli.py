@@ -9,9 +9,9 @@ density    analytic base-point density and CDF for the stable-1/2 process
 validate   Monte Carlo base points against the analytic density; exit
            status is nonzero unless every configured check passes
 
-Global flags (``--seed``, ``--out``, ``--threads``) can also be set through
-environment variables with the ``GOUPSIM_`` prefix (``GOUPSIM_SEED``,
-``GOUPSIM_OUT``, ``GOUPSIM_THREADS``); flags win over the environment.
+Global flags ``--seed`` and ``--out`` can also be set through environment
+variables with the ``GOUPSIM_`` prefix (``GOUPSIM_SEED``, ``GOUPSIM_OUT``);
+flags win over the environment.
 ``--tol-abs`` and ``--tol-rel`` are still accepted but no longer affect any
 output: the base-point law is evaluated in closed form.  ``--threads`` is
 still accepted, and refused below 1, but no longer affects any output either:
@@ -59,7 +59,6 @@ def _env(name: str, cast, fallback):
 _ENV_DEFAULTS = {
     "seed": ("SEED", int, 20230915),
     "out": ("OUT", Path, Path("goupsim-out")),
-    "threads": ("THREADS", int, 1),
 }
 
 
@@ -75,8 +74,8 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        help="accepted for compatibility (at least 1); no longer affects any output "
-        "(env GOUPSIM_THREADS)",
+        default=1,
+        help="accepted for compatibility (at least 1); no longer affects any output",
     )
     for flag in ("--tol-abs", "--tol-rel"):
         parser.add_argument(

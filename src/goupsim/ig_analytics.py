@@ -445,12 +445,11 @@ def hit_under_bin_masses(
     return m[:-1] - m[1:]
 
 
-def default_z_grid(
-    x: float,
-    n: int = 512,
-    z_neg_far: float = -1e6,
-    rel_inner: float = 1e-5,
-) -> np.ndarray:
+#: innermost grid point on either side of 0, relative to the level ``x``
+_REL_INNER = 1e-5
+
+
+def default_z_grid(x: float, n: int = 512, z_neg_far: float = -1e6) -> np.ndarray:
     """Two-sided evaluation grid for a positive level ``x``.
 
     Geometric refinement toward the integrable spike at 0 on both sides, a
@@ -460,7 +459,7 @@ def default_z_grid(
         raise ValueError(f"x must be positive, got {x}")
     if n < 64:
         raise ValueError(f"need at least 64 grid points, got {n}")
-    inner = rel_inner * x
+    inner = _REL_INNER * x
     if not np.isfinite(z_neg_far):
         raise ValueError(f"the far negative end must be finite, got {z_neg_far!r}")
     if not z_neg_far < -inner:

@@ -5,8 +5,9 @@ by aggregation, so the dyadic consistency relation (coarse increments are
 exact sums of fine increments) holds by construction on a single realization.
 
 Reproducibility: every increment is a deterministic transform of exactly one
-uniform word drawn from a counter-based (Philox) stream.  Side ``direction``
-of a path (0 forward, 1 backward) reads the single stream
+uniform word drawn from a counter-based (Philox) stream, the quantile
+:func:`jump_quantile` of the word's uniform plus ``drift * dt``.  Side
+``direction`` of a path (0 forward, 1 backward) reads the single stream
 ``stream_for(seed, PATH_PURPOSE, *substream, direction)`` from counter 0,
 one word per grid increment, outward from ``t = 0``.  The purpose tag keeps
 these streams apart from every other stream under the same seed.  Because a
@@ -14,16 +15,17 @@ side is one stream read in order, a wider window extends a narrower one bit
 for bit.
 
 Monte Carlo base points do not read these streams: they descend keyed bridge
-trees (:mod:`goupsim.bridge_tree`), whose Poisson top nodes reuse
-:func:`poisson_icdf`.
+trees (:mod:`goupsim.bridge_tree`), whose unit-length top nodes take the
+same :func:`jump_quantile` at ``dt = 1``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -43,6 +45,7 @@ __all__ = [
     "WindowError",
     "stream_for",
     "sample_increment",
+    "jump_quantile",
     "poisson_icdf",
     "build_two_sided_path",
     "aggregate_to_level",
@@ -78,6 +81,7 @@ class GammaDrift:
     ``L(t) = Gamma(shape_rate * t, scale) + drift * t``.
     """
 
+    family: ClassVar[str] = "gamma"
     shape_rate: float
     scale: float
     drift: float = 0.0
@@ -98,6 +102,7 @@ class PoissonDrift:
     Strict increase between jumps requires ``drift > 0``.
     """
 
+    family: ClassVar[str] = "poisson"
     intensity: float
     jump_size: float
     drift: float
@@ -115,6 +120,9 @@ class PoissonDrift:
 class StableHalf:
     """Stable-1/2 subordinator: first-passage process of standard Brownian
     motion, with ``L(dt) =d= dt^2 / Z^2`` for a standard normal ``Z``."""
+
+    family: ClassVar[str] = "stable-half"
+    drift: ClassVar[float] = 0.0
 
 
 ProcessSpec = GammaDrift | PoissonDrift | StableHalf
@@ -193,11 +201,6 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return np.maximum((raw >> 11) * 2.0**-53, 1e-300)
 
 
-def _open_uniforms(rng: Generator, size: int) -> np.ndarray:
-    # one 64-bit word per value, read in the order Generator.random reads them
-    return _uniforms(rng.bit_generator.random_raw(size))
-
-
 #: smallest normal float
 _TINY = np.finfo(float).tiny
 
@@ -246,6 +249,40 @@ def poisson_icdf(lam: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def jump_quantile(spec: ProcessSpec, dt: float, u) -> np.ndarray:
+    """The quantile of ``L(dt) - drift * dt`` at uniforms ``u`` (any shape):
+    ``scale * gammaincinv(shape_rate dt, u)`` for Gamma, ``jump_size *
+    poisson_icdf(intensity dt, u)`` for Poisson and ``dt^2 / ndtri(u)^2``
+    for stable-1/2."""
+    if isinstance(spec, GammaDrift):
+        return spec.scale * gammaincinv(spec.shape_rate * dt, u)
+    if isinstance(spec, PoissonDrift):
+        return spec.jump_size * poisson_icdf(spec.intensity * dt, u)
+    if isinstance(spec, StableHalf):
+        z = ndtri(u)
+        return dt * dt / (z * z)
+    raise TypeError(f"unsupported process spec: {spec!r}")
+
+
+def _increments_from_uniforms(spec: ProcessSpec, dt: float, u: np.ndarray) -> np.ndarray:
+    """Map one uniform word per increment to one draw of ``L(dt)``."""
+    return jump_quantile(spec, dt, u) + spec.drift * dt
+
+
+def sample_increment(spec: ProcessSpec, dt: float, rng: Generator, size: int | None = None):
+    """Draw ``L(dt)`` (or an array of independent copies) from ``rng``.
+
+    ``dt`` must be positive and finite.  Each draw consumes exactly one
+    uniform word, read in the order ``Generator.random`` reads them.
+    """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    n = 1 if size is None else int(size)
+    u = _uniforms(rng.bit_generator.random_raw(n))
+    draws = _increments_from_uniforms(spec, dt, u)
+    return float(draws[0]) if size is None else draws
+
+
 #: log of 2^-1100, far enough below the smallest subnormal 2^-1074 that a
 #: Gamma quantile under 2^-1100 rounds to 0.0 with a wide margin
 _LOG_TINY = -1100.0 * np.log(2.0)
@@ -264,66 +301,6 @@ def _gamma_log_cut(spec: GammaDrift, a: float, dt: float) -> float:
     return a * log_q - gammaln(1.0 + a) - math.exp(log_q)
 
 
-def _increments_from_uniforms(spec: ProcessSpec, dt: float, u: np.ndarray) -> np.ndarray:
-    """Map one uniform word per increment to one draw of ``L(dt)``.
-
-    Gamma: ``scale * gammaincinv(a, u) + drift * dt`` with ``a = shape_rate *
-    dt``, bit for bit, but without calling ``gammaincinv`` where its result
-    cannot reach the sum.  Let ``q = max(2^-1100, 2^-60 drift dt / scale)``,
-    held at most 1 (any smaller ``q`` only cuts less).  For every ``x > 0``
-    the regularized incomplete gamma function obeys ``P(a, x) >= e^(-x) x^a /
-    Gamma(1 + a)``, so every ``u`` with ``log u <= a log q - gammaln(1 + a) -
-    q`` has ``u <= P(a, q)``: its quantile is at most ``q``.  Two cases:
-
-    * ``q = 2^-1100`` (always when ``drift = 0``): the quantile lies below
-      ``2^-1075`` and rounds to ``0.0``, so ``gammaincinv`` returns ``0.0``.
-    * ``q = 2^-60 drift dt / scale``: the jump ``scale * gammaincinv(a, u)``
-      is at most about ``2^-60 drift dt``, below a quarter ulp of
-      ``fl(drift dt)`` whether that is normal, subnormal or 0, so the sum
-      rounds to ``fl(drift dt)``.
-
-    Either way the increment is ``scale * 0.0 + drift * dt``, which is what
-    the cut branch writes.  The ``-q`` term keeps the bound true when
-    ``drift / scale`` is large and ``q`` is not small against ``a``.  Between
-    ``2^-60`` and a quarter ulp (at least ``2^-55`` of ``fl(drift dt)``) lies a
-    factor ``2^5``, and between ``2^-1100`` and ``2^-1075`` a factor
-    ``2^25``: they absorb the error of ``gammaincinv`` and the rounding of
-    the two sides of the comparison, near ``1e-15 |log u|`` each.  The
-    comparison is made on ``log u`` rather than on ``u``: for tiny ``a`` the
-    cut sits next to ``u = 1``, where ``exp`` of it would round by more than
-    the margin, while ``log u`` keeps full relative precision.  At fine
-    dyadic levels almost every increment is cut: at ``a = 2^-16`` with
-    ``drift = scale = 1``, all but about 0.077% of them.
-    """
-    if isinstance(spec, GammaDrift):
-        a = spec.shape_rate * dt
-        q = np.zeros_like(u)
-        live = np.log(u) > _gamma_log_cut(spec, a, dt)
-        q[live] = gammaincinv(a, u[live])
-        return spec.scale * q + spec.drift * dt
-    if isinstance(spec, PoissonDrift):
-        counts = poisson_icdf(spec.intensity * dt, u)
-        return spec.jump_size * counts.astype(float) + spec.drift * dt
-    if isinstance(spec, StableHalf):
-        z = ndtri(u)
-        return dt * dt / (z * z)
-    raise TypeError(f"unsupported process spec: {spec!r}")
-
-
-def sample_increment(spec: ProcessSpec, dt: float, rng: Generator, size: int | None = None):
-    """Draw ``L(dt)`` (or an array of independent copies) from ``rng``.
-
-    ``dt`` must be positive and finite.  Each draw consumes exactly one
-    uniform word.
-    """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    n = 1 if size is None else int(size)
-    u = _open_uniforms(rng, n)
-    draws = _increments_from_uniforms(spec, dt, u)
-    return float(draws[0]) if size is None else draws
-
-
 def _quiet_words(spec: ProcessSpec, dt: float) -> int:
     """``M`` such that every raw word below ``M << 11`` gives the base
     increment ``drift * dt`` (no jump), or 0 where no such bound is kept.
@@ -332,10 +309,38 @@ def _quiet_words(spec: ProcessSpec, dt: float) -> int:
     every word below ``M << 11`` with ``M = ceil(u_q 2^53)`` has a uniform
     below ``u_q`` when ``u_q > 1e-300``.
 
-    * Gamma: ``u_q = exp(cut) (1 - 2^-30)`` with ``cut`` the cut of
-      :func:`_increments_from_uniforms`.  Below ``u_q``, ``log u`` is at
-      least ``2^-30`` under ``cut``, far beyond the rounding of ``log`` and
-      ``exp``, so ``log u <= cut`` and the quantile is skipped there too.
+    * Gamma: the increment is ``scale * gammaincinv(a, u) + drift * dt``
+      with ``a = shape_rate * dt``, and ``u_q = exp(cut) (1 - 2^-30)`` with
+      ``cut = a log q - gammaln(1 + a) - q`` (:func:`_gamma_log_cut`).  Let
+      ``q = max(2^-1100, 2^-60 drift dt / scale)``, held at most 1 (any
+      smaller ``q`` only cuts less).  For every ``x > 0`` the regularized
+      incomplete gamma function obeys ``P(a, x) >= e^(-x) x^a / Gamma(1 +
+      a)``, so every ``u`` with ``log u <= cut`` has ``u <= P(a, q)``: its
+      quantile is at most ``q``.  Two cases:
+
+      - ``q = 2^-1100`` (always when ``drift = 0``): the quantile lies below
+        ``2^-1075`` and rounds to ``0.0``, so ``gammaincinv`` returns
+        ``0.0``.
+      - ``q = 2^-60 drift dt / scale``: the jump ``scale * gammaincinv(a,
+        u)`` is at most about ``2^-60 drift dt``, below a quarter ulp of
+        ``fl(drift dt)`` whether that is normal, subnormal or 0, so the sum
+        rounds to ``fl(drift dt)``.
+
+      Either way the increment is ``scale * 0.0 + drift * dt``, which is
+      ``drift * dt``.  The ``-q`` term keeps the bound true when ``drift /
+      scale`` is large and ``q`` is not small against ``a``.  Between
+      ``2^-60`` and a quarter ulp (at least ``2^-55`` of ``fl(drift dt)``)
+      lies a factor ``2^5``, and between ``2^-1100`` and ``2^-1075`` a
+      factor ``2^25``: they absorb the error of ``gammaincinv`` and the
+      rounding of the two sides of the comparison, near ``1e-15 |log u|``
+      each.  The cut is formed in log space: for tiny ``a`` it sits next to
+      ``u = 1``, where a bound summed as a probability would round by more
+      than the margin, while ``cut`` keeps full relative precision.  Below
+      ``u_q``, ``log u`` is at least ``2^-30`` under ``cut``, far beyond the
+      rounding of ``log`` and ``exp``, so ``log u <= cut`` holds for every
+      word below ``M << 11``.  At fine dyadic levels almost every word is
+      quiet: at ``a = 2^-16`` with ``drift = scale = 1``, all but about
+      0.077% of them.
     * Poisson: ``u_q = exp(-lam dt) = P(K = 0)``, where the count is 0, kept
       only when :func:`poisson_icdf` sums from ``k_lo = 0``.
     * Stable-1/2: no bound; every increment is a jump.
@@ -557,34 +562,26 @@ def hitting_time(path: LevyPathSample, x):
 # serialization
 
 def process_to_dict(spec: ProcessSpec) -> dict:
-    if isinstance(spec, GammaDrift):
-        return {
-            "family": "gamma",
-            "shape_rate": spec.shape_rate,
-            "scale": spec.scale,
-            "drift": spec.drift,
-        }
-    if isinstance(spec, PoissonDrift):
-        return {
-            "family": "poisson",
-            "intensity": spec.intensity,
-            "jump_size": spec.jump_size,
-            "drift": spec.drift,
-        }
-    if isinstance(spec, StableHalf):
-        return {"family": "stable-half"}
-    raise TypeError(f"unsupported process spec: {spec!r}")
+    return {"family": spec.family, **asdict(spec)}
+
+
+#: process classes by their ``family`` name
+_FAMILIES = {cls.family: cls for cls in (GammaDrift, PoissonDrift, StableHalf)}
 
 
 def process_from_dict(d: dict) -> ProcessSpec:
+    """The spec of ``process_to_dict``'s output: ``family`` and exactly the
+    class's fields, or ``ValueError`` naming every missing or unknown key."""
     family = d.get("family")
-    if family == "gamma":
-        return GammaDrift(d["shape_rate"], d["scale"], d["drift"])
-    if family == "poisson":
-        return PoissonDrift(d["intensity"], d["jump_size"], d["drift"])
-    if family == "stable-half":
-        return StableHalf()
-    raise ValueError(f"unknown process family: {family!r}")
+    cls = _FAMILIES.get(family)
+    if cls is None:
+        raise ValueError(f"unknown process family: {family!r}")
+    params = {key: value for key, value in d.items() if key != "family"}
+    names = {f.name for f in fields(cls)}
+    missing, unknown = sorted(names - params.keys()), sorted(params.keys() - names)
+    if missing or unknown:
+        raise ValueError(f"{family} process: missing keys {missing}, unknown keys {unknown}")
+    return cls(**params)
 
 
 def write_path_csv(path: LevyPathSample, out: Path | str) -> None:

@@ -201,6 +201,9 @@ def sample_basepoints(
 #: 1e-4 a group's normals and path take 1.3 MB each
 _ROW_GROUP = 16
 
+#: rows of an oracle batch
+_BATCH = 1024
+
 
 def _first_max_segments(
     w: np.ndarray, step: float, rng_bridge
@@ -261,7 +264,6 @@ def bm_functionals_oracle(
     seed: RngSeed,
     include_overshoot: bool = True,
     cap_length: float | None = None,
-    batch_size: int = 1024,
 ) -> OracleSamples:
     """Simulate standard Brownian motion on a spatial mesh of width ``step``
     and record, per sample, the running maximum ``s`` over ``[0, x]``, the
@@ -278,7 +280,7 @@ def bm_functionals_oracle(
     undershoot location are correlated).  ``include_overshoot=False`` skips
     the search when only the hitting/undershoot functionals are needed.
 
-    Samples come in batches of ``batch_size`` rows; batch ``b`` draws only
+    Samples come in batches of ``_BATCH`` rows; batch ``b`` draws only
     from its own streams ``stream_for(seed, b, .)``.  A batch is meshed 16
     rows at a time (``_ROW_GROUP``) into reused buffers, so it holds a few MB
     instead of its whole mesh.  The batches run on a thread pool as wide as
@@ -293,9 +295,8 @@ def bm_functionals_oracle(
     n_steps = int(round(x / step))
     if abs(n_steps * step - x) > 1e-9 * x:
         raise ValueError(f"x={x} is not an integer multiple of step={step}")
-    for name, value in (("n", n), ("batch_size", batch_size)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if cap_length is None:
         cap_length = 4.0 * x
     if not np.isfinite(cap_length):
@@ -311,8 +312,8 @@ def bm_functionals_oracle(
 
     def run_batch(batch: int) -> int:
         """Fill the batch's slices of the outputs; return its capped count."""
-        lo = batch * batch_size
-        hi = min(lo + batch_size, n)
+        lo = batch * _BATCH
+        hi = min(lo + _BATCH, n)
         rng_path = stream_for(seed, batch, 0)
         rng_bridge = stream_for(seed, batch, 1)
         group = min(_ROW_GROUP, hi - lo)
@@ -345,7 +346,7 @@ def bm_functionals_oracle(
             active, k, current = active[live], k[live], current[live]
         return int(np.isnan(overshoot[lo:hi]).sum())
 
-    n_batches = -(-n // batch_size)
+    n_batches = -(-n // _BATCH)
     with ThreadPoolExecutor(max_workers=min(n_batches, _usable_cpus())) as pool:
         n_capped = sum(pool.map(run_batch, range(n_batches)))
     return OracleSamples(hit, undershoot, overshoot, n_capped, x, step)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import threading
 
@@ -25,7 +26,6 @@ from goupsim.levy_paths import (
     _increment_run,
     _increments_from_raw,
     _increments_from_uniforms,
-    _open_uniforms,
     _quiet_words,
     aggregate_to_level,
     build_two_sided_path,
@@ -144,16 +144,29 @@ def _gamma_test_uniforms(log_cuts):
     return u[u > 0.0]  # a stream never yields 0
 
 
+def _word_uniforms(words):
+    return np.maximum((words >> 11) * 2.0**-53, 1e-300)
+
+
 def test_gamma_transform_equals_gammaincinv_bitwise():
-    # the cuts change no bit of any increment
+    # the raw-word prefilter changes no bit of any increment: the words of
+    # the uniforms above (their top 53 bits), the words at M << 11 +- 3 and
+    # | 2047 around the kernel's bound M, and the largest word
     shapes = [(rate, 2.0**-n) for n in range(41) for rate in (0.25, 1.0, 3.0)]
     shapes += [(1e-17, 1.0), (1e-30, 1.0)]
     for rate, dt in shapes:
         u = _gamma_test_uniforms(_log_cuts(rate * dt, dt))
-        quantiles = gammaincinv(rate * dt, u)
+        base = np.floor(u[u < 1.0] * 2.0**53).astype(np.uint64) << 11
+        base_quantiles = gammaincinv(rate * dt, _word_uniforms(base))
         for scale, drift in GAMMA_SCALE_DRIFT:
+            spec = GammaDrift(rate, scale, drift)
+            m = _quiet_words(spec, dt)
+            near = [(m << 11) + d for d in range(-3, 4)] + [((m + d) << 11) | 2047 for d in (-1, 0)]
+            near = np.array([w for w in (*near, 2**64 - 1) if 0 <= w < 2**64], dtype=np.uint64)
+            quantiles = np.concatenate([base_quantiles, gammaincinv(rate * dt, _word_uniforms(near))])
             want = scale * quantiles + drift * dt
-            got = _increments_from_uniforms(GammaDrift(rate, scale, drift), dt, u)
+            words = np.concatenate([base, near])
+            got = _increments_from_raw(spec, dt, m, words, np.empty(words.size))
             assert got.tobytes() == want.tobytes(), (rate, dt, scale, drift)
 
 
@@ -166,9 +179,10 @@ def test_gamma_cut_skips_all_but_a_sliver_at_fine_levels(monkeypatch):
         return gammaincinv(a, u)
 
     monkeypatch.setattr("goupsim.levy_paths.gammaincinv", counting)
-    u = np.maximum(np.random.default_rng(12).random(10**6), 1e-300)
-    _increments_from_uniforms(GammaDrift(1.0, 1.0, 1.0), 2.0**-16, u)
-    assert 0.0005 < sum(calls) / u.size < 0.001
+    words = np.random.default_rng(12).bit_generator.random_raw(10**6)
+    spec, dt = GammaDrift(1.0, 1.0, 1.0), 2.0**-16
+    _increments_from_raw(spec, dt, _quiet_words(spec, dt), words, np.empty(words.size))
+    assert 0.0005 < sum(calls) / words.size < 0.001
 
 
 def _poisson_icdf_full_loop(lam, u):
@@ -284,9 +298,10 @@ def test_build_non_increasing_error_names_first_bad_k():
         build_two_sided_path(spec, 16, k_min, k_max, SEED)
 
 
-def test_open_uniforms_are_generator_random_clamped():
+def test_open_uniforms_are_generator_random_clamped(monkeypatch):
     # the raw-word rule of every path stream is Generator.random's
-    got = _open_uniforms(stream_for(SEED, 5), 10**5)
+    monkeypatch.setattr("goupsim.levy_paths._increments_from_uniforms", lambda spec, dt, u: u)
+    got = sample_increment(StableHalf(), 1.0, stream_for(SEED, 5), 10**5)
     want = np.maximum(stream_for(SEED, 5).random(10**5), 1e-300)
     assert got.tobytes() == want.tobytes()
 
@@ -677,6 +692,19 @@ def test_process_dict_roundtrip():
         assert process_from_dict(process_to_dict(spec)) == spec
     with pytest.raises(ValueError):
         process_from_dict({"family": "drift-only"})
+    # exactly the class's fields: every missing or unknown key is named
+    gamma = {"family": "gamma", "shape_rate": 1.0, "scale": 1.0, "drift": 0.0}
+    for bad, words in [
+        ({"family": "gamma", "shape_rate": 1.0}, "missing keys ['drift', 'scale']"),
+        ({"family": "stable-half", "drift": 3.0}, "unknown keys ['drift']"),
+        ({**gamma, "jump_size": 2.0}, "unknown keys ['jump_size']"),
+        (
+            {"family": "poisson", "intensity": 1.0, "jump": 1.0, "drift": 1.0},
+            "missing keys ['jump_size'], unknown keys ['jump']",
+        ),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(words)):
+            process_from_dict(bad)
 
 
 def test_export_files(tmp_path):

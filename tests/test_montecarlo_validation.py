@@ -189,8 +189,6 @@ def test_oracle_input_validation():
         bm_functionals_oracle(1.0, 2.0, 10, SEED)
     with pytest.raises(ValueError, match="n must be >= 1"):
         bm_functionals_oracle(1.0, 1e-2, 0, SEED)
-    with pytest.raises(ValueError, match="batch_size must be >= 1"):
-        bm_functionals_oracle(1.0, 1e-2, 10, SEED, batch_size=0)
     for cap in (0.0, -1.0, 0.004):
         with pytest.raises(ValueError, match="cap_length"):
             bm_functionals_oracle(1.0, 1e-2, 10, SEED, cap_length=cap)
@@ -415,7 +413,8 @@ def test_oracle_search_ends_when_no_row_rises_above_its_level(monkeypatch):
         return Falling(rng) if key[1:] == (2,) else rng
 
     monkeypatch.setattr(montecarlo_validation, "stream_for", fake)
-    res = bm_functionals_oracle(1.0, 1e-2, 300, SEED, cap_length=0.2, batch_size=128)
+    monkeypatch.setattr(montecarlo_validation, "_BATCH", 128)
+    res = bm_functionals_oracle(1.0, 1e-2, 300, SEED, cap_length=0.2)
     assert res.n_capped == 300 and np.all(np.isnan(res.overshoot))
     assert len(rounds) == 3 * 21  # 20 steps: every row moves on one per round
 
