@@ -17,8 +17,13 @@ output: the base-point law is evaluated in closed form.  ``--threads`` is
 still accepted, and refused below 1, but no longer affects any output either:
 every Monte Carlo sampler runs in one process.
 
+The process flags (``--k``, ``--theta``, ``--intensity``, ``--jump``,
+``--drift``) are the fields of the spec classes in ``levy_paths.FAMILIES``,
+each 1 unless given; a flag the chosen family has no field for is refused.
+
 Every command writes ``manifest.json`` echoing the resolved scientific
-configuration; rerunning from the same manifest reproduces all numeric
+configuration, the datum and all its flags included for ``solve`` and
+``converge``; rerunning from the same manifest reproduces all numeric
 outputs bitwise (17 significant digits in CSVs).  Worker count and output
 directory do not influence any numbers and are not part of the manifest.
 
@@ -29,6 +34,7 @@ speeds in space per unit time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -39,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ig_analytics, levy_paths, montecarlo_validation, transport
-from .levy_paths import GammaDrift, PoissonDrift, ProcessSpec, RngSeed, StableHalf
+from .levy_paths import ProcessSpec, RngSeed
 
 _ENV_PREFIX = "GOUPSIM_"
 
@@ -85,30 +91,58 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
         )
 
 
-def _add_process_flags(parser: argparse.ArgumentParser) -> None:
+#: CLI flag of each field of the process specs in ``levy_paths.FAMILIES``
+_PROCESS_FLAGS = {
+    "shape_rate": "--k",
+    "scale": "--theta",
+    "intensity": "--intensity",
+    "jump_size": "--jump",
+    "drift": "--drift",
+}
+
+#: value of a process parameter whose flag is not given
+_PROCESS_DEFAULT = 1.0
+
+
+def _field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _add_path_flags(parser: argparse.ArgumentParser, nmax=None, t_range=None) -> None:
+    """The process flags, ``--nmax`` and ``--range``; the last two are
+    required unless given a default."""
     parser.add_argument(
-        "--process",
-        required=True,
-        choices=["gamma", "poisson", "stable-half"],
-        help="driving Levy process family",
+        "--process", required=True, choices=levy_paths.FAMILIES, help="driving Levy process family"
     )
-    parser.add_argument("--k", type=float, default=1.0, help="gamma: shape rate per unit time")
-    parser.add_argument("--theta", type=float, default=1.0, help="gamma: scale")
-    parser.add_argument("--intensity", type=float, default=1.0, help="poisson: jump intensity")
-    parser.add_argument("--jump", type=float, default=1.0, help="poisson: jump size")
-    parser.add_argument("--drift", type=float, default=1.0, help="gamma/poisson: linear drift")
+    for field, flag in _PROCESS_FLAGS.items():
+        families = [name for name, cls in levy_paths.FAMILIES.items() if field in _field_names(cls)]
+        text = f"{'/'.join(families)}: {field.replace('_', ' ')} (default {_PROCESS_DEFAULT:g})"
+        parser.add_argument(flag, dest=field, type=float, help=text)
+    parser.add_argument(
+        "--nmax", type=int, default=nmax, required=nmax is None, help="path refinement level"
+    )
+    parser.add_argument(
+        "--range",
+        default=t_range,
+        required=t_range is None,
+        help="path time window LO:HI in grid time units; use --range=LO:HI when LO "
+        "is negative",
+    )
 
 
 def _process_from_args(args: argparse.Namespace) -> ProcessSpec:
+    """The spec of ``--process``; a flag the family has no field for is
+    refused, not ignored."""
+    cls = levy_paths.FAMILIES[args.process]
+    names = _field_names(cls)
+    given = {f: v for f, v in vars(args).items() if f in _PROCESS_FLAGS and v is not None}
+    if extra := [_PROCESS_FLAGS[field] for field in given if field not in names]:
+        raise SystemExit(f"--process {args.process} takes no {', '.join(extra)}")
     try:
-        if args.process == "gamma":
-            return GammaDrift(args.k, args.theta, args.drift)
-        if args.process == "poisson":
-            return PoissonDrift(args.intensity, args.jump, args.drift)
-        return StableHalf()
+        return cls(**{name: given.get(name, _PROCESS_DEFAULT) for name in names})
     except ValueError as exc:
-        flags = "--k, --theta" if args.process == "gamma" else "--intensity, --jump"
-        raise SystemExit(f"invalid process parameters ({flags}, --drift): {exc}")
+        flags = ", ".join(_PROCESS_FLAGS[name] for name in names)
+        raise SystemExit(f"invalid process parameters ({flags}): {exc}")
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -156,36 +190,67 @@ def _parse_levels(text: str) -> list[int]:
     return levels
 
 
-def _k_window(t_range: tuple[float, float], n_max: int) -> tuple[int, int]:
-    scale = 2**n_max
-    k_min = int(np.floor(t_range[0] * scale))
-    k_max = int(np.ceil(t_range[1] * scale))
-    return min(k_min, 0), max(k_max, 0)
-
-
-def _path_from_args(args: argparse.Namespace, spec: ProcessSpec):
-    """``--range``, its k window and the path sampled on it."""
+def _window_from_args(args: argparse.Namespace):
+    """The process spec, the k window that ``--range`` spans at level
+    ``--nmax``, and the manifest entries of every command that samples."""
+    spec = _process_from_args(args)
     if args.nmax < 0:
         raise SystemExit(f"--nmax must be >= 0, got {args.nmax}")
-    t_range = _parse_range(args.range, "--range")
-    k_window = _k_window(t_range, args.nmax)
-    seed = RngSeed(args.seed, args.stream)
+    lo, hi = _parse_range(args.range, "--range")
+    k_window = (min(math.floor(lo * 2**args.nmax), 0), max(math.ceil(hi * 2**args.nmax), 0))
+    config = {
+        "process": levy_paths.process_to_dict(spec),
+        "n_max": args.nmax,
+        "t_range": [lo, hi],
+        "seed": args.seed,
+        "stream": args.stream,
+    }
+    return spec, k_window, config
+
+
+def _path_from_args(args: argparse.Namespace, spec: ProcessSpec, k_window: tuple[int, int]):
+    """The path sampled on ``k_window``, or an error line saying why not."""
+    points = k_window[1] - k_window[0] + 1
     try:
-        path = levy_paths.build_two_sided_path(spec, args.nmax, *k_window, seed)
+        if points > np.iinfo(np.intp).max // 8:  # numpy refuses it with a ValueError
+            raise MemoryError
+        return levy_paths.build_two_sided_path(
+            spec, args.nmax, *k_window, RngSeed(args.seed, args.stream)
+        )
     except RuntimeError as exc:  # the path is not strictly increasing
         raise SystemExit(f"cannot sample this path: {exc}; lower --nmax")
     except MemoryError:
-        points = k_window[1] - k_window[0] + 1
         raise SystemExit(
             f"cannot sample this path: its {points} grid points (--nmax {args.nmax}, "
             f"--range {args.range}) do not fit in memory; lower --nmax or narrow --range"
         )
-    return t_range, k_window, path
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
-    payload = {"command": command, "config": config}
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+#: datum classes by their ``--datum`` name; each field is a flag of its own
+_DATUMS = {"triangular": transport.Triangular, "constant": transport.Constant}
+
+
+def _add_datum_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--datum", choices=_DATUMS, default="triangular", help="initial datum")
+    for datum, cls in _DATUMS.items():
+        for name in _field_names(cls):
+            parser.add_argument(f"--{name}", type=float, default=1.0, help=f"{datum} datum {name}")
+
+
+def _datum_from_args(args: argparse.Namespace):
+    """The datum and its manifest entries: its name and every datum flag."""
+    params = {name: getattr(args, name) for cls in _DATUMS.values() for name in _field_names(cls)}
+    cls = _DATUMS[args.datum]
+    try:
+        datum = cls(**{name: params[name] for name in _field_names(cls)})
+    except ValueError as exc:
+        raise SystemExit(f"invalid datum ({', '.join('--' + n for n in params)}): {exc}")
+    return datum, {"datum": args.datum, "datum_params": params}
+
+
+def _write_manifest(args: argparse.Namespace, config: dict) -> None:
+    payload = {"command": args.command, "config": config}
+    with open(Path(args.out) / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -201,116 +266,61 @@ def _prepare_out(args: argparse.Namespace) -> Path:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
-    spec = _process_from_args(args)
-    t_range, k_window, path = _path_from_args(args, spec)
+    spec, k_window, config = _window_from_args(args)
+    path = _path_from_args(args, spec, k_window)
     out_dir = _prepare_out(args)
     levy_paths.write_path_csv(path, out_dir / "path.csv")
     levy_paths.write_path_metadata(path, out_dir / "path_meta.json")
-    _write_manifest(
-        out_dir,
-        "paths",
-        {
-            "process": levy_paths.process_to_dict(spec),
-            "n_max": args.nmax,
-            "t_range": list(t_range),
-            "k_window": list(k_window),
-            "seed": args.seed,
-            "stream": args.stream,
-        },
-    )
+    _write_manifest(args, {**config, "k_window": list(k_window)})
     return 0
 
 
-def _datum_from_args(args: argparse.Namespace):
-    try:
-        if args.datum == "triangular":
-            return transport.Triangular(args.center, args.halfwidth, args.height)
-        return transport.Constant(args.value)
-    except ValueError as exc:
-        raise SystemExit(f"invalid datum (--center, --halfwidth, --height, --value): {exc}")
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
-    spec = _process_from_args(args)
+    spec, k_window, config = _window_from_args(args)
     times = _parse_floats(args.times, "--times")
     x_lo, x_hi = _parse_range(args.xgrid, "--xgrid")
     if args.xcount < 1:
         raise SystemExit(f"--xcount must be >= 1, got {args.xcount}")
-    if args.level is not None and not 0 <= args.level <= max(args.nmax, 0):
+    if args.level is not None and not 0 <= args.level <= args.nmax:
         raise SystemExit(f"--level must lie in 0..{args.nmax} (--nmax), got {args.level}")
-    datum = _datum_from_args(args)
-    t_range, _, path = _path_from_args(args, spec)
+    datum, datum_config = _datum_from_args(args)
+    path = _path_from_args(args, spec, k_window)
     out_dir = _prepare_out(args)
     xs = np.linspace(x_lo, x_hi, args.xcount)
-    fields = []
-    try:
-        for t in times:
-            if args.level is None:
-                fields.append(transport.solve_limit(path, datum, t, xs))
-            else:
-                fields.append(transport.solve_at_level(path, args.level, datum, t, xs))
-    except levy_paths.WindowError as exc:
-        raise SystemExit(
-            f"query left the sampled window ({exc}); enlarge --range"
-        )
-    transport.write_solution_csv(fields, out_dir / "solution.csv")
+    if args.level is None:
+        solution = [transport.solve_limit(path, datum, t, xs) for t in times]
+    else:
+        solution = [transport.solve_at_level(path, args.level, datum, t, xs) for t in times]
+    transport.write_solution_csv(solution, out_dir / "solution.csv")
     _write_manifest(
-        out_dir,
-        "solve",
-        {
-            "process": levy_paths.process_to_dict(spec),
-            "n_max": args.nmax,
-            "t_range": list(t_range),
-            "times": times,
-            "datum": vars(args)["datum"],
-            "datum_params": {
-                "center": args.center,
-                "halfwidth": args.halfwidth,
-                "height": args.height,
-                "value": args.value,
-            },
-            "x_grid": [x_lo, x_hi, args.xcount],
-            "level": args.level,
-            "seed": args.seed,
-            "stream": args.stream,
-        },
+        args,
+        {**config, **datum_config, "times": times, "x_grid": [x_lo, x_hi, args.xcount],
+         "level": args.level},
     )
     return 0
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    spec = _process_from_args(args)
+    spec, k_window, config = _window_from_args(args)
     w_t = _parse_range(args.window_t, "--window-t")
     w_x = _parse_range(args.window_x, "--window-x")
     nt, nx = _parse_kgrid(args.kgrid)
     levels = _parse_levels(args.levels)
-    datum = _datum_from_args(args)
-    t_range, _, path = _path_from_args(args, spec)
+    datum, datum_config = _datum_from_args(args)
+    path = _path_from_args(args, spec, k_window)
     out_dir = _prepare_out(args)
     window = transport.WindowK(w_t, w_x, (nt, nx))
     try:
         table = transport.convergence_table(path, datum, window, args.p, levels)
-    except levy_paths.WindowError as exc:
-        raise SystemExit(f"query left the sampled window ({exc}); enlarge --range")
+    except levy_paths.WindowError:
+        raise  # reported by main
     except ValueError as exc:  # p or levels out of range
         raise SystemExit(f"invalid convergence input: {exc}")
     transport.write_convergence_csv(table, args.p, out_dir / "convergence.csv")
     _write_manifest(
-        out_dir,
-        "converge",
-        {
-            "process": levy_paths.process_to_dict(spec),
-            "n_max": args.nmax,
-            "t_range": list(t_range),
-            "window_t": list(w_t),
-            "window_x": list(w_x),
-            "grid": [nt, nx],
-            "levels": levels,
-            "p": args.p,
-            "datum": args.datum,
-            "seed": args.seed,
-            "stream": args.stream,
-        },
+        args,
+        {**config, **datum_config, "window_t": list(w_t), "window_x": list(w_x),
+         "grid": [nt, nx], "levels": levels, "p": args.p},
     )
     return 0
 
@@ -330,8 +340,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     ig_analytics.write_cdf_csv(cdf, out_dir / "cdf.csv")
     ig_analytics.write_query_json(query, curve.mass, out_dir / "query.json")
     _write_manifest(
-        out_dir,
-        "density",
+        args,
         {
             "x": args.x,
             "t": args.t,
@@ -343,19 +352,17 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = _process_from_args(args)
+    spec, k_window, config = _window_from_args(args)
     _check_positive(args.t0, "--t0")
     _check_positive(args.hist_hi, "--hist-hi")
     if not 0.0 <= args.l1_max < math.inf:
         raise SystemExit(f"--l1-max must be nonnegative and finite, got {args.l1_max}")
-    t_range = _parse_range(args.range, "--range")
     out_dir = _prepare_out(args)
-    k_min, k_max = _k_window(t_range, args.nmax)
     try:
         cfg = montecarlo_validation.McConfig(
             n_samples=args.n,
             n_max=args.nmax,
-            window=(k_min, k_max),
+            window=k_window,
             root_seed=RngSeed(args.seed, args.stream),
             bins=args.bins,
         )
@@ -374,22 +381,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         ig_analytics.write_cdf_csv(result.cdf, out_dir / "cdf.csv")
     montecarlo_validation.write_report_json(result.report, out_dir / "report.json")
     _write_manifest(
-        out_dir,
-        "validate",
-        {
-            "process": levy_paths.process_to_dict(spec),
-            "x0": args.x0,
-            "t0": args.t0,
-            "n": args.n,
-            "n_max": args.nmax,
-            "t_range": list(t_range),
-            "bins": args.bins,
-            "hist_hi": args.hist_hi,
-            "l1_max": args.l1_max,
-            "with_ks": not args.no_ks,
-            "seed": args.seed,
-            "stream": args.stream,
-        },
+        args,
+        {**config, "x0": args.x0, "t0": args.t0, "n": args.n, "bins": args.bins,
+         "hist_hi": args.hist_hi, "l1_max": args.l1_max, "with_ks": not args.no_ks},
     )
     for note in result.report["skipped"]:
         print(f"validate: skipped {note}", file=sys.stderr)
@@ -413,29 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("paths", help="sample a two-sided Levy path")
-    _add_global_flags(p)
-    _add_process_flags(p)
-    p.add_argument("--nmax", type=int, required=True, help="dyadic refinement level")
-    p.add_argument(
-        "--range",
-        required=True,
-        help="time window LO:HI in grid time units; use --range=LO:HI when LO "
-        "is negative",
-    )
-    p.set_defaults(func=_cmd_paths)
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        _add_global_flags(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="transport solution at given times")
-    _add_global_flags(p)
-    _add_process_flags(p)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--range", required=True, help="path time window LO:HI")
+    p = command("paths", _cmd_paths, "sample a two-sided Levy path")
+    _add_path_flags(p)
+
+    p = command("solve", _cmd_solve, "transport solution at given times")
+    _add_path_flags(p)
     p.add_argument("--times", default="1,2,3", help="comma-separated solution times")
-    p.add_argument("--datum", choices=["triangular", "constant"], default="triangular")
-    p.add_argument("--center", type=float, default=1.0)
-    p.add_argument("--halfwidth", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=1.0)
-    p.add_argument("--value", type=float, default=1.0, help="constant datum value")
+    _add_datum_flags(p)
     p.add_argument("--xgrid", default="0:12", help="solution x range LO:HI")
     p.add_argument("--xcount", type=int, default=1024, help="solution grid size")
     p.add_argument(
@@ -444,46 +428,31 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="broken-characteristic level (default: limiting solution)",
     )
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("converge", help="L^p convergence table across levels")
-    _add_global_flags(p)
-    _add_process_flags(p)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--range", required=True, help="path time window LO:HI")
+    p = command("converge", _cmd_converge, "L^p convergence table across levels")
+    _add_path_flags(p)
     p.add_argument("--levels", default="2,4,6,8,10", help="levels to compare")
     p.add_argument("--p", type=float, default=1.0, help="L^p exponent")
     p.add_argument("--window-t", default="0:3", help="compact window times LO:HI")
     p.add_argument("--window-x", default="0:12", help="compact window space LO:HI")
     p.add_argument("--kgrid", default="64:512", help="midpoint grid NT:NX")
-    p.add_argument("--datum", choices=["triangular", "constant"], default="triangular")
-    p.add_argument("--center", type=float, default=1.0)
-    p.add_argument("--halfwidth", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=1.0)
-    p.add_argument("--value", type=float, default=1.0)
-    p.set_defaults(func=_cmd_converge)
+    _add_datum_flags(p)
 
-    p = sub.add_parser("density", help="analytic base-point density (stable-1/2)")
-    _add_global_flags(p)
+    p = command("density", _cmd_density, "analytic base-point density (stable-1/2)")
     p.add_argument("--x", type=float, required=True, help="space level of the query")
     p.add_argument("--t", type=float, required=True, help="elapsed time (must be > 0)")
     p.add_argument("--zcount", type=int, default=512, help="evaluation grid size")
     p.add_argument("--zfar", type=float, default=-1e6, help="negative tail extent")
-    p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("validate", help="Monte Carlo vs analytic base points")
-    _add_global_flags(p)
-    _add_process_flags(p)
+    p = command("validate", _cmd_validate, "Monte Carlo vs analytic base points")
+    _add_path_flags(p, nmax=14, t_range="-1.01:14")
     p.add_argument("--x0", type=float, default=8.0)
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--n", type=int, default=10**4, help="Monte Carlo sample count")
-    p.add_argument("--nmax", type=int, default=14, help="path refinement level")
-    p.add_argument("--range", default="-1.01:14", help="path time window LO:HI")
     p.add_argument("--bins", type=int, default=60)
     p.add_argument("--hist-hi", type=float, default=8.5, help="histogram upper edge")
     p.add_argument("--l1-max", type=float, default=0.10, help="L1 pass threshold")
     p.add_argument("--no-ks", action="store_true", help="skip the KS comparison")
-    p.set_defaults(func=_cmd_validate)
 
     return parser
 
@@ -499,7 +468,10 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"invalid seed: {exc}")
     if args.threads < 1:
         raise SystemExit(f"--threads must be >= 1, got {args.threads}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except levy_paths.WindowError as exc:  # a solve or converge query
+        raise SystemExit(f"query left the sampled window ({exc}); enlarge --range")
 
 
 if __name__ == "__main__":

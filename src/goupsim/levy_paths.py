@@ -38,6 +38,7 @@ __all__ = [
     "PoissonDrift",
     "StableHalf",
     "ProcessSpec",
+    "FAMILIES",
     "RngSeed",
     "PATH_PURPOSE",
     "DyadicGrid",
@@ -566,14 +567,14 @@ def process_to_dict(spec: ProcessSpec) -> dict:
 
 
 #: process classes by their ``family`` name
-_FAMILIES = {cls.family: cls for cls in (GammaDrift, PoissonDrift, StableHalf)}
+FAMILIES = {cls.family: cls for cls in (GammaDrift, PoissonDrift, StableHalf)}
 
 
 def process_from_dict(d: dict) -> ProcessSpec:
     """The spec of ``process_to_dict``'s output: ``family`` and exactly the
     class's fields, or ``ValueError`` naming every missing or unknown key."""
     family = d.get("family")
-    cls = _FAMILIES.get(family)
+    cls = FAMILIES.get(family)
     if cls is None:
         raise ValueError(f"unknown process family: {family!r}")
     params = {key: value for key, value in d.items() if key != "family"}

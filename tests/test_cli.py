@@ -195,13 +195,14 @@ CONVERGE_PINS = {
     # sha256 of convergence.csv and manifest.json; the tables equalled those
     # of the per-slice solver that the row-batched one replaced, on the paths
     # of their time, and were re-taken when each path side became one
-    # PATH_PURPOSE stream
+    # PATH_PURPOSE stream; the manifests were re-taken when they began to
+    # record the datum's parameters
     "gamma": (
         ["--process", "gamma", "--k", "1", "--theta", "1", "--drift", "1",
          "--nmax", "10", "--range=-4:10", "--levels", "2,4,6,8,10", "--p", "1.5",
          "--window-t", "0:3", "--window-x", "0:8", "--kgrid", "37:96", "--seed", "17"],
         "0e0e2d4bf4fd31cd24bfbd767f5002ae6f7c703d837cf871b37ef657e2e18041",
-        "8101b6aaf816b4ac59ecc8572474f4e23a25d177865de7c114690426d0397504",
+        "a84100a8375a5aa4712714e308909f55623d5d3cd576dbbecee5d4c1fd75a98c",
     ),
     "poisson": (
         ["--process", "poisson", "--intensity", "1", "--jump", "1", "--drift", "1",
@@ -209,7 +210,7 @@ CONVERGE_PINS = {
          "--window-t", "0.5:2.5", "--window-x", "0:6", "--kgrid", "33:80",
          "--datum", "triangular", "--center", "1.5", "--halfwidth", "0.75", "--seed", "23"],
         "3cea832efd6260f4a052d6d6762148ef77b27c05af5e468fb62d6415c7ba7f65",
-        "9bcdfca9d507d2afc40ea2b29c7bbb6afd98f47682679fdb398fc50fefcc62bd",
+        "2a4bbd28a277ffb37fae7910d44e0e11e1f67a9ab9e18152957f41351c60c37e",
     ),
 }
 
@@ -227,6 +228,42 @@ CONVERGE_SMALL = [
     "converge", "--process", "gamma", "--nmax", "8", "--range=-4:10",
     "--window-t", "0:2", "--window-x", "0:6", "--kgrid", "8:32", "--seed", "3",
 ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "--process", "gamma", "--nmax", "8", "--range=-4:10", "--times", "1,2",
+         "--xgrid", "0:6", "--xcount", "64", "--seed", "5"],
+        [*CONVERGE_SMALL, "--levels", "2,4"],
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize(
+    "datum",
+    [
+        ["--datum", "triangular", "--center", "2.5"],
+        ["--datum", "triangular", "--halfwidth", "0.5"],
+        ["--datum", "triangular", "--height", "3"],
+        ["--datum", "constant", "--value", "2.5"],
+    ],
+    ids=lambda d: d[2].lstrip("-"),
+)
+def test_datum_flags_reach_the_output_and_the_manifest(tmp_path, command, datum):
+    # converge's manifest used to record the datum's name only, so a run
+    # with --center 2.5 could not be told from, or rerun as, the default
+    output = {"solve": "solution.csv", "converge": "convergence.csv"}[command[0]]
+    base, changed = tmp_path / "base", tmp_path / "changed"
+    assert main([*command, *datum[:2], "--out", str(base)]) == 0
+    assert main([*command, *datum, "--out", str(changed)]) == 0
+    config = json.loads((changed / "manifest.json").read_text())["config"]
+    assert config["datum"] == datum[1]
+    assert config["datum_params"][datum[2].lstrip("-")] == float(datum[3])
+    assert (base / "manifest.json").read_bytes() != (changed / "manifest.json").read_bytes()
+    same_table = (base / output).read_bytes() == (changed / output).read_bytes()
+    # a constant datum is solved exactly at every level: its distances are 0
+    # whatever its value
+    assert same_table == (command[0] == "converge" and datum[1] == "constant")
 
 
 @pytest.mark.parametrize(
@@ -436,15 +473,17 @@ def test_paths_non_increasing_is_an_error_line(tmp_path):
 
 @pytest.mark.parametrize("command", ["paths", "solve", "converge"])
 def test_window_too_large_to_allocate_is_an_error_line(tmp_path, command):
-    # 2^46 + 1 grid points take 512 TiB, beyond a 47-bit user address space
+    # 2^46 + 1 grid points take 512 TiB, beyond a 47-bit user address space;
+    # numpy refuses the 2^64 bytes of 2^61 + 1 points outright (a ValueError)
     out = tmp_path / "run"
-    argv = [command, "--process", "gamma", "--nmax", "46", "--range=0:1", "--out", str(out)]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    message = str(exc.value.code)
-    assert f"its {2**46 + 1} grid points" in message
-    assert "--nmax" in message and "--range" in message
-    assert not out.exists()
+    for nmax in (46, 61):
+        argv = [command, "--process", "gamma", "--nmax", str(nmax), "--range=0:1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert f"its {2**nmax + 1} grid points" in message
+        assert "--nmax" in message and "--range" in message
+        assert not out.exists()
 
 
 def test_validate_empty_histogram_skips_l1(tmp_path, capsys):
@@ -505,7 +544,7 @@ def test_validate_prints_one_verdict_per_check(tmp_path, capsys):
 
 def test_validate_negative_level_is_an_error_line(tmp_path):
     # --nmax -1 used to run with dt = 2 and print {"pass": false}
-    with pytest.raises(SystemExit, match="invalid validation input: n_max must be >= 0") as exc:
+    with pytest.raises(SystemExit, match="--nmax must be >= 0, got -1") as exc:
         main(
             [
                 "validate", "--process", "stable-half", "--n", "50", "--nmax", "-1",
@@ -618,6 +657,35 @@ def test_bad_numbers_are_refused_before_any_path(tmp_path, monkeypatch, argv, me
         raise AssertionError("a path was built for refused input")
 
     monkeypatch.setattr("goupsim.levy_paths.build_two_sided_path", no_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "run")])
+    assert exc.value.code == message
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # each exited 0 and left the flags out of the path and its manifest
+        (["paths", "--process", "stable-half", "--nmax", "4", "--range=-1:1", "--drift", "3"],
+         "--process stable-half takes no --drift"),
+        ([*SOLVE_SMALL[:1], "--process", "stable-half", *SOLVE_SMALL[3:], "--k", "7"],
+         "--process stable-half takes no --k"),
+        (["paths", "--process", "stable-half", "--drift", "3", "--k", "7", "--nmax", "4",
+          "--range=-1:1"], "--process stable-half takes no --k, --drift"),
+        ([*CONVERGE_SMALL, "--jump", "2"], "--process gamma takes no --jump"),
+        (["validate", "--process", "poisson", "--n", "50", "--nmax", "8", "--theta", "2"],
+         "--process poisson takes no --theta"),
+        (["validate", "--process", "gamma", "--theta", "2", "--intensity", "3", "--jump", "1"],
+         "--process gamma takes no --intensity, --jump"),
+    ],
+)
+def test_process_flags_the_family_lacks_are_refused(tmp_path, monkeypatch, argv, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled for refused input")
+
+    monkeypatch.setattr("goupsim.levy_paths.build_two_sided_path", no_sampling)
+    monkeypatch.setattr("goupsim.montecarlo_validation.validate_basepoints", no_sampling)
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "run")])
     assert exc.value.code == message
