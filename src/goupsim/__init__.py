@@ -11,7 +11,8 @@ dyadic grids.  The package provides
 * ``bridge_tree``             paths of every family as keyed dyadic bridge trees,
                               searched by descent (hit index, value at a
                               grid index) without materializing a window,
-* ``goupillaud``              media, broken and limiting characteristic curves,
+* ``goupillaud``              media; each level paired with its curve, evaluator
+                              and inverse; characteristic curves and base points,
 * ``transport``               transport solutions along characteristics and
                               L^p convergence measurements,
 * ``ig_analytics``            densities for the inverse Gaussian (stable-1/2)

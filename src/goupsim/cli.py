@@ -197,7 +197,15 @@ def _window_from_args(args: argparse.Namespace):
     if args.nmax < 0:
         raise SystemExit(f"--nmax must be >= 0, got {args.nmax}")
     lo, hi = _parse_range(args.range, "--range")
-    k_window = (min(math.floor(lo * 2**args.nmax), 0), max(math.ceil(hi * 2**args.nmax), 0))
+    # |t| 2^nmax < 2^63 exactly when frexp's exponent of |t| is at most
+    # 63 - nmax; below that ldexp scales exactly and the k window fits int64
+    if math.frexp(max(-lo, hi))[1] + args.nmax > 63:
+        raise SystemExit(
+            f"--range {args.range} reaches 2^63 grid steps from t = 0 at --nmax {args.nmax}; "
+            "lower --nmax or narrow --range"
+        )
+    k_lo, k_hi = math.floor(math.ldexp(lo, args.nmax)), math.ceil(math.ldexp(hi, args.nmax))
+    k_window = (min(k_lo, 0), max(k_hi, 0))
     config = {
         "process": levy_paths.process_to_dict(spec),
         "n_max": args.nmax,
@@ -285,12 +293,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise SystemExit(f"--level must lie in 0..{args.nmax} (--nmax), got {args.level}")
     datum, datum_config = _datum_from_args(args)
     path = _path_from_args(args, spec, k_window)
-    out_dir = _prepare_out(args)
     xs = np.linspace(x_lo, x_hi, args.xcount)
     if args.level is None:
         solution = [transport.solve_limit(path, datum, t, xs) for t in times]
     else:
         solution = [transport.solve_at_level(path, args.level, datum, t, xs) for t in times]
+    out_dir = _prepare_out(args)
     transport.write_solution_csv(solution, out_dir / "solution.csv")
     _write_manifest(
         args,
@@ -308,7 +316,6 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     levels = _parse_levels(args.levels)
     datum, datum_config = _datum_from_args(args)
     path = _path_from_args(args, spec, k_window)
-    out_dir = _prepare_out(args)
     window = transport.WindowK(w_t, w_x, (nt, nx))
     try:
         table = transport.convergence_table(path, datum, window, args.p, levels)
@@ -316,6 +323,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         raise  # reported by main
     except ValueError as exc:  # p or levels out of range
         raise SystemExit(f"invalid convergence input: {exc}")
+    out_dir = _prepare_out(args)
     transport.write_convergence_csv(table, args.p, out_dir / "convergence.csv")
     _write_manifest(
         args,
@@ -332,10 +340,10 @@ def _cmd_density(args: argparse.Namespace) -> int:
         grid = ig_analytics.default_z_grid(args.x, n=args.zcount, z_neg_far=args.zfar)
     except ValueError as exc:
         raise SystemExit(f"invalid density grid (--zcount, --zfar): {exc}")
-    out_dir = _prepare_out(args)
     query = ig_analytics.IGQuery(args.x, args.t, grid)
     curve = ig_analytics.basepoint_density(query)
     cdf = np.column_stack([grid, ig_analytics.basepoint_cdf(args.x, args.t, grid)])
+    out_dir = _prepare_out(args)
     ig_analytics.write_density_csv(curve, out_dir / "density.csv")
     ig_analytics.write_cdf_csv(cdf, out_dir / "cdf.csv")
     ig_analytics.write_query_json(query, curve.mass, out_dir / "query.json")
@@ -357,7 +365,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _check_positive(args.hist_hi, "--hist-hi")
     if not 0.0 <= args.l1_max < math.inf:
         raise SystemExit(f"--l1-max must be nonnegative and finite, got {args.l1_max}")
-    out_dir = _prepare_out(args)
     try:
         cfg = montecarlo_validation.McConfig(
             n_samples=args.n,
@@ -374,6 +381,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise SystemExit(f"invalid validation input: {exc}")
     except RuntimeError as exc:  # too many samples left the window
         raise SystemExit(f"cannot validate: {exc}")
+    out_dir = _prepare_out(args)
     montecarlo_validation.write_samples_csv(result.samples, out_dir / "samples.csv")
     montecarlo_validation.write_histogram_csv(result.hist, out_dir / "histogram.csv")
     if result.curve is not None:

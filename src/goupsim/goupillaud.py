@@ -3,9 +3,12 @@
 At level ``N`` the medium has layer boundaries ``x_k`` (the sampled path
 values) and piecewise constant speeds ``c_k = dx_k * 2^N``, so every layer is
 crossed in exactly one time step.  Characteristics through ``(x, t)`` are time
-shifts of the path: the broken (level-``N``) curve uses the interpolating
-polygon, the limiting curve uses right-continuous step evaluation together
-with the generalized inverse (hitting time).
+shifts of the path, ``gamma(x, t; tau) = P(tau + P^-1(x) - t)``.  This module
+is the one place that pairs a level with its curve ``P``, evaluator and
+inverse (:func:`curve_at`): at level ``N`` the interpolating polygon of the
+aggregated path and its inverse, at the limit (``None``) the finest path in
+right-continuous step semantics and its generalized inverse (hitting time).
+The base point is the characteristic at ``tau = 0``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from .levy_paths import (
 
 __all__ = [
     "GoupillaudMedium",
-    "CharQuery",
     "build_medium",
     "speed_at",
-    "characteristic_n",
-    "characteristic_limit",
+    "curve_at",
+    "characteristic",
     "basepoint",
     "write_medium_csv",
     "write_characteristic_trace_csv",
@@ -56,15 +58,6 @@ class GoupillaudMedium:
             raise ValueError("all layer speeds must be positive")
 
 
-@dataclass(frozen=True)
-class CharQuery:
-    """Arguments of a characteristic-curve evaluation gamma(x, t; tau)."""
-
-    x: float
-    t: float
-    tau: float
-
-
 def build_medium(path: LevyPathSample, n: int) -> GoupillaudMedium:
     """Medium at level ``n``: boundaries are the aggregated path values,
     speeds ``c_k = dx_k / dt``; the Goupillaud relation ``dx_k = c_k * dt``
@@ -87,26 +80,29 @@ def speed_at(medium: GoupillaudMedium, x) -> float | np.ndarray:
     return float(out) if np.isscalar(x) else out
 
 
-def characteristic_n(path: LevyPathSample, n: int, q: CharQuery):
-    """Broken characteristic at level ``n``: the level-``n`` polygon shifted
-    in time so that it passes through ``(q.x, q.t)``, evaluated at ``q.tau``."""
-    agg = aggregate_to_level(path, n)
-    tau_arg = np.asarray(q.tau) + polygon_inverse(agg, q.x) - np.asarray(q.t)
-    return polygon_eval(agg, tau_arg)
+def curve_at(path: LevyPathSample, level: int | None):
+    """``(curve, evaluate, invert)`` of ``level``: the aggregated path with
+    :func:`polygon_eval` and :func:`polygon_inverse`, or for ``None`` (the
+    limit) the finest path with :func:`step_eval` and :func:`hitting_time`.
+    The evaluators are looked up on each call, so a wrapper installed on
+    this module's names sees every query."""
+    if level is None:
+        return path, step_eval, hitting_time
+    return aggregate_to_level(path, level), polygon_eval, polygon_inverse
 
 
-def characteristic_limit(path: LevyPathSample, q: CharQuery):
-    """Limiting characteristic: step evaluation of the finest-level path at
-    ``tau + hitting_time(x) - t`` (right-continuous at jumps)."""
-    tau_arg = np.asarray(q.tau) + hitting_time(path, q.x) - np.asarray(q.t)
-    return step_eval(path, tau_arg)
+def characteristic(path: LevyPathSample, level: int | None, x, t, tau):
+    """``gamma(x, t; tau)``: the curve of ``level`` (``None``: the limit)
+    shifted in time so that it passes through ``(x, t)``, evaluated at
+    ``tau``."""
+    curve, evaluate, invert = curve_at(path, level)
+    return evaluate(curve, np.asarray(tau) + invert(curve, x) - np.asarray(t))
 
 
 def basepoint(path: LevyPathSample, x, t):
     """Intersection of the limiting characteristic through ``(x, t)`` with
     the x-axis: ``L(L*(x) - t)`` in step semantics."""
-    tau_arg = hitting_time(path, x) - np.asarray(t, dtype=float)
-    return step_eval(path, tau_arg)
+    return characteristic(path, None, x, t, 0.0)
 
 
 def write_medium_csv(medium: GoupillaudMedium, out: Path | str) -> None:

@@ -465,38 +465,27 @@ def aggregate_to_level(path: LevyPathSample, n: int) -> LevyPathSample:
     )
 
 
-def _check_window_tau(path: LevyPathSample, pos: np.ndarray) -> None:
-    """Refuse grid positions outside ``[k_min, k_max]``, NaN included."""
-    grid = path.grid
-    if pos.size == 0:
-        return
-    lo, hi = np.min(pos), np.max(pos)
-    if not (grid.k_min <= lo and hi <= grid.k_max):
-        if lo < grid.k_min:
-            raise WindowError(
-                f"time {float(lo) * grid.dt!r} below sampled window start t_min={grid.t_min!r}"
-            )
-        if hi > grid.k_max:
-            raise WindowError(
-                f"time {float(hi) * grid.dt!r} above sampled window end t_max={grid.t_max!r}"
-            )
-        raise WindowError(
-            f"time nan is not in the sampled window [{grid.t_min!r}, {grid.t_max!r}]"
-        )
+#: words of a window error: the query kind, the window's name and the names
+#: of its two ends
+_TIME_WORDS = ("time", "window", "start t_min=", "end t_max=")
+_LEVEL_WORDS = ("level", "range", "min ", "max ")
 
 
-def _check_window_x(path: LevyPathSample, x: np.ndarray) -> None:
-    """Refuse levels outside the sampled value range, NaN included."""
-    lo, hi = float(path.values[0]), float(path.values[-1])
-    if x.size == 0:
+def _check_window(query: np.ndarray, lo, hi, unit: float, words: tuple[str, ...]) -> None:
+    """Refuse the first query in C order outside ``[lo, hi]``, NaN included;
+    the query and the bounds are reported times ``unit``.  Grid positions
+    are checked against ``[k_min, k_max]`` with ``unit = dt``."""
+    if query.size == 0 or (lo <= np.min(query) and np.max(query) <= hi):
         return
-    x_lo, x_hi = np.min(x), np.max(x)
-    if not (lo <= x_lo and x_hi <= hi):
-        if x_lo < lo:
-            raise WindowError(f"level {float(x_lo)!r} below sampled range min {lo!r}")
-        if x_hi > hi:
-            raise WindowError(f"level {float(x_hi)!r} above sampled range max {hi!r}")
-        raise WindowError(f"level nan is not in the sampled range [{lo!r}, {hi!r}]")
+    flat = query.reshape(-1)
+    bad = flat[np.argmin((flat >= lo) & (flat <= hi))]  # first False
+    kind, span, start, end = words
+    value, low, high = (float(v) * unit for v in (bad, lo, hi))
+    if bad < lo:
+        raise WindowError(f"{kind} {value!r} below sampled {span} {start}{low!r}")
+    if bad > hi:
+        raise WindowError(f"{kind} {value!r} above sampled {span} {end}{high!r}")
+    raise WindowError(f"{kind} nan is not in the sampled {span} [{low!r}, {high!r}]")
 
 
 def polygon_eval(path: LevyPathSample, tau):
@@ -508,7 +497,7 @@ def polygon_eval(path: LevyPathSample, tau):
     grid = path.grid
     tau_arr = np.asarray(tau, dtype=float)
     pos = tau_arr.reshape(-1) * 2.0**grid.level
-    _check_window_tau(path, pos)
+    _check_window(pos, grid.k_min, grid.k_max, grid.dt, _TIME_WORDS)
     m = np.floor(pos)  # grid indices are exact in float
     np.minimum(m, grid.k_max - 1, out=m)
     alpha = np.add(m, 1.0)
@@ -529,7 +518,7 @@ def polygon_inverse(path: LevyPathSample, x):
     """Unique ``tau`` with ``polygon_eval(path, tau) == x`` (strict increase)."""
     grid = path.grid
     x_arr = np.asarray(x, dtype=float)
-    _check_window_x(path, x_arr)
+    _check_window(x_arr, path.values[0], path.values[-1], 1.0, _LEVEL_WORDS)
     j = np.maximum(np.searchsorted(path.values, x_arr, side="left"), 1)
     frac = (x_arr - path.values[j - 1]) / (path.values[j] - path.values[j - 1])
     tau = (grid.k_min + (j - 1) + frac) * grid.dt
@@ -541,7 +530,7 @@ def step_eval(path: LevyPathSample, tau):
     grid = path.grid
     tau_arr = np.asarray(tau, dtype=float)
     pos = tau_arr.reshape(-1) * 2.0**grid.level
-    _check_window_tau(path, pos)
+    _check_window(pos, grid.k_min, grid.k_max, grid.dt, _TIME_WORDS)
     np.floor(pos, out=pos)  # grid indices are exact in float
     np.minimum(pos, grid.k_max, out=pos)
     pos -= grid.k_min
@@ -553,7 +542,7 @@ def hitting_time(path: LevyPathSample, x):
     """Smallest grid time ``t_k`` with ``x_k >= x`` (generalized inverse)."""
     grid = path.grid
     x_arr = np.asarray(x, dtype=float)
-    _check_window_x(path, x_arr)
+    _check_window(x_arr, path.values[0], path.values[-1], 1.0, _LEVEL_WORDS)
     j = np.searchsorted(path.values, x_arr, side="left")
     t = (grid.k_min + j) * grid.dt
     return float(t) if np.isscalar(x) else t

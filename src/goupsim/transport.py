@@ -2,7 +2,9 @@
 
 The level-``N`` solution is the initial datum composed with the broken
 characteristic's base point, ``u_N(t, x) = u0(gamma_N(x, t; 0))``; the
-limiting solution uses the limiting characteristic instead.  Convergence is
+limiting solution uses the limiting characteristic instead.  Both come from
+one evaluator, which asks :func:`goupsim.goupillaud.curve_at` once per level
+for the curve, its evaluator and its inverse.  Convergence is
 measured in tensor-grid L^p norms over compact windows, with the finest
 sampled level standing in for the (almost surely existing) limit on one
 realization.
@@ -18,15 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .csvio import write_csv
-from .levy_paths import (
-    LevyPathSample,
-    WindowError,
-    aggregate_to_level,
-    hitting_time,
-    polygon_eval,
-    polygon_inverse,
-    step_eval,
-)
+from .goupillaud import curve_at
+from .levy_paths import LevyPathSample
 
 __all__ = [
     "Constant",
@@ -164,27 +159,16 @@ _ROWS = 32
 def _solution_rows(path: LevyPathSample, datum: InitialDatum, level: int | None, xs, times):
     """Solution values at ``level`` (``None``: the limit) on the grid ``xs``,
     one row per time, yielded as ``(rows, *xs.shape)`` arrays of at most
-    :data:`_ROWS` rows.  The aggregation and the inverse at ``xs`` do not
-    depend on time, so they are computed once for every row.  The window is
-    checked once per batch; when a batch leaves it, the error names the first
-    offending time, as solving one time at a time would."""
+    :data:`_ROWS` rows.  The curve and its inverse at ``xs`` do not depend
+    on time, so they are computed once for every row.  A batch that leaves
+    the window raises the error of its first offending time, as solving one
+    time at a time would."""
     xs = np.asarray(xs, dtype=float)
-    if level is None:
-        ev, agg = step_eval, path
-        inv = hitting_time(path, xs)
-    else:
-        ev, agg = polygon_eval, aggregate_to_level(path, level)
-        inv = polygon_inverse(agg, xs)
+    curve, evaluate, invert = curve_at(path, level)
+    inv = invert(curve, xs)
     times = np.asarray(times, dtype=float).reshape((-1,) + (1,) * xs.ndim)
     for start in range(0, len(times), _ROWS):
-        tau = inv - times[start : start + _ROWS]
-        try:
-            base = ev(agg, tau)
-        except WindowError:
-            for row in tau:
-                ev(agg, row)
-            raise
-        yield _eval_initial_in_place(datum, base)
+        yield _eval_initial_in_place(datum, evaluate(curve, inv - times[start : start + _ROWS]))
 
 
 def solve_at_level(

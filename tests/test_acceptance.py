@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import erf
 
 from goupsim.cli import main as cli_main
-from goupsim.goupillaud import CharQuery, characteristic_n
+from goupsim.goupillaud import characteristic
 from goupsim.ig_analytics import (
     bridge_density,
     hit_under_density,
@@ -72,14 +72,12 @@ def test_criterion_01_grid_identity():
                 agg = aggregate_to_level(path, n)
                 dt = agg.grid.dt
                 xs = agg.value_at_index(idx)
-                got = characteristic_n(
+                got = characteristic(
                     path,
                     n,
-                    CharQuery(
-                        x=xs[:, None, None],
-                        t=(idx * dt)[None, :, None],
-                        tau=(idx * dt)[None, None, :],
-                    ),
+                    xs[:, None, None],
+                    (idx * dt)[None, :, None],
+                    (idx * dt)[None, None, :],
                 )
                 m = idx[:, None, None] + idx[None, None, :] - idx[None, :, None]
                 expected = agg.value_at_index(m)

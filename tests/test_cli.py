@@ -650,6 +650,13 @@ SOLVE_SMALL = ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10"]
          "--hist-hi must be positive and finite, got nan"),
         (["validate", "--process", "stable-half", "--l1-max", "nan"],
          "--l1-max must be nonnegative and finite, got nan"),
+        # OverflowError tracebacks from the float product lo * 2**nmax
+        (["paths", "--process", "gamma", "--nmax", "1100", "--range=0:1"],
+         "--range 0:1 reaches 2^63 grid steps from t = 0 at --nmax 1100; "
+         "lower --nmax or narrow --range"),
+        (["validate", "--process", "stable-half", "--nmax", "1023"],
+         "--range -1.01:14 reaches 2^63 grid steps from t = 0 at --nmax 1023; "
+         "lower --nmax or narrow --range"),
     ],
 )
 def test_bad_numbers_are_refused_before_any_path(tmp_path, monkeypatch, argv, message):
@@ -686,6 +693,29 @@ def test_process_flags_the_family_lacks_are_refused(tmp_path, monkeypatch, argv,
 
     monkeypatch.setattr("goupsim.levy_paths.build_two_sided_path", no_sampling)
     monkeypatch.setattr("goupsim.montecarlo_validation.validate_basepoints", no_sampling)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "run")])
+    assert exc.value.code == message
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--process", "gamma", "--nmax", "6", "--range=-0.5:0.5", "--times", "3"],
+         "query left the sampled window (level 1.5601173020527859 above sampled range max "
+         "1.5595118529347547); enlarge --range"),
+        (["validate", "--process", "stable-half", "--n", "0"],
+         "invalid validation input: n_samples must be >= 1"),
+        (["validate", "--process", "stable-half", "--n", "200", "--range=-0.01:0.5"],
+         "cannot validate: 200/200 samples exhausted the window (-164, 8192): 174 paths do "
+         "not reach x0 = 8.0 by k_max = 8192 (widen the upper end of --range), 26 shifted "
+         "times fall before k_min = -164 (widen the lower end of --range)"),
+    ],
+    ids=["solve-window", "validate-n", "validate-exhausted"],
+)
+def test_refusals_after_sampling_leave_no_out_directory(tmp_path, argv, message):
+    # each left an empty --out directory behind
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "run")])
     assert exc.value.code == message

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from goupsim.goupillaud import (
-    CharQuery,
     GoupillaudMedium,
     basepoint,
     build_medium,
-    characteristic_limit,
-    characteristic_n,
+    characteristic,
     speed_at,
     write_characteristic_trace_csv,
     write_medium_csv,
@@ -79,9 +77,7 @@ def test_characteristic_grid_identity_small():
         ks = np.arange(-8, 9)
         for l in (-3, 0, 2):
             for j in (-5, 0, 7):
-                got = characteristic_n(
-                    path, n, CharQuery(x=agg.value_at_index(ks), t=l * dt, tau=j * dt)
-                )
+                got = characteristic(path, n, agg.value_at_index(ks), l * dt, j * dt)
                 assert np.array_equal(got, agg.value_at_index(j + ks - l))
 
 
@@ -91,14 +87,13 @@ def test_characteristic_n_initial_condition():
     xs = rng.uniform(path.values[10], path.values[-10], size=50)
     ts = rng.uniform(-0.4, 0.4, size=50)
     for n in (3, 7):
-        got = characteristic_n(path, n, CharQuery(x=xs, t=ts, tau=ts))
+        got = characteristic(path, n, xs, ts, ts)
         assert np.max(np.abs(got - xs)) <= 1e-12
 
 
 def test_characteristic_n_pure_drift():
     path = make_drift_path(level=8, k_min=-512, k_max=512, drift=2.0)
-    q = CharQuery(x=0.5, t=0.25, tau=0.75)
-    assert abs(characteristic_n(path, 8, q) - (0.5 + 2.0 * 0.5)) <= 1e-12
+    assert abs(characteristic(path, 8, 0.5, 0.25, 0.75) - (0.5 + 2.0 * 0.5)) <= 1e-12
 
 
 def test_characteristic_limit_adjunction_instance():
@@ -106,24 +101,24 @@ def test_characteristic_limit_adjunction_instance():
     # at tau = t the limiting curve returns the path value at the hitting
     # time, which dominates x and equals it where x is attained
     xs = path.values[5:-5:7]
-    got = characteristic_limit(path, CharQuery(x=xs, t=0.5, tau=0.5))
+    got = characteristic(path, None, xs, 0.5, 0.5)
     assert np.array_equal(got, xs)
     rng = np.random.default_rng(3)
     levels = rng.uniform(path.values[0], path.values[-1], size=100)
-    got = characteristic_limit(path, CharQuery(x=levels, t=0.5, tau=0.5))
+    got = characteristic(path, None, levels, 0.5, 0.5)
     assert np.all(got >= levels)
 
 
 def test_characteristic_limit_pure_drift_bound():
     path = make_drift_path(level=10, k_min=-2048, k_max=2048, drift=1.0)
-    got = characteristic_limit(path, CharQuery(x=0.3, t=0.7, tau=0.2))
+    got = characteristic(path, None, 0.3, 0.7, 0.2)
     assert abs(got - (0.3 + 1.0 * (0.2 - 0.7))) <= 2.0**-10
 
 
 def test_characteristic_limit_monotone_in_tau():
     path = build_two_sided_path(PoissonDrift(1.0, 1.0, 1.0), 9, -512, 1024, SEED)
     taus = np.linspace(-0.5, 1.5, 301)
-    got = characteristic_limit(path, CharQuery(x=0.8, t=0.3, tau=taus))
+    got = characteristic(path, None, 0.8, 0.3, taus)
     assert np.all(np.diff(got) >= 0.0)
 
 
@@ -155,7 +150,7 @@ def test_basepoint_cases():
 def test_window_violation_messages():
     path = build_two_sided_path(StableHalf(), 6, -8, 64, SEED)
     with pytest.raises(WindowError, match="window"):
-        characteristic_limit(path, CharQuery(x=float(path.values[-1]), t=5.0, tau=0.0))
+        characteristic(path, None, float(path.values[-1]), 5.0, 0.0)
     with pytest.raises(WindowError, match="range"):
         basepoint(path, path.values[-1] + 100.0, 0.1)
 
@@ -174,7 +169,7 @@ def test_broken_curves_converge_to_limit():
     bound = 2.0 ** -(n_max - 2) * path_range
     medians = []
     for n in (4, 6, 8, 10):
-        approx = characteristic_n(path, n, CharQuery(x=xs, t=ts, tau=np.zeros_like(ts)))
+        approx = characteristic(path, n, xs, ts, np.zeros_like(ts))
         err = np.abs(approx - limit)
         medians.append(np.median(err))
         if n == n_max:
@@ -194,7 +189,7 @@ def test_exports(tmp_path):
     assert np.array_equal(left, medium.boundaries[:-1])
 
     taus = np.linspace(-0.2, 0.2, 9)
-    gammas = characteristic_limit(path, CharQuery(x=0.1, t=0.0, tau=taus))
+    gammas = characteristic(path, None, 0.1, 0.0, taus)
     g = tmp_path / "trace.csv"
     write_characteristic_trace_csv(taus, gammas, g)
     lines = g.read_text().splitlines()

@@ -9,6 +9,8 @@
 * The modules import each other without a cycle, counting imports made
   inside functions too: each module can be read, and loaded, after the
   modules it uses.
+* Path evaluators and inverses are reached through ``goupillaud``: no other
+  module than ``levy_paths`` and ``goupillaud`` imports or names them.
 """
 
 import ast
@@ -122,3 +124,23 @@ def test_package_import_graph_is_acyclic():
             del left[m]
     cycles = {m: sorted(uses & left.keys()) for m, uses in left.items()}
     assert not cycles, f"import cycle among {cycles}"
+
+
+#: path evaluators and inverses, paired with their level by ``goupillaud``
+PATH_QUERIES = {
+    "polygon_eval", "step_eval", "polygon_inverse", "hitting_time", "aggregate_to_level"
+}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.stem not in ("levy_paths", "goupillaud")],
+    ids=lambda p: p.name,
+)
+def test_path_queries_go_through_goupillaud(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = {name for _, name in _imports(tree)}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    bad = sorted(named & PATH_QUERIES)
+    assert not bad, f"{path.name} names path queries outside goupillaud: {bad}"

@@ -611,6 +611,9 @@ def test_window_errors_name_the_offending_end(drift_path):
         polygon_eval(drift_path, np.array([[0.0, -4.5], [4.2, 1.0]]))
     with pytest.raises(WindowError, match="time 4.25 above sampled window end t_max=4.0"):
         step_eval(drift_path, np.array([[0.0, 4.25], [4.2, 1.0]]))
+    # the first query in C order is named, not the farthest one
+    with pytest.raises(WindowError, match="time -4.5 below sampled window start t_min=-4.0"):
+        step_eval(drift_path, np.array([[0.0, -4.5], [-9.0, 1.0]]))
     assert polygon_eval(drift_path, np.empty((0, 3))).shape == (0, 3)
     for query, arg, message in [
         (polygon_inverse, [0.0, -4.5], "level -4.5 below sampled range min -4.0"),

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from goupsim.goupillaud import CharQuery, characteristic_n
+from goupsim.goupillaud import characteristic
 from goupsim.levy_paths import (
     GammaDrift,
     PoissonDrift,
@@ -130,7 +130,7 @@ def test_constancy_along_characteristics():
     u_here = solve_at_level(path, n, TRIANGLE, 0.0, np.array([0.0])).values  # warm-up
     for x, t in zip(xs, ts):
         u0 = solve_at_level(path, n, TRIANGLE, t, np.array([x])).values[0]
-        x_later = characteristic_n(path, n, CharQuery(x=x, t=t, tau=t + delta))
+        x_later = characteristic(path, n, x, t, t + delta)
         u1 = solve_at_level(path, n, TRIANGLE, t + delta, np.array([x_later])).values[0]
         assert abs(u1 - u0) <= 1e-10
 
