@@ -45,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ig_analytics, levy_paths, montecarlo_validation, transport
+from .csvio import write_json
 from .levy_paths import ProcessSpec, RngSeed
 
 _ENV_PREFIX = "GOUPSIM_"
@@ -204,6 +205,11 @@ def _window_from_args(args: argparse.Namespace):
             f"--range {args.range} reaches 2^63 grid steps from t = 0 at --nmax {args.nmax}; "
             "lower --nmax or narrow --range"
         )
+    if args.nmax > levy_paths.MAX_LEVEL:
+        raise SystemExit(
+            f"--nmax must be at most {levy_paths.MAX_LEVEL}, got {args.nmax}: "
+            "finer grid steps are not normal doubles"
+        )
     k_lo, k_hi = math.floor(math.ldexp(lo, args.nmax)), math.ceil(math.ldexp(hi, args.nmax))
     k_window = (min(k_lo, 0), max(k_hi, 0))
     config = {
@@ -257,10 +263,7 @@ def _datum_from_args(args: argparse.Namespace):
 
 
 def _write_manifest(args: argparse.Namespace, config: dict) -> None:
-    payload = {"command": args.command, "config": config}
-    with open(Path(args.out) / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(args.out) / "manifest.json", {"command": args.command, "config": config})
 
 
 def _prepare_out(args: argparse.Namespace) -> Path:
@@ -340,13 +343,11 @@ def _cmd_density(args: argparse.Namespace) -> int:
         grid = ig_analytics.default_z_grid(args.x, n=args.zcount, z_neg_far=args.zfar)
     except ValueError as exc:
         raise SystemExit(f"invalid density grid (--zcount, --zfar): {exc}")
-    query = ig_analytics.IGQuery(args.x, args.t, grid)
-    curve = ig_analytics.basepoint_density(query)
-    cdf = np.column_stack([grid, ig_analytics.basepoint_cdf(args.x, args.t, grid)])
+    curve = ig_analytics.basepoint_density(args.x, args.t, grid)
     out_dir = _prepare_out(args)
     ig_analytics.write_density_csv(curve, out_dir / "density.csv")
-    ig_analytics.write_cdf_csv(cdf, out_dir / "cdf.csv")
-    ig_analytics.write_query_json(query, curve.mass, out_dir / "query.json")
+    ig_analytics.write_cdf_csv(curve, out_dir / "cdf.csv")
+    ig_analytics.write_query_json(curve, out_dir / "query.json")
     _write_manifest(
         args,
         {
@@ -386,7 +387,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     montecarlo_validation.write_histogram_csv(result.hist, out_dir / "histogram.csv")
     if result.curve is not None:
         ig_analytics.write_density_csv(result.curve, out_dir / "density.csv")
-        ig_analytics.write_cdf_csv(result.cdf, out_dir / "cdf.csv")
+        ig_analytics.write_cdf_csv(result.curve, out_dir / "cdf.csv")
     montecarlo_validation.write_report_json(result.report, out_dir / "report.json")
     _write_manifest(
         args,

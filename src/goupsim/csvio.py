@@ -1,8 +1,12 @@
-"""CSV export from whole columns.
+"""CSV export from whole columns, and the package's one JSON writer.
 
-Every writer in the package formats its rows through :func:`write_csv` with
-one ``str.format`` row template, ``BLOCK`` rows at a time, so memory stays
-bounded by one chunk of text whatever the column length.  Floats use
+Every JSON file (manifests, reports, path metadata, density queries) goes
+through :func:`write_json`: two-space indent, sorted keys and a final
+newline, so a rerun rewrites it byte for byte.
+
+Every CSV writer in the package formats its rows through :func:`write_csv`
+with one ``str.format`` row template, ``BLOCK`` rows at a time, so memory
+stays bounded by one chunk of text whatever the column length.  Floats use
 ``.17g``, which round-trips exactly.  The bytes always equal those of
 ``row.format(*values)`` on each row's Python scalars (``ndarray.tolist``).
 
@@ -36,6 +40,7 @@ row is laid out in byte slots with NUL in the unused ones, which
 from __future__ import annotations
 
 import functools
+import json
 import string
 import sys
 from pathlib import Path
@@ -43,7 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["write_csv"]
+__all__ = ["write_csv", "write_json"]
 
 #: rows formatted per chunk
 BLOCK = 4096
@@ -290,3 +295,10 @@ def write_csv(out: Path | str, header: str, row: str, *columns) -> None:
                 fh.write(_kernel_rows(layout, chunk, buf))
             else:
                 fh.write("".join(map(fmt, *(c.tolist() for c in chunk))).encode())
+
+
+def write_json(out: Path | str, payload: dict) -> None:
+    """Write ``payload`` with a two-space indent and sorted keys, then a newline."""
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

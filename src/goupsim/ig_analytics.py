@@ -17,8 +17,13 @@ mirrored for negative times.  Building blocks:
 * ``conditional_past_density``  law of ``I(s - t)`` given hitting data at a
                            level ``x >= 0``, split into the bridge and
                            independent-copy regions,
-* ``basepoint_density``    the base-point law ``I(I*(x) - t)`` in closed form,
-* ``basepoint_cdf``        its exact CDF (Owen's T functions),
+* ``basepoint_cdf``        the exact CDF of the base point ``I(I*(x) - t)``
+                           (Owen's T functions), at points of any shape,
+* ``basepoint_density``    the base-point law tabulated on an increasing
+                           grid: closed-form density ``f``, CDF ``F`` and
+                           the grid's mass, in one ``DensityCurve``, from
+                           which ``density`` and ``validate`` both write
+                           ``density.csv`` and ``cdf.csv``,
 * ``hit_under_bin_masses`` exact hitting/undershoot masses over rectangular
                            bins, by the same Owen's T form.
 
@@ -64,7 +69,6 @@ and the triangle's moment series replaces it.  At ``x = 0`` both reduce to
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -72,10 +76,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf, erfc, erfcx, owens_t
 
-from .csvio import write_csv
+from .csvio import write_csv, write_json
 
 __all__ = [
-    "IGQuery",
     "DensityCurve",
     "ig_marginal_density",
     "triple_density",
@@ -97,35 +100,26 @@ _LOG_PI = float(np.log(np.pi))
 
 
 @dataclass(frozen=True, eq=False)
-class IGQuery:
-    """Base-point density query: level ``x``, elapsed time ``t > 0``, and an
-    increasing grid of evaluation points ``z_grid``."""
+class DensityCurve:
+    """The base-point law of level ``x`` and elapsed time ``t`` tabulated on
+    the increasing grid ``z``: density ``f``, its per-point error estimate
+    ``err`` and the CDF ``F``.
+
+    ``err`` is 0 wherever ``f`` comes from a closed form, which is every
+    point :func:`basepoint_density` returns.
+    """
 
     x: float
     t: float
-    z_grid: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.t > 0.0:
-            raise ValueError(f"t must be positive, got {self.t}")
-        z = np.asarray(self.z_grid, dtype=float)
-        if z.ndim != 1 or z.size < 2 or not np.all(np.diff(z) > 0.0):
-            raise ValueError("z_grid must be a strictly increasing 1-d sequence")
-
-
-@dataclass(frozen=True, eq=False)
-class DensityCurve:
-    """Tabulated density with per-point error estimates.
-
-    ``err`` is 0 wherever ``f`` comes from a closed form, which is every
-    point :func:`basepoint_density` returns.  ``mass`` is the exact
-    probability of ``[z[0], z[-1]]``, ``F(z[-1]) - F(z[0])``.
-    """
-
     z: np.ndarray
     f: np.ndarray
     err: np.ndarray
-    mass: float
+    F: np.ndarray
+
+    @property
+    def mass(self) -> float:
+        """The exact probability of ``[z[0], z[-1]]``, ``F(z[-1]) - F(z[0])``."""
+        return float(self.F[-1] - self.F[0])
 
 
 def _log_ig(t: float, v) -> np.ndarray:
@@ -333,17 +327,19 @@ def _basepoint_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
     ) / np.pi
 
 
-def basepoint_density(query: IGQuery) -> DensityCurve:
-    """Density of the base point ``I(I*(x) - t)`` on ``query.z_grid``.
+def basepoint_density(x: float, t: float, z_grid) -> DensityCurve:
+    """The law of the base point ``I(I*(x) - t)`` tabulated on the strictly
+    increasing grid ``z_grid``: its density and its CDF.
 
     Closed forms (module docstring) for levels ``x > 0``; at ``x = 0`` the
     law is ``f_I(t)(-z)``.  The value 0 is returned at the integrable spike
     ``z = 0`` and at and above the level.  Negative levels raise
     ``ValueError``: no correct law is implemented for them.
     """
-    x, t = query.x, query.t
-    z = np.asarray(query.z_grid, dtype=float)
-    lo, hi = basepoint_cdf(x, t, z[[0, -1]])  # refuses x < 0
+    z = np.asarray(z_grid, dtype=float)
+    if z.ndim != 1 or z.size < 2 or not np.all(np.diff(z) > 0.0):
+        raise ValueError("z_grid must be a strictly increasing 1-d sequence")
+    F = basepoint_cdf(x, t, z)  # refuses t <= 0 and x < 0
     if x == 0.0:
         # hitting is immediate: the base point is an independent copy run
         # backwards from the origin
@@ -355,7 +351,7 @@ def basepoint_density(query: IGQuery) -> DensityCurve:
         f[pos] = np.exp(-t * t / (2.0 * (x - zp))) / (np.pi * np.sqrt(zp) * np.sqrt(x - zp))
         neg = z < 0.0
         f[neg] = _basepoint_negative_side(x, t, -z[neg])
-    return DensityCurve(z, f, np.zeros_like(f), float(hi - lo))
+    return DensityCurve(x, t, z, f, np.zeros_like(f), F)
 
 
 def _cdf_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
@@ -481,21 +477,17 @@ def write_density_csv(curve: DensityCurve, out: Path | str) -> None:
     )
 
 
-def write_cdf_csv(cdf: np.ndarray, out: Path | str) -> None:
-    cdf = np.asarray(cdf)
-    write_csv(out, "z,F", "{:.17g},{:.17g}", cdf[:, 0], cdf[:, 1])
+def write_cdf_csv(curve: DensityCurve, out: Path | str) -> None:
+    write_csv(out, "z,F", "{:.17g},{:.17g}", curve.z, curve.F)
 
 
-def write_query_json(query: IGQuery, mass: float, out: Path | str) -> None:
-    payload = {
-        "x": query.x,
-        "t": query.t,
+def write_query_json(curve: DensityCurve, out: Path | str) -> None:
+    write_json(out, {
+        "x": curve.x,
+        "t": curve.t,
         "convention": "standard-brownian-motion",
-        "z_min": float(query.z_grid[0]),
-        "z_max": float(query.z_grid[-1]),
-        "n_points": int(np.asarray(query.z_grid).size),
-        "mass": mass,
-    }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "z_min": float(curve.z[0]),
+        "z_max": float(curve.z[-1]),
+        "n_points": curve.z.size,
+        "mass": curve.mass,
+    })

@@ -21,7 +21,6 @@ same :func:`jump_quantile` at ``dt = 1``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -31,7 +30,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import gammaincinv, gammaln, ndtri
 
-from .csvio import write_csv
+from .csvio import write_csv, write_json
 
 __all__ = [
     "GammaDrift",
@@ -41,6 +40,7 @@ __all__ = [
     "FAMILIES",
     "RngSeed",
     "PATH_PURPOSE",
+    "MAX_LEVEL",
     "DyadicGrid",
     "LevyPathSample",
     "WindowError",
@@ -63,6 +63,10 @@ __all__ = [
 #: spawn-key tag of a path side's Philox stream, apart from every other
 #: stream under the same seed
 PATH_PURPOSE = 0x70617468  # "path"
+
+#: the finest level: its grid step 2^-1022 is the smallest normal double;
+#: finer steps are subnormal or 0.0
+MAX_LEVEL = 1022
 
 #: raw words drawn and transformed together in a build
 _CHUNK = 8 * 4096
@@ -152,6 +156,8 @@ class DyadicGrid:
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValueError("level must be nonnegative")
+        if self.level > MAX_LEVEL:
+            raise ValueError(f"level must be at most {MAX_LEVEL}, got {self.level}")
         if not self.k_min <= 0 <= self.k_max:
             raise ValueError("grid must contain k=0, need k_min <= 0 <= k_max")
 
@@ -581,13 +587,10 @@ def write_path_csv(path: LevyPathSample, out: Path | str) -> None:
 
 
 def write_path_metadata(path: LevyPathSample, out: Path | str) -> None:
-    meta = {
+    write_json(out, {
         "process": process_to_dict(path.process),
         "n_max": path.grid.level,
-        "seed": {"root_seed": path.seed.root_seed, "stream_id": path.seed.stream_id},
+        "seed": asdict(path.seed),
         "k_min": path.grid.k_min,
         "k_max": path.grid.k_max,
-    }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

@@ -542,6 +542,38 @@ def test_validate_prints_one_verdict_per_check(tmp_path, capsys):
     )
 
 
+def test_validate_report_records_every_check_once(tmp_path, monkeypatch):
+    # each verdict is one Check, and report.json holds each as name and
+    # name_pass with the Check's own value
+    from goupsim import montecarlo_validation
+
+    results = []
+    validate = montecarlo_validation.validate_basepoints
+
+    def recording(*args, **kwargs):
+        results.append(validate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(montecarlo_validation, "validate_basepoints", recording)
+    out = tmp_path / "run"
+    assert main(["validate", "--process", "stable-half", "--seed", "5", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    (result,) = results
+    assert [c.name for c in result.checks] == ["l1", "concentration", "support", "ks"]
+    for c in result.checks:
+        assert report[c.name] == c.value and report[c.name + "_pass"] is c.passed
+    assert report["pass"] is all(c.passed for c in result.checks)
+
+
+def test_density_and_validate_write_the_same_law_table(tmp_path):
+    # both commands tabulate the law once, on the same default grid
+    density, validate = tmp_path / "density", tmp_path / "validate"
+    assert main(["density", "--x", "8", "--t", "1", "--out", str(density)]) == 0
+    assert main(["validate", "--process", "stable-half", "--out", str(validate)]) == 0
+    for name in ("density.csv", "cdf.csv"):
+        assert (density / name).read_bytes() == (validate / name).read_bytes()
+
+
 def test_validate_negative_level_is_an_error_line(tmp_path):
     # --nmax -1 used to run with dt = 2 and print {"pass": false}
     with pytest.raises(SystemExit, match="--nmax must be >= 0, got -1") as exc:
@@ -657,6 +689,13 @@ SOLVE_SMALL = ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10"]
         (["validate", "--process", "stable-half", "--nmax", "1023"],
          "--range -1.01:14 reaches 2^63 grid steps from t = 0 at --nmax 1023; "
          "lower --nmax or narrow --range"),
+        # an OverflowError traceback from the bridge tree's 2^(depth + 1), and
+        # a math domain error from a grid step that underflows to 0.0
+        (["validate", "--process", "stable-half", "--nmax", "1100",
+          "--range=-1e-320:1e-320", "--n", "10"],
+         "--nmax must be at most 1022, got 1100: finer grid steps are not normal doubles"),
+        (["paths", "--process", "gamma", "--nmax", "1080", "--range=-5e-324:5e-324"],
+         "--nmax must be at most 1022, got 1080: finer grid steps are not normal doubles"),
     ],
 )
 def test_bad_numbers_are_refused_before_any_path(tmp_path, monkeypatch, argv, message):

@@ -148,7 +148,7 @@ def test_histogram_csv(tmp_path):
 
 
 def test_density_csv(tmp_path):
-    curve = DensityCurve(awkward(), awkward(shift=1), awkward(shift=2), 1.0)
+    curve = DensityCurve(8.0, 1.0, *(awkward(shift=s) for s in (0, 1, 2, 7)))
     ref = "z,f,err\n" + "".join(
         f"{z:.17g},{f:.17g},{e:.17g}\n" for z, f, e in zip(curve.z, curve.f, curve.err)
     )
@@ -157,9 +157,9 @@ def test_density_csv(tmp_path):
 
 
 def test_cdf_csv(tmp_path):
-    cdf = np.column_stack([awkward(), awkward(shift=7)])
-    ref = "z,F\n" + "".join(f"{z:.17g},{F:.17g}\n" for z, F in cdf)
-    write_cdf_csv(cdf, tmp_path / "cdf.csv")
+    curve = DensityCurve(8.0, 1.0, *(awkward(shift=s) for s in (0, 1, 2, 7)))
+    ref = "z,F\n" + "".join(f"{z:.17g},{F:.17g}\n" for z, F in zip(curve.z, curve.F))
+    write_cdf_csv(curve, tmp_path / "cdf.csv")
     assert_file_text(tmp_path / "cdf.csv", ref)
 
 

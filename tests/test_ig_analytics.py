@@ -8,7 +8,6 @@ from scipy.special import erf
 
 from goupsim.ig_analytics import (
     DensityCurve,
-    IGQuery,
     basepoint_cdf,
     basepoint_density,
     bridge_density,
@@ -349,7 +348,7 @@ def _factorized_positive_density(x, t, z):
 def test_basepoint_positive_side_matches_factorized_form():
     x, t = 8.0, 1.0
     for z in (1e-3, 0.05, 0.5, 1.0, 3.0, 6.5, 7.9):
-        got = basepoint_density(IGQuery(x, t, np.array([z, z + 1e-4]))).f[0]
+        got = basepoint_density(x, t, np.array([z, z + 1e-4])).f[0]
         want = _factorized_positive_density(x, t, z)
         assert abs(got - want) <= 1e-9 * max(want, 1e-3)
 
@@ -373,7 +372,7 @@ def _negative_side_mixture(x, t, a):
 @pytest.mark.parametrize("t", [1e-3, 0.2, 1.0, 3.0])
 def test_basepoint_negative_side_matches_mixture_quadrature(x, t):
     z = -np.unique(np.append(np.geomspace(1e-5 * x, 1e6, 12), x))[::-1]
-    got = basepoint_density(IGQuery(x, t, z)).f
+    got = basepoint_density(x, t, z).f
     want = np.array([_negative_side_mixture(x, t, -float(v)) for v in z])
     assert np.all(want > 0.0)
     assert np.max(np.abs(got - want) / want) <= 1e-8
@@ -385,11 +384,11 @@ def test_basepoint_negative_side_far_apart_exponents(x, t):
     # exponentials in D overflows; the density must stay finite on the whole
     # default grid and match the mixture wherever it is a normal float
     grid = default_z_grid(x)
-    curve = basepoint_density(IGQuery(x, t, grid))
+    curve = basepoint_density(x, t, grid)
     assert np.all(np.isfinite(curve.f)) and np.all(curve.f >= 0.0)
     assert np.isfinite(curve.mass)
     z = -np.unique(np.append(np.geomspace(1e-5 * x, 1e6, 12), x))[::-1]
-    got = basepoint_density(IGQuery(x, t, z)).f
+    got = basepoint_density(x, t, z).f
     want = np.array([_negative_side_mixture(x, t, -float(v)) for v in z])
     normal = want >= 1e-300
     assert normal.sum() >= 6
@@ -403,19 +402,19 @@ def test_basepoint_finite_over_wide_ranges():
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         for x in v:
             for t in v:
-                assert np.all(np.isfinite(basepoint_density(IGQuery(x, t, z)).f)), (x, t)
+                assert np.all(np.isfinite(basepoint_density(x, t, z).f)), (x, t)
 
 
 def test_basepoint_zero_beyond_level():
     x, t = 8.0, 1.0
-    curve = basepoint_density(IGQuery(x, t, np.array([8.0, 8.5, 9.0, 12.0])))
+    curve = basepoint_density(x, t, np.array([8.0, 8.5, 9.0, 12.0]))
     assert np.array_equal(curve.f, np.zeros(4))
 
 
 def test_basepoint_concentration_near_zero():
     x, t = 8.0, 1.0
     zs = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])
-    curve = basepoint_density(IGQuery(x, t, zs))
+    curve = basepoint_density(x, t, zs)
     assert np.all(np.diff(curve.f) < 0.0)  # spike toward the origin
     # integrable |z|^(-1/2) spike: z f(z)^2 roughly constant near 0
     ratio = curve.f[0] / curve.f[1]
@@ -425,14 +424,14 @@ def test_basepoint_concentration_near_zero():
 def test_basepoint_mass_close_to_one():
     x, t = 8.0, 1.0
     grid = default_z_grid(x, n=192)
-    curve = basepoint_density(IGQuery(x, t, grid))
+    curve = basepoint_density(x, t, grid)
     assert curve.f.min() >= 0.0
     assert 0.98 <= curve.mass <= 1.02
 
 
 def test_basepoint_at_zero_level():
     zs = np.array([-2.0, -0.5, 0.5])
-    curve = basepoint_density(IGQuery(0.0, 1.0, zs))
+    curve = basepoint_density(0.0, 1.0, zs)
     want = np.array([ig_marginal_density(1.0, 2.0), ig_marginal_density(1.0, 0.5), 0.0])
     assert np.allclose(curve.f, want, rtol=0.0, atol=1e-15)
 
@@ -440,9 +439,9 @@ def test_basepoint_at_zero_level():
 def test_basepoint_negative_level_smoke():
     # no correct law is implemented below the origin: refuse, do not guess
     with pytest.raises(ValueError, match="x >= 0"):
-        basepoint_density(IGQuery(-1.0, 1.0, np.array([-3.0, -1.5])))
+        basepoint_density(-1.0, 1.0, np.array([-3.0, -1.5]))
     with pytest.raises(ValueError, match="x >= 0"):
-        basepoint_density(IGQuery(float("nan"), 1.0, np.array([-3.0, -1.5])))
+        basepoint_density(float("nan"), 1.0, np.array([-3.0, -1.5]))
 
 
 def test_basepoint_per_point_failure_markers():
@@ -450,7 +449,7 @@ def test_basepoint_per_point_failure_markers():
     # and boundary points of the support, and vanishes at the level
     x = 8.0
     zs = np.array([-1e6, -1e-12, 1e-12, x - 1e-12, x])
-    curve = basepoint_density(IGQuery(x, 1.0, zs))
+    curve = basepoint_density(x, 1.0, zs)
     assert np.all(np.isfinite(curve.f))
     assert np.all(curve.err == 0.0)
     assert np.all(curve.f[zs >= x] == 0.0)
@@ -459,15 +458,15 @@ def test_basepoint_per_point_failure_markers():
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        IGQuery(8.0, 0.0, np.array([0.1, 0.2]))
+        basepoint_density(8.0, 0.0, np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
-        IGQuery(8.0, 1.0, np.array([0.2, 0.1]))
+        basepoint_density(8.0, 1.0, np.array([0.2, 0.1]))
 
 
 def test_basepoint_cdf_properties():
     x, t = 8.0, 1.0
     grid = default_z_grid(x, n=160)
-    curve = basepoint_density(IGQuery(x, t, grid))
+    curve = basepoint_density(x, t, grid)
     F = basepoint_cdf(x, t, grid)
     assert np.all(np.diff(F) >= 0.0)
     assert np.all((F >= 0.0) & (F <= 1.0))
@@ -483,7 +482,7 @@ def _density_at(x, t):
         z = np.atleast_1d(np.asarray(z, dtype=float))
         order = np.argsort(z)
         out = np.empty_like(z)
-        out[order] = basepoint_density(IGQuery(x, t, z[order])).f
+        out[order] = basepoint_density(x, t, z[order]).f
         return out
 
     return f
@@ -593,21 +592,19 @@ def test_default_z_grid_band_straddles_the_level(x):
 
 def test_export_files(tmp_path):
     zs = np.array([0.5, 1.0, 2.0])
-    query = IGQuery(8.0, 1.0, zs)
-    curve = basepoint_density(query)
+    curve = basepoint_density(8.0, 1.0, zs)
     f1 = tmp_path / "density.csv"
     write_density_csv(curve, f1)
     lines = f1.read_text().splitlines()
     assert lines[0] == "z,f,err" and len(lines) == 4
 
-    cdf = np.column_stack([zs, basepoint_cdf(8.0, 1.0, zs)])
     f2 = tmp_path / "cdf.csv"
-    write_cdf_csv(cdf, f2)
+    write_cdf_csv(curve, f2)
     lines = f2.read_text().splitlines()
     assert lines[0] == "z,F" and len(lines) == 4
 
     f3 = tmp_path / "query.json"
-    write_query_json(query, curve.mass, f3)
+    write_query_json(curve, f3)
     import json
 
     meta = json.loads(f3.read_text())

@@ -11,6 +11,8 @@
   modules it uses.
 * Path evaluators and inverses are reached through ``goupillaud``: no other
   module than ``levy_paths`` and ``goupillaud`` imports or names them.
+* Every JSON file is written by ``csvio.write_json``: no other module calls
+  ``json.dump`` or imports it.
 """
 
 import ast
@@ -144,3 +146,18 @@ def test_path_queries_go_through_goupillaud(path):
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     bad = sorted(named & PATH_QUERIES)
     assert not bad, f"{path.name} names path queries outside goupillaud: {bad}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "csvio"], ids=lambda p: p.name)
+def test_json_files_are_written_by_csvio(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bad = [f"{module}.{name}" for module, name in _imports(tree) if module == "json" and name]
+    bad += [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+        and node.attr == "dump"
+    ]
+    assert not bad, f"{path.name} writes JSON outside csvio.write_json: {bad}"

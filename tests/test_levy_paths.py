@@ -13,6 +13,7 @@ from scipy.special import gammainc, gammaincinv, gammaln
 from scipy.stats import poisson
 
 from goupsim.levy_paths import (
+    MAX_LEVEL,
     PATH_PURPOSE,
     DyadicGrid,
     GammaDrift,
@@ -67,6 +68,10 @@ def test_spec_validation():
         RngSeed(-1)
     with pytest.raises(ValueError):
         DyadicGrid(3, 1, 8)  # must contain k=0
+    # the finest step is the smallest normal double; one level finer is subnormal
+    assert DyadicGrid(MAX_LEVEL, 0, 1).dt == 2.0**-1022
+    with pytest.raises(ValueError, match="level must be at most 1022, got 1023"):
+        DyadicGrid(MAX_LEVEL + 1, 0, 1)
 
 
 def test_sample_increment_rejects_bad_dt():

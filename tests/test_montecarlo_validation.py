@@ -49,10 +49,15 @@ def test_mc_config_validation():
         McConfig(0, 10, (-8, 8), SEED)
     with pytest.raises(ValueError):
         McConfig(10, 10, (-8, 8), SEED, bins=1)
+    # spike_refined_bin_edges needs 8 bins: refused here, by name
+    with pytest.raises(ValueError, match="bins must be >= 8, got 5"):
+        McConfig(10, 10, (-8, 8), SEED, bins=5)
     with pytest.raises(ValueError):
         McConfig(10, 10, (2, 8), SEED)
     with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
         McConfig(10, -1, (-8, 8), SEED)
+    with pytest.raises(ValueError, match="n_max must be at most 1022, got 1100"):
+        McConfig(10, 1100, (-8, 8), SEED)
     with pytest.raises(ValueError, match="reaches 2\\^53 grid steps"):
         McConfig(10, 60, (-8, 14 * 2**60), SEED)
 
@@ -631,8 +636,8 @@ def test_validation_scores_on_the_exact_cdf():
     assert report["ks"] == ks
     grid = default_z_grid(x0)
     assert np.array_equal(result.curve.z, grid)
-    assert np.array_equal(result.cdf, np.column_stack([grid, basepoint_cdf(x0, t0, grid)]))
-    assert report["mass"] == result.cdf[-1, 1] - result.cdf[0, 1]
+    assert np.array_equal(result.curve.F, basepoint_cdf(x0, t0, grid))
+    assert report["mass"] == result.curve.F[-1] - result.curve.F[0]
 
 
 def test_concentration_verdict_is_a_one_percent_binomial_test():
