@@ -2,8 +2,9 @@
 
 A Goupillaud medium is a layered medium in which every layer is traversed in
 the same time, so layer thickness is proportional to propagation speed.  Here
-the layer structure is driven by a strictly increasing Levy process sampled on
-dyadic grids.  The package provides
+the layer structure is driven by a Levy subordinator sampled on dyadic grids,
+whose values are non-decreasing in floating point (a tie is an increment below
+half an ulp, kept by full paths and bridge trees alike).  The package provides
 
 * ``levy_paths``              reproducible two-sided path sampling, aggregation
                               across dyadic levels, polygon/step evaluation and

@@ -200,9 +200,12 @@ def _split(spec, key, depth: int, side, sample, index, v) -> tuple[np.ndarray, n
         r = betaincinv(a, a, np.minimum(u, 1.0 - u))
         small = v * np.where(r > _TINY, r, 0.0)
     else:
-        s = ndtri(u) * np.sqrt(v) * 2.0 ** (depth + 1)
-        q = np.sqrt(s * s + 4.0)
-        small = 2.0 * v / (q * (q + np.abs(s)))
+        # an s that overflows (depths near MAX_LEVEL) gives small = 0, the
+        # limit: the true smaller half, about h^2/ndtri(u)^2, underflows too
+        with np.errstate(over="ignore"):
+            s = ndtri(u) * np.sqrt(v) * 2.0 ** (depth + 1)
+            q = np.sqrt(s * s + 4.0)
+            small = 2.0 * v / (q * (q + np.abs(s)))
     large = v - small
     right_small = u > 0.5
     return np.where(right_small, large, small), np.where(right_small, small, large)

@@ -2,7 +2,8 @@
 
 Commands
 --------
-paths      sample a two-sided increasing Levy path, write CSV + metadata
+paths      sample a two-sided non-decreasing Levy path (ties where an
+           increment is below half an ulp), write CSV + metadata
 solve      transport solution fields at given times, long-format CSV
 converge   L^p distances of level-N solutions to the finest level, CSV
 density    analytic base-point density and CDF for the stable-1/2 process
@@ -231,8 +232,8 @@ def _path_from_args(args: argparse.Namespace, spec: ProcessSpec, k_window: tuple
         return levy_paths.build_two_sided_path(
             spec, args.nmax, *k_window, RngSeed(args.seed, args.stream)
         )
-    except RuntimeError as exc:  # the path is not strictly increasing
-        raise SystemExit(f"cannot sample this path: {exc}; lower --nmax")
+    except RuntimeError as exc:  # a path value is not finite
+        raise SystemExit(f"cannot sample this path: {exc}")
     except MemoryError:
         raise SystemExit(
             f"cannot sample this path: its {points} grid points (--nmax {args.nmax}, "

@@ -13,7 +13,7 @@ The base point is the characteristic at ``tau = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,33 +42,37 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GoupillaudMedium:
-    """Layer boundaries and speeds at one refinement level.
+    """Layer boundaries at one refinement level, and the speeds they imply.
 
-    ``boundaries[i]`` is ``x_(k_min + i)``; ``speeds[i]`` belongs to the layer
-    ``[boundaries[i], boundaries[i+1])`` (left-closed, right-open).
+    ``boundaries[i]`` is ``x_(k_min + i)``, finite and non-decreasing;
+    ``speeds[i] = (boundaries[i+1] - boundaries[i]) * 2^level`` belongs to the
+    layer ``[boundaries[i], boundaries[i+1])`` (left-closed, right-open), so
+    the Goupillaud relation ``dx_k = c_k * 2^-level`` holds exactly (scaling
+    by a power of two is exact in binary floats) and every layer is crossed
+    in one time step.  A layer of zero thickness (a tie of the path) has
+    speed 0 and contains no point.
     """
 
     level: int
     k_min: int
     boundaries: np.ndarray
-    speeds: np.ndarray
+    speeds: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if not np.all(self.speeds > 0.0):
-            raise ValueError("all layer speeds must be positive")
+        object.__setattr__(self, "speeds", np.diff(self.boundaries) * 2.0**self.level)
+        if not (np.isfinite(self.boundaries).all() and np.all(self.speeds >= 0.0)):
+            raise ValueError("layer boundaries must be finite and non-decreasing")
 
 
 def build_medium(path: LevyPathSample, n: int) -> GoupillaudMedium:
-    """Medium at level ``n``: boundaries are the aggregated path values,
-    speeds ``c_k = dx_k / dt``; the Goupillaud relation ``dx_k = c_k * dt``
-    then holds exactly (scaling by ``2^n`` is exact in binary floats)."""
+    """Medium at level ``n``: boundaries are the aggregated path values."""
     agg = aggregate_to_level(path, n)
-    speeds = np.diff(agg.values) * 2.0**n
-    return GoupillaudMedium(n, agg.grid.k_min, agg.values, speeds)
+    return GoupillaudMedium(n, agg.grid.k_min, agg.values)
 
 
 def speed_at(medium: GoupillaudMedium, x) -> float | np.ndarray:
-    """Speed of the layer containing ``x``, convention ``[x_(k-1), x_k)``."""
+    """Speed of the layer containing ``x``, convention ``[x_(k-1), x_k)``;
+    an empty layer contains no ``x``."""
     xs = np.asarray(x, dtype=float)
     lo, hi = medium.boundaries[0], medium.boundaries[-1]
     if np.any(xs < lo) or np.any(xs >= hi):

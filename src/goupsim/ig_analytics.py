@@ -314,11 +314,13 @@ def _basepoint_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
     s = a + x
     # D = exp(-t^2/(2x)) - exp(-t^2/(2a)) with the larger exponential factored
     # out: expm1 then sees an argument <= 0, so it cannot overflow when the
-    # two exponents are far apart, and small t loses no digits
-    e = 0.5 * t * t * ((a - x) / a) / x
-    d = np.sign(e) * np.exp(-t * t / (2.0 * np.maximum(a, x))) * np.expm1(-np.abs(e))
-    # (t - mu)/(sigma sqrt 2) and mu/(sigma sqrt 2)
-    erfs = erf(t * np.sqrt(0.5 * (x / a) / s)) + erf(t * np.sqrt(0.5 * (a / x) / s))
+    # two exponents are far apart, and small t loses no digits.  An argument
+    # that overflows to inf gives the limit: d = 0 and erf(inf) = 1
+    with np.errstate(over="ignore"):
+        e = 0.5 * t * t * ((a - x) / a) / x
+        d = np.sign(e) * np.exp(-t * t / (2.0 * np.maximum(a, x))) * np.expm1(-np.abs(e))
+        # (t - mu)/(sigma sqrt 2) and mu/(sigma sqrt 2)
+        erfs = erf(t * np.sqrt(0.5 * (x / a) / s)) + erf(t * np.sqrt(0.5 * (a / x) / s))
     # sigma^2 a^(-3/2) / sqrt(x) = sqrt(x/s) / (sqrt(a) sqrt(s)) and
     # mu sigma a^(-3/2) / sqrt(x) = (t/s) / sqrt(s)
     return (
@@ -348,7 +350,8 @@ def basepoint_density(x: float, t: float, z_grid) -> DensityCurve:
         f = np.zeros_like(z)
         pos = (z > 0.0) & (z < x)
         zp = z[pos]
-        f[pos] = np.exp(-t * t / (2.0 * (x - zp))) / (np.pi * np.sqrt(zp) * np.sqrt(x - zp))
+        with np.errstate(over="ignore"):  # exp(-inf) = 0, the limit
+            f[pos] = np.exp(-t * t / (2.0 * (x - zp))) / (np.pi * np.sqrt(zp) * np.sqrt(x - zp))
         neg = z < 0.0
         f[neg] = _basepoint_negative_side(x, t, -z[neg])
     return DensityCurve(x, t, z, f, np.zeros_like(f), F)
@@ -359,7 +362,7 @@ def _cdf_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
     lo, hi = np.minimum(a, x), np.maximum(a, x)
     r = np.sqrt(lo / hi)
     k = t / np.sqrt(x + a)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # owens_t(inf, r) = 0
         m = t * np.sqrt(hi / (x + a)) / np.sqrt(lo)
         l1, l2 = np.broadcast_arrays(t / np.sqrt(x), t / np.sqrt(a))
     F = erf(k / np.sqrt(2.0)) * erf(m / np.sqrt(2.0)) + 4.0 * (owens_t(m, r) - owens_t(k, r))

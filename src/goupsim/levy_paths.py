@@ -1,4 +1,4 @@
-"""Two-sided strictly increasing Levy paths sampled on dyadic grids.
+"""Two-sided non-decreasing Levy paths sampled on dyadic grids.
 
 Paths are sampled once at the finest level; coarser levels are produced only
 by aggregation, so the dyadic consistency relation (coarse increments are
@@ -17,6 +17,12 @@ for bit.
 Monte Carlo base points do not read these streams: they descend keyed bridge
 trees (:mod:`goupsim.bridge_tree`), whose unit-length top nodes take the
 same :func:`jump_quantile` at ``dt = 1``.
+
+Values are non-decreasing in floating point: every increment is at least 0,
+and a rounded running sum of such terms never decreases.  A tie ``x_(k+1) ==
+x_k`` is an increment below half an ulp of ``x_k`` (a driftless Gamma
+quantile that underflows, or a small step after a large stable-1/2 jump).
+The bridge trees follow the same rule.
 """
 
 from __future__ import annotations
@@ -104,7 +110,8 @@ class GammaDrift:
 class PoissonDrift:
     """Compound Poisson (fixed jump size) plus linear drift.
 
-    Strict increase between jumps requires ``drift > 0``.
+    ``drift > 0`` is required; a driftless path, flat between jumps, is not
+    supported.
     """
 
     family: ClassVar[str] = "poisson"
@@ -181,7 +188,8 @@ class DyadicGrid:
 class LevyPathSample:
     """One realization: values ``x_k = L(t_k)`` on a dyadic grid, ``x_0 = 0``.
 
-    ``values[i]`` holds ``x_(k_min + i)``; values are strictly increasing.
+    ``values[i]`` holds ``x_(k_min + i)``; values are finite and
+    non-decreasing (a tie is an increment below half an ulp).
     """
 
     grid: DyadicGrid
@@ -420,7 +428,11 @@ def build_two_sided_path(
     ``x_0 = 0`` exactly; the negative side uses independent increments
     accumulated backwards.  ``substream`` extends the stream key, giving
     independent realizations (for example one per Monte Carlo sample) under
-    one root seed.  Strict monotonicity is asserted on every build.
+    one root seed.
+
+    Values are non-decreasing by construction (module docstring), so a NaN
+    or an overflow reaches one of the two ends: a build refuses a path whose
+    end values are not finite, and checks nothing else.
 
     Increments are written straight into the output and summed in place (the
     backward side through a reversed view), so the build holds no full-length
@@ -433,20 +445,15 @@ def build_two_sided_path(
     values[origin] = 0.0
     fwd = values[origin + 1 :]
     bwd = values[:origin][::-1]
-    _increment_run(spec, dt, seed, _FORWARD, fwd, substream)
-    _increment_run(spec, dt, seed, _BACKWARD, bwd, substream)
-    np.cumsum(fwd, out=fwd)
-    np.cumsum(bwd, out=bwd)
+    with np.errstate(over="ignore"):  # an overflow reaches an end, refused below
+        _increment_run(spec, dt, seed, _FORWARD, fwd, substream)
+        _increment_run(spec, dt, seed, _BACKWARD, bwd, substream)
+        np.cumsum(fwd, out=fwd)
+        np.cumsum(bwd, out=bwd)
     np.negative(bwd, out=bwd)
-
-    increasing = values[1:] > values[:-1]
-    if not increasing.all():
-        bad = int(np.argmin(increasing))
-        raise RuntimeError(
-            f"sampled path is not strictly increasing at k={grid.k_min + bad}; "
-            "the increment to the next grid point is below half an ulp of the "
-            f"path value {float(values[bad])!r}, so adding it leaves the value unchanged"
-        )
+    if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+        bad = int(np.argmin(np.isfinite(values)))
+        raise RuntimeError(f"sampled path value at k={k_min + bad} is {values[bad]:g}, not finite")
     return LevyPathSample(grid, values, seed, spec)
 
 
@@ -521,12 +528,16 @@ def polygon_eval(path: LevyPathSample, tau):
 
 
 def polygon_inverse(path: LevyPathSample, x):
-    """Unique ``tau`` with ``polygon_eval(path, tau) == x`` (strict increase)."""
+    """Smallest ``tau`` with ``polygon_eval(path, tau) == x``, the first
+    crossing (every time of a flat step maps to the same value)."""
     grid = path.grid
     x_arr = np.asarray(x, dtype=float)
     _check_window(x_arr, path.values[0], path.values[-1], 1.0, _LEVEL_WORDS)
     j = np.maximum(np.searchsorted(path.values, x_arr, side="left"), 1)
-    frac = (x_arr - path.values[j - 1]) / (path.values[j] - path.values[j - 1])
+    # the step into the first x_j >= x rises, except at x = values[0] on a
+    # flat window start, where the crossing is t_min itself
+    den = path.values[j] - path.values[j - 1]
+    frac = np.divide(x_arr - path.values[j - 1], den, out=np.zeros(den.shape), where=den > 0.0)
     tau = (grid.k_min + (j - 1) + frac) * grid.dt
     return float(tau) if np.isscalar(x) else tau
 

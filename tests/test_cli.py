@@ -13,8 +13,6 @@ from scipy.special import gammainc
 
 import goupsim
 from goupsim.cli import build_parser, main
-from goupsim.levy_paths import GammaDrift, RngSeed
-from conftest import path_by_concatenation
 
 
 def read_rows(path, cols):
@@ -27,12 +25,18 @@ def read_rows(path, cols):
     return {c: np.array(v) for c, v in out.items()}
 
 
-def test_python_dash_m_goupsim_runs_the_cli():
+def run_module(*argv):
+    """``python -m goupsim *argv`` in a child process, with this package
+    first on its path."""
     src = str(Path(goupsim.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "goupsim", "--help"], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, "-m", "goupsim", *argv], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_python_dash_m_goupsim_runs_the_cli():
+    done = run_module("--help")
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout and "validate" in done.stdout
 
@@ -452,23 +456,69 @@ def test_validate_window_exhaustion_is_an_error_line(tmp_path):
         )
 
 
-def test_paths_non_increasing_is_an_error_line(tmp_path):
-    # a driftless Gamma path at level 16 has increments whose quantiles
-    # underflow to 0.0, so the sampled path stalls; the first flat step is
-    # read from the reference build
-    k_min = -4 * 2**16
-    values = path_by_concatenation(GammaDrift(1.0, 1.0, 0.0), 16, k_min, 14 * 2**16, RngSeed(7))
-    bad = k_min + int(np.argmin(np.diff(values) > 0.0))
-    with pytest.raises(SystemExit) as exc:
-        main(
-            [
-                "paths", "--process", "gamma", "--drift", "0", "--seed", "7",
-                "--nmax", "16", "--range=-4:14", "--out", str(tmp_path / "run"),
-            ]
-        )
-    message = str(exc.value.code)
-    assert f"not strictly increasing at k={bad};" in message
-    assert "below half an ulp" in message and "Gamma" not in message
+def _solve_runs(process: list[str]) -> dict[str, list[str]]:
+    common = [*process, "--nmax", "16", "--range=-4:14"]
+    return {
+        "solve": ["solve", *common, "--xcount", "64"],
+        "solve-8": ["solve", *common, "--xcount", "64", "--level", "8"],
+    }
+
+
+def test_driftless_gamma_paths_keep_ties(tmp_path):
+    # from level 8 on, quantiles of driftless Gamma increments underflow to
+    # 0.0, which leaves x_(k+1) == x_k; the path keeps these ties, as the
+    # bridge tree does, and every command runs on it (each was refused)
+    process = ["--process", "gamma", "--drift", "0", "--seed", "7"]
+    runs = {
+        **_solve_runs(process),
+        "paths": ["paths", *process, "--nmax", "16", "--range=-4:14"],
+        "converge": ["converge", *process, "--nmax", "16", "--range=-4:14", "--kgrid", "16:64"],
+    }
+    for run, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / run)]) == 0, run
+    steps = np.diff(read_rows(tmp_path / "paths" / "path.csv", ["k", "t", "x"])["x"])
+    assert np.all(steps >= 0.0) and np.any(steps == 0.0)
+    for run in ("solve", "solve-8"):
+        assert np.all(np.isfinite(read_rows(tmp_path / run / "solution.csv", ["t", "x", "u"])["u"]))
+    assert np.all(np.isfinite(read_rows(tmp_path / "converge" / "convergence.csv", ["N", "d"])["d"]))
+
+
+@pytest.mark.parametrize("seed", ["2", "6"])
+def test_stable_half_seeds_with_ties_solve(tmp_path, seed):
+    # after a large jump these level-16 paths take steps below half an ulp
+    # (both seeds were refused)
+    for run, argv in _solve_runs(["--process", "stable-half", "--seed", seed]).items():
+        assert main([*argv, "--out", str(tmp_path / run)]) == 0, run
+        assert np.all(np.isfinite(read_rows(tmp_path / run / "solution.csv", ["t", "x", "u"])["u"]))
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        # an overflowing multiply in the stable-1/2 split (three warnings)
+        (["validate", "--process", "stable-half", "--nmax", "1022", "--range=-1e-300:1e-300",
+          "--n", "10"], 1,
+         "cannot validate: 10/10 samples exhausted the window (-44942329, 44942329): 10 paths "
+         "do not reach x0 = 8.0 by k_max = 44942329 (widen the upper end of --range), 0 shifted "
+         "times fall before k_min = -44942329 (widen the lower end of --range)\n"),
+        # overflows in the density's exponents, whose limits F = 1 and f = 0
+        # are what is written
+        (["density", "--x", "8", "--t", "1e154"], 0, ""),
+        (["density", "--x", "8", "--t", "1e308"], 0, ""),
+        # an overflowing path build (it wrote inf into path.csv and exited 0)
+        (["paths", "--process", "gamma", "--theta", "1e308", "--nmax", "0", "--range=0:3"], 1,
+         "cannot sample this path: sampled path value at k=3 is inf, not finite\n"),
+    ],
+    ids=["validate-split", "density-1e154", "density-1e308", "paths-overflow"],
+)
+def test_overflows_with_the_right_limit_print_no_warning(tmp_path, argv, code, stderr):
+    done = run_module(*argv, "--out", str(tmp_path / "run"))
+    assert (done.returncode, done.stderr) == (code, stderr)
+    if argv[0] == "density":
+        assert json.loads((tmp_path / "run" / "query.json").read_text())["mass"] == 0.0
+        F = read_rows(tmp_path / "run" / "cdf.csv", ["z", "F"])["F"]
+        f = read_rows(tmp_path / "run" / "density.csv", ["z", "f"])["f"]
+        assert np.all(F == 1.0) and np.all(f == 0.0)
 
 
 @pytest.mark.parametrize("command", ["paths", "solve", "converge"])
@@ -750,8 +800,10 @@ def test_process_flags_the_family_lacks_are_refused(tmp_path, monkeypatch, argv,
          "cannot validate: 200/200 samples exhausted the window (-164, 8192): 174 paths do "
          "not reach x0 = 8.0 by k_max = 8192 (widen the upper end of --range), 26 shifted "
          "times fall before k_min = -164 (widen the lower end of --range)"),
+        (["paths", "--process", "gamma", "--theta", "1e308", "--nmax", "0", "--range=0:3"],
+         "cannot sample this path: sampled path value at k=3 is inf, not finite"),
     ],
-    ids=["solve-window", "validate-n", "validate-exhausted"],
+    ids=["solve-window", "validate-n", "validate-exhausted", "paths-overflow"],
 )
 def test_refusals_after_sampling_leave_no_out_directory(tmp_path, argv, message):
     # each left an empty --out directory behind

@@ -47,8 +47,26 @@ def test_build_medium_random_positive_speeds():
     path = build_two_sided_path(GammaDrift(1.0, 1.0, 1.0), 8, -64, 64, SEED)
     medium = build_medium(path, 5)
     assert medium.speeds.min() > 0.0
-    with pytest.raises(ValueError):
-        GoupillaudMedium(0, 0, np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.0]))
+    # speeds follow from the boundaries: a zero speed (a tie of the path) is
+    # a layer, a negative or NaN one is refused
+    assert np.array_equal(GoupillaudMedium(0, 0, np.array([0.0, 1.0, 1.0])).speeds, [1.0, 0.0])
+    for bad in ([0.0, 1.0, 0.5], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite and non-decreasing"):
+            GoupillaudMedium(0, 0, np.array(bad))
+
+
+def test_speed_at_never_selects_an_empty_layer():
+    # a driftless Gamma medium has layers of zero thickness; a point on a
+    # run of equal boundaries lies in the layer above the run
+    path = build_two_sided_path(GammaDrift(1.0, 1.0, 0.0), 12, -2**12, 2**12, SEED)
+    medium = build_medium(path, 12)
+    assert np.any(medium.speeds == 0.0)
+    b = medium.boundaries
+    xs = b[b < b[-1]]
+    assert np.all(speed_at(medium, xs) > 0.0)
+    # three boundaries make two layers (a speed array of any length used to
+    # be accepted, and this query raised IndexError)
+    assert speed_at(GoupillaudMedium(0, 0, np.array([0.0, 1.0, 2.0])), 1.5) == 1.0
 
 
 def test_speed_at_conventions():

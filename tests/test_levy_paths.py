@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -293,14 +294,26 @@ def test_build_in_place_equals_concatenated_reference(k_min, k_max):
         assert path.values.tobytes() == want.tobytes()
 
 
-def test_build_non_increasing_error_names_first_bad_k():
-    # a driftless Gamma path at level 16 underflows to flat runs
+def test_build_keeps_ties_and_refuses_only_a_non_finite_end():
+    # a driftless Gamma path at level 16 has increments whose quantiles
+    # underflow to 0.0: the build keeps its flat steps, bitwise as the
+    # reference sums them
     spec = GammaDrift(1.0, 1.0, 0.0)
     k_min, k_max = -BLOCK - 9, BLOCK + 9
-    values = path_by_concatenation(spec, 16, k_min, k_max, SEED)
-    bad = k_min + int(np.argmin(np.diff(values) > 0.0))
-    with pytest.raises(RuntimeError, match=rf"not strictly increasing at k={bad};"):
-        build_two_sided_path(spec, 16, k_min, k_max, SEED)
+    path = build_two_sided_path(spec, 16, k_min, k_max, SEED)
+    assert path.values.tobytes() == path_by_concatenation(spec, 16, k_min, k_max, SEED).tobytes()
+    steps = np.diff(path.values)
+    assert np.all(steps >= 0.0) and np.any(steps == 0.0)
+    # increments near the largest float overflow: the build names the first
+    # value that is not finite, with no overflow warning before it
+    spec = GammaDrift(1.0, 1e308, 0.0)
+    with np.errstate(over="ignore"):
+        values = path_by_concatenation(spec, 0, -3, 3, SEED)
+    bad = -3 + int(np.argmin(np.isfinite(values)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=rf"^sampled path value at k={bad} is -?inf, not finite$"):
+            build_two_sided_path(spec, 0, -3, 3, SEED)
 
 
 def test_open_uniforms_are_generator_random_clamped(monkeypatch):
@@ -642,6 +655,21 @@ def test_polygon_inverse_nodes_and_roundtrip():
     # and the other composition direction on times
     ts = rng.uniform(path.grid.t_min, path.grid.t_max, size=500)
     assert np.max(np.abs(polygon_inverse(path, polygon_eval(path, ts)) - ts)) <= 1e-12
+
+
+def test_polygon_inverse_takes_the_first_crossing_of_ties():
+    # on a flat window start the first crossing of values[0] is t_min (it
+    # was 0/0 = nan); on a driftless Gamma path every node value is first
+    # crossed at its hitting time
+    grid = DyadicGrid(1, -2, 2)
+    flat = LevyPathSample(grid, np.array([0.0, 0.0, 0.0, 1.0, 1.0]), SEED, StableHalf())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert polygon_inverse(flat, 0.0) == grid.t_min
+        assert np.array_equal(polygon_inverse(flat, np.array([0.0, 0.5, 1.0])), [-1.0, 0.25, 0.5])
+    path = build_two_sided_path(GammaDrift(1.0, 1.0, 0.0), 12, -2**12, 2**12, SEED)
+    assert np.any(np.diff(path.values) == 0.0)
+    assert np.array_equal(polygon_inverse(path, path.values), hitting_time(path, path.values))
 
 
 def test_polygon_inverse_pure_drift():
