@@ -176,18 +176,13 @@ def split(spec: ProcessSpec, key, side, sample, depth: int, index, v) -> tuple[n
     * Poisson: the left count is the exact Binomial(count, 1/2) quantile of
       ``u``, the right one the rest.
     """
-    arrays = np.broadcast_arrays(side, sample, index, np.asarray(v, dtype=float))
-    return _split(spec, key, depth, *arrays)
-
-
-def _split(spec, key, depth: int, side, sample, index, v) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`split` of arrays of one shape."""
+    side, sample, index, v = np.broadcast_arrays(side, sample, index, np.asarray(v, dtype=float))
     live = v > 0.0
     if not live.all():
         left, right = np.zeros(v.shape), np.zeros(v.shape)
         if live.any():
-            left[live], right[live] = _split(
-                spec, key, depth, side[live], sample[live], index[live], v[live]
+            left[live], right[live] = split(
+                spec, key, side[live], sample[live], depth, index[live], v[live]
             )
         return left, right
     u = _node_uniforms(key, index, depth + 1, side, sample)
@@ -220,7 +215,10 @@ def _top_nodes(
 
     Top nodes are drawn ``_TOP_BATCH`` at a time for the samples still
     searching, and each batch's sum starts from the running sum carried into
-    its first increment, so every value equals one sequential sum."""
+    its first increment, so every value equals one sequential sum.  Values
+    never decrease, so an overflow reaches every later node: a found node
+    whose right end or jump sum is not finite is refused, naming its sample
+    (its left end is at most its right one)."""
     n = sample.size
     drift = spec.drift
     node = np.full(n, -1, dtype=np.int64)
@@ -231,10 +229,11 @@ def _top_nodes(
         if rows.size == 0:
             break
         j = np.arange(j0, min(j0 + _TOP_BATCH, count))
-        jumps = top_jumps(spec, key, side[rows, None], sample[rows, None], j[None, :])
-        cum = jumps + drift
-        cum[:, 0] += carry
-        np.cumsum(cum, axis=1, out=cum)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            jumps = top_jumps(spec, key, side[rows, None], sample[rows, None], j[None, :])
+            cum = jumps + drift
+            cum[:, 0] += carry
+            np.cumsum(cum, axis=1, out=cum)
         hit = stop(rows, j, cum)
         found = hit.any(axis=1)
         f = np.flatnonzero(found)
@@ -243,6 +242,13 @@ def _top_nodes(
         node[r] = j[c]
         hi[r] = cum[f, c]
         v[r] = jumps[f, c]
+        bad = ~(np.isfinite(hi[r]) & np.isfinite(v[r]))
+        if bad.any():
+            b = r[np.argmax(bad)]
+            raise RuntimeError(
+                f"sample {sample[b]}: {('forward', 'backward')[side[b]]} top node {node[b]} "
+                f"ends at {hi[b]:g} with jump sum {v[b]:g}, not finite"
+            )
         lo[r] = np.where(c > 0, cum[f, c - 1], carry[f])
         carry = cum[~found, -1]
         rows = rows[~found]
@@ -255,7 +261,7 @@ def _descend(spec, key, side, sample, node, lo, hi, v, levels: int, go_left: Cal
     Returns the leaf indices and the values at their ends."""
     drift = spec.drift
     for depth in range(levels):
-        left, right = _split(spec, key, depth, side, sample, node, v)
+        left, right = split(spec, key, side, sample, depth, node, v)
         mid = np.minimum(lo + (drift * 2.0 ** -(depth + 1) + left), hi)
         to_left = go_left(depth, mid)
         node = 2 * node + ~to_left

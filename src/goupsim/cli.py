@@ -389,7 +389,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if result.curve is not None:
         ig_analytics.write_density_csv(result.curve, out_dir / "density.csv")
         ig_analytics.write_cdf_csv(result.curve, out_dir / "cdf.csv")
-    montecarlo_validation.write_report_json(result.report, out_dir / "report.json")
+    write_json(out_dir / "report.json", result.report)
     _write_manifest(
         args,
         {**config, "x0": args.x0, "t0": args.t0, "n": args.n, "bins": args.bins,

@@ -14,11 +14,9 @@ The base point is the characteristic at ``tau = 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .csvio import write_csv
 from .levy_paths import (
     LevyPathSample,
     aggregate_to_level,
@@ -31,12 +29,9 @@ from .levy_paths import (
 __all__ = [
     "GoupillaudMedium",
     "build_medium",
-    "speed_at",
     "curve_at",
     "characteristic",
     "basepoint",
-    "write_medium_csv",
-    "write_characteristic_trace_csv",
 ]
 
 
@@ -70,20 +65,6 @@ def build_medium(path: LevyPathSample, n: int) -> GoupillaudMedium:
     return GoupillaudMedium(n, agg.grid.k_min, agg.values)
 
 
-def speed_at(medium: GoupillaudMedium, x) -> float | np.ndarray:
-    """Speed of the layer containing ``x``, convention ``[x_(k-1), x_k)``;
-    an empty layer contains no ``x``."""
-    xs = np.asarray(x, dtype=float)
-    lo, hi = medium.boundaries[0], medium.boundaries[-1]
-    if np.any(xs < lo) or np.any(xs >= hi):
-        raise ValueError(
-            f"position out of medium range [{lo!r}, {hi!r}): {x!r}"
-        )
-    idx = np.searchsorted(medium.boundaries, xs, side="right") - 1
-    out = medium.speeds[idx]
-    return float(out) if np.isscalar(x) else out
-
-
 def curve_at(path: LevyPathSample, level: int | None):
     """``(curve, evaluate, invert)`` of ``level``: the aggregated path with
     :func:`polygon_eval` and :func:`polygon_inverse`, or for ``None`` (the
@@ -107,28 +88,3 @@ def basepoint(path: LevyPathSample, x, t):
     """Intersection of the limiting characteristic through ``(x, t)`` with
     the x-axis: ``L(L*(x) - t)`` in step semantics."""
     return characteristic(path, None, x, t, 0.0)
-
-
-def write_medium_csv(medium: GoupillaudMedium, out: Path | str) -> None:
-    """Write ``k,x_left,x_right,c`` rows, one per layer."""
-    n = medium.speeds.size
-    write_csv(
-        out,
-        "k,x_left,x_right,c",
-        "{},{:.17g},{:.17g},{:.17g}",
-        np.arange(medium.k_min + 1, medium.k_min + 1 + n),
-        medium.boundaries[:n],
-        medium.boundaries[1 : n + 1],
-        medium.speeds,
-    )
-
-
-def write_characteristic_trace_csv(taus, gammas, out: Path | str) -> None:
-    """Write one ``tau,gamma`` row per query point."""
-    write_csv(
-        out,
-        "tau,gamma",
-        "{:.17g},{:.17g}",
-        np.asarray(taus, dtype=float),
-        np.asarray(gammas, dtype=float),
-    )

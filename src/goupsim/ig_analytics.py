@@ -14,9 +14,6 @@ mirrored for negative times.  Building blocks:
                            (overshoot integrated out; at ``x < 0`` an
                            ``erfcx`` closed form),
 * ``bridge_density``       density of the process pinned to ``I(s) = y``,
-* ``conditional_past_density``  law of ``I(s - t)`` given hitting data at a
-                           level ``x >= 0``, split into the bridge and
-                           independent-copy regions,
 * ``basepoint_cdf``        the exact CDF of the base point ``I(I*(x) - t)``
                            (Owen's T functions), at points of any shape,
 * ``basepoint_density``    the base-point law tabulated on an increasing
@@ -85,7 +82,6 @@ __all__ = [
     "hit_under_density",
     "running_max_density",
     "bridge_density",
-    "conditional_past_density",
     "basepoint_density",
     "basepoint_cdf",
     "hit_under_bin_masses",
@@ -273,36 +269,6 @@ def bridge_density(r: float, s: float, y: float, z):
     return float(out) if np.isscalar(z) else out
 
 
-def conditional_past_density(x: float, t: float, s: float, y: float, z):
-    """Density of the characteristic base point given hitting data.
-
-    Regions (for ``t > 0``):
-
-    * ``x >= y > 0`` and ``s >= t``: bridge pinned at ``(s, y)`` evaluated at
-      time ``s - t`` (at the measure-zero boundary ``s == t`` the limit value
-      0 is returned for ``z != 0``),
-    * ``x >= 0`` and ``0 <= s < t``: an independent copy run backwards,
-      ``f_I(t-s)(-z)``, supported on ``z < 0``.
-
-    Inputs outside all regions, negative levels included, raise, naming the
-    offending combination.
-    """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    z_arr = np.asarray(z, dtype=float)
-    scalar = np.isscalar(z)
-    if x >= 0.0 and s >= t and x >= y > 0.0:
-        if s == t:
-            out = np.zeros_like(z_arr)
-            return float(out) if scalar else out
-        return bridge_density(s - t, s, y, z)
-    if x >= 0.0 and 0.0 <= s < t and 0.0 <= y <= x:
-        return ig_marginal_density(t - s, -z_arr) if not scalar else ig_marginal_density(t - s, -float(z_arr))
-    raise ValueError(
-        f"inputs match no conditional region: x={x}, t={t}, s={s}, y={y}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # base-point density
 
@@ -311,22 +277,23 @@ def _basepoint_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
     """Closed-form base-point density at ``z = -a < 0`` for a level ``x > 0``
     (see the module docstring), arranged so that no intermediate overflows
     or vanishes where the result does not."""
-    s = a + x
     # D = exp(-t^2/(2x)) - exp(-t^2/(2a)) with the larger exponential factored
     # out: expm1 then sees an argument <= 0, so it cannot overflow when the
     # two exponents are far apart, and small t loses no digits.  An argument
     # that overflows to inf gives the limit: d = 0 and erf(inf) = 1
-    with np.errstate(over="ignore"):
+    # sigma^2 a^(-3/2) / sqrt(x) = sqrt(x/s) / (sqrt(a) sqrt(s)) and
+    # mu sigma a^(-3/2) / sqrt(x) = (t/s) / sqrt(s); where an exponential is
+    # 0, a factor beside it may overflow, and its term is the limit 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a + x
         e = 0.5 * t * t * ((a - x) / a) / x
+        e[a == x] = 0.0  # D = 0, where t t = inf gave inf * 0
         d = np.sign(e) * np.exp(-t * t / (2.0 * np.maximum(a, x))) * np.expm1(-np.abs(e))
         # (t - mu)/(sigma sqrt 2) and mu/(sigma sqrt 2)
         erfs = erf(t * np.sqrt(0.5 * (x / a) / s)) + erf(t * np.sqrt(0.5 * (a / x) / s))
-    # sigma^2 a^(-3/2) / sqrt(x) = sqrt(x/s) / (sqrt(a) sqrt(s)) and
-    # mu sigma a^(-3/2) / sqrt(x) = (t/s) / sqrt(s)
-    return (
-        np.sqrt(x / s) * (d / np.sqrt(a)) / np.sqrt(s)
-        + np.sqrt(0.5 * np.pi) * np.exp(-t * t / (2.0 * s)) * erfs * (t / s) / np.sqrt(s)
-    ) / np.pi
+        g = np.exp(-t * t / (2.0 * s))
+        second = np.sqrt(0.5 * np.pi) * g * erfs * (t / s) / np.sqrt(s)
+    return (np.sqrt(x / s) * (d / np.sqrt(a)) / np.sqrt(s) + np.where(g > 0.0, second, 0.0)) / np.pi
 
 
 def basepoint_density(x: float, t: float, z_grid) -> DensityCurve:
@@ -361,8 +328,8 @@ def _cdf_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
     """``F(-a)`` for ``a > 0`` and a level ``x >= 0`` (module docstring)."""
     lo, hi = np.minimum(a, x), np.maximum(a, x)
     r = np.sqrt(lo / hi)
-    k = t / np.sqrt(x + a)
     with np.errstate(divide="ignore", over="ignore"):  # owens_t(inf, r) = 0
+        k = t / np.sqrt(x + a)
         m = t * np.sqrt(hi / (x + a)) / np.sqrt(lo)
         l1, l2 = np.broadcast_arrays(t / np.sqrt(x), t / np.sqrt(a))
     F = erf(k / np.sqrt(2.0)) * erf(m / np.sqrt(2.0)) + 4.0 * (owens_t(m, r) - owens_t(k, r))
@@ -391,7 +358,7 @@ def basepoint_cdf(x: float, t: float, z) -> np.ndarray:
         )
     z = np.asarray(z, dtype=float)
     F = np.ones(z.shape)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # erf(inf) = 1
         f0 = erf(t / np.sqrt(2.0 * x))
     # each side clipped to its bound, F(0) or 1, which the sums may exceed
     # by an ulp next to the origin and the level; F(-inf) = 0 is set apart,
@@ -413,9 +380,10 @@ def _undershoot_tail_mass(x: float, s, w: np.ndarray) -> np.ndarray:
     base-point mass ``P(0 < Z < w)`` of the bridge region."""
     full = w >= x
     ratio = np.sqrt(w / np.where(full, 1.0, x - w))
-    return np.where(
-        full, erfc(s / np.sqrt(2.0 * x)), 4.0 * owens_t(s / np.sqrt(x), ratio)
-    )
+    with np.errstate(over="ignore"):  # erfc(inf) = owens_t(inf, r) = 0
+        return np.where(
+            full, erfc(s / np.sqrt(2.0 * x)), 4.0 * owens_t(s / np.sqrt(x), ratio)
+        )
 
 
 def hit_under_bin_masses(
@@ -447,6 +415,10 @@ def hit_under_bin_masses(
 #: innermost grid point on either side of 0, relative to the level ``x``
 _REL_INNER = 1e-5
 
+#: the levels whose grid holds: its innermost point ``_REL_INNER x`` is a
+#: normal double and its band end ``1.1 x`` is finite
+_X_RANGE = (np.finfo(float).tiny / _REL_INNER, np.finfo(float).max / 1.1)
+
 
 def default_z_grid(x: float, n: int = 512, z_neg_far: float = -1e6) -> np.ndarray:
     """Two-sided evaluation grid for a positive level ``x``.
@@ -456,6 +428,11 @@ def default_z_grid(x: float, n: int = 512, z_neg_far: float = -1e6) -> np.ndarra
     negative tail (the negative side is heavy-tailed)."""
     if not x > 0.0:
         raise ValueError(f"x must be positive, got {x}")
+    if not _X_RANGE[0] <= x <= _X_RANGE[1]:
+        raise ValueError(
+            f"x must lie in [{_X_RANGE[0]:g}, {_X_RANGE[1]:g}], where the innermost grid point "
+            f"{_REL_INNER:g} x is a normal double and the band end 1.1 x is finite, got {x!r}"
+        )
     if n < 64:
         raise ValueError(f"need at least 64 grid points, got {n}")
     inner = _REL_INNER * x

@@ -28,7 +28,7 @@ The bridge trees follow the same rule.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import ClassVar
 
@@ -51,7 +51,6 @@ __all__ = [
     "LevyPathSample",
     "WindowError",
     "stream_for",
-    "sample_increment",
     "jump_quantile",
     "poisson_icdf",
     "build_two_sided_path",
@@ -63,7 +62,6 @@ __all__ = [
     "write_path_csv",
     "write_path_metadata",
     "process_to_dict",
-    "process_from_dict",
 ]
 
 #: spawn-key tag of a path side's Philox stream, apart from every other
@@ -282,20 +280,6 @@ def jump_quantile(spec: ProcessSpec, dt: float, u) -> np.ndarray:
 def _increments_from_uniforms(spec: ProcessSpec, dt: float, u: np.ndarray) -> np.ndarray:
     """Map one uniform word per increment to one draw of ``L(dt)``."""
     return jump_quantile(spec, dt, u) + spec.drift * dt
-
-
-def sample_increment(spec: ProcessSpec, dt: float, rng: Generator, size: int | None = None):
-    """Draw ``L(dt)`` (or an array of independent copies) from ``rng``.
-
-    ``dt`` must be positive and finite.  Each draw consumes exactly one
-    uniform word, read in the order ``Generator.random`` reads them.
-    """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    n = 1 if size is None else int(size)
-    u = _uniforms(rng.bit_generator.random_raw(n))
-    draws = _increments_from_uniforms(spec, dt, u)
-    return float(draws[0]) if size is None else draws
 
 
 #: log of 2^-1100, far enough below the smallest subnormal 2^-1074 that a
@@ -574,21 +558,6 @@ def process_to_dict(spec: ProcessSpec) -> dict:
 
 #: process classes by their ``family`` name
 FAMILIES = {cls.family: cls for cls in (GammaDrift, PoissonDrift, StableHalf)}
-
-
-def process_from_dict(d: dict) -> ProcessSpec:
-    """The spec of ``process_to_dict``'s output: ``family`` and exactly the
-    class's fields, or ``ValueError`` naming every missing or unknown key."""
-    family = d.get("family")
-    cls = FAMILIES.get(family)
-    if cls is None:
-        raise ValueError(f"unknown process family: {family!r}")
-    params = {key: value for key, value in d.items() if key != "family"}
-    names = {f.name for f in fields(cls)}
-    missing, unknown = sorted(names - params.keys()), sorted(params.keys() - names)
-    if missing or unknown:
-        raise ValueError(f"{family} process: missing keys {missing}, unknown keys {unknown}")
-    return cls(**params)
 
 
 def write_path_csv(path: LevyPathSample, out: Path | str) -> None:

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import bdtr
 
 from .bridge_tree import hit_index, tree_key, values_at
-from .csvio import write_csv, write_json
+from .csvio import write_csv
 from .ig_analytics import (
     DensityCurve,
     basepoint_cdf,
@@ -63,7 +63,6 @@ __all__ = [
     "validate_basepoints",
     "write_samples_csv",
     "write_histogram_csv",
-    "write_report_json",
 ]
 
 @dataclass(frozen=True)
@@ -578,7 +577,3 @@ def write_histogram_csv(h: Histogram, out: Path | str) -> None:
     write_csv(
         out, "left,right,count", "{:.17g},{:.17g},{}", h.edges[:n], h.edges[1 : n + 1], h.counts
     )
-
-
-def write_report_json(report: dict, out: Path | str) -> None:
-    write_json(out, report)

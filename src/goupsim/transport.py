@@ -13,7 +13,6 @@ realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,14 +25,12 @@ from .levy_paths import LevyPathSample
 __all__ = [
     "Constant",
     "Triangular",
-    "PiecewiseLinear",
     "InitialDatum",
     "SolutionField",
     "WindowK",
     "eval_initial",
     "solve_at_level",
     "solve_limit",
-    "lp_distance",
     "convergence_table",
     "write_solution_csv",
     "write_convergence_csv",
@@ -64,22 +61,7 @@ class Triangular:
             raise ValueError(f"center and height must be finite, got {self.center}, {self.height}")
 
 
-@dataclass(frozen=True, eq=False)
-class PiecewiseLinear:
-    """Piecewise linear interpolation through ``(xs, values)``, zero outside."""
-
-    xs: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        xs = np.asarray(self.xs, dtype=float)
-        if xs.ndim != 1 or xs.size < 2 or not np.all(np.diff(xs) > 0.0):
-            raise ValueError("nodes must be a strictly increasing 1-d sequence")
-        if np.asarray(self.values).shape != xs.shape:
-            raise ValueError("nodes and values must have matching shapes")
-
-
-InitialDatum = Constant | Triangular | PiecewiseLinear
+InitialDatum = Constant | Triangular
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +104,6 @@ class WindowK:
     def x_midpoints(self) -> np.ndarray:
         return self.x_range[0] + (np.arange(self.grid[1]) + 0.5) * self.dx
 
-    @property
-    def area(self) -> float:
-        return (self.t_range[1] - self.t_range[0]) * (self.x_range[1] - self.x_range[0])
-
 
 def eval_initial(datum: InitialDatum, x):
     out = _eval_initial_in_place(datum, np.array(x, dtype=float))
@@ -144,8 +122,6 @@ def _eval_initial_in_place(datum: InitialDatum, x: np.ndarray) -> np.ndarray:
         np.subtract(1.0, x, out=x)
         np.maximum(0.0, x, out=x)
         np.multiply(datum.height, x, out=x)
-    elif isinstance(datum, PiecewiseLinear):
-        x[...] = np.interp(x, datum.xs, datum.values, left=0.0, right=0.0)
     else:
         raise TypeError(f"unsupported initial datum: {datum!r}")
     return x
@@ -185,46 +161,6 @@ def solve_limit(path: LevyPathSample, datum: InitialDatum, t: float, xs) -> Solu
     return SolutionField(float(t), np.asarray(xs, dtype=float), values, "limit")
 
 
-def _check_fields_on_window(fields: Sequence[SolutionField], window: WindowK) -> None:
-    if len(fields) != window.grid[0]:
-        raise ValueError(
-            f"expected {window.grid[0]} time slices, got {len(fields)}"
-        )
-    t_mid = window.t_midpoints()
-    x_mid = window.x_midpoints()
-    for field, t in zip(fields, t_mid):
-        if abs(field.time - t) > 1e-12 * max(1.0, abs(t)):
-            raise ValueError(f"field time {field.time} does not match grid time {t}")
-        if field.xs.shape != x_mid.shape or np.max(np.abs(field.xs - x_mid)) > 1e-12:
-            raise ValueError("field spatial grid does not match the window grid")
-
-
-def lp_distance(
-    fields_a: Sequence[SolutionField],
-    fields_b: Sequence[SolutionField],
-    window: WindowK,
-    p: float,
-) -> float:
-    """Midpoint-rule L^p(K) norm of the difference of two sampled solutions.
-
-    Both field sequences must be sampled on the window's midpoint tensor
-    grid, one slice per grid time.
-    """
-    _check_p(p)
-    _check_fields_on_window(fields_a, window)
-    _check_fields_on_window(fields_b, window)
-    diffs = (
-        np.subtract(fa.values, fb.values, dtype=float)[None]
-        for fa, fb in zip(fields_a, fields_b)
-    )
-    return _lp_norm(diffs, window, p)
-
-
-def _check_p(p: float) -> None:
-    if not 1.0 <= p < np.inf:  # NaN fails too
-        raise ValueError(f"p must be >= 1 and finite, got {p!r}")
-
-
 def _lp_norm(diffs: Iterable[np.ndarray], window: WindowK, p: float) -> float:
     """Midpoint-rule L^p(K) norm of a difference given as ``(rows, nx)``
     arrays in time order, each overwritten.  Row sums are added one at a
@@ -239,21 +175,6 @@ def _lp_norm(diffs: Iterable[np.ndarray], window: WindowK, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def solve_on_window(
-    path: LevyPathSample,
-    datum: InitialDatum,
-    window: WindowK,
-    level: int | None = None,
-) -> list[SolutionField]:
-    """One solution slice per window grid time; ``level=None`` solves the
-    limiting problem at the finest sampled level.  Bitwise equal to calling
-    :func:`solve_limit` or :func:`solve_at_level` once per grid time."""
-    xs, times = window.x_midpoints(), window.t_midpoints()
-    label = "limit" if level is None else level
-    rows = chain.from_iterable(_solution_rows(path, datum, level, xs, times))
-    return [SolutionField(float(t), xs, u, label) for t, u in zip(times, rows)]
-
-
 def convergence_table(
     path: LevyPathSample,
     datum: InitialDatum,
@@ -266,14 +187,16 @@ def convergence_table(
     The finest sampled level stands in for the limit on this realization.
     Each level is solved on the window a batch of rows at a time, and the
     rows' sums are added in time order, so every distance is bitwise the
-    :func:`lp_distance` of the :func:`solve_on_window` slices.
+    midpoint-rule norm of the per-time :func:`solve_at_level` slices summed
+    one slice at a time.
     """
     n_max = path.grid.level
     if len(levels) == 0:
         raise ValueError("no levels to compare")
     if not 0 <= min(levels) <= max(levels) <= n_max:
         raise ValueError(f"levels must lie in 0..{n_max}, the sampled level: {list(levels)}")
-    _check_p(p)
+    if not 1.0 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"p must be >= 1 and finite, got {p!r}")
     xs, times = window.x_midpoints(), window.t_midpoints()
     reference = list(_solution_rows(path, datum, n_max, xs, times))
     table = []

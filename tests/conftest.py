@@ -8,7 +8,7 @@ from goupsim.levy_paths import (
     GammaDrift,
     LevyPathSample,
     RngSeed,
-    sample_increment,
+    jump_quantile,
     stream_for,
 )
 from quadrature import QuadratureSpec, integrate_adaptive, integrate_sqrt_endpoint
@@ -25,14 +25,21 @@ def make_drift_path(level: int, k_min: int, k_max: int, drift: float = 1.0) -> L
     return LevyPathSample(grid, values, RngSeed(0), GammaDrift(1.0, 1.0, drift))
 
 
+def reference_increments(spec, dt: float, rng, n: int) -> np.ndarray:
+    """``n`` draws of ``L(dt)``, one ``Generator.random`` uniform each
+    (clamped away from 0), through the public quantile (test oracle)."""
+    return jump_quantile(spec, dt, np.maximum(rng.random(n), 1e-300)) + spec.drift * dt
+
+
 def path_by_concatenation(spec, n_max: int, k_min: int, k_max: int, seed: RngSeed) -> np.ndarray:
-    """Reference build from public API only: each side is ``sample_increment``
-    on its own ``stream_for(seed, PATH_PURPOSE, direction)`` stream, then one
-    cumsum per side (test oracle for ``build_two_sided_path``)."""
+    """Reference build from public API only: each side is
+    ``reference_increments`` on its own ``stream_for(seed, PATH_PURPOSE,
+    direction)`` stream, then one cumsum per side (test oracle for
+    ``build_two_sided_path``)."""
     dt = 2.0**-n_max
 
     def run(direction, count):
-        return sample_increment(spec, dt, stream_for(seed, PATH_PURPOSE, direction), count)
+        return reference_increments(spec, dt, stream_for(seed, PATH_PURPOSE, direction), count)
 
     fwd, bwd = run(0, k_max), run(1, -k_min)
     return np.concatenate([-np.cumsum(bwd)[::-1], [0.0], np.cumsum(fwd)])

@@ -505,11 +505,13 @@ def test_stable_half_seeds_with_ties_solve(tmp_path, seed):
         # are what is written
         (["density", "--x", "8", "--t", "1e154"], 0, ""),
         (["density", "--x", "8", "--t", "1e308"], 0, ""),
+        # it wrote 226 nan densities, from inf * 0
+        (["density", "--x", "1e-10", "--t", "1e308", "--zfar=-1"], 0, ""),
         # an overflowing path build (it wrote inf into path.csv and exited 0)
         (["paths", "--process", "gamma", "--theta", "1e308", "--nmax", "0", "--range=0:3"], 1,
          "cannot sample this path: sampled path value at k=3 is inf, not finite\n"),
     ],
-    ids=["validate-split", "density-1e154", "density-1e308", "paths-overflow"],
+    ids=["validate-split", "density-1e154", "density-1e308", "density-tiny-level", "paths-overflow"],
 )
 def test_overflows_with_the_right_limit_print_no_warning(tmp_path, argv, code, stderr):
     done = run_module(*argv, "--out", str(tmp_path / "run"))
@@ -810,6 +812,39 @@ def test_refusals_after_sampling_leave_no_out_directory(tmp_path, argv, message)
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "run")])
     assert exc.value.code == message
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--process", "gamma", "--theta", "1e308", "--n", "50", "--nmax", "8"],
+         "cannot validate: sample 17: forward top node 0 ends at inf with jump sum inf, not finite"),
+        (["validate", "--process", "poisson", "--jump", "1e308", "--n", "50", "--nmax", "8"],
+         "cannot validate: sample 1: forward top node 0 ends at inf with jump sum inf, not finite"),
+    ],
+    ids=["gamma", "poisson"],
+)
+def test_overflowing_bridge_tree_is_refused_in_one_line(tmp_path, argv, message):
+    # the Gamma run printed overflow warnings, wrote nan base points to
+    # samples.csv and passed with exit status 0
+    out = tmp_path / "run"
+    done = run_module(*argv, "--out", str(out))
+    assert (done.returncode, done.stderr, done.stdout) == (1, message + "\n", "")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x", ["1e-320", "1.65e308"])
+def test_density_refuses_a_level_its_grid_cannot_hold(tmp_path, x):
+    # 1e-320 printed numpy's "Geometric sequence cannot include zero", and
+    # 1.65e308 ended in a traceback, as its band end 1.1 x overflowed
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--x", x, "--t", "1", "--zfar=-1e306", "--out", str(tmp_path / "run")])
+    assert exc.value.code == (
+        "invalid density grid (--zcount, --zfar): x must lie in [2.22507e-303, 1.63427e+308], "
+        "where the innermost grid point 1e-05 x is a normal double and the band end 1.1 x is "
+        f"finite, got {float(x)!r}"
+    )
     assert not (tmp_path / "run").exists()
 
 

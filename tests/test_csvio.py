@@ -20,11 +20,6 @@ import pytest
 
 from goupsim.cli import main
 from goupsim.csvio import BLOCK, write_csv
-from goupsim.goupillaud import (
-    GoupillaudMedium,
-    write_characteristic_trace_csv,
-    write_medium_csv,
-)
 from goupsim.ig_analytics import DensityCurve, write_cdf_csv, write_density_csv
 from goupsim.levy_paths import (
     DyadicGrid,
@@ -103,28 +98,6 @@ def test_convergence_csv(tmp_path):
         ref = "N,distance,p\n" + "".join(f"{n},{dist:.17g},{p:.17g}\n" for n, dist in table)
         write_convergence_csv(table, p, tmp_path / "convergence.csv")
         assert_file_text(tmp_path / "convergence.csv", ref)
-
-
-def test_medium_csv(tmp_path):
-    # speeds follow from the boundaries, which must be finite and
-    # non-decreasing: signed zeros, subnormal, huge and integral values, and
-    # repeats that make zero speeds
-    boundaries = np.sort(np.resize([v for v in AWKWARD if math.isfinite(v)], N + 1))
-    medium = GoupillaudMedium(5, -N // 3, boundaries)
-    ref = "k,x_left,x_right,c\n" + "".join(
-        f"{medium.k_min + i + 1},{medium.boundaries[i]:.17g},"
-        f"{medium.boundaries[i + 1]:.17g},{medium.speeds[i]:.17g}\n"
-        for i in range(medium.speeds.size)
-    )
-    write_medium_csv(medium, tmp_path / "medium.csv")
-    assert_file_text(tmp_path / "medium.csv", ref)
-
-
-def test_characteristic_trace_csv(tmp_path):
-    taus, gammas = awkward(), awkward(shift=3)
-    ref = "tau,gamma\n" + "".join(f"{tau:.17g},{g:.17g}\n" for tau, g in zip(taus, gammas))
-    write_characteristic_trace_csv(taus, gammas, tmp_path / "trace.csv")
-    assert_file_text(tmp_path / "trace.csv", ref)
 
 
 def test_samples_csv(tmp_path):

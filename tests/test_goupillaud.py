@@ -6,9 +6,6 @@ from goupsim.goupillaud import (
     basepoint,
     build_medium,
     characteristic,
-    speed_at,
-    write_characteristic_trace_csv,
-    write_medium_csv,
 )
 from goupsim.levy_paths import (
     DyadicGrid,
@@ -50,41 +47,11 @@ def test_build_medium_random_positive_speeds():
     # speeds follow from the boundaries: a zero speed (a tie of the path) is
     # a layer, a negative or NaN one is refused
     assert np.array_equal(GoupillaudMedium(0, 0, np.array([0.0, 1.0, 1.0])).speeds, [1.0, 0.0])
+    driftless = build_two_sided_path(GammaDrift(1.0, 1.0, 0.0), 12, -2**12, 2**12, SEED)
+    assert np.any(build_medium(driftless, 12).speeds == 0.0)
     for bad in ([0.0, 1.0, 0.5], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
         with pytest.raises(ValueError, match="finite and non-decreasing"):
             GoupillaudMedium(0, 0, np.array(bad))
-
-
-def test_speed_at_never_selects_an_empty_layer():
-    # a driftless Gamma medium has layers of zero thickness; a point on a
-    # run of equal boundaries lies in the layer above the run
-    path = build_two_sided_path(GammaDrift(1.0, 1.0, 0.0), 12, -2**12, 2**12, SEED)
-    medium = build_medium(path, 12)
-    assert np.any(medium.speeds == 0.0)
-    b = medium.boundaries
-    xs = b[b < b[-1]]
-    assert np.all(speed_at(medium, xs) > 0.0)
-    # three boundaries make two layers (a speed array of any length used to
-    # be accepted, and this query raised IndexError)
-    assert speed_at(GoupillaudMedium(0, 0, np.array([0.0, 1.0, 2.0])), 1.5) == 1.0
-
-
-def test_speed_at_conventions():
-    path = build_two_sided_path(StableHalf(), 3, -8, 8, SEED)
-    medium = build_medium(path, 3)
-    # left boundary of a layer belongs to that layer
-    for i in (0, 3, 9):
-        assert speed_at(medium, medium.boundaries[i]) == medium.speeds[i]
-    wide = int(np.argmax(np.diff(medium.boundaries)))
-    just_below = medium.boundaries[wide + 1] - 1e-12
-    assert speed_at(medium, just_below) == medium.speeds[wide]
-    drift = build_medium(make_drift_path(3, -8, 8, drift=1.5), 3)
-    xs = np.linspace(drift.boundaries[0], drift.boundaries[-1] - 1e-9, 37)
-    assert np.allclose(speed_at(drift, xs), 1.5)
-    with pytest.raises(ValueError):
-        speed_at(medium, medium.boundaries[-1])
-    with pytest.raises(ValueError):
-        speed_at(medium, medium.boundaries[0] - 1.0)
 
 
 def test_characteristic_grid_identity_small():
@@ -193,23 +160,3 @@ def test_broken_curves_converge_to_limit():
         if n == n_max:
             assert np.mean(err <= bound) >= 0.97
     assert medians[-1] <= medians[0]
-
-
-def test_exports(tmp_path):
-    path = build_two_sided_path(GammaDrift(1.0, 1.0, 1.0), 4, -16, 16, SEED)
-    medium = build_medium(path, 4)
-    f = tmp_path / "medium.csv"
-    write_medium_csv(medium, f)
-    lines = f.read_text().splitlines()
-    assert lines[0] == "k,x_left,x_right,c"
-    assert len(lines) == 1 + medium.speeds.size
-    left = np.array([float(l.split(",")[1]) for l in lines[1:]])
-    assert np.array_equal(left, medium.boundaries[:-1])
-
-    taus = np.linspace(-0.2, 0.2, 9)
-    gammas = characteristic(path, None, 0.1, 0.0, taus)
-    g = tmp_path / "trace.csv"
-    write_characteristic_trace_csv(taus, gammas, g)
-    lines = g.read_text().splitlines()
-    assert lines[0] == "tau,gamma"
-    assert len(lines) == 10

@@ -11,7 +11,6 @@ from goupsim.ig_analytics import (
     basepoint_cdf,
     basepoint_density,
     bridge_density,
-    conditional_past_density,
     default_z_grid,
     _g_tail,
     hit_under_density,
@@ -292,45 +291,6 @@ def test_bridge_symmetry_at_half_time():
 
 
 # ---------------------------------------------------------------------------
-# conditional law of the past
-
-
-def test_conditional_case3_value():
-    expected = 0.5 / math.sqrt(2.0 * math.pi) * math.exp(-0.125)
-    assert abs(expected - 0.17603) < 1e-5
-    assert abs(conditional_past_density(2.0, 1.0, 0.5, 1.0, -1.0) - expected) <= 1e-15
-    assert conditional_past_density(2.0, 1.0, 0.5, 1.0, 0.5) == 0.0  # z > 0
-
-
-def test_conditional_case2_delegates_to_bridge():
-    x, t, s, y = 3.0, 1.0, 2.5, 2.0
-    zs = np.linspace(0.1, 1.9, 19)
-    got = conditional_past_density(x, t, s, y, zs)
-    want = bridge_density(s - t, s, y, zs)
-    assert np.array_equal(got, want)
-
-
-def test_conditional_boundary_s_equals_t():
-    assert conditional_past_density(3.0, 1.0, 1.0, 2.0, 0.7) == 0.0
-
-
-def test_conditional_case4_literal():
-    # the negative-level region had the wrong support and was removed
-    x, t, s, y = -1.0, 1.0, -0.5, -2.0
-    with pytest.raises(ValueError, match="region"):
-        conditional_past_density(x, t, s, y, -3.0)
-
-
-def test_conditional_rejects_unmatched_region():
-    with pytest.raises(ValueError, match="region"):
-        conditional_past_density(2.0, 1.0, -0.5, 1.0, 0.0)  # s < 0 with x >= 0
-    with pytest.raises(ValueError, match="region"):
-        conditional_past_density(2.0, 1.0, 2.0, 5.0, 0.0)  # undershoot above level
-    with pytest.raises(ValueError):
-        conditional_past_density(2.0, -1.0, 2.0, 1.0, 0.0)  # t <= 0
-
-
-# ---------------------------------------------------------------------------
 # base-point density
 
 
@@ -588,6 +548,32 @@ def test_default_z_grid_band_straddles_the_level(x):
     assert np.all(np.diff(grid) > 0.0)
     assert np.count_nonzero((grid > 0.9 * x) & (grid < x)) >= 30
     assert np.count_nonzero((grid > x) & (grid <= 1.1 * x)) >= 30
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_default_z_grid_refuses_a_level_its_grid_cannot_hold(end):
+    # below the low end 1e-5 x is subnormal or 0 (numpy refused a geometric
+    # sequence through 0); above the high end the band end 1.1 x is inf (the
+    # grid was not increasing).  Each end is admitted, the next double refused
+    lo, hi = np.finfo(float).tiny / 1e-5, np.finfo(float).max / 1.1
+    edge, beyond = (lo, np.nextafter(lo, 0.0)) if end == "low" else (hi, np.nextafter(hi, np.inf))
+    grid = default_z_grid(edge, z_neg_far=-edge)
+    assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
+    assert grid[grid > 0.0][0] >= np.finfo(float).tiny and grid[-1] == 1.1 * edge
+    with pytest.raises(ValueError, match=r"^x must lie in \[2\.22507e-303, 1\.63427e\+308\]"):
+        default_z_grid(beyond, z_neg_far=-edge)
+
+
+def test_basepoint_density_is_finite_at_tiny_levels_and_huge_times():
+    # inf * 0 in the negative side wrote NaN densities (226 rows of density.csv
+    # at x = 1e-10, t = 1e308), after overflow warnings
+    for x, t in itertools.product([1e-300, 1e-10, 8.0], [1e-300, 1e-10, 1.0, 1e154, 1e308]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = basepoint_density(x, t, default_z_grid(x))
+        assert np.all(np.isfinite(curve.f)) and np.all(curve.f >= 0.0), (x, t)
+        assert np.all(np.diff(curve.F) >= 0.0), (x, t)
+        assert 0.0 <= curve.F[0] and curve.F[-1] <= 1.0, (x, t)
 
 
 def test_export_files(tmp_path):

@@ -13,6 +13,10 @@
   module than ``levy_paths`` and ``goupillaud`` imports or names them.
 * Every JSON file is written by ``csvio.write_json``: no other module calls
   ``json.dump`` or imports it.
+* Every public name has a caller: each name in a module's ``__all__`` is
+  named in the package apart from its definition and its ``__all__`` entry,
+  or in ``perfbench/``.  The only exceptions are the hitting-data laws that
+  the acceptance tests check.
 """
 
 import ast
@@ -23,6 +27,7 @@ import pytest
 import goupsim
 
 MODULES = sorted(Path(goupsim.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _imports(tree):
@@ -161,3 +166,76 @@ def test_json_files_are_written_by_csvio(path):
         and node.attr == "dump"
     ]
     assert not bad, f"{path.name} writes JSON outside csvio.write_json: {bad}"
+
+
+#: hitting-data laws that no command uses: acceptance criteria 4-5 check them
+HITTING_LAWS = {
+    "ig_analytics.triple_density",
+    "ig_analytics.hit_under_density",
+    "ig_analytics.bridge_density",
+    "ig_analytics.running_max_density",
+}
+
+
+def _exports(tree) -> tuple[ast.Assign | None, list[str]]:
+    """A module's ``__all__`` assignment and its names."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            return node, ast.literal_eval(node.value)
+    return None, []
+
+
+def _references(tree, own: str | None):
+    """``(module, name)`` for every package name ``tree`` names: names
+    imported from a package module, attributes of a package module (a
+    module itself is ``("__init__", module)``), and the names that module
+    ``own`` loads, apart from its ``__all__``.  Outside the package
+    (``own=None``) every string counts as ``(None, name)``: perfbench wraps
+    functions by name."""
+    stems = {p.stem for p in MODULES}
+    exports, _ = _exports(tree)
+    skip = {id(node) for node in ast.walk(exports)} if exports else set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("goupsim").lstrip(".")
+            if module in stems:
+                yield "__init__", module
+            for alias in node.names:
+                yield module or "__init__", alias.name
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+            if name in stems or name == "goupsim":
+                yield name if name in stems else "__init__", node.attr
+        elif own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield own, node.id
+        elif not own and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield None, node.value
+
+
+def test_every_public_name_has_a_caller():
+    assert PERFBENCH.is_dir(), f"no perfbench/ beside tests/ at {PERFBENCH}"
+    named, exported = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported += [(path.stem, name) for name in _exports(tree)[1]]
+        named |= set(_references(tree, path.stem))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        named |= set(_references(ast.parse(path.read_text(encoding="utf-8")), None))
+    unused = [
+        f"{module}.{name}"
+        for module, name in exported
+        if (module, name) not in named
+        and (None, name) not in named
+        and f"{module}.{name}" not in HITTING_LAWS
+    ]
+    assert not unused, f"public names that nothing in goupsim or perfbench names: {unused}"
+    # the exceptions have their caller in the acceptance tests
+    tree = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8"))
+    in_acceptance = {name for _, name in _imports(tree)}
+    missing = sorted(law for law in HITTING_LAWS if law.split(".")[1] not in in_acceptance)
+    assert not missing, f"hitting-data laws that test_acceptance.py does not import: {missing}"

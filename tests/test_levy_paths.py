@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 import threading
 import warnings
@@ -35,15 +34,12 @@ from goupsim.levy_paths import (
     polygon_eval,
     poisson_icdf,
     polygon_inverse,
-    process_from_dict,
-    process_to_dict,
-    sample_increment,
     step_eval,
     stream_for,
     write_path_csv,
     write_path_metadata,
 )
-from conftest import make_drift_path, path_by_concatenation
+from conftest import make_drift_path, path_by_concatenation, reference_increments
 
 SEED = RngSeed(20240817)
 
@@ -75,18 +71,9 @@ def test_spec_validation():
         DyadicGrid(MAX_LEVEL + 1, 0, 1)
 
 
-def test_sample_increment_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        sample_increment(GammaDrift(1.0, 1.0, 1.0), 0.0, stream_for(SEED, 9))
-    with pytest.raises(ValueError):
-        sample_increment(StableHalf(), -1.0, stream_for(SEED, 9))
-    with pytest.raises(ValueError):
-        sample_increment(GammaDrift(1.0, 1.0, 1.0), math.inf, stream_for(SEED, 9))
-
-
 def test_gamma_increment_mean():
     # E[Gamma(1,1) + drift*1] = 2; Monte Carlo mean over 1e6 draws within 3 SE
-    draws = sample_increment(GammaDrift(1.0, 1.0, 1.0), 1.0, stream_for(SEED, 1), size=10**6)
+    draws = reference_increments(GammaDrift(1.0, 1.0, 1.0), 1.0, stream_for(SEED, 1), 10**6)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 2.0) <= 3.0 * se
 
@@ -317,17 +304,18 @@ def test_build_keeps_ties_and_refuses_only_a_non_finite_end():
 
 
 def test_open_uniforms_are_generator_random_clamped(monkeypatch):
-    # the raw-word rule of every path stream is Generator.random's
+    # the raw-word rule of every path stream is Generator.random's, which
+    # reference_increments reads
     monkeypatch.setattr("goupsim.levy_paths._increments_from_uniforms", lambda spec, dt, u: u)
-    got = sample_increment(StableHalf(), 1.0, stream_for(SEED, 5), 10**5)
-    want = np.maximum(stream_for(SEED, 5).random(10**5), 1e-300)
+    got = _increment_run(StableHalf(), 1.0, SEED, 0, np.empty(10**5), (5,))
+    want = np.maximum(stream_for(SEED, PATH_PURPOSE, 5, 0).random(10**5), 1e-300)
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", [GammaDrift(0.5, 1.0, 0.25), PoissonDrift(3.0, 1.0, 0.5), StableHalf()])
 def test_keyed_blocks_equal_their_stream_for_streams(spec):
     # side `direction` of a run is stream_for(seed, PATH_PURPOSE, *substream,
-    # direction) read through sample_increment, across a chunk boundary
+    # direction) read through reference_increments, across a chunk boundary
     dt = 2.0**-12
     seed = RngSeed(2**63 + 11, stream_id=2**33 + 1)
     for substream in ((), (6,), (2**40, 3)):
@@ -335,7 +323,7 @@ def test_keyed_blocks_equal_their_stream_for_streams(spec):
             count = _CHUNK + 9
             got = _increment_run(spec, dt, seed, direction, np.empty(count), substream)
             rng = stream_for(seed, PATH_PURPOSE, *substream, direction)
-            want = sample_increment(spec, dt, rng, count)
+            want = reference_increments(spec, dt, rng, count)
             assert got.tobytes() == want.tobytes(), (substream, direction)
 
 
@@ -346,7 +334,7 @@ def test_path_streams_are_apart_from_oracle_streams():
     sides = [_increment_run(spec, dt, SEED, d, np.empty(runs * BLOCK), ()) for d in (0, 1)]
     for b in (0, 1):
         for k in (0, 1, 2):
-            oracle = sample_increment(spec, dt, stream_for(SEED, b, k), BLOCK).tobytes()
+            oracle = reference_increments(spec, dt, stream_for(SEED, b, k), BLOCK).tobytes()
             for direction, side in enumerate(sides):
                 for j in range(runs):
                     run = side[j * BLOCK : (j + 1) * BLOCK].tobytes()
@@ -470,7 +458,7 @@ def test_stable_half_median():
     chi2_median = brentq(lambda m: gammainc(0.5, 0.5 * m) - 0.5, 1e-6, 4.0, xtol=1e-12)
     expected = 1.0 / chi2_median
     assert abs(expected - 2.1981) < 5e-4
-    draws = sample_increment(StableHalf(), 1.0, stream_for(SEED, 2), size=10**6)
+    draws = reference_increments(StableHalf(), 1.0, stream_for(SEED, 2), 10**6)
     med = np.median(draws)
     # SE of the sample median: 1 / (2 f(m) sqrt(n)) with the exact density
     dens = (2.0 * math.pi) ** -0.5 * expected**-1.5 * math.exp(-0.5 / expected)
@@ -486,7 +474,7 @@ def test_mean_variance_sanity_at_1e5():
         (PoissonDrift(2.0, 0.5, 0.5), 2.0 * 0.5 + 0.5, 2.0 * 0.25),
     ]
     for i, (spec, mean, var) in enumerate(cases):
-        draws = sample_increment(spec, 1.0, stream_for(SEED, 3, i), size=10**5)
+        draws = reference_increments(spec, 1.0, stream_for(SEED, 3, i), 10**5)
         n = draws.size
         se_mean = draws.std(ddof=1) / math.sqrt(n)
         assert abs(draws.mean() - mean) <= 3.0 * se_mean
@@ -721,26 +709,6 @@ def test_hitting_step_adjunction():
         assert np.array_equal(lhs, rhs)
         # closure: the path value at the hitting time dominates the level
         assert np.all(step_eval(path, hits) >= xs)
-
-
-def test_process_dict_roundtrip():
-    for spec in (GammaDrift(1.5, 0.5, 0.1), PoissonDrift(2.0, 0.5, 1.0), StableHalf()):
-        assert process_from_dict(process_to_dict(spec)) == spec
-    with pytest.raises(ValueError):
-        process_from_dict({"family": "drift-only"})
-    # exactly the class's fields: every missing or unknown key is named
-    gamma = {"family": "gamma", "shape_rate": 1.0, "scale": 1.0, "drift": 0.0}
-    for bad, words in [
-        ({"family": "gamma", "shape_rate": 1.0}, "missing keys ['drift', 'scale']"),
-        ({"family": "stable-half", "drift": 3.0}, "unknown keys ['drift']"),
-        ({**gamma, "jump_size": 2.0}, "unknown keys ['jump_size']"),
-        (
-            {"family": "poisson", "intensity": 1.0, "jump": 1.0, "drift": 1.0},
-            "missing keys ['jump_size'], unknown keys ['jump']",
-        ),
-    ]:
-        with pytest.raises(ValueError, match=re.escape(words)):
-            process_from_dict(bad)
 
 
 def test_export_files(tmp_path):

@@ -30,7 +30,6 @@ from goupsim.montecarlo_validation import (
     l1_distance,
     sample_basepoints,
     write_histogram_csv,
-    write_report_json,
     write_samples_csv,
 )
 from quadrature import (
@@ -687,9 +686,3 @@ def test_exports(tmp_path):
     write_histogram_csv(h, g)
     lines = g.read_text().splitlines()
     assert lines[0] == "left,right,count" and len(lines) == 7
-
-    r = tmp_path / "report.json"
-    write_report_json({"l1": 0.01, "pass": True}, r)
-    import json
-
-    assert json.loads(r.read_text())["pass"] is True

@@ -18,16 +18,15 @@ from goupsim.levy_paths import (
 )
 from goupsim.transport import (
     Constant,
-    PiecewiseLinear,
     SolutionField,
     Triangular,
     WindowK,
+    _lp_norm,
+    _solution_rows,
     convergence_table,
     eval_initial,
-    lp_distance,
     solve_at_level,
     solve_limit,
-    solve_on_window,
     write_convergence_csv,
     write_solution_csv,
 )
@@ -53,16 +52,8 @@ def test_eval_initial_triangular():
         Triangular(0.0, 0.0, 1.0)
 
 
-def test_eval_initial_constant_and_pwl():
+def test_eval_initial_constant():
     assert eval_initial(Constant(3.0), 123.4) == 3.0
-    pwl = PiecewiseLinear(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0]))
-    assert eval_initial(pwl, 0.5) == 1.0
-    assert eval_initial(pwl, -5.0) == 0.0
-    assert eval_initial(pwl, 7.0) == 0.0
-    with pytest.raises(ValueError):
-        PiecewiseLinear(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        PiecewiseLinear(np.array([0.0, 1.0]), np.array([1.0]))
 
 
 def test_solve_initial_time_recovers_datum():
@@ -144,43 +135,15 @@ def test_window_validation():
         WindowK((0.0, 1.0), (0.0, 2.0), grid=(0, 4))
 
 
-def test_lp_distance_closed_forms():
-    window = WindowK((0.0, 2.0), (0.0, 3.0), grid=(4, 6))
-    xs = window.x_midpoints()
-    fa = [SolutionField(t, xs, np.full(xs.size, 1.0), 0) for t in window.t_midpoints()]
-    fb = [SolutionField(t, xs, np.full(xs.size, 3.5), 0) for t in window.t_midpoints()]
-    assert lp_distance(fa, fa, window, 2.0) == 0.0
-    # constant difference c on area A: c * A^(1/p)
-    for p in (1.0, 2.0, 3.0):
-        got = lp_distance(fa, fb, window, p)
-        assert abs(got - 2.5 * window.area ** (1.0 / p)) <= 1e-12
-
-    single = WindowK((0.0, 1.0), (0.0, 1.0), grid=(1, 1))
-    sx = single.x_midpoints()
-    ga = [SolutionField(single.t_midpoints()[0], sx, np.array([2.0]), 0)]
-    gb = [SolutionField(single.t_midpoints()[0], sx, np.array([0.0]), 0)]
-    assert abs(lp_distance(ga, gb, single, 1.0) - 2.0 * single.area) <= 1e-15
-
-
-def test_lp_distance_grid_mismatch():
-    window = WindowK((0.0, 1.0), (0.0, 1.0), grid=(2, 4))
-    xs = window.x_midpoints()
-    good = [SolutionField(t, xs, np.zeros(xs.size), 0) for t in window.t_midpoints()]
-    bad_time = [SolutionField(t + 0.1, xs, np.zeros(xs.size), 0) for t in window.t_midpoints()]
-    with pytest.raises(ValueError):
-        lp_distance(good, bad_time, window, 1.0)
-    bad_x = [SolutionField(t, xs + 0.01, np.zeros(xs.size), 0) for t in window.t_midpoints()]
-    with pytest.raises(ValueError):
-        lp_distance(good, bad_x, window, 1.0)
-    with pytest.raises(ValueError):
-        lp_distance(good, good, window, 0.5)
-
-
 def test_convergence_table_trivial_cases():
     drift = make_drift_path(level=8, k_min=-4 * 2**8, k_max=8 * 2**8, drift=1.0)
     window = WindowK((0.0, 2.0), (0.0, 3.0), grid=(8, 32))
     table = convergence_table(drift, TRIANGLE, window, 1.0, [2, 4, 6])
     assert all(dist <= 1e-12 for _, dist in table)
+    # a constant difference c on the window's area A has the norm c A^(1/p)
+    for p in (1.0, 2.0, 3.0):
+        got = _lp_norm([np.full((8, 32), 2.5)], window, p)
+        assert abs(got - 2.5 * (2.0 * 3.0) ** (1.0 / p)) <= 1e-12
 
     path = gamma_path(n_max=8)
     table = convergence_table(path, Constant(2.0), window, 1.0, [2, 4, 6])
@@ -204,7 +167,7 @@ def test_convergence_table_decreases_for_gamma_medium():
 def test_exports(tmp_path):
     path = gamma_path(n_max=6)
     window = WindowK((0.0, 1.0), (0.0, 2.0), grid=(2, 5))
-    fields = solve_on_window(path, TRIANGLE, window, level=4)
+    fields = [solve_at_level(path, 4, TRIANGLE, t, window.x_midpoints()) for t in window.t_midpoints()]
     f = tmp_path / "solution.csv"
     write_solution_csv(fields, f)
     lines = f.read_text().splitlines()
@@ -244,11 +207,10 @@ def _lp_per_slice(fields_a, fields_b, window, p):
 
 
 @pytest.mark.parametrize("level", [None, 3, 7])
-def test_solve_on_window_matches_per_slice_solves_bitwise(level):
+def test_solves_match_per_slice_recomputation_bitwise(level):
     path = gamma_path(n_max=9, t_lo=-4, t_hi=8)
     window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(24, 96))
     xs = window.x_midpoints()
-    fields = solve_on_window(path, TRIANGLE, window, level=level)
     single = [
         solve_limit(path, TRIANGLE, float(t), xs)
         if level is None
@@ -256,23 +218,23 @@ def test_solve_on_window_matches_per_slice_solves_bitwise(level):
         for t in window.t_midpoints()
     ]
     reference = _per_slice(path, window, level)
-    assert len(fields) == len(single) == len(reference)
-    for got, one, ref in zip(fields, single, reference):
-        for f in (got, one):
-            assert f.time == ref.time
-            assert f.level == ref.level
-            assert f.xs.tobytes() == ref.xs.tobytes()
-            assert f.values.tobytes() == ref.values.tobytes()
+    assert len(single) == len(reference)
+    for got, ref in zip(single, reference):
+        assert (got.time, got.level) == (ref.time, ref.level)
+        assert got.xs.tobytes() == ref.xs.tobytes()
+        assert got.values.tobytes() == ref.values.tobytes()
 
 
 def test_convergence_table_matches_slice_by_slice_recomputation():
     path = gamma_path(n_max=9, t_lo=-4, t_hi=8)
     window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(24, 96))
     levels = [2, 5, 7, 9]
-    reference = _per_slice(path, window, path.grid.level)
-    expected = [
-        (n, lp_distance(_per_slice(path, window, n), reference, window, 1.5)) for n in levels
-    ]
+
+    def slices(n):
+        return [solve_at_level(path, n, TRIANGLE, t, window.x_midpoints()) for t in window.t_midpoints()]
+
+    reference = slices(path.grid.level)
+    expected = [(n, _lp_per_slice(slices(n), reference, window, 1.5)) for n in levels]
     assert convergence_table(path, TRIANGLE, window, 1.5, levels) == expected
 
 
@@ -283,18 +245,23 @@ def test_convergence_table_refuses_p_below_one():
         convergence_table(path, TRIANGLE, window, 0.5, [2, 4, 6])
 
 
+def _batched(path, window, level, datum=TRIANGLE):
+    """The rows of every window time, solved a batch at a time."""
+    rows = _solution_rows(path, datum, level, window.x_midpoints(), window.t_midpoints())
+    return np.concatenate(list(rows))
+
+
 @pytest.mark.parametrize("level", [None, 4])
-def test_solve_on_window_raises_the_per_slice_window_error(level):
+def test_batched_rows_raise_the_per_slice_window_error(level):
     path = gamma_path(n_max=8, t_lo=-1, t_hi=4)
     window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(4, 8))
     with pytest.raises(WindowError) as per_slice:
         _per_slice(path, window, level)
     with pytest.raises(WindowError, match=re.escape(str(per_slice.value))):
-        solve_on_window(path, TRIANGLE, window, level=level)
+        _batched(path, window, level)
 
 
-PWL = PiecewiseLinear(np.array([0.0, 0.7, 1.9, 3.0]), np.array([0.2, 1.5, -0.4, 0.9]))
-DATA = [TRIANGLE, Constant(2.0), PWL]
+DATA = [TRIANGLE, Constant(2.0)]
 
 
 # slice counts on both sides of the 32-row batches
@@ -304,13 +271,11 @@ def test_batched_window_solve_matches_per_slice_bitwise(n_t, level):
     path = gamma_path(n_max=8, t_lo=-4, t_hi=8)
     window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(n_t, 48))
     for datum in DATA:
-        fields = solve_on_window(path, datum, window, level=level)
+        rows = _batched(path, window, level, datum)
         reference = _per_slice(path, window, level, datum)
-        assert len(fields) == len(reference) == n_t
-        for got, ref in zip(fields, reference):
-            assert (got.time, got.level) == (ref.time, ref.level)
-            assert got.xs.tobytes() == ref.xs.tobytes()
-            assert got.values.tobytes() == ref.values.tobytes()
+        assert len(rows) == len(reference) == n_t
+        for got, ref in zip(rows, reference):
+            assert got.tobytes() == ref.values.tobytes()
 
 
 @pytest.mark.parametrize("n_t", [1, 31, 32, 33, 37])
@@ -335,9 +300,6 @@ def test_convergence_table_refuses_infinite_or_nan_p(p):
     window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(8, 32))
     with pytest.raises(ValueError, match="p must be >= 1 and finite"):
         convergence_table(path, TRIANGLE, window, p, [2, 4])
-    fields = solve_on_window(path, TRIANGLE, window, level=4)
-    with pytest.raises(ValueError, match="p must be >= 1 and finite"):
-        lp_distance(fields, fields, window, p)
 
 
 @pytest.mark.parametrize(
