@@ -22,6 +22,16 @@ The process flags (``--k``, ``--theta``, ``--intensity``, ``--jump``,
 ``--drift``) are the fields of the spec classes in ``levy_paths.FAMILIES``,
 each 1 unless given; a flag the chosen family has no field for is refused.
 
+Every input rule has one owner, and this module only names the flags.  A bad
+number is refused by the library call that owns its rule (the level and
+window by ``levy_paths.DyadicGrid``, the density query by
+``ig_analytics.default_z_grid`` and ``basepoint_cdf``, a validation by
+``montecarlo_validation``), before any path is sampled, in one line
+``invalid <what> (<flags>): <message>`` that names the flags of that call.
+This module checks only what it parses: ``LO:HI`` ranges, ``--times``,
+``--kgrid``, ``--levels``, ``--xcount``, ``--threads`` and ``--level``
+against ``--nmax``.
+
 Every command writes ``manifest.json`` echoing the resolved scientific
 configuration, the datum and all its flags included for ``solve`` and
 ``converge``; rerunning from the same manifest reproduces all numeric
@@ -177,11 +187,6 @@ def _parse_kgrid(text: str) -> tuple[int, int]:
     return nt, nx
 
 
-def _check_positive(value: float, flag: str) -> None:
-    if not 0.0 < value < math.inf:
-        raise SystemExit(f"{flag} must be positive and finite, got {value}")
-
-
 def _parse_levels(text: str) -> list[int]:
     try:
         levels = [int(part) for part in text.split(",") if part]
@@ -193,26 +198,14 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def _window_from_args(args: argparse.Namespace):
-    """The process spec, the k window that ``--range`` spans at level
-    ``--nmax``, and the manifest entries of every command that samples."""
+    """The process spec, the grid that ``--range`` spans at level ``--nmax``,
+    and the manifest entries of every command that samples."""
     spec = _process_from_args(args)
-    if args.nmax < 0:
-        raise SystemExit(f"--nmax must be >= 0, got {args.nmax}")
     lo, hi = _parse_range(args.range, "--range")
-    # |t| 2^nmax < 2^63 exactly when frexp's exponent of |t| is at most
-    # 63 - nmax; below that ldexp scales exactly and the k window fits int64
-    if math.frexp(max(-lo, hi))[1] + args.nmax > 63:
-        raise SystemExit(
-            f"--range {args.range} reaches 2^63 grid steps from t = 0 at --nmax {args.nmax}; "
-            "lower --nmax or narrow --range"
-        )
-    if args.nmax > levy_paths.MAX_LEVEL:
-        raise SystemExit(
-            f"--nmax must be at most {levy_paths.MAX_LEVEL}, got {args.nmax}: "
-            "finer grid steps are not normal doubles"
-        )
-    k_lo, k_hi = math.floor(math.ldexp(lo, args.nmax)), math.ceil(math.ldexp(hi, args.nmax))
-    k_window = (min(k_lo, 0), max(k_hi, 0))
+    try:
+        grid = levy_paths.DyadicGrid.spanning(args.nmax, lo, hi)
+    except ValueError as exc:
+        raise SystemExit(f"invalid path grid (--nmax, --range): {exc}")
     config = {
         "process": levy_paths.process_to_dict(spec),
         "n_max": args.nmax,
@@ -220,21 +213,19 @@ def _window_from_args(args: argparse.Namespace):
         "seed": args.seed,
         "stream": args.stream,
     }
-    return spec, k_window, config
+    return spec, grid, config
 
 
-def _path_from_args(args: argparse.Namespace, spec: ProcessSpec, k_window: tuple[int, int]):
-    """The path sampled on ``k_window``, or an error line saying why not."""
-    points = k_window[1] - k_window[0] + 1
+def _path_from_args(args: argparse.Namespace, spec: ProcessSpec, grid: levy_paths.DyadicGrid):
+    """The path sampled on ``grid``, or an error line saying why not."""
     try:
-        if points > np.iinfo(np.intp).max // 8:  # numpy refuses it with a ValueError
-            raise MemoryError
         return levy_paths.build_two_sided_path(
-            spec, args.nmax, *k_window, RngSeed(args.seed, args.stream)
+            spec, grid.level, grid.k_min, grid.k_max, RngSeed(args.seed, args.stream)
         )
     except RuntimeError as exc:  # a path value is not finite
         raise SystemExit(f"cannot sample this path: {exc}")
     except MemoryError:
+        points = grid.k_max - grid.k_min + 1
         raise SystemExit(
             f"cannot sample this path: its {points} grid points (--nmax {args.nmax}, "
             f"--range {args.range}) do not fit in memory; lower --nmax or narrow --range"
@@ -278,17 +269,17 @@ def _prepare_out(args: argparse.Namespace) -> Path:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
-    spec, k_window, config = _window_from_args(args)
-    path = _path_from_args(args, spec, k_window)
+    spec, grid, config = _window_from_args(args)
+    path = _path_from_args(args, spec, grid)
     out_dir = _prepare_out(args)
     levy_paths.write_path_csv(path, out_dir / "path.csv")
     levy_paths.write_path_metadata(path, out_dir / "path_meta.json")
-    _write_manifest(args, {**config, "k_window": list(k_window)})
+    _write_manifest(args, {**config, "k_window": [grid.k_min, grid.k_max]})
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    spec, k_window, config = _window_from_args(args)
+    spec, grid, config = _window_from_args(args)
     times = _parse_floats(args.times, "--times")
     x_lo, x_hi = _parse_range(args.xgrid, "--xgrid")
     if args.xcount < 1:
@@ -296,7 +287,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.level is not None and not 0 <= args.level <= args.nmax:
         raise SystemExit(f"--level must lie in 0..{args.nmax} (--nmax), got {args.level}")
     datum, datum_config = _datum_from_args(args)
-    path = _path_from_args(args, spec, k_window)
+    path = _path_from_args(args, spec, grid)
     xs = np.linspace(x_lo, x_hi, args.xcount)
     if args.level is None:
         solution = [transport.solve_limit(path, datum, t, xs) for t in times]
@@ -313,13 +304,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    spec, k_window, config = _window_from_args(args)
+    spec, grid, config = _window_from_args(args)
     w_t = _parse_range(args.window_t, "--window-t")
     w_x = _parse_range(args.window_x, "--window-x")
     nt, nx = _parse_kgrid(args.kgrid)
     levels = _parse_levels(args.levels)
     datum, datum_config = _datum_from_args(args)
-    path = _path_from_args(args, spec, k_window)
+    path = _path_from_args(args, spec, grid)
     window = transport.WindowK(w_t, w_x, (nt, nx))
     try:
         table = transport.convergence_table(path, datum, window, args.p, levels)
@@ -338,13 +329,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    _check_positive(args.t, "--t (elapsed time)")
-    _check_positive(args.x, "--x")
     try:
         grid = ig_analytics.default_z_grid(args.x, n=args.zcount, z_neg_far=args.zfar)
+        curve = ig_analytics.basepoint_density(args.x, args.t, grid)
     except ValueError as exc:
-        raise SystemExit(f"invalid density grid (--zcount, --zfar): {exc}")
-    curve = ig_analytics.basepoint_density(args.x, args.t, grid)
+        raise SystemExit(f"invalid density input (--x, --t, --zcount, --zfar): {exc}")
     out_dir = _prepare_out(args)
     ig_analytics.write_density_csv(curve, out_dir / "density.csv")
     ig_analytics.write_cdf_csv(curve, out_dir / "cdf.csv")
@@ -362,16 +351,11 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    spec, k_window, config = _window_from_args(args)
-    _check_positive(args.t0, "--t0")
-    _check_positive(args.hist_hi, "--hist-hi")
-    if not 0.0 <= args.l1_max < math.inf:
-        raise SystemExit(f"--l1-max must be nonnegative and finite, got {args.l1_max}")
+    spec, grid, config = _window_from_args(args)
     try:
         cfg = montecarlo_validation.McConfig(
             n_samples=args.n,
-            n_max=args.nmax,
-            window=k_window,
+            grid=grid,
             root_seed=RngSeed(args.seed, args.stream),
             bins=args.bins,
         )
@@ -380,7 +364,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             with_ks=not args.no_ks,
         )
     except ValueError as exc:
-        raise SystemExit(f"invalid validation input: {exc}")
+        raise SystemExit(
+            f"invalid validation input (--n, --bins, --x0, --t0, --hist-hi, --l1-max): {exc}"
+        )
     except RuntimeError as exc:  # too many samples left the window
         raise SystemExit(f"cannot validate: {exc}")
     out_dir = _prepare_out(args)

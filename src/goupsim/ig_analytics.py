@@ -66,6 +66,7 @@ and the triangle's moment series replaces it.  At ``x = 0`` both reduce to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -272,6 +273,37 @@ def bridge_density(r: float, s: float, y: float, z):
 # ---------------------------------------------------------------------------
 # base-point density
 
+_TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
+
+
+def _half_square_over(t: float, y: np.ndarray) -> np.ndarray:
+    """``t^2 / (2 y)`` for ``y > 0``, formed as written except where ``t t``
+    or ``2 y`` overflows (``y`` above ``max/2``, where the bridge and negative
+    side exponents took ``inf / inf`` or ``t t / inf``); there it is
+    ``(t / y)(t / 2)``, whose overflow is the right limit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(np.isinf(t * t) | np.isinf(2.0 * y), (t / y) * (0.5 * t), t * t / (2.0 * y))
+
+
+def _sqrt_2x(x: float) -> float:
+    """``sqrt(2 x)``, also above ``max/2``, where ``2 x`` overflows."""
+    return np.sqrt(2.0 * x) if x <= 0.5 * _MAX else np.sqrt(2.0) * np.sqrt(x)
+
+
+def _halved_where_sum_overflows(side, x: float, t: float, a: np.ndarray, power: int) -> np.ndarray:
+    """``side(x, t, a)``, except where ``x + a`` overflows: the law scales as
+    ``(x, t, z) -> (c^2 x, c t, c^2 z)`` with its density divided by ``c^2``,
+    so there it is ``side(x/4, t/2, a/4) / 4**power`` (``power`` 0 for the
+    CDF, 1 for the density), and these divisions by powers of 2 are exact."""
+    if not math.isinf(x + float(a.max(initial=0.0))):
+        return side(x, t, a)
+    with np.errstate(over="ignore"):
+        big = np.isinf(x + a)
+    out = np.empty_like(a)
+    out[~big] = side(x, t, a[~big])
+    out[big] = side(0.25 * x, 0.5 * t, 0.25 * a[big]) * 0.25**power
+    return out
+
 
 def _basepoint_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
     """Closed-form base-point density at ``z = -a < 0`` for a level ``x > 0``
@@ -286,12 +318,20 @@ def _basepoint_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
     # 0, a factor beside it may overflow, and its term is the limit 0
     with np.errstate(over="ignore", invalid="ignore"):
         s = a + x
-        e = 0.5 * t * t * ((a - x) / a) / x
+        ratio = (a - x) / a
+        e = 0.5 * t * t * ratio / x
+        # where t t or t t ratio over- or underflowed but e need not: a
+        # product that does so only with e, or -t^2/(2a) where ratio
+        # overflowed, as then a << x
+        if t * t < _TINY or not np.isfinite(e).all():
+            redo = ~np.isfinite(e) | (t * t < _TINY)
+            r = ratio[redo]
+            e[redo] = np.where(np.isinf(r), -(0.5 * t) * (t / a[redo]), (0.5 * t) * (t / x) * r)
         e[a == x] = 0.0  # D = 0, where t t = inf gave inf * 0
-        d = np.sign(e) * np.exp(-t * t / (2.0 * np.maximum(a, x))) * np.expm1(-np.abs(e))
+        d = np.sign(e) * np.exp(-_half_square_over(t, np.maximum(a, x))) * np.expm1(-np.abs(e))
         # (t - mu)/(sigma sqrt 2) and mu/(sigma sqrt 2)
         erfs = erf(t * np.sqrt(0.5 * (x / a) / s)) + erf(t * np.sqrt(0.5 * (a / x) / s))
-        g = np.exp(-t * t / (2.0 * s))
+        g = np.exp(-_half_square_over(t, s))
         second = np.sqrt(0.5 * np.pi) * g * erfs * (t / s) / np.sqrt(s)
     return (np.sqrt(x / s) * (d / np.sqrt(a)) / np.sqrt(s) + np.where(g > 0.0, second, 0.0)) / np.pi
 
@@ -308,7 +348,7 @@ def basepoint_density(x: float, t: float, z_grid) -> DensityCurve:
     z = np.asarray(z_grid, dtype=float)
     if z.ndim != 1 or z.size < 2 or not np.all(np.diff(z) > 0.0):
         raise ValueError("z_grid must be a strictly increasing 1-d sequence")
-    F = basepoint_cdf(x, t, z)  # refuses t <= 0 and x < 0
+    F = basepoint_cdf(x, t, z)  # refuses x < 0 and t not positive and finite
     if x == 0.0:
         # hitting is immediate: the base point is an independent copy run
         # backwards from the origin
@@ -317,10 +357,10 @@ def basepoint_density(x: float, t: float, z_grid) -> DensityCurve:
         f = np.zeros_like(z)
         pos = (z > 0.0) & (z < x)
         zp = z[pos]
-        with np.errstate(over="ignore"):  # exp(-inf) = 0, the limit
-            f[pos] = np.exp(-t * t / (2.0 * (x - zp))) / (np.pi * np.sqrt(zp) * np.sqrt(x - zp))
+        with np.errstate(over="ignore"):  # pi sqrt(z (x - z)) > max: f is below tiny
+            f[pos] = np.exp(-_half_square_over(t, x - zp)) / (np.pi * np.sqrt(zp) * np.sqrt(x - zp))
         neg = z < 0.0
-        f[neg] = _basepoint_negative_side(x, t, -z[neg])
+        f[neg] = _halved_where_sum_overflows(_basepoint_negative_side, x, t, -z[neg], 1)
     return DensityCurve(x, t, z, f, np.zeros_like(f), F)
 
 
@@ -350,8 +390,8 @@ def basepoint_cdf(x: float, t: float, z) -> np.ndarray:
     ``F`` is 1 at and above the level and 0 at ``-inf``.  Negative levels raise
     ``ValueError``: no correct law is implemented for them.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     if not x >= 0.0:
         raise ValueError(
             f"the base-point law is implemented for levels x >= 0 only, got x={x}"
@@ -359,13 +399,13 @@ def basepoint_cdf(x: float, t: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     F = np.ones(z.shape)
     with np.errstate(divide="ignore", over="ignore"):  # erf(inf) = 1
-        f0 = erf(t / np.sqrt(2.0 * x))
+        f0 = erf(t / _sqrt_2x(x))
     # each side clipped to its bound, F(0) or 1, which the sums may exceed
     # by an ulp next to the origin and the level; F(-inf) = 0 is set apart,
     # as the negative side's closed form takes inf / inf there
     F[z == -np.inf] = 0.0
     neg = (z < 0.0) & (z > -np.inf)
-    F[neg] = np.minimum(_cdf_negative_side(x, t, -z[neg]), f0)
+    F[neg] = np.minimum(_halved_where_sum_overflows(_cdf_negative_side, x, t, -z[neg], 0), f0)
     pos = (z >= 0.0) & (z < x)
     if pos.any():
         F[pos] = np.minimum(f0 + _undershoot_tail_mass(x, t, z[pos]), 1.0)
@@ -382,7 +422,7 @@ def _undershoot_tail_mass(x: float, s, w: np.ndarray) -> np.ndarray:
     ratio = np.sqrt(w / np.where(full, 1.0, x - w))
     with np.errstate(over="ignore"):  # erfc(inf) = owens_t(inf, r) = 0
         return np.where(
-            full, erfc(s / np.sqrt(2.0 * x)), 4.0 * owens_t(s / np.sqrt(x), ratio)
+            full, erfc(s / _sqrt_2x(x)), 4.0 * owens_t(s / np.sqrt(x), ratio)
         )
 
 
@@ -417,7 +457,7 @@ _REL_INNER = 1e-5
 
 #: the levels whose grid holds: its innermost point ``_REL_INNER x`` is a
 #: normal double and its band end ``1.1 x`` is finite
-_X_RANGE = (np.finfo(float).tiny / _REL_INNER, np.finfo(float).max / 1.1)
+_X_RANGE = (_TINY / _REL_INNER, _MAX / 1.1)
 
 
 def default_z_grid(x: float, n: int = 512, z_neg_far: float = -1e6) -> np.ndarray:

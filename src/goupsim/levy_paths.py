@@ -152,19 +152,38 @@ class RngSeed:
 
 @dataclass(frozen=True)
 class DyadicGrid:
-    """Grid ``t_k = k * 2^(-level)`` for ``k_min <= k <= k_max``."""
+    """Grid ``t_k = k * 2^(-level)`` for ``k_min <= k <= k_max``.
+
+    The one owner of the level and window rules: ``0 <= level <= MAX_LEVEL``,
+    ``k_min <= 0 <= k_max``, and ``|k| < 2^53``, so that every grid time
+    ``k 2^-level`` is an exact double.  They are checked in that order.
+    """
 
     level: int
     k_min: int
     k_max: int
 
     def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
-        if self.level > MAX_LEVEL:
-            raise ValueError(f"level must be at most {MAX_LEVEL}, got {self.level}")
+        if not 0 <= self.level <= MAX_LEVEL:
+            raise ValueError(f"level must lie in 0..{MAX_LEVEL}, got {self.level}")
         if not self.k_min <= 0 <= self.k_max:
-            raise ValueError("grid must contain k=0, need k_min <= 0 <= k_max")
+            raise ValueError(f"the k window must contain k = 0, got ({self.k_min}, {self.k_max})")
+        if max(-self.k_min, self.k_max) >= 2**53:
+            raise ValueError(
+                "the k window reaches 2^53 grid steps from k = 0, beyond which grid times "
+                "are not exact doubles"
+            )
+
+    @classmethod
+    def spanning(cls, level: int, t_lo: float, t_hi: float) -> DyadicGrid:
+        """The level-``level`` grid over the smallest k window that holds the
+        finite times ``t_lo`` and ``t_hi`` and ``k = 0``."""
+        cls(level, 0, 0)  # the level first: 2^level is formed for a valid one only
+        scale = 2**level
+        (n_lo, d_lo), (n_hi, d_hi) = t_lo.as_integer_ratio(), t_hi.as_integer_ratio()
+        # floor(t_lo 2^level) and ceil(t_hi 2^level) in exact integers, which
+        # cannot overflow as a float product can
+        return cls(level, min(n_lo * scale // d_lo, 0), max(-(-n_hi * scale // d_hi), 0))
 
     @property
     def dt(self) -> float:

@@ -43,7 +43,7 @@ from .ig_analytics import (
     default_z_grid,
     hit_under_bin_masses,
 )
-from .levy_paths import MAX_LEVEL, ProcessSpec, RngSeed, StableHalf, process_to_dict, stream_for
+from .levy_paths import DyadicGrid, ProcessSpec, RngSeed, StableHalf, process_to_dict, stream_for
 
 __all__ = [
     "McConfig",
@@ -69,35 +69,22 @@ __all__ = [
 class McConfig:
     """Monte Carlo run configuration.
 
-    ``window`` is the k-index range of the sampled path at level ``n_max``;
-    it must be wide enough for the paths to reach the queried level and for
+    ``grid`` is the level and k window of the sampled paths; its window
+    must be wide enough for the paths to reach the queried level and for
     the shifted evaluation time to stay inside (failures are counted per
     sample and the run aborts above a 1% failure rate).
     """
 
     n_samples: int
-    n_max: int
-    window: tuple[int, int]
+    grid: DyadicGrid
     root_seed: RngSeed
     bins: int = 60
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        if self.n_max > MAX_LEVEL:
-            raise ValueError(f"n_max must be at most {MAX_LEVEL}, got {self.n_max}")
         if self.bins < 8:
             raise ValueError(f"bins must be >= 8, got {self.bins}")
-        if not self.window[0] <= 0 <= self.window[1]:
-            raise ValueError("window must contain k = 0")
-        if max(-self.window[0], self.window[1]) >= 2**53:
-            # grid indices beyond 2^53 have no exact float64 time
-            raise ValueError(
-                f"window {self.window} reaches 2^53 grid steps from k = 0; "
-                "lower n_max or narrow the range"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,22 +149,22 @@ def sample_basepoints(
         )
     n = cfg.n_samples
     key = tree_key(cfg.root_seed)
-    k_min, k_max = cfg.window
+    n_max, k_min, k_max = cfg.grid.level, cfg.grid.k_min, cfg.grid.k_max
     indices: list[np.ndarray] = []
     values: list[np.ndarray] = []
     n_unreached = n_before_window = 0
     for lo in range(0, n, _TREE_CHUNK):
         sample = np.arange(lo, min(lo + _TREE_CHUNK, n))
-        hit = hit_index(spec, key, cfg.n_max, x0, k_max, sample)
+        hit = hit_index(spec, key, n_max, x0, k_max, sample)
         # grid index of the shifted time  hitting_time - t0  (step semantics)
-        m = np.floor(hit - t0 * 2.0**cfg.n_max)
+        m = np.floor(hit - t0 * 2.0**n_max)
         unreached = hit == 0  # the level is not reached by k_max
         before = ~unreached & (m < k_min)  # the shifted time falls before k_min
         ok = ~(unreached | before)
         n_unreached += int(unreached.sum())
         n_before_window += int(before.sum())
         indices.append(sample[ok])
-        values.append(values_at(spec, key, cfg.n_max, m[ok].astype(np.int64), sample[ok]))
+        values.append(values_at(spec, key, n_max, m[ok].astype(np.int64), sample[ok]))
     samples = BasepointSamples(
         values=np.concatenate(values),
         indices=np.concatenate(indices),
@@ -187,7 +174,7 @@ def sample_basepoints(
     )
     if samples.n_failed > 0.01 * n:
         raise RuntimeError(
-            f"{samples.n_failed}/{n} samples exhausted the window {cfg.window}: "
+            f"{samples.n_failed}/{n} samples exhausted the window ({k_min}, {k_max}): "
             f"{samples.n_unreached} paths do not reach x0 = {x0!r} by k_max = {k_max} "
             f"(widen the upper end of --range), {samples.n_before_window} shifted "
             f"times fall before k_min = {k_min} (widen the lower end of --range)"
@@ -496,8 +483,8 @@ def validate_basepoints(
         "t0": t0,
         "n": cfg.n_samples,
         "n_failed": samples.n_failed,
-        "n_max": cfg.n_max,
-        "window": list(cfg.window),
+        "n_max": cfg.grid.level,
+        "window": [cfg.grid.k_min, cfg.grid.k_max],
         "seed": asdict(cfg.root_seed),
         "tolerances": {
             "l1_max": l1_max,

@@ -21,6 +21,7 @@ from goupsim.ig_analytics import (
     triple_density,
 )
 from goupsim.levy_paths import (
+    DyadicGrid,
     GammaDrift,
     PoissonDrift,
     RngSeed,
@@ -205,8 +206,7 @@ def test_criterion_07_basepoint_density_reproduction():
         n_max = 14
         cfg = McConfig(
             n_samples=10**4,
-            n_max=n_max,
-            window=(-(2**n_max) - 4, 14 * 2**n_max),
+            grid=DyadicGrid(n_max, -(2**n_max) - 4, 14 * 2**n_max),
             root_seed=RngSeed(51423),
             bins=60,
         )

@@ -253,12 +253,12 @@ def expand_side(spec, side: int, sample: int, level: int, count: int) -> np.ndar
 # reaches down to -4
 DESCENT_CASES = {
     "": [
-        (2.0, 1.0, McConfig(40, 8, (-2 * 2**8, 6 * 2**8), SEED)),
-        (8.0, 1.0, McConfig(40, 10, (-(2**10) - 3, 14 * 2**10 + 5), SEED)),
+        (2.0, 1.0, McConfig(40, DyadicGrid(8, -2 * 2**8, 6 * 2**8), SEED)),
+        (8.0, 1.0, McConfig(40, DyadicGrid(10, -(2**10) - 3, 14 * 2**10 + 5), SEED)),
     ],
     "jumps": [
-        (2.0, 1.5, McConfig(40, 8, (-2 * 2**8, 6 * 2**8), SEED)),
-        (8.0, 4.0, McConfig(40, 10, (-4 * 2**10 - 3, 14 * 2**10 + 5), SEED)),
+        (2.0, 1.5, McConfig(40, DyadicGrid(8, -2 * 2**8, 6 * 2**8), SEED)),
+        (8.0, 4.0, McConfig(40, DyadicGrid(10, -4 * 2**10 - 3, 14 * 2**10 + 5), SEED)),
     ],
 }
 
@@ -282,7 +282,7 @@ def test_descent_matches_breadth_first_expansion(spec, x0, t0, cfg):
     got = sample_basepoints(spec, x0, t0, cfg)
     assert got.n_failed == 0
     assert np.any(got.values < 0.0) and np.any(got.values > 0.0)
-    n, (k_min, k_max) = cfg.n_max, cfg.window
+    n, k_min, k_max = cfg.grid.level, cfg.grid.k_min, cfg.grid.k_max
     direct = []
     for i in range(cfg.n_samples):
         fwd = expand_side(spec, FORWARD, i, n, -(-k_max >> n))[1 : k_max + 1]
@@ -306,7 +306,7 @@ def test_hit_index_reports_unreached_samples():
 
 
 def test_output_is_the_same_for_any_chunk_size(monkeypatch):
-    cfg = McConfig(300, 12, (-(2**12) - 40, 14 * 2**12), RngSeed(8))
+    cfg = McConfig(300, DyadicGrid(12, -(2**12) - 40, 14 * 2**12), RngSeed(8))
     for spec in (STABLE, GAMMA, POISSON):
         monkeypatch.undo()
         whole = sample_basepoints(spec, 8.0, 1.0, cfg)
@@ -324,7 +324,7 @@ GOLDEN = "c6b9fb2e3f029d1036570aec981a18a79fdf3be12e8475cf39df76ab40e46eb7"
 
 
 def test_stable_half_basepoints_golden_digest():
-    cfg = McConfig(500, 14, (-(2**14) - 164, 14 * 2**14), RngSeed(20230915))
+    cfg = McConfig(500, DyadicGrid(14, -(2**14) - 164, 14 * 2**14), RngSeed(20230915))
     out = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
     h = hashlib.sha256()
     h.update(out.indices.astype(np.int64).tobytes())
@@ -337,7 +337,7 @@ def test_level_24_headline_run_passes_ks():
     # the headline law at level 24: the block walk would sum about 2.3e8
     # increments per sample to find the hit
     n_max, n = 24, 10**4
-    cfg = McConfig(n, n_max, (-(2**n_max) - 2**12, 14 * 2**n_max), RngSeed(24))
+    cfg = McConfig(n, DyadicGrid(n_max, -(2**n_max) - 2**12, 14 * 2**n_max), RngSeed(24))
     out = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
     assert out.n_failed == 0
     assert np.all(out.values < 8.0)
@@ -359,7 +359,7 @@ JUMP_GOLDEN = {
     "family, spec", [("gamma", GAMMA), ("poisson", POISSON)], ids=["gamma", "poisson"]
 )
 def test_jump_family_basepoints_golden_digest(family, spec):
-    cfg = McConfig(500, 14, (-(2**14) - 164, 14 * 2**14), RngSeed(20230915))
+    cfg = McConfig(500, DyadicGrid(14, -(2**14) - 164, 14 * 2**14), RngSeed(20230915))
     out = sample_basepoints(spec, 8.0, 1.0, cfg)
     h = hashlib.sha256()
     h.update(out.indices.astype(np.int64).tobytes())

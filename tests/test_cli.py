@@ -233,6 +233,11 @@ CONVERGE_SMALL = [
     "--window-t", "0:2", "--window-x", "0:6", "--kgrid", "8:32", "--seed", "3",
 ]
 
+#: the prefixes that name the flags of the library call that refused
+PATH_GRID = "invalid path grid (--nmax, --range): "
+DENSITY_INPUT = "invalid density input (--x, --t, --zcount, --zfar): "
+VALIDATION_INPUT = "invalid validation input (--n, --bins, --x0, --t0, --hist-hi, --l1-max): "
+
 
 @pytest.mark.parametrize(
     "command",
@@ -327,7 +332,7 @@ def test_density_rejects_nonpositive_time(tmp_path):
     ],
 )
 def test_density_bad_grid_is_an_error_line(tmp_path, grid, why):
-    with pytest.raises(SystemExit, match="invalid density grid") as exc:
+    with pytest.raises(SystemExit, match="invalid density input") as exc:
         main(["density", "--x", "8", "--t", "1", *grid, "--out", str(tmp_path / "run")])
     assert why in str(exc.value) and "\n" not in str(exc.value)
 
@@ -526,14 +531,14 @@ def test_overflows_with_the_right_limit_print_no_warning(tmp_path, argv, code, s
 @pytest.mark.parametrize("command", ["paths", "solve", "converge"])
 def test_window_too_large_to_allocate_is_an_error_line(tmp_path, command):
     # 2^46 + 1 grid points take 512 TiB, beyond a 47-bit user address space;
-    # numpy refuses the 2^64 bytes of 2^61 + 1 points outright (a ValueError)
+    # 2^61 + 1 points reach past 2^53 grid steps, which the grid refuses first
     out = tmp_path / "run"
-    for nmax in (46, 61):
+    for nmax, why in ((46, f"its {2**46 + 1} grid points"), (61, "reaches 2^53 grid steps")):
         argv = [command, "--process", "gamma", "--nmax", str(nmax), "--range=0:1", "--out", str(out)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         message = str(exc.value.code)
-        assert f"its {2**nmax + 1} grid points" in message
+        assert why in message
         assert "--nmax" in message and "--range" in message
         assert not out.exists()
 
@@ -628,14 +633,14 @@ def test_density_and_validate_write_the_same_law_table(tmp_path):
 
 def test_validate_negative_level_is_an_error_line(tmp_path):
     # --nmax -1 used to run with dt = 2 and print {"pass": false}
-    with pytest.raises(SystemExit, match="--nmax must be >= 0, got -1") as exc:
+    with pytest.raises(SystemExit) as exc:
         main(
             [
                 "validate", "--process", "stable-half", "--n", "50", "--nmax", "-1",
                 "--out", str(tmp_path / "run"),
             ]
         )
-    assert "\n" not in str(exc.value.code)
+    assert exc.value.code == f"{PATH_GRID}level must lie in 0..1022, got -1"
 
 
 @pytest.mark.parametrize(
@@ -651,7 +656,7 @@ def test_negative_nmax_is_an_error_line(tmp_path, command):
     # used to die with the traceback "ValueError: level must be nonnegative"
     with pytest.raises(SystemExit) as exc:
         main([*command, "--process", "gamma", "--nmax", "-2", "--out", str(tmp_path / "run")])
-    assert exc.value.code == "--nmax must be >= 0, got -2"
+    assert exc.value.code == f"{PATH_GRID}level must lie in 0..1022, got -2"
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -701,10 +706,12 @@ SOLVE_SMALL = ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10"]
         ([*SOLVE_SMALL, "--times="], "--times must be comma-separated finite numbers, got ''"),
         # traceback from the density grid
         (["density", "--x", "8", "--t", "nan"],
-         "--t (elapsed time) must be positive and finite, got nan"),
-        (["density", "--x", "inf", "--t", "1"], "--x must be positive and finite, got inf"),
+         f"{DENSITY_INPUT}t must be positive and finite, got nan"),
+        (["density", "--x", "inf", "--t", "1"], f"{DENSITY_INPUT}x must lie in [2.22507e-303, "
+         "1.63427e+308], where the innermost grid point 1e-05 x is a normal double and the band "
+         "end 1.1 x is finite, got inf"),
         (["validate", "--process", "stable-half", "--t0", "nan"],
-         "--t0 must be positive and finite, got nan"),
+         f"{VALIDATION_INPUT}t0 must be positive and finite, got nan"),
         # tracebacks from the datum and the density grid, and a silent nan
         ([*SOLVE_SMALL, "--halfwidth", "0"], "invalid datum (--center, --halfwidth, "
          "--height, --value): halfwidth must be positive and finite, got 0.0"),
@@ -713,7 +720,7 @@ SOLVE_SMALL = ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10"]
         ([*SOLVE_SMALL, "--datum", "constant", "--value", "inf"], "invalid datum (--center, "
          "--halfwidth, --height, --value): value must be finite, got inf"),
         (["density", "--x", "8", "--t", "1", "--zfar=-inf"],
-         "invalid density grid (--zcount, --zfar): the far negative end must be finite, got -inf"),
+         f"{DENSITY_INPUT}the far negative end must be finite, got -inf"),
         # "not strictly increasing ... lower --nmax", and an OverflowError traceback
         (["paths", "--process", "gamma", "--nmax", "6", "--range=-1:4", "--drift", "nan"],
          "invalid process parameters (--k, --theta, --drift): "
@@ -731,23 +738,22 @@ SOLVE_SMALL = ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10"]
          "intensity must be positive and finite, got inf"),
         # an edges error naming no flag; a whole run failing L1 against nan
         (["validate", "--process", "stable-half", "--hist-hi", "nan"],
-         "--hist-hi must be positive and finite, got nan"),
+         f"{VALIDATION_INPUT}the histogram upper edge must be positive and finite, got nan"),
         (["validate", "--process", "stable-half", "--l1-max", "nan"],
-         "--l1-max must be nonnegative and finite, got nan"),
-        # OverflowError tracebacks from the float product lo * 2**nmax
+         f"{VALIDATION_INPUT}l1_max must be nonnegative and finite, got nan"),
+        # OverflowError tracebacks from the float product lo * 2**nmax; the
+        # level is checked before the window
         (["paths", "--process", "gamma", "--nmax", "1100", "--range=0:1"],
-         "--range 0:1 reaches 2^63 grid steps from t = 0 at --nmax 1100; "
-         "lower --nmax or narrow --range"),
+         f"{PATH_GRID}level must lie in 0..1022, got 1100"),
         (["validate", "--process", "stable-half", "--nmax", "1023"],
-         "--range -1.01:14 reaches 2^63 grid steps from t = 0 at --nmax 1023; "
-         "lower --nmax or narrow --range"),
+         f"{PATH_GRID}level must lie in 0..1022, got 1023"),
         # an OverflowError traceback from the bridge tree's 2^(depth + 1), and
         # a math domain error from a grid step that underflows to 0.0
         (["validate", "--process", "stable-half", "--nmax", "1100",
           "--range=-1e-320:1e-320", "--n", "10"],
-         "--nmax must be at most 1022, got 1100: finer grid steps are not normal doubles"),
+         f"{PATH_GRID}level must lie in 0..1022, got 1100"),
         (["paths", "--process", "gamma", "--nmax", "1080", "--range=-5e-324:5e-324"],
-         "--nmax must be at most 1022, got 1080: finer grid steps are not normal doubles"),
+         f"{PATH_GRID}level must lie in 0..1022, got 1080"),
     ],
 )
 def test_bad_numbers_are_refused_before_any_path(tmp_path, monkeypatch, argv, message):
@@ -797,7 +803,7 @@ def test_process_flags_the_family_lacks_are_refused(tmp_path, monkeypatch, argv,
          "query left the sampled window (level 1.5601173020527859 above sampled range max "
          "1.5595118529347547); enlarge --range"),
         (["validate", "--process", "stable-half", "--n", "0"],
-         "invalid validation input: n_samples must be >= 1"),
+         f"{VALIDATION_INPUT}n_samples must be >= 1"),
         (["validate", "--process", "stable-half", "--n", "200", "--range=-0.01:0.5"],
          "cannot validate: 200/200 samples exhausted the window (-164, 8192): 174 paths do "
          "not reach x0 = 8.0 by k_max = 8192 (widen the upper end of --range), 26 shifted "
@@ -841,7 +847,7 @@ def test_density_refuses_a_level_its_grid_cannot_hold(tmp_path, x):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--x", x, "--t", "1", "--zfar=-1e306", "--out", str(tmp_path / "run")])
     assert exc.value.code == (
-        "invalid density grid (--zcount, --zfar): x must lie in [2.22507e-303, 1.63427e+308], "
+        f"{DENSITY_INPUT}x must lie in [2.22507e-303, 1.63427e+308], "
         "where the innermost grid point 1e-05 x is a normal double and the band end 1.1 x is "
         f"finite, got {float(x)!r}"
     )

@@ -529,6 +529,12 @@ def test_basepoint_cdf_refuses_bad_inputs():
         basepoint_cdf(-1.0, 1.0, np.array([-2.0]))
     with pytest.raises(ValueError, match="t must be positive"):
         basepoint_cdf(1.0, 0.0, np.array([-2.0]))
+    # basepoint_density(8, inf, grid) returned a table of mass 0
+    for t in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"t must be positive and finite, got {t}"):
+            basepoint_cdf(8.0, t, np.array([-2.0]))
+        with pytest.raises(ValueError, match=f"t must be positive and finite, got {t}"):
+            basepoint_density(8.0, t, default_z_grid(8.0))
 
 
 def test_default_z_grid_shape():
@@ -566,14 +572,51 @@ def test_default_z_grid_refuses_a_level_its_grid_cannot_hold(end):
 
 def test_basepoint_density_is_finite_at_tiny_levels_and_huge_times():
     # inf * 0 in the negative side wrote NaN densities (226 rows of density.csv
-    # at x = 1e-10, t = 1e308), after overflow warnings
-    for x, t in itertools.product([1e-300, 1e-10, 8.0], [1e-300, 1e-10, 1.0, 1e154, 1e308]):
+    # at x = 1e-10, t = 1e308), after overflow warnings; above x = max/2 the
+    # exponents' 2 (x - z) overflowed (421 NaN rows at x = 1.6e308, t = 1e308)
+    # and F(0) = erf(t / sqrt(2 x)) read 0
+    levels = [1e-300, 1e-10, 8.0, 1.6e308]
+    for x, t in itertools.product(levels, [1e-300, 1e-10, 1.0, 1e154, 1e308]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve = basepoint_density(x, t, default_z_grid(x))
+            curve = basepoint_density(x, t, default_z_grid(x, z_neg_far=min(-1e6, -x / 1e3)))
         assert np.all(np.isfinite(curve.f)) and np.all(curve.f >= 0.0), (x, t)
         assert np.all(np.diff(curve.F) >= 0.0), (x, t)
         assert 0.0 <= curve.F[0] and curve.F[-1] <= 1.0, (x, t)
+        f0 = erf(t / math.sqrt(2.0) / math.sqrt(x))
+        assert np.isclose(curve.F[curve.z == 0.0][0], f0, rtol=1e-15, atol=0.0), (x, t)
+
+
+def test_basepoint_law_at_huge_levels_is_the_scaled_law():
+    # the law scales as (x, t, z) -> (c^2 x, c t, c^2 z); with c = 1e150 a
+    # level above max/2, where 2 x and 2 (x - z) overflow, maps to a moderate one;
+    # at the far end -1.5e308 also x - z overflows, where F read 0 up to -8e307
+    c = 1e150
+    # the density at the far end is subnormal: a few of its last units
+    atol = 4 * np.finfo(float).smallest_subnormal
+    for x, t in itertools.product([1e308, 1.6e308], [1.0, 1e154, 1.5e154]):
+        for far in (-x / 1e3, -1.5e308):
+            z = default_z_grid(x, z_neg_far=far)
+            curve = basepoint_density(x, t, z)
+            scaled = basepoint_density(x / c**2, t / c, z / c**2)
+            assert np.allclose(curve.F, scaled.F, rtol=0.0, atol=2e-15), (x, t, far)
+            assert np.all(np.diff(curve.F) >= 0.0), (x, t, far)
+            neg = z < 0.0
+            f_scaled = scaled.f[neg] / c**2
+            assert np.allclose(curve.f[neg], f_scaled, rtol=1e-14, atol=atol), (x, t, far)
+
+
+def test_basepoint_law_at_tiny_times_is_the_scaled_law():
+    # at t = 1e-300, t t underflows: the negative side's exponent difference
+    # read 0, which dropped the D term and doubled f (density --x 1e-300
+    # --t 1e-300 wrote 163 such rows); the twin scaled by c = 1e147 keeps
+    # t t a normal double
+    c = 1e147
+    z = -np.geomspace(1e-296, 1e-300, 50)
+    curve = basepoint_density(1e-300, 1e-300, z)
+    twin = basepoint_density(1e-300 * c * c, 1e-300 * c, z * c * c)
+    assert np.allclose(curve.f, twin.f * c * c, rtol=1e-14, atol=0.0)
+    assert np.allclose(curve.F, twin.F, rtol=0.0, atol=1e-15)
 
 
 def test_export_files(tmp_path):

@@ -17,6 +17,8 @@
   named in the package apart from its definition and its ``__all__`` entry,
   or in ``perfbench/``.  The only exceptions are the hitting-data laws that
   the acceptance tests check.
+* ``levy_paths.DyadicGrid`` owns the level and window rules: no comparison
+  elsewhere reads ``MAX_LEVEL`` or the ``2**53`` window bound.
 """
 
 import ast
@@ -239,3 +241,33 @@ def test_every_public_name_has_a_caller():
     in_acceptance = {name for _, name in _imports(tree)}
     missing = sorted(law for law in HITTING_LAWS if law.split(".")[1] not in in_acceptance)
     assert not missing, f"hitting-data laws that test_acceptance.py does not import: {missing}"
+
+
+def _is_grid_bound(node) -> bool:
+    """``MAX_LEVEL``, bare or as an attribute, or ``2**53``, as a power or a
+    number."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return getattr(node, "id", getattr(node, "attr", None)) == "MAX_LEVEL"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return getattr(node.left, "value", None) == 2 and getattr(node.right, "value", None) == 53
+    return isinstance(node, ast.Constant) and node.value == 2**53
+
+
+def _grid_bound_comparisons(node, cls=None):
+    """``(class, line)`` of every comparison that reads a grid bound, with
+    the class it sits in (None outside any)."""
+    if isinstance(node, ast.Compare) and any(_is_grid_bound(n) for n in ast.walk(node)):
+        yield cls, node.lineno
+    inner = node.name if isinstance(node, ast.ClassDef) else cls
+    for child in ast.iter_child_nodes(node):
+        yield from _grid_bound_comparisons(child, inner)
+
+
+def test_grid_bounds_are_compared_only_in_dyadic_grid():
+    bad = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for cls, line in _grid_bound_comparisons(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.stem, cls) != ("levy_paths", "DyadicGrid")
+    ]
+    assert not bad, f"level or window bounds compared outside levy_paths.DyadicGrid: {bad}"

@@ -67,8 +67,27 @@ def test_spec_validation():
         DyadicGrid(3, 1, 8)  # must contain k=0
     # the finest step is the smallest normal double; one level finer is subnormal
     assert DyadicGrid(MAX_LEVEL, 0, 1).dt == 2.0**-1022
-    with pytest.raises(ValueError, match="level must be at most 1022, got 1023"):
+    with pytest.raises(ValueError, match="level must lie in 0..1022, got 1023"):
         DyadicGrid(MAX_LEVEL + 1, 0, 1)
+
+
+def test_grid_spanning_is_the_float_window_and_checks_the_level_first():
+    # the k window of the exact integer products is the window that ldexp
+    # gives wherever ldexp is finite
+    for level, lo, hi in [(14, -1.01, 14.0), (6, -0.5, 0.5), (40, -1e-9, 3.3), (0, 0.25, 3.0),
+                          (MAX_LEVEL, -5e-324, 5e-324), (52, -0.75, 1.0 - 2.0**-53)]:
+        grid = DyadicGrid.spanning(level, lo, hi)
+        k_lo, k_hi = math.floor(math.ldexp(lo, level)), math.ceil(math.ldexp(hi, level))
+        assert (grid.level, grid.k_min, grid.k_max) == (level, min(k_lo, 0), max(k_hi, 0))
+    # a bad level is named before 2^level is formed or a window checked
+    for level in (-1, MAX_LEVEL + 1, 10**9):
+        with pytest.raises(ValueError, match=f"level must lie in 0..1022, got {level}$"):
+            DyadicGrid.spanning(level, 0.0, 1e308)
+    # |k| < 2^53: every grid time is an exact double
+    assert DyadicGrid(0, -(2**53) + 1, 2**53 - 1).k_max == 2**53 - 1
+    for level, lo, hi in [(53, 0.0, 1.0), (0, -(2.0**53), 0.0), (MAX_LEVEL, -1.01, 14.0)]:
+        with pytest.raises(ValueError, match="reaches 2\\^53 grid steps from k = 0"):
+            DyadicGrid.spanning(level, lo, hi)
 
 
 def test_gamma_increment_mean():

@@ -13,6 +13,7 @@ from goupsim import montecarlo_validation
 from goupsim.goupillaud import basepoint
 from goupsim.ig_analytics import running_max_density
 from goupsim.levy_paths import (
+    DyadicGrid,
     GammaDrift,
     PoissonDrift,
     RngSeed,
@@ -45,20 +46,12 @@ SEED = RngSeed(97531)
 
 def test_mc_config_validation():
     with pytest.raises(ValueError):
-        McConfig(0, 10, (-8, 8), SEED)
+        McConfig(0, DyadicGrid(10, -8, 8), SEED)
     with pytest.raises(ValueError):
-        McConfig(10, 10, (-8, 8), SEED, bins=1)
+        McConfig(10, DyadicGrid(10, -8, 8), SEED, bins=1)
     # spike_refined_bin_edges needs 8 bins: refused here, by name
     with pytest.raises(ValueError, match="bins must be >= 8, got 5"):
-        McConfig(10, 10, (-8, 8), SEED, bins=5)
-    with pytest.raises(ValueError):
-        McConfig(10, 10, (2, 8), SEED)
-    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
-        McConfig(10, -1, (-8, 8), SEED)
-    with pytest.raises(ValueError, match="n_max must be at most 1022, got 1100"):
-        McConfig(10, 1100, (-8, 8), SEED)
-    with pytest.raises(ValueError, match="reaches 2\\^53 grid steps"):
-        McConfig(10, 60, (-8, 14 * 2**60), SEED)
+        McConfig(10, DyadicGrid(10, -8, 8), SEED, bins=5)
 
 
 def test_sample_basepoints_matches_full_path_route():
@@ -68,13 +61,13 @@ def test_sample_basepoints_matches_full_path_route():
     # bitwise (a two-sample KS test; stable-1/2 trees are checked against
     # the exact law and their breadth-first expansion in test_bridge_tree)
     cases = [
-        (2.0, McConfig(400, 8, (-2 * 2**8, 6 * 2**8), SEED)),
-        (8.0, McConfig(400, 10, (-2**10, 14 * 2**10), SEED)),
+        (2.0, McConfig(400, DyadicGrid(8, -2 * 2**8, 6 * 2**8), SEED)),
+        (8.0, McConfig(400, DyadicGrid(10, -2**10, 14 * 2**10), SEED)),
     ]
     runs = [
         *itertools.product(cases, (GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0))),
         # driftless: full paths keep their floating-point ties, as trees do
-        ((2.0, McConfig(400, 8, (-2 * 2**8, 14 * 2**8), SEED)), GammaDrift(1.0, 1.0, 0.0)),
+        ((2.0, McConfig(400, DyadicGrid(8, -2 * 2**8, 14 * 2**8), SEED)), GammaDrift(1.0, 1.0, 0.0)),
     ]
     for (x0, cfg), spec in runs:
         got = sample_basepoints(spec, x0, 1.0, cfg)
@@ -84,7 +77,7 @@ def test_sample_basepoints_matches_full_path_route():
             [
                 basepoint(
                     build_two_sided_path(
-                        spec, cfg.n_max, cfg.window[0], cfg.window[1], SEED, substream=(i,)
+                        spec, cfg.grid.level, cfg.grid.k_min, cfg.grid.k_max, SEED, substream=(i,)
                     ),
                     x0,
                     1.0,
@@ -98,7 +91,7 @@ def test_sample_basepoints_matches_full_path_route():
 def test_sample_basepoints_worker_invariance():
     # a sample's value follows from its index alone, not from how the
     # samples are split up (here into tree chunks of 3)
-    cfg = McConfig(60, 10, (-2**10, 8 * 2**10), SEED)
+    cfg = McConfig(60, DyadicGrid(10, -2**10, 8 * 2**10), SEED)
     for spec in (StableHalf(), GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0)):
         serial = sample_basepoints(spec, 4.0, 1.0, cfg)
         with pytest.MonkeyPatch.context() as mp:
@@ -109,7 +102,7 @@ def test_sample_basepoints_worker_invariance():
 
 
 def test_sample_basepoints_below_level():
-    cfg = McConfig(200, 10, (-2**10 - 4, 14 * 2**10), SEED)
+    cfg = McConfig(200, DyadicGrid(10, -2**10 - 4, 14 * 2**10), SEED)
     out = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
     assert out.n_failed == 0
     assert np.all(out.values < 8.0)
@@ -120,7 +113,7 @@ def test_sample_basepoints_refuses_nonpositive_level(x0):
     # the lazy search runs forward only; at x0 = -1 it used to return base
     # points at or above x0, and at x0 = 0 it hit one grid step late; no
     # path reaches x0 = inf, which used to be reported as a short window
-    cfg = McConfig(200, 10, (-4 * 2**10, 14 * 2**10), RngSeed(5))
+    cfg = McConfig(200, DyadicGrid(10, -4 * 2**10, 14 * 2**10), RngSeed(5))
     with pytest.raises(ValueError, match="x0"):
         sample_basepoints(StableHalf(), x0, 1.0, cfg)
 
@@ -129,14 +122,14 @@ def test_sample_basepoints_refuses_nonpositive_level(x0):
 def test_sample_basepoints_refuses_a_nonpositive_or_infinite_shift(t0):
     # t0 = inf used to pass and then fail every sample as before the window,
     # with advice to widen a range that no width can fix
-    cfg = McConfig(200, 10, (-4 * 2**10, 14 * 2**10), RngSeed(5))
+    cfg = McConfig(200, DyadicGrid(10, -4 * 2**10, 14 * 2**10), RngSeed(5))
     with pytest.raises(ValueError, match=f"t0 must be positive and finite, got {t0}"):
         sample_basepoints(StableHalf(), 8.0, t0, cfg)
 
 
 def test_sample_basepoints_window_exhaustion():
     # one time unit rarely reaches 8: the upper end of the window is short
-    cfg = McConfig(100, 8, (-2**8, 2**8), SEED)
+    cfg = McConfig(100, DyadicGrid(8, -2**8, 2**8), SEED)
     with pytest.raises(
         RuntimeError,
         match=r"(\d+)/100 samples .*: \1 paths do not reach x0 = 8.0 by k_max = 256 "
@@ -148,7 +141,7 @@ def test_sample_basepoints_window_exhaustion():
 def test_sample_basepoints_counts_shifted_times_before_the_window():
     # level 8 is hit by time 14 but rarely after time 11, so hitting time
     # minus 12 falls before the window's start at time -1
-    cfg = McConfig(100, 8, (-2**8, 14 * 2**8), SEED)
+    cfg = McConfig(100, DyadicGrid(8, -2**8, 14 * 2**8), SEED)
     with pytest.raises(
         RuntimeError,
         match=r"(\d+)/100 samples .*: 0 paths do not reach .*, \1 shifted times fall "
@@ -604,8 +597,7 @@ def test_headline_validation_passes_with_ks():
     n_max = 14
     cfg = McConfig(
         n_samples=10**4,
-        n_max=n_max,
-        window=(-(2**n_max) - 164, 14 * 2**n_max),
+        grid=DyadicGrid(n_max, -(2**n_max) - 164, 14 * 2**n_max),
         root_seed=RngSeed(20230915),
         bins=60,
     )
@@ -626,7 +618,7 @@ def test_validation_scores_on_the_exact_cdf():
     from goupsim.montecarlo_validation import validate_basepoints
 
     x0, t0 = 4.0, 1.0
-    cfg = McConfig(300, 9, (-(2**9) - 8, 10 * 2**9), SEED, bins=12)
+    cfg = McConfig(300, DyadicGrid(9, -(2**9) - 8, 10 * 2**9), SEED, bins=12)
     result = validate_basepoints(StableHalf(), x0, t0, cfg)
     report, h = result.report, result.hist
     F = basepoint_cdf(x0, t0, h.edges)
@@ -664,7 +656,7 @@ def test_concentration_verdict_scores_bin_zero():
     from goupsim.ig_analytics import basepoint_cdf
     from goupsim.montecarlo_validation import concentration_shortfall, validate_basepoints
 
-    cfg = McConfig(2500, 10, (-(2**10) - 8, 14 * 2**10), SEED, bins=40)
+    cfg = McConfig(2500, DyadicGrid(10, -(2**10) - 8, 14 * 2**10), SEED, bins=40)
     result = validate_basepoints(StableHalf(), 8.0, 1.0, cfg, with_ks=False)
     h = result.hist
     mass = float(np.diff(basepoint_cdf(8.0, 1.0, h.edges[:2]))[0])
@@ -674,7 +666,7 @@ def test_concentration_verdict_scores_bin_zero():
 
 
 def test_exports(tmp_path):
-    cfg = McConfig(20, 8, (-2**8, 6 * 2**8), SEED)
+    cfg = McConfig(20, DyadicGrid(8, -2**8, 6 * 2**8), SEED)
     out = sample_basepoints(StableHalf(), 2.0, 0.5, cfg)
     f = tmp_path / "samples.csv"
     write_samples_csv(out, f)
