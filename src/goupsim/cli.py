@@ -8,11 +8,10 @@ solve      transport solution fields at given times, long-format CSV
 converge   L^p distances of level-N solutions to the finest level, CSV
 density    analytic base-point density and CDF for the stable-1/2 process
 validate   Monte Carlo base points against the analytic density; exit
-           status is nonzero unless every configured check passes
+           status is nonzero unless every check that runs passes
 
-Global flags ``--seed`` and ``--out`` can also be set through environment
-variables with the ``GOUPSIM_`` prefix (``GOUPSIM_SEED``, ``GOUPSIM_OUT``);
-flags win over the environment.
+A run reads only its arguments: ``--seed`` defaults to 20230915 and ``--out``
+to ``goupsim-out``, whatever the environment holds.
 ``--tol-abs`` and ``--tol-rel`` are still accepted but no longer affect any
 output: the base-point law is evaluated in closed form.  ``--threads`` is
 still accepted, and refused below 1, but no longer affects any output either:
@@ -30,7 +29,8 @@ window by ``levy_paths.DyadicGrid``, the density query by
 ``invalid <what> (<flags>): <message>`` that names the flags of that call.
 This module checks only what it parses: ``LO:HI`` ranges, ``--times``,
 ``--kgrid``, ``--levels``, ``--xcount``, ``--threads`` and ``--level``
-against ``--nmax``.
+against ``--nmax``.  An array too large to allocate, in any command, ends
+the run in one line that names the command and numpy's allocation message.
 
 Every command writes ``manifest.json`` echoing the resolved scientific
 configuration, the datum and all its flags included for ``solve`` and
@@ -49,7 +49,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -59,36 +58,15 @@ from . import ig_analytics, levy_paths, montecarlo_validation, transport
 from .csvio import write_json
 from .levy_paths import ProcessSpec, RngSeed
 
-_ENV_PREFIX = "GOUPSIM_"
-
-
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise SystemExit(f"invalid {_ENV_PREFIX}{name}={raw!r}: {exc}")
-
-
-#: global flags whose default comes from ``GOUPSIM_<NAME>``, read on every
-#: call of :func:`main` (the parser is built once per process)
-_ENV_DEFAULTS = {
-    "seed": ("SEED", int, 20230915),
-    "out": ("OUT", Path, Path("goupsim-out")),
-}
-
-
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, help="64-bit root seed (env GOUPSIM_SEED)")
+    parser.add_argument("--seed", type=int, default=20230915, help="64-bit root seed")
     parser.add_argument(
         "--stream",
         type=int,
         default=0,
         help="stream id under the root seed (independent substreams)",
     )
-    parser.add_argument("--out", type=Path, help="output directory (env GOUPSIM_OUT)")
+    parser.add_argument("--out", type=Path, default=Path("goupsim-out"), help="output directory")
     parser.add_argument(
         "--threads",
         type=int,
@@ -224,12 +202,6 @@ def _path_from_args(args: argparse.Namespace, spec: ProcessSpec, grid: levy_path
         )
     except RuntimeError as exc:  # a path value is not finite
         raise SystemExit(f"cannot sample this path: {exc}")
-    except MemoryError:
-        points = grid.k_max - grid.k_min + 1
-        raise SystemExit(
-            f"cannot sample this path: its {points} grid points (--nmax {args.nmax}, "
-            f"--range {args.range}) do not fit in memory; lower --nmax or narrow --range"
-        )
 
 
 #: datum classes by their ``--datum`` name; each field is a flag of its own
@@ -360,8 +332,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             bins=args.bins,
         )
         result = montecarlo_validation.validate_basepoints(
-            spec, args.x0, args.t0, cfg, l1_max=args.l1_max, hist_hi=args.hist_hi,
-            with_ks=not args.no_ks,
+            spec, args.x0, args.t0, cfg, l1_max=args.l1_max, hist_hi=args.hist_hi
         )
     except ValueError as exc:
         raise SystemExit(
@@ -379,7 +350,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _write_manifest(
         args,
         {**config, "x0": args.x0, "t0": args.t0, "n": args.n, "bins": args.bins,
-         "hist_hi": args.hist_hi, "l1_max": args.l1_max, "with_ks": not args.no_ks},
+         "hist_hi": args.hist_hi, "l1_max": args.l1_max},
     )
     for note in result.report["skipped"]:
         print(f"validate: skipped {note}", file=sys.stderr)
@@ -448,16 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=60)
     p.add_argument("--hist-hi", type=float, default=8.5, help="histogram upper edge")
     p.add_argument("--l1-max", type=float, default=0.10, help="L1 pass threshold")
-    p.add_argument("--no-ks", action="store_true", help="skip the KS comparison")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for dest, (name, cast, fallback) in _ENV_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, _env(name, cast, fallback))
     try:
         RngSeed(args.seed, args.stream)  # reject bad seeds before any work
     except ValueError as exc:
@@ -468,6 +435,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except levy_paths.WindowError as exc:  # a solve or converge query
         raise SystemExit(f"query left the sampled window ({exc}); enlarge --range")
+    except MemoryError as exc:  # numpy's message names the array's size
+        raise SystemExit(f"cannot run {args.command}: out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -4,23 +4,25 @@ Every JSON file (manifests, reports, path metadata, density queries) goes
 through :func:`write_json`: two-space indent, sorted keys and a final
 newline, so a rerun rewrites it byte for byte.
 
-Every CSV writer in the package formats its rows through :func:`write_csv`
-with one ``str.format`` row template, ``BLOCK`` rows at a time, so memory
-stays bounded by one chunk of text whatever the column length.  Floats use
-``.17g``, which round-trips exactly.  The bytes always equal those of
-``row.format(*values)`` on each row's Python scalars (``ndarray.tolist``).
+Every CSV writer in the package formats its rows through :func:`write_csv`,
+``BLOCK`` rows at a time, so memory stays bounded by one chunk of text
+whatever the column length.  A field's format comes from its column's dtype:
+an integer column is written with ``str`` and any other with ``.17g``, which
+round-trips a double exactly; fields are joined by ``,``.  The bytes always
+equal those of ``str.format`` over each row's Python scalars
+(``ndarray.tolist``) with ``{}`` and ``{:.17g}`` fields.
 
 Two code paths produce those bytes:
 
-* ``str.format`` on the ``tolist`` scalars.  It formats any template and
-  every partial last chunk (fewer than ``BLOCK`` rows), and it is the
+* ``str.format`` on the ``tolist`` scalars.  It formats every column dtype
+  and every partial last chunk (fewer than ``BLOCK`` rows), and it is the
   tests' reference.
-* A numpy kernel for each full ``BLOCK``-row chunk, when every field of the
-  template is ``{}`` over an integer column or ``{:.17g}`` over a float64
-  column.  Its fixed cost per call loses to ``str.format`` below a few
-  hundred rows, so files shorter than ``BLOCK`` rows (density grids,
-  histograms, solution fields of a few thousand rows) never reach it; long
-  ones such as ``path.csv`` take it for all but their last chunk.
+* A numpy kernel for each full ``BLOCK``-row chunk, when every column is
+  float64 or of an integer dtype that fits int64.  Its fixed cost per call
+  loses to ``str.format`` below a few hundred rows, so files shorter than
+  ``BLOCK`` rows (density grids, histograms, solution fields of a few
+  thousand rows) never reach it; long ones such as ``path.csv`` take it for
+  all but their last chunk.
 
 The kernel follows correctly rounded binary-to-decimal conversion (Gay,
 1990).  For ``|x|`` in ``[1e-200, 1e200]`` it takes ``E = floor(log10|x|)``
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import json
-import string
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -228,63 +229,54 @@ def _int_field(k: np.ndarray, words: np.ndarray) -> None:
         words[:, j] = tab.int_groups[g] & tab.int_masks[j][row] | tab.int_signs[j][row]
 
 
-def _kernel_layout(row: str, cols: list[np.ndarray]):
-    """Where the kernel puts each field and literal text of ``row + "\\n"``:
-    ``(width, fields, literals)`` in bytes of one slot row, or None when a
-    field is not a kernel field or the words are not little-endian."""
+def _kernel_layout(cols: list[np.ndarray]):
+    """Where the kernel puts each column's field and the ``,`` or ``\\n``
+    after it: ``(width, fields, separators, text)`` in bytes of one slot
+    row, or None when a column is neither float64 nor an integer dtype that
+    fits int64, or the words are not little-endian."""
     if sys.byteorder != "little":
         return None
-    parts = list(string.Formatter().parse(row + "\n"))
-    fields, literals, at = [], [], 0
-    for text, name, spec, conversion in parts:
-        text = text.encode()
-        if b"\0" in text:
-            return None
-        literals.append((at, text))
-        at += len(text)
-        if name is None:
-            continue
-        if name != "" or conversion is not None or len(fields) == len(cols):
-            return None
-        dtype = cols[len(fields)].dtype
-        if spec == ".17g" and dtype == np.float64:
+    fields, separators, at = [], [], 0
+    for col in cols:
+        if col.dtype == np.float64:
             writer, word, size, used = _float_field, np.uint64, 8 * _F_WORDS, _F_USED
-        elif spec == "" and dtype.kind in "iu" and np.can_cast(dtype, np.int64):
+        elif col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64):
             writer, word, size, used = _int_field, np.uint32, 4 * _I_WORDS, _I_USED
         else:
             return None
         at = -(-at // 8) * 8  # fields start on a word boundary
         fields.append((writer, at, size, word))
-        at += used  # the next literal may fill the field's spare slots
-    if len(fields) != len(cols):
-        return None
+        separators.append(at + used)  # the slot after the field's used ones
+        at += used + 1
     width = -(-max(at, *(f[1] + f[2] for f in fields)) // 8) * 8
-    return width, fields, literals
+    text = np.frombuffer(b"," * (len(cols) - 1) + b"\n", np.uint8)
+    return width, fields, np.array(separators), text
 
 
 def _kernel_rows(layout, chunk: list[np.ndarray], buf: bytearray) -> bytes:
     """The text of the rows of ``chunk``, one slot row each in ``buf``.
 
-    Fields and literals rewrite the same slots of every chunk, so the slots
-    between them stay as zeroed when ``buf`` was made."""
-    width, fields, literals = layout
+    Fields and separators rewrite the same slots of every chunk, so the
+    slots between them stay as zeroed when ``buf`` was made."""
+    width, fields, at, text = layout
     slots = np.frombuffer(buf, np.uint8).reshape(-1, width)
-    for (writer, at, size, word), col in zip(fields, chunk):
-        writer(col, slots[:, at : at + size].view(word))
-    for at, text in literals:  # after the fields: they may share a word
-        slots[:, at : at + len(text)] = np.frombuffer(text, np.uint8)
+    for (writer, lo, size, word), col in zip(fields, chunk):
+        writer(col, slots[:, lo : lo + size].view(word))
+    slots[:, at] = text  # after the fields: a separator may share their last word
     return buf.translate(None, b"\0")
 
 
-def write_csv(out: Path | str, header: str, row: str, *columns) -> None:
-    """Write ``header`` and then ``row.format(*values)`` for each index of
-    the equal-length ``columns``, one line each."""
+def write_csv(out: Path | str, header: str, *columns) -> None:
+    """Write ``header`` and then one line for each index of the
+    equal-length ``columns``: the fields joined by ``,``, an integer
+    column's as ``str`` and any other column's as ``.17g``."""
     cols = [np.asarray(c) for c in columns]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError(f"column lengths differ: {[len(c) for c in cols]}")
+    row = ",".join("{}" if c.dtype.kind in "iu" else "{:.17g}" for c in cols)
     fmt = (row + "\n").format
-    layout = _kernel_layout(row, cols) if n >= BLOCK else None
+    layout = _kernel_layout(cols) if n >= BLOCK else None
     if layout is not None:
         buf = bytearray(BLOCK * layout[0])
     with open(out, "wb") as fh:

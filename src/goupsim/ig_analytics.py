@@ -492,13 +492,11 @@ def default_z_grid(x: float, n: int = 512, z_neg_far: float = -1e6) -> np.ndarra
 
 
 def write_density_csv(curve: DensityCurve, out: Path | str) -> None:
-    write_csv(
-        out, "z,f,err", "{:.17g},{:.17g},{:.17g}", curve.z, curve.f, curve.err
-    )
+    write_csv(out, "z,f,err", curve.z, curve.f, curve.err)
 
 
 def write_cdf_csv(curve: DensityCurve, out: Path | str) -> None:
-    write_csv(out, "z,F", "{:.17g},{:.17g}", curve.z, curve.F)
+    write_csv(out, "z,F", curve.z, curve.F)
 
 
 def write_query_json(curve: DensityCurve, out: Path | str) -> None:

@@ -192,14 +192,6 @@ class DyadicGrid:
     def time(self, k):
         return np.asarray(k, dtype=float) * self.dt
 
-    @property
-    def t_min(self) -> float:
-        return self.k_min * self.dt
-
-    @property
-    def t_max(self) -> float:
-        return self.k_max * self.dt
-
 
 @dataclass(frozen=True, eq=False)
 class LevyPathSample:
@@ -213,12 +205,6 @@ class LevyPathSample:
     values: np.ndarray
     seed: RngSeed
     process: ProcessSpec
-
-    def index_of(self, k: int) -> int:
-        return int(k) - self.grid.k_min
-
-    def value_at_index(self, k):
-        return self.values[np.asarray(k) - self.grid.k_min]
 
 
 def stream_for(seed: RngSeed, *key: int) -> Generator:
@@ -582,7 +568,7 @@ FAMILIES = {cls.family: cls for cls in (GammaDrift, PoissonDrift, StableHalf)}
 def write_path_csv(path: LevyPathSample, out: Path | str) -> None:
     """Write ``k,t,x`` rows, one per grid index, 17 significant digits."""
     k = np.arange(path.grid.k_min, path.grid.k_max + 1)
-    write_csv(out, "k,t,x", "{},{:.17g},{:.17g}", k, path.grid.time(k), path.values)
+    write_csv(out, "k,t,x", k, path.grid.time(k), path.values)
 
 
 def write_path_metadata(path: LevyPathSample, out: Path | str) -> None:

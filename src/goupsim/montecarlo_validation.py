@@ -14,10 +14,10 @@ Two sample sources:
                              bias of the bare mesh maximum, and Levy passage
                              times find the overshoot without a mesh walk.
 
-Comparison tools: left-closed histograms with overflow tracking, and the L1
-distance (bin masses) and Kolmogorov-Smirnov statistic of samples against a
-CDF; ``validate_basepoints`` scores the samples against the exact base-point
-CDF of ``ig_analytics``, whose ``hit_under_bin_masses`` is re-exported here,
+Comparison tools: left-closed histograms, and the L1 distance (bin masses)
+and Kolmogorov-Smirnov statistic of samples against a CDF;
+``validate_basepoints`` scores the samples against the exact base-point CDF
+of ``ig_analytics``, whose ``hit_under_bin_masses`` is re-exported here,
 returns the law tabulated once by ``basepoint_density``, and records each
 verdict once, as a ``Check`` that the report's entries are written from.
 """
@@ -72,7 +72,9 @@ class McConfig:
     ``grid`` is the level and k window of the sampled paths; its window
     must be wide enough for the paths to reach the queried level and for
     the shifted evaluation time to stay inside (failures are counted per
-    sample and the run aborts above a 1% failure rate).
+    sample and the run aborts above a 1% failure rate).  ``bins`` is
+    checked where the histogram edges are made
+    (:func:`spike_refined_bin_edges`).
     """
 
     n_samples: int
@@ -83,8 +85,6 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.bins < 8:
-            raise ValueError(f"bins must be >= 8, got {self.bins}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +115,6 @@ class Histogram:
     edges: np.ndarray
     counts: np.ndarray
     n: int
-    n_under: int
-    n_over: int
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +343,16 @@ def bm_functionals_oracle(
 
 
 def histogram(samples, edges) -> Histogram:
-    """Left-closed binning ``[e_i, e_(i+1))``; out-of-range samples are
-    tracked separately (the last edge is exclusive)."""
+    """Left-closed binning ``[e_i, e_(i+1))``; samples outside the edges
+    (the last edge is exclusive) count in ``n`` only."""
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
     samples = np.asarray(samples, dtype=float)
     idx = np.searchsorted(edges, samples, side="right") - 1
-    n_under = int(np.sum(idx < 0))
-    n_over = int(np.sum(idx >= edges.size - 1))
     inside = idx[(idx >= 0) & (idx < edges.size - 1)]
     counts = np.bincount(inside, minlength=edges.size - 1)
-    return Histogram(edges, counts, int(samples.size), n_under, n_over)
+    return Histogram(edges, counts, int(samples.size))
 
 
 def l1_distance(h: Histogram, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -389,7 +385,7 @@ def spike_refined_bin_edges(hi: float = 8.5, bins: int = 60) -> np.ndarray:
     The first bin keeps width ``split/128`` so that its expected occupancy
     stays statistically meaningful at typical sample sizes."""
     if bins < 8:
-        raise ValueError("need at least 8 bins")
+        raise ValueError(f"bins must be >= 8, got {bins}")
     if not 0.0 < hi < np.inf:
         raise ValueError(f"the histogram upper edge must be positive and finite, got {hi}")
     n_geo = max(bins // 3, 4)
@@ -446,7 +442,6 @@ def validate_basepoints(
     *,
     l1_max: float = 0.10,
     hist_hi: float = 8.5,
-    with_ks: bool = True,
 ) -> ValidationResult:
     """Monte Carlo base points against the exact base-point law.
 
@@ -455,9 +450,8 @@ def validate_basepoints(
     level, mass concentration at the origin (the exact law's densest bin is
     the bin nearest 0, and the sample's count there is not below the 1%
     lower quantile of its exact binomial law, see
-    :func:`concentration_shortfall`), and optionally a Kolmogorov-Smirnov
-    test of the exact CDF at the samples at the 1% asymptotic critical
-    value.  ``checks`` lists the verdicts of the checks that ran, named
+    :func:`concentration_shortfall`), and a Kolmogorov-Smirnov test of the
+    exact CDF at the samples at the 1% asymptotic critical value.  ``checks`` lists the verdicts of the checks that ran, named
     ``l1``, ``concentration``, ``support`` and ``ks``; the report holds
     each as ``name`` (its value) and ``name_pass``, and ``report["pass"]``
     is true when all of them passed.  ``curve`` tabulates the law, density
@@ -470,10 +464,14 @@ def validate_basepoints(
     skipped with a notice when the sample law degenerates to a point mass,
     and the L1 and concentration checks when no sample lands in the
     histogram range ``[0, hist_hi]``: an empty histogram tests nothing.
+    A level that the law's grid cannot hold is refused before any sampling.
     """
     if not 0.0 <= l1_max < np.inf:
         raise ValueError(f"l1_max must be nonnegative and finite, got {l1_max}")
     edges = spike_refined_bin_edges(hist_hi, cfg.bins)
+    exact = isinstance(spec, StableHalf)
+    if exact and 0.0 < x0 < np.inf:  # the sampler refuses x0 <= 0, inf and nan
+        z = default_z_grid(x0)
     samples = sample_basepoints(spec, x0, t0, cfg)
     hist = histogram(samples.values, edges)
 
@@ -493,7 +491,7 @@ def validate_basepoints(
         "skipped": [],
     }
 
-    if not isinstance(spec, StableHalf):
+    if not exact:
         report["skipped"].append(
             "analytic comparison: no closed-form base-point law for this "
             "process family (only stable-half)"
@@ -502,7 +500,7 @@ def validate_basepoints(
         return ValidationResult(report, samples, hist, None, [])
 
     cdf = partial(basepoint_cdf, x0, t0)
-    curve = basepoint_density(x0, t0, default_z_grid(x0))
+    curve = basepoint_density(x0, t0, z)
     report["mass"] = curve.mass
     checks = []
 
@@ -531,18 +529,15 @@ def validate_basepoints(
     worst = float(np.max(np.abs(curve.f[curve.z > x0])))
     checks.append(Check("support", "max |density| above x0", worst, 1e-10, worst <= 1e-10))
 
-    if with_ks:
-        std = float(np.std(samples.values))
-        if std <= 1e-12 * (1.0 + abs(float(np.mean(samples.values)))):
-            report["skipped"].append(
-                "ks: sample law is a point mass (degenerate); no density comparison"
-            )
-        else:
-            ks = ks_distance(samples.values, cdf)
-            ks_max = report["tolerances"]["ks_max"]
-            checks.append(Check("ks", "Kolmogorov-Smirnov distance", ks, ks_max, ks <= ks_max))
+    std = float(np.std(samples.values))
+    if std <= 1e-12 * (1.0 + abs(float(np.mean(samples.values)))):
+        report["skipped"].append(
+            "ks: sample law is a point mass (degenerate); no density comparison"
+        )
     else:
-        report["skipped"].append("ks: disabled by configuration")
+        ks = ks_distance(samples.values, cdf)
+        ks_max = report["tolerances"]["ks_max"]
+        checks.append(Check("ks", "Kolmogorov-Smirnov distance", ks, ks_max, ks <= ks_max))
 
     for c in checks:
         report[c.name] = c.value
@@ -556,11 +551,9 @@ def validate_basepoints(
 
 
 def write_samples_csv(samples: BasepointSamples, out: Path | str) -> None:
-    write_csv(out, "i,z", "{},{:.17g}", samples.indices, samples.values)
+    write_csv(out, "i,z", samples.indices, samples.values)
 
 
 def write_histogram_csv(h: Histogram, out: Path | str) -> None:
     n = h.counts.size
-    write_csv(
-        out, "left,right,count", "{:.17g},{:.17g},{}", h.edges[:n], h.edges[1 : n + 1], h.counts
-    )
+    write_csv(out, "left,right,count", h.edges[:n], h.edges[1 : n + 1], h.counts)

@@ -212,7 +212,6 @@ def write_solution_csv(fields: Sequence[SolutionField], out: Path | str) -> None
     write_csv(
         out,
         "t,x,u",
-        "{:.17g},{:.17g},{:.17g}",
         np.repeat([f.time for f in fields], [f.xs.size for f in fields]),
         np.concatenate([np.empty(0), *(f.xs for f in fields)]),
         np.concatenate([np.empty(0), *(f.values for f in fields)]),
@@ -225,7 +224,6 @@ def write_convergence_csv(
     write_csv(
         out,
         "N,distance,p",
-        "{},{:.17g},{:.17g}",
         [n for n, _ in table],
         [dist for _, dist in table],
         [p] * len(table),

@@ -72,7 +72,7 @@ def test_criterion_01_grid_identity():
             for n in levels:
                 agg = aggregate_to_level(path, n)
                 dt = agg.grid.dt
-                xs = agg.value_at_index(idx)
+                xs = agg.values[idx - agg.grid.k_min]
                 got = characteristic(
                     path,
                     n,
@@ -81,7 +81,7 @@ def test_criterion_01_grid_identity():
                     (idx * dt)[None, None, :],
                 )
                 m = idx[:, None, None] + idx[None, None, :] - idx[None, :, None]
-                expected = agg.value_at_index(m)
+                expected = agg.values[m - agg.grid.k_min]
                 assert np.array_equal(got, expected)
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
@@ -210,9 +210,7 @@ def test_criterion_07_basepoint_density_reproduction():
             root_seed=RngSeed(51423),
             bins=60,
         )
-        result = validate_basepoints(
-            StableHalf(), 8.0, 1.0, cfg, l1_max=0.10, hist_hi=8.5, with_ks=False
-        )
+        result = validate_basepoints(StableHalf(), 8.0, 1.0, cfg, l1_max=0.10, hist_hi=8.5)
         report = result.report
         assert report["n_failed"] <= 0.01 * cfg.n_samples
         assert report["l1"] <= 0.10, f"L1 distance {report['l1']:.4f} > 0.10"

@@ -105,15 +105,6 @@ def test_paths_reproducible_outputs(tmp_path):
     assert (tmp_path / "a/manifest.json").read_bytes() == (tmp_path / "b/manifest.json").read_bytes()
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("GOUPSIM_SEED", "1234")
-    out = tmp_path / "env"
-    main(["paths", "--process", "stable-half", "--nmax", "4", "--range=-1:1",
-          "--out", str(out)])
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 1234
-
-
 def test_solve_constant_datum(tmp_path):
     out = tmp_path / "run"
     rc = main(
@@ -297,20 +288,17 @@ def test_converge_bad_p_or_levels_is_an_error_line(tmp_path, flags, message):
     assert "\n" not in str(exc.value.code)
 
 
-def test_parser_is_built_once_and_calls_do_not_share_values(tmp_path, monkeypatch):
-    monkeypatch.delenv("GOUPSIM_SEED", raising=False)
+def test_parser_is_built_once_and_calls_do_not_share_values(tmp_path):
     assert build_parser() is build_parser()
     first, second, third = (tmp_path / name for name in ("first", "second", "third"))
     main(["paths", "--process", "stable-half", "--nmax", "4", "--range=-1:1",
           "--seed", "42", "--stream", "3", "--out", str(first)])
     main([*CONVERGE_SMALL[:-2], "--levels", "2,4", "--p", "2", "--datum", "constant",
           "--out", str(second)])
-    # the environment is read on every call, not when the parser is built
-    monkeypatch.setenv("GOUPSIM_SEED", "1234")
     main(["converge", "--process", "poisson", "--nmax", "6", "--range=-4:10",
           "--levels", "3", "--kgrid", "4:16", "--out", str(third)])
     configs = [json.loads((d / "manifest.json").read_text())["config"] for d in (first, second, third)]
-    assert [(c["seed"], c["stream"]) for c in configs] == [(42, 3), (20230915, 0), (1234, 0)]
+    assert [(c["seed"], c["stream"]) for c in configs] == [(42, 3), (20230915, 0), (20230915, 0)]
     assert (configs[1]["p"], configs[1]["levels"], configs[1]["datum"]) == (2.0, [2, 4], "constant")
     assert (configs[2]["p"], configs[2]["levels"], configs[2]["datum"]) == (1.0, [3], "triangular")
     assert configs[2]["process"]["family"] == "poisson" and configs[2]["grid"] == [4, 16]
@@ -433,6 +421,14 @@ def test_validate_bad_sizes_are_error_lines(tmp_path, sizes):
         )
 
 
+def test_validate_has_no_switch_for_the_ks_check(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--process", "stable-half", "--no-ks", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-ks" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("x0", ["-1", "0", "inf"])
 def test_validate_refuses_nonpositive_level(tmp_path, x0):
     # the lazy sampler searches forward only; it refuses instead of returning
@@ -528,18 +524,35 @@ def test_overflows_with_the_right_limit_print_no_warning(tmp_path, argv, code, s
         assert np.all(F == 1.0) and np.all(f == 0.0)
 
 
-@pytest.mark.parametrize("command", ["paths", "solve", "converge"])
+#: argv lists whose other arrays do not fit in memory: the density grid
+#: (327 TiB) and the solution grid (728 TiB), each beyond a 47-bit user
+#: address space whatever the host's memory; each was a numpy traceback
+TOO_LARGE_TO_ALLOCATE = {
+    "density": ["density", "--x", "8", "--t", "1", "--zcount", "100000000000000"],
+    "solve-xcount": ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10",
+                     "--xcount", "100000000000000"],
+}
+
+
+@pytest.mark.parametrize("command", ["paths", "solve", "converge", *TOO_LARGE_TO_ALLOCATE])
 def test_window_too_large_to_allocate_is_an_error_line(tmp_path, command):
     # 2^46 + 1 grid points take 512 TiB, beyond a 47-bit user address space;
     # 2^61 + 1 points reach past 2^53 grid steps, which the grid refuses first
     out = tmp_path / "run"
-    for nmax, why in ((46, f"its {2**46 + 1} grid points"), (61, "reaches 2^53 grid steps")):
-        argv = [command, "--process", "gamma", "--nmax", str(nmax), "--range=0:1", "--out", str(out)]
+    window = [command, "--process", "gamma", "--range=0:1"]
+    cases = [
+        ([*window, "--nmax", "46"], f"cannot run {command}: out of memory: Unable to allocate "
+         f"512. TiB for an array with shape ({2**46 + 1},) and data type float64"),
+        ([*window, "--nmax", "61"], f"{PATH_GRID}the k window reaches 2^53 grid steps"),
+    ]
+    if command in TOO_LARGE_TO_ALLOCATE:
+        argv = TOO_LARGE_TO_ALLOCATE[command]
+        cases = [(argv, f"cannot run {argv[0]}: out of memory: Unable to allocate ")]
+    for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
-            main(argv)
-        message = str(exc.value.code)
-        assert why in message
-        assert "--nmax" in message and "--range" in message
+            main([*argv, "--out", str(out)])
+        assert str(exc.value.code).startswith(message)
+        assert "\n" not in str(exc.value.code)
         assert not out.exists()
 
 
@@ -754,6 +767,10 @@ SOLVE_SMALL = ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10"]
          f"{PATH_GRID}level must lie in 0..1022, got 1100"),
         (["paths", "--process", "gamma", "--nmax", "1080", "--range=-5e-324:5e-324"],
          f"{PATH_GRID}level must lie in 0..1022, got 1080"),
+        # searched every tree first: the level is below the density grid's range
+        (["validate", "--process", "stable-half", "--x0", "1e-305"], f"{VALIDATION_INPUT}x must "
+         "lie in [2.22507e-303, 1.63427e+308], where the innermost grid point 1e-05 x is a "
+         "normal double and the band end 1.1 x is finite, got 1e-305"),
     ],
 )
 def test_bad_numbers_are_refused_before_any_path(tmp_path, monkeypatch, argv, message):
@@ -761,6 +778,7 @@ def test_bad_numbers_are_refused_before_any_path(tmp_path, monkeypatch, argv, me
         raise AssertionError("a path was built for refused input")
 
     monkeypatch.setattr("goupsim.levy_paths.build_two_sided_path", no_path)
+    monkeypatch.setattr("goupsim.montecarlo_validation.hit_index", no_path)
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "run")])
     assert exc.value.code == message

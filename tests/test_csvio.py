@@ -5,6 +5,8 @@ f-strings over numpy scalars, the way every writer formatted its rows before
 they moved to :func:`goupsim.csvio.write_csv`.  The columns hold awkward
 values (signed zero, the smallest subnormal, huge and non-finite floats,
 integral floats, negative indices) and run past one ``BLOCK`` chunk.
+``write_csv`` takes each field's format from its column's dtype: ``str``
+for an integer column, ``.17g`` for any other.
 
 Full chunks go through ``csvio``'s numpy kernel: further tests compare it
 with ``format(v, ".17g")`` and ``str(k)`` on hard values at row counts on both
@@ -111,7 +113,7 @@ def test_samples_csv(tmp_path):
 
 def test_histogram_csv(tmp_path):
     counts = np.resize(np.array([0, 7, 2**40, 1]), N)
-    h = Histogram(awkward(N + 1), counts, int(counts.sum()), 0, 0)
+    h = Histogram(awkward(N + 1), counts, int(counts.sum()))
     ref = "left,right,count\n" + "".join(
         f"{h.edges[i]:.17g},{h.edges[i + 1]:.17g},{h.counts[i]}\n"
         for i in range(h.counts.size)
@@ -138,7 +140,7 @@ def test_cdf_csv(tmp_path):
 
 def test_write_csv_refuses_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="column lengths"):
-        write_csv(tmp_path / "x.csv", "a,b", "{},{}", [1, 2, 3], [1, 2])
+        write_csv(tmp_path / "x.csv", "a,b", [1, 2, 3], [1, 2])
 
 
 def _random_doubles(n):
@@ -200,8 +202,7 @@ def test_full_chunks_equal_str_format(tmp_path, values, n):
     floats = np.resize(x, (-(-x.size // n), n))  # the values as columns of n rows
     rng = np.random.default_rng(n)
     ints = np.resize(np.concatenate([INTS, rng.integers(-(2**63), 2**63 - 1, 999)]), n)
-    row = ",".join(["{}"] + ["{:.17g}"] * len(floats))
-    write_csv(tmp_path / "x.csv", "k,x", row, ints, *floats)
+    write_csv(tmp_path / "x.csv", "k,x", ints, *floats)
     ref = ["k,x"] + [
         ",".join([str(k)] + [format(v, ".17g") for v in vs])
         for k, *vs in zip(ints.tolist(), *(f.tolist() for f in floats))

@@ -62,8 +62,8 @@ def test_characteristic_grid_identity_small():
         ks = np.arange(-8, 9)
         for l in (-3, 0, 2):
             for j in (-5, 0, 7):
-                got = characteristic(path, n, agg.value_at_index(ks), l * dt, j * dt)
-                assert np.array_equal(got, agg.value_at_index(j + ks - l))
+                got = characteristic(path, n, agg.values[ks - agg.grid.k_min], l * dt, j * dt)
+                assert np.array_equal(got, agg.values[j + ks - l - agg.grid.k_min])
 
 
 def test_characteristic_n_initial_condition():
@@ -114,7 +114,7 @@ def test_characteristic_right_continuous_at_jumps():
     k = path.grid.k_min + j + 1
     t_jump = k * path.grid.dt
     # step semantics: the value at the jump time is the post-jump value
-    assert step_eval(path, t_jump) == path.value_at_index(k)
+    assert step_eval(path, t_jump) == path.values[k - path.grid.k_min]
 
 
 def test_basepoint_cases():

@@ -19,6 +19,11 @@
   the acceptance tests check.
 * ``levy_paths.DyadicGrid`` owns the level and window rules: no comparison
   elsewhere reads ``MAX_LEVEL`` or the ``2**53`` window bound.
+* A run reads only its arguments: no module reads ``os.environ`` or calls
+  ``os.getenv``.
+* Every public member has a caller: each method and property defined on a
+  class in a module's ``__all__`` (dunders apart) is named as an attribute
+  in the package, or in ``perfbench/``.
 """
 
 import ast
@@ -271,3 +276,48 @@ def test_grid_bounds_are_compared_only_in_dyadic_grid():
         if (path.stem, cls) != ("levy_paths", "DyadicGrid")
     ]
     assert not bad, f"level or window bounds compared outside levy_paths.DyadicGrid: {bad}"
+
+
+#: ``os`` names that read the environment
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    bad = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {name for module, name in _imports(tree) if module == "os"}
+        named |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        }
+        if named & ENVIRONMENT_READERS:
+            bad.append(path.stem)
+    assert not bad, f"modules that read the environment: {bad}"
+
+
+def _members(tree, exported):
+    """``(class, name)`` of every method and property defined on a class
+    that the module exports, dunders apart."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in exported:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield node.name, item.name
+
+
+def test_every_public_member_has_a_caller():
+    named, members = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        members += [(path.stem, *m) for m in _members(tree, _exports(tree)[1])]
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {name for _, name in _references(tree, None)}
+    unused = [f"{m}.{cls}.{name}" for m, cls, name in members if name not in named]
+    assert not unused, f"members that nothing in goupsim or perfbench names: {unused}"

@@ -507,7 +507,7 @@ def test_mean_variance_sanity_at_1e5():
 def test_build_invariants():
     for spec in (GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0), StableHalf()):
         path = build_two_sided_path(spec, 3, -4, 4, SEED)
-        assert path.values[path.index_of(0)] == 0.0
+        assert path.values[-path.grid.k_min] == 0.0
         assert np.all(np.diff(path.values) > 0.0)
 
 
@@ -551,7 +551,7 @@ def test_build_windows_nest_bitwise():
     spec = GammaDrift(1.0, 1.0, 1.0)
     wide = build_two_sided_path(spec, 6, -300, 500, SEED)
     narrow = build_two_sided_path(spec, 6, -100, 200, SEED)
-    sl = slice(wide.index_of(-100), wide.index_of(200) + 1)
+    sl = slice(-100 - wide.grid.k_min, 201 - wide.grid.k_min)
     assert np.array_equal(wide.values[sl], narrow.values)
 
 
@@ -571,7 +571,7 @@ def test_aggregate_subsamples_bitwise():
     path = build_two_sided_path(GammaDrift(1.0, 1.0, 1.0), 12, -(2**12), 2**12, SEED)
     coarse = aggregate_to_level(path, 5)
     ks = np.arange(coarse.grid.k_min, coarse.grid.k_max + 1)
-    assert np.array_equal(coarse.values, path.value_at_index(ks * 2**7))
+    assert np.array_equal(coarse.values, path.values[ks * 2**7 - path.grid.k_min])
 
 
 def test_aggregate_consistency_sum_identity():
@@ -606,7 +606,7 @@ def test_polygon_eval_midpoint(drift_path):
     dt = path.grid.dt
     for k in (-10, -1, 0, 5, 15):
         mid = (k + 0.5) * dt
-        expected = 0.5 * (path.value_at_index(k) + path.value_at_index(k + 1))
+        expected = 0.5 * (path.values[k - path.grid.k_min] + path.values[k + 1 - path.grid.k_min])
         assert abs(polygon_eval(path, mid) - expected) <= 1e-15
 
 
@@ -660,7 +660,7 @@ def test_polygon_inverse_nodes_and_roundtrip():
     taus = polygon_inverse(path, xs)
     assert np.max(np.abs(polygon_eval(path, taus) - xs)) <= 1e-12
     # and the other composition direction on times
-    ts = rng.uniform(path.grid.t_min, path.grid.t_max, size=500)
+    ts = rng.uniform(path.grid.k_min * path.grid.dt, path.grid.k_max * path.grid.dt, size=500)
     assert np.max(np.abs(polygon_inverse(path, polygon_eval(path, ts)) - ts)) <= 1e-12
 
 
@@ -672,7 +672,7 @@ def test_polygon_inverse_takes_the_first_crossing_of_ties():
     flat = LevyPathSample(grid, np.array([0.0, 0.0, 0.0, 1.0, 1.0]), SEED, StableHalf())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert polygon_inverse(flat, 0.0) == grid.t_min
+        assert polygon_inverse(flat, 0.0) == grid.k_min * grid.dt
         assert np.array_equal(polygon_inverse(flat, np.array([0.0, 0.5, 1.0])), [-1.0, 0.25, 0.5])
     path = build_two_sided_path(GammaDrift(1.0, 1.0, 0.0), 12, -2**12, 2**12, SEED)
     assert np.any(np.diff(path.values) == 0.0)
@@ -686,7 +686,7 @@ def test_polygon_inverse_pure_drift():
 
 def test_polygon_monotone():
     path = build_two_sided_path(StableHalf(), 8, -64, 64, SEED)
-    taus = np.linspace(path.grid.t_min, path.grid.t_max, 4001)
+    taus = np.linspace(path.grid.k_min * path.grid.dt, path.grid.k_max * path.grid.dt, 4001)
     vals = polygon_eval(path, taus)
     assert np.all(np.diff(vals) > 0.0)
 
@@ -695,9 +695,9 @@ def test_step_eval_nodes_and_right_continuity():
     path = build_two_sided_path(StableHalf(), 6, -32, 32, SEED)
     dt = path.grid.dt
     for k in (-32, -7, 0, 13, 32):
-        assert step_eval(path, k * dt) == path.value_at_index(k)
+        assert step_eval(path, k * dt) == path.values[k - path.grid.k_min]
     for k in (-7, 0, 13):
-        assert step_eval(path, k * dt + 2.0 ** (-6 - 3)) == path.value_at_index(k)
+        assert step_eval(path, k * dt + 2.0 ** (-6 - 3)) == path.values[k - path.grid.k_min]
 
 
 def test_step_eval_drift_discretization_bound():

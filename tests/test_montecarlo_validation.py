@@ -47,11 +47,10 @@ SEED = RngSeed(97531)
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(0, DyadicGrid(10, -8, 8), SEED)
-    with pytest.raises(ValueError):
-        McConfig(10, DyadicGrid(10, -8, 8), SEED, bins=1)
-    # spike_refined_bin_edges needs 8 bins: refused here, by name
-    with pytest.raises(ValueError, match="bins must be >= 8, got 5"):
-        McConfig(10, DyadicGrid(10, -8, 8), SEED, bins=5)
+    # the bins rule is spike_refined_bin_edges's, which names it
+    for bins in (1, 5):
+        with pytest.raises(ValueError, match=f"bins must be >= 8, got {bins}"):
+            spike_refined_bin_edges(8.5, bins)
 
 
 def test_sample_basepoints_matches_full_path_route():
@@ -484,10 +483,10 @@ def test_oracle_overshoot_law():
 def test_histogram_conventions():
     h = histogram(np.array([0.5, 1.5, 1.0]), np.array([0.0, 1.0, 2.0]))
     assert np.array_equal(h.counts, np.array([1, 2]))  # 1.0 lands left-closed
-    assert h.n == 3 and h.n_under == 0 and h.n_over == 0
+    assert h.n == 3
 
     h = histogram(np.array([2.0]), np.array([0.0, 1.0, 2.0]))
-    assert h.n_over == 1 and h.counts.sum() == 0  # last edge is exclusive
+    assert h.n == 1 and h.counts.sum() == 0  # last edge is exclusive
 
     h = histogram(np.full(7, 0.3), np.array([0.0, 1.0]))
     assert h.counts[0] == 7
@@ -496,7 +495,7 @@ def test_histogram_conventions():
     assert np.array_equal(h.counts, np.zeros(2, dtype=int))
 
     h = histogram(np.array([-5.0, 0.5, 9.0]), np.array([0.0, 1.0]))
-    assert h.n_under == 1 and h.n_over == 1 and h.counts.sum().item() == 1
+    assert h.n == 3 and h.counts.sum().item() == 1
 
     with pytest.raises(ValueError):
         histogram(np.array([1.0]), np.array([1.0, 0.5]))
@@ -657,7 +656,7 @@ def test_concentration_verdict_scores_bin_zero():
     from goupsim.montecarlo_validation import concentration_shortfall, validate_basepoints
 
     cfg = McConfig(2500, DyadicGrid(10, -(2**10) - 8, 14 * 2**10), SEED, bins=40)
-    result = validate_basepoints(StableHalf(), 8.0, 1.0, cfg, with_ks=False)
+    result = validate_basepoints(StableHalf(), 8.0, 1.0, cfg)
     h = result.hist
     mass = float(np.diff(basepoint_cdf(8.0, 1.0, h.edges[:2]))[0])
     (check,) = [c for c in result.checks if c.name == "concentration"]

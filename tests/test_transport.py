@@ -62,7 +62,7 @@ def test_solve_initial_time_recovers_datum():
     field = solve_at_level(path, 6, TRIANGLE, 0.0, xs)
     assert np.max(np.abs(field.values - eval_initial(TRIANGLE, xs))) <= 1e-9
     # exact recovery at attained points in the limit semantics
-    attained = path.values[path.index_of(64) : path.index_of(2048) : 37]
+    attained = path.values[64 - path.grid.k_min : 2048 - path.grid.k_min : 37]
     limit_field = solve_limit(path, TRIANGLE, 0.0, attained)
     assert np.array_equal(limit_field.values, eval_initial(TRIANGLE, attained))
 
@@ -92,11 +92,11 @@ def test_limit_solution_has_flat_parts_at_jumps():
     )
     t = 1.0
     inc = np.diff(path.values)
-    origin = path.index_of(0)
+    origin = -path.grid.k_min
     j = origin + int(np.argmax(inc[origin:]))  # largest jump at positive times
     k = path.grid.k_min + j + 1  # jump spans (x_{k-1}, x_k]
-    lo = path.value_at_index(k - 1)
-    hi = path.value_at_index(k)
+    lo = path.values[k - 1 - path.grid.k_min]
+    hi = path.values[k - path.grid.k_min]
     assert hi - lo >= 1.0  # a unit Poisson jump
     xs = np.linspace(lo + 1e-9, hi, 50)
     field = solve_limit(path, TRIANGLE, t, xs)
