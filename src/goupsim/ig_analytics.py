@@ -332,8 +332,15 @@ def _basepoint_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
         # (t - mu)/(sigma sqrt 2) and mu/(sigma sqrt 2)
         erfs = erf(t * np.sqrt(0.5 * (x / a) / s)) + erf(t * np.sqrt(0.5 * (a / x) / s))
         g = np.exp(-_half_square_over(t, s))
-        second = np.sqrt(0.5 * np.pi) * g * erfs * (t / s) / np.sqrt(s)
-    return (np.sqrt(x / s) * (d / np.sqrt(a)) / np.sqrt(s) + np.where(g > 0.0, second, 0.0)) / np.pi
+        if t * t < _TINY:
+            # both terms are of order t t: dividing by sqrt(s) last would
+            # come after a product that underflows
+            first = np.sqrt(x / s) * (d / np.sqrt(a) / np.sqrt(s))
+            second = np.sqrt(0.5 * np.pi) * g * erfs * ((t / s) / np.sqrt(s))
+        else:
+            first = np.sqrt(x / s) * (d / np.sqrt(a)) / np.sqrt(s)
+            second = np.sqrt(0.5 * np.pi) * g * erfs * (t / s) / np.sqrt(s)
+    return (first + np.where(g > 0.0, second, 0.0)) / np.pi
 
 
 def basepoint_density(x: float, t: float, z_grid) -> DensityCurve:

@@ -4,10 +4,16 @@ The level-``N`` solution is the initial datum composed with the broken
 characteristic's base point, ``u_N(t, x) = u0(gamma_N(x, t; 0))``; the
 limiting solution uses the limiting characteristic instead.  Both come from
 one evaluator, which asks :func:`goupsim.goupillaud.curve_at` once per level
-for the curve, its evaluator and its inverse.  Convergence is
-measured in tensor-grid L^p norms over compact windows, with the finest
-sampled level standing in for the (almost surely existing) limit on one
-realization.
+for the curve, its evaluator and its inverse, and solves 8 time slices at a
+time.  It evaluates only the cells that the datum's support can reach: the
+curve's segments whose values come within a relative margin of ``2^-40`` of
+``(center - halfwidth, center + halfwidth)`` give a range of times, and a
+cell is evaluated when its time ``inv(x) - t`` can fall in that range.  A
+computed polygon value stays within a few ulps of its segment's end values,
+far inside the margin, so every other cell holds ``u0`` outside its support,
+``0.0 * height``, bit for bit.  Convergence is measured in tensor-grid L^p
+norms over compact windows, with the finest sampled level standing in for
+the (almost surely existing) limit on one realization.
 """
 
 from __future__ import annotations
@@ -128,48 +134,103 @@ def _eval_initial_in_place(datum: InitialDatum, x: np.ndarray) -> np.ndarray:
 
 
 #: time slices solved per batch: a batch's temporaries are a few arrays of
-#: ``ROWS x len(xs)`` floats (0.5 MB each at 2048 points)
-_ROWS = 32
+#: at most ``ROWS x len(xs)`` floats (128 kB each at 2048 points), which
+#: stay in cache
+_ROWS = 8
+
+#: relative margin by which the datum's support is widened before it is
+#: carried along the curve.  A computed polygon value lies within a few ulps
+#: (2^-51 relative) of its segment's end values, and ``center -+ halfwidth``
+#: is rounded by half an ulp (exact where it cancels), so a segment or node
+#: outside the widened support gives no value inside the support
+_MARGIN = 2.0**-40
+
+
+def _support(datum: InitialDatum) -> tuple[float, float, float]:
+    """``(lo, hi, fill)``: the open interval outside which ``u0`` is
+    ``fill``, widened by :data:`_MARGIN`.  A tent is ``0.0 * height`` there
+    (-0.0 for a negative height); a :class:`Constant` has no such interval."""
+    if isinstance(datum, Constant):
+        return -np.inf, np.inf, datum.value
+    lo, hi = datum.center - datum.halfwidth, datum.center + datum.halfwidth
+    return lo - _MARGIN * abs(lo), hi + _MARGIN * abs(hi), 0.0 * datum.height
 
 
 def _solution_rows(path: LevyPathSample, datum: InitialDatum, level: int | None, xs, times):
     """Solution values at ``level`` (``None``: the limit) on the grid ``xs``,
-    one row per time, yielded as ``(rows, *xs.shape)`` arrays of at most
-    :data:`_ROWS` rows.  The curve and its inverse at ``xs`` do not depend
-    on time, so they are computed once for every row.  A batch that leaves
-    the window raises the error of its first offending time, as solving one
-    time at a time would."""
+    one row per time, yielded as ``(rows, reached)``: a ``(rows, *xs.shape)``
+    array of at most :data:`_ROWS` rows, and the slice of the flattened
+    ``xs`` that was evaluated.
+
+    The curve and its inverse at ``xs`` do not depend on time, so they are
+    computed once for every row.  The datum's support, carried back along
+    the curve, is a range of grid segments and so a range of times ``tau``.
+    A batch evaluates the span of the columns whose ``inv(x) - t`` can fall
+    in that range at one of its times.  Every other cell has ``|x - center|
+    >= halfwidth``, where evaluating ``u0`` gives exactly ``0.0 * height``,
+    and is filled with that.
+
+    The window is still checked for every cell: a row's least and greatest
+    query are ``min(inv) - t`` and ``max(inv) - t``, as rounding is
+    monotone, and the first row where one leaves the window (or is NaN) is
+    evaluated in full, so that it raises the error of its first offending
+    query in C order, as evaluating every cell would."""
     xs = np.asarray(xs, dtype=float)
     curve, evaluate, invert = curve_at(path, level)
-    inv = invert(curve, xs)
-    times = np.asarray(times, dtype=float).reshape((-1,) + (1,) * xs.ndim)
+    inv = invert(curve, xs).reshape(-1)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    grid = curve.grid
+    if inv.size:
+        t_min, t_max = grid.time([grid.k_min, grid.k_max])
+        inside = (t_min <= inv.min() - times) & (inv.max() - times <= t_max)
+        if not inside.all():
+            evaluate(curve, inv - times[np.argmin(inside)])  # raises
+    # the segments j_lo - 1 .. j_hi - 1 come within the support, over
+    # [t_(j_lo - 1), t_(j_hi)]; the step's nodes j_lo .. j_hi - 1 lie inside
+    lo, hi, fill = _support(datum)
+    j_lo = np.searchsorted(curve.values, lo, side="right")
+    j_hi = np.searchsorted(curve.values, hi, side="left")
+    tau_lo, tau_hi = grid.time([grid.k_min + j_lo - 1, grid.k_min + j_hi])
     for start in range(0, len(times), _ROWS):
-        yield _eval_initial_in_place(datum, evaluate(curve, inv - times[start : start + _ROWS]))
+        t = times[start : start + _ROWS]
+        cols = np.flatnonzero((inv - t.max() <= tau_hi) & (inv - t.min() >= tau_lo))
+        # an empty span is slice(size, 0), which a union by min and max ignores
+        reached = slice(cols.min(initial=inv.size), cols.max(initial=-1) + 1)
+        rows = np.full((len(t), inv.size), fill)
+        rows[:, reached] = _eval_initial_in_place(datum, evaluate(curve, inv[reached] - t[:, None]))
+        yield rows.reshape((len(t),) + xs.shape), reached
 
 
 def solve_at_level(
     path: LevyPathSample, n: int, datum: InitialDatum, t: float, xs
 ) -> SolutionField:
     """Level-``n`` solution ``u0(gamma_n(x, t; 0))`` on the grid ``xs``."""
-    (values,) = next(_solution_rows(path, datum, n, xs, [t]))
+    (values,), _ = next(_solution_rows(path, datum, n, xs, [t]))
     return SolutionField(float(t), np.asarray(xs, dtype=float), values, n)
 
 
 def solve_limit(path: LevyPathSample, datum: InitialDatum, t: float, xs) -> SolutionField:
     """Limiting solution ``u0(gamma(x, t; 0))`` in step semantics."""
-    (values,) = next(_solution_rows(path, datum, None, xs, [t]))
+    (values,), _ = next(_solution_rows(path, datum, None, xs, [t]))
     return SolutionField(float(t), np.asarray(xs, dtype=float), values, "limit")
 
 
-def _lp_norm(diffs: Iterable[np.ndarray], window: WindowK, p: float) -> float:
-    """Midpoint-rule L^p(K) norm of a difference given as ``(rows, nx)``
-    arrays in time order, each overwritten.  Row sums are added one at a
-    time, in time order."""
+def _lp_norm(rows: Iterable, reference: Iterable, window: WindowK, p: float) -> float:
+    """Midpoint-rule L^p(K) norm of ``rows - reference``, both given as
+    :func:`_solution_rows` batches in time order.  Outside the span that
+    either side evaluated, both hold ``u0``'s value outside its support, so
+    the difference is 0 there, and ``|d|^p`` is taken on the span only.
+    Each row is summed over its full length and the row sums are added one
+    at a time, in time order."""
     cell = window.dt * window.dx
     total = 0.0
-    for d in diffs:
-        np.abs(d, out=d)
-        d **= p
+    for (u, reached), (ref, ref_reached) in zip(rows, reference):
+        both = slice(min(reached.start, ref_reached.start), max(reached.stop, ref_reached.stop))
+        d = np.zeros(u.shape)
+        part = d[:, both]
+        np.subtract(u[:, both], ref[:, both], out=part)
+        np.abs(part, out=part)
+        part **= p
         for row_sum in np.sum(d, axis=1):
             total += float(row_sum) * cell
     return total ** (1.0 / p)
@@ -202,8 +263,7 @@ def convergence_table(
     table = []
     for n in levels:
         rows = _solution_rows(path, datum, int(n), xs, times)
-        diffs = (np.subtract(u, ref, out=u) for u, ref in zip(rows, reference))
-        table.append((int(n), _lp_norm(diffs, window, p)))
+        table.append((int(n), _lp_norm(rows, reference, window, p)))
     return table
 
 

@@ -900,3 +900,29 @@ def test_validate_outputs_are_pinned(tmp_path, family, threads):
     assert main(argv) == 0
     assert hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest() == samples_sha
     assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == report_sha
+
+
+@pytest.mark.parametrize(
+    "argv, query",
+    [
+        (["solve", "--times", "1,3", "--xgrid", "0:6", "--xcount", "40"], "-3.0"),
+        (["converge", "--window-t", "0:3", "--window-x", "0:6", "--kgrid", "13:40",
+          "--levels", "2,4"], "-1.1960919671233243"),
+    ],
+    ids=["solve", "converge"],
+)
+@pytest.mark.parametrize(
+    "datum",
+    [["--datum", "constant", "--value", "1"], ["--datum", "triangular", "--center", "1e6"]],
+    ids=["reached-everywhere", "reached-nowhere"],
+)
+def test_a_query_left_the_window_in_skipped_cells_is_refused(tmp_path, argv, query, datum):
+    # the tent far above the path's values reaches no cell, so no cell is
+    # evaluated; the refusal names the same first query as evaluating all
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--process", "gamma", "--nmax", "8", "--range=-1:8", "--seed", "5",
+              *datum, "--out", str(tmp_path / "run")])
+    assert exc.value.code == (
+        f"query left the sampled window (time {query} below sampled window start "
+        "t_min=-1.0); enlarge --range"
+    )

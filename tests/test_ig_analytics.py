@@ -356,6 +356,45 @@ def test_basepoint_negative_side_far_apart_exponents(x, t):
     assert np.all(got[~normal] <= 1e-300)
 
 
+def _negative_side_closed_form(x, t, a):
+    """``f(-a)`` by the module docstring's closed form at 100 digits, with
+    ``D`` as a difference of ``expm1`` and ``t - mu`` as ``t x / (a + x)``,
+    which cancel no digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(100):
+        x, t, a = mpmath.mpf(x), mpmath.mpf(t), mpmath.mpf(a)
+        s = a + x
+        sigma = mpmath.sqrt(a * x / s)
+        mu = a * t / s
+        d = mpmath.expm1(-t * t / (2 * x)) - mpmath.expm1(-t * t / (2 * a))
+        erfs = mpmath.erf(t * x / s / (sigma * mpmath.sqrt(2))) + mpmath.erf(
+            mu / (sigma * mpmath.sqrt(2))
+        )
+        g = mpmath.exp(-t * t / (2 * s))
+        bracket = sigma**2 * d + mu * sigma * mpmath.sqrt(mpmath.pi / 2) * g * erfs
+        return float(bracket / (a * mpmath.sqrt(a) * mpmath.pi * mpmath.sqrt(x)))
+
+
+def test_basepoint_negative_side_where_t_squared_underflows():
+    # at t = 1e-300, t t underflows; both terms of the density are of order
+    # t t, and a product formed before the last division by sqrt(x + a)
+    # underflowed: 98 of these 230 rows read 0, 31 of them wrongly, and
+    # f(-3.3e-126) at x = 2.3e-303 read 0
+    x = t = 1e-300
+    z = default_z_grid(x)
+    neg = z < 0.0
+    got = basepoint_density(x, t, z).f[neg]
+    want = np.array([_negative_side_closed_form(x, t, -v) for v in z[neg]])
+    normal = want >= np.finfo(float).tiny
+    assert normal.sum() >= 150
+    assert np.max(np.abs(got[normal] - want[normal]) / want[normal]) <= 1e-14
+    # a subnormal value keeps what its spacing allows
+    assert np.max(np.abs(got[~normal] - want[~normal])) <= 2 * 2.0**-1074
+    got = basepoint_density(2.3e-303, t, np.array([-3.3e-126, 0.0])).f[0]
+    want = _negative_side_closed_form(2.3e-303, t, 3.3e-126)
+    assert abs(got - want) <= 1e-14 * want and want > 5e-262
+
+
 def test_basepoint_finite_over_wide_ranges():
     v = np.geomspace(1e-100, 1e100, 21)
     z = np.concatenate([-v[::-1], [0.0], v])

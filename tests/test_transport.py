@@ -141,8 +141,9 @@ def test_convergence_table_trivial_cases():
     table = convergence_table(drift, TRIANGLE, window, 1.0, [2, 4, 6])
     assert all(dist <= 1e-12 for _, dist in table)
     # a constant difference c on the window's area A has the norm c A^(1/p)
+    every = slice(0, 32)
     for p in (1.0, 2.0, 3.0):
-        got = _lp_norm([np.full((8, 32), 2.5)], window, p)
+        got = _lp_norm([(np.full((8, 32), 2.5), every)], [(np.zeros((8, 32)), every)], window, p)
         assert abs(got - 2.5 * (2.0 * 3.0) ** (1.0 / p)) <= 1e-12
 
     path = gamma_path(n_max=8)
@@ -182,19 +183,26 @@ def test_exports(tmp_path):
     assert len(lines) == 3
 
 
+def _full_grid_rows(path, datum, level, xs, times):
+    """``u0`` of the level's base point at every cell ``(t, x)``: the
+    formula the reached-only rows must equal bit for bit."""
+    times = np.asarray(times)[:, None]
+    if level is None:
+        base = step_eval(path, hitting_time(path, xs) - times)
+    else:
+        agg = aggregate_to_level(path, level)
+        base = polygon_eval(agg, polygon_inverse(agg, xs) - times)
+    return eval_initial(datum, base)
+
+
 def _per_slice(path, window, level, datum=TRIANGLE):
     """Per-time solves that aggregate and invert afresh for every slice."""
     xs = window.x_midpoints()
-    fields = []
-    for t in window.t_midpoints():
-        if level is None:
-            base = step_eval(path, hitting_time(path, xs) - t)
-        else:
-            agg = aggregate_to_level(path, level)
-            base = polygon_eval(agg, polygon_inverse(agg, xs) - t)
-        label = "limit" if level is None else level
-        fields.append(SolutionField(float(t), xs, eval_initial(datum, base), label))
-    return fields
+    label = "limit" if level is None else level
+    return [
+        SolutionField(float(t), xs, _full_grid_rows(path, datum, level, xs, [t])[0], label)
+        for t in window.t_midpoints()
+    ]
 
 
 def _lp_per_slice(fields_a, fields_b, window, p):
@@ -248,7 +256,7 @@ def test_convergence_table_refuses_p_below_one():
 def _batched(path, window, level, datum=TRIANGLE):
     """The rows of every window time, solved a batch at a time."""
     rows = _solution_rows(path, datum, level, window.x_midpoints(), window.t_midpoints())
-    return np.concatenate(list(rows))
+    return np.concatenate([batch for batch, _ in rows])
 
 
 @pytest.mark.parametrize("level", [None, 4])
@@ -264,7 +272,7 @@ def test_batched_rows_raise_the_per_slice_window_error(level):
 DATA = [TRIANGLE, Constant(2.0)]
 
 
-# slice counts on both sides of the 32-row batches
+# slice counts on both sides of a multiple of the 8-row batches
 @pytest.mark.parametrize("n_t", [1, 31, 32, 33, 37])
 @pytest.mark.parametrize("level", [None, 5])
 def test_batched_window_solve_matches_per_slice_bitwise(n_t, level):
@@ -321,3 +329,116 @@ def test_nan_arguments_leave_the_window():
         solve_at_level(path, 4, TRIANGLE, 1.0, xs)
     with pytest.raises(WindowError, match="nan"):
         solve_at_level(path, 4, TRIANGLE, float("nan"), np.array([1.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# reached-only evaluation against the full-grid formula
+
+
+def _full_grid_distance(rows, reference, window, p):
+    """Midpoint-rule L^p(K) distance with ``|d|^p`` taken at every cell and
+    the row sums added in time order."""
+    cell = window.dt * window.dx
+    total = 0.0
+    for row_sum in np.sum(np.abs(rows - reference) ** p, axis=1):
+        total += float(row_sum) * cell
+    return total ** (1.0 / p)
+
+
+MEDIA = {
+    "gamma": GammaDrift(1.0, 1.0, 1.0),
+    "gamma-driftless": GammaDrift(1.0, 1.0, 0.0),
+    "poisson": PoissonDrift(1.0, 1.0, 1.0),
+}
+
+
+def _data(path):
+    """Datums whose supports cover the ways a support meets the path: an
+    interior tent and a negative one (filled with -0.0), a tiny one, ones
+    wholly below or above the path or across its top, ones that end at a
+    path value, random ones, and constants (reached everywhere)."""
+    lo, hi = path.values[0], path.values[-1]
+    node = path.values[path.values.size // 2]
+    step = 2.0**-10
+    assert (node + step) - step == node == (node - step) + step
+    rng = np.random.default_rng(1618)
+    random = [
+        Triangular(rng.uniform(-2.0, 8.0), 10.0 ** rng.uniform(-6.0, 0.7), rng.uniform(-3.0, 3.0))
+        for _ in range(4)
+    ]
+    return [
+        TRIANGLE,
+        Triangular(2.5, 0.75, -2.0),
+        Triangular(3.0, 1e-9, 1.0),
+        Triangular(lo - 5.0, 1.0, 1.0),
+        Triangular(hi + 5.0, 1.0, -1.0),
+        Triangular(hi, 2.0, 1.0),
+        Triangular(node + step, step, 1.0),
+        Triangular(node - step, step, 1.0),
+        *random,
+        Constant(2.0),
+        Constant(-1.5),
+    ]
+
+
+@pytest.mark.parametrize("medium", sorted(MEDIA))
+def test_reached_only_rows_and_distances_equal_the_full_grid_bitwise(medium):
+    n_max = 8
+    path = build_two_sided_path(MEDIA[medium], n_max, -4 * 2**n_max, 8 * 2**n_max, SEED)
+    window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(13, 40))
+    xs, times = window.x_midpoints(), window.t_midpoints()
+    order = np.random.default_rng(7).permutation(xs.size)
+    levels = list(range(n_max + 1))
+    for datum in _data(path):
+        full = {n: _full_grid_rows(path, datum, n, xs, times) for n in [None, *levels]}
+        for n, expected in full.items():
+            got = np.concatenate([rows for rows, _ in _solution_rows(path, datum, n, xs, times)])
+            assert got.tobytes() == expected.tobytes(), (datum, n)
+            # the reached columns are found from inv, so any x order works
+            shuffled = _solution_rows(path, datum, n, xs[order], times[::-1])
+            got = np.concatenate([rows for rows, _ in shuffled])
+            assert got.tobytes() == expected[::-1, order].tobytes(), (datum, n)
+        for p in (1.0, 1.5, 2.0):
+            expected = [(n, _full_grid_distance(full[n], full[n_max], window, p)) for n in levels]
+            assert convergence_table(path, datum, window, p, levels) == expected, (datum, p)
+
+
+def _window_error(call):
+    with pytest.raises(WindowError) as exc:
+        call()
+    return str(exc.value)
+
+
+#: a tent wholly above the path's values: every cell is skipped
+UNREACHED = Triangular(1e6, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("level", [None, 0, 4, 8])
+def test_a_skipped_cell_outside_the_window_raises_the_full_grid_error(level):
+    # the window starts at t = -1, so at t > 1 the first columns query
+    # tau = inv(x) - t before it; the tents below reach only the x near 5
+    path = gamma_path(n_max=8, t_lo=-1, t_hi=8)
+    window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(13, 40))
+    xs, times = window.x_midpoints(), window.t_midpoints()
+    expected = _window_error(lambda: _full_grid_rows(path, TRIANGLE, level, xs, times))
+    assert "below sampled window start" in expected
+    # a table solves the reference level first
+    expected_table = _window_error(lambda: _full_grid_rows(path, TRIANGLE, 8, xs, times))
+    for datum in (UNREACHED, Triangular(5.0, 0.5, 1.0), Constant(1.0)):
+        assert _window_error(lambda: list(_solution_rows(path, datum, level, xs, times))) == expected
+        table = lambda: convergence_table(path, datum, window, 1.0, [level or 0])
+        assert _window_error(table) == expected_table
+    for datum in (UNREACHED, TRIANGLE):
+        t = float(times[-1])
+        solve = (
+            (lambda: solve_limit(path, datum, t, xs)) if level is None
+            else (lambda: solve_at_level(path, level, datum, t, xs))
+        )
+        assert _window_error(solve) == _window_error(
+            lambda: _full_grid_rows(path, datum, level, xs, [t])
+        )
+        nan_time = (
+            (lambda: solve_limit(path, datum, np.nan, xs)) if level is None
+            else (lambda: solve_at_level(path, level, datum, np.nan, xs))
+        )
+        assert "nan" in _window_error(nan_time)

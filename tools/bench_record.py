@@ -10,7 +10,10 @@ suite, and writes one JSON file at the repository root holding:
   failed) and the environment it prints, git SHA included,
 * the Tier-1 command, its wall time, exit status and pytest summary line,
 * the ``tools/code_lines.py`` totals of ``src/goupsim`` and ``tests/``,
-* whether the tracked files match the recorded SHA (``worktree_clean``).
+* whether the tracked files match the recorded SHA (``worktree_clean``),
+  and the sha256 of ``git diff HEAD`` (``worktree_diff_sha256``), which
+  ties a record of an uncommitted tree to the code it measured: ``git diff
+  HEAD | sha256sum`` on a checkout reproduces it.
 
 Usage, from anywhere:
 
@@ -23,6 +26,7 @@ is written either way.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -103,6 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         capture_output=True, text=True,
     )
     record["worktree_clean"] = status.returncode == 0 and not status.stdout.strip()
+    diff = subprocess.run(["git", "diff", "HEAD"], cwd=ROOT, capture_output=True, check=True)
+    record["worktree_diff_sha256"] = hashlib.sha256(diff.stdout).hexdigest()
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
