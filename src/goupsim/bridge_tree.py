@@ -28,7 +28,13 @@ node at depth ``d``, the same for every family.  Any node of any sample can
 therefore be drawn on its own, in any order, with bitwise the same value.  A
 search that knows which node it needs (the one holding a crossing, or a grid
 time) descends into that node alone: a level-n value costs at most ``n``
-draws, not the ``2^n`` increments of a unit of time.
+draws, not the ``2^n`` increments of a unit of time.  A crossing is found
+level by level, since each split's node depends on the one before, so each
+level is one Philox call.  A grid time's descent is known from its index
+before the first draw, so all of its counters, the top nodes up to it and
+the split at every depth, are hashed together, ``_HASH_BATCH`` at a time:
+one call's fixed numpy cost, a few hundred microseconds, is then spread
+over thousands of counters.
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ BACKWARD = 1
 
 #: top nodes drawn per pass of a scan
 _TOP_BATCH = 4
+
+#: counters hashed per Philox call where every counter is known before the
+#: first draw: a call's fixed numpy cost, a few hundred us, is spread over
+#: this many, and its temporaries stay near half a MB
+_HASH_BATCH = 8192
 
 # Philox4x64 round multipliers and key (Weyl) increments, as in Random123
 _M0 = 0xD2E7470EE14C6C93
@@ -156,10 +167,11 @@ def _binomial_half_icdf(n: np.ndarray, u: np.ndarray) -> np.ndarray:
     return lo
 
 
-def split(spec: ProcessSpec, key, side, sample, depth: int, index, v) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right jump sums of the depth-``depth`` nodes ``index`` with
-    jump sums ``v`` (broadcast): one uniform ``u`` each, drawn under code
-    ``depth + 1``.  A node with ``v = 0`` splits into zeros without a draw.
+def split(spec: ProcessSpec, depth: int, v, u) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right jump sums of depth-``depth`` nodes with jump sums ``v``,
+    from one uniform ``u`` each (broadcast), the node's draw under code
+    ``depth + 1``.  A node with ``v = 0`` splits into zeros and leaves its
+    uniform unused.
 
     * Stable-1/2: with ``s = ndtri(u) sqrt(v)/h`` the left half is ``v r``,
       ``r = (1 + s/q)/2`` and ``q = sqrt(s^2 + 4)``, because under the bridge
@@ -176,16 +188,13 @@ def split(spec: ProcessSpec, key, side, sample, depth: int, index, v) -> tuple[n
     * Poisson: the left count is the exact Binomial(count, 1/2) quantile of
       ``u``, the right one the rest.
     """
-    side, sample, index, v = np.broadcast_arrays(side, sample, index, np.asarray(v, dtype=float))
+    v, u = np.broadcast_arrays(np.asarray(v, dtype=float), u)
     live = v > 0.0
     if not live.all():
         left, right = np.zeros(v.shape), np.zeros(v.shape)
         if live.any():
-            left[live], right[live] = split(
-                spec, key, side[live], sample[live], depth, index[live], v[live]
-            )
+            left[live], right[live] = split(spec, depth, v[live], u[live])
         return left, right
-    u = _node_uniforms(key, index, depth + 1, side, sample)
     if isinstance(spec, PoissonDrift):
         n = np.rint(v / spec.jump_size).astype(np.int64)
         k = _binomial_half_icdf(n, u)
@@ -206,12 +215,24 @@ def split(spec: ProcessSpec, key, side, sample, depth: int, index, v) -> tuple[n
     return np.where(right_small, large, small), np.where(right_small, small, large)
 
 
-def _top_nodes(
-    spec: ProcessSpec, key, side: np.ndarray, sample: np.ndarray, count: int, stop: Callable
+def _refuse_overflow(rows, side, sample, node, hi, v) -> None:
+    """Refuse the first of ``rows`` whose top node ``node`` ends at a value,
+    or holds a jump sum, that is not finite, naming its sample."""
+    bad = ~(np.isfinite(hi[rows]) & np.isfinite(v[rows]))
+    if bad.any():
+        b = rows[np.argmax(bad)]
+        raise RuntimeError(
+            f"sample {sample[b]}: {('forward', 'backward')[side[b]]} top node {node[b]} "
+            f"ends at {hi[b]:g} with jump sum {v[b]:g}, not finite"
+        )
+
+
+def _first_top_node(
+    spec: ProcessSpec, key, side: np.ndarray, sample: np.ndarray, count: int, x0: float
 ) -> tuple[np.ndarray, ...]:
-    """Per sample, the first top node among ``0 .. count-1`` whose
-    ``stop(rows, j, right_values)`` is true, with the values at its ends and
-    its jump sum; node -1 where none is.
+    """Per sample, the first top node among ``0 .. count-1`` whose right end
+    reaches ``x0``, with the values at its ends and its jump sum; node -1
+    where none does.
 
     Top nodes are drawn ``_TOP_BATCH`` at a time for the samples still
     searching, and each batch's sum starts from the running sum carried into
@@ -234,7 +255,7 @@ def _top_nodes(
             cum = jumps + drift
             cum[:, 0] += carry
             np.cumsum(cum, axis=1, out=cum)
-        hit = stop(rows, j, cum)
+        hit = cum >= x0
         found = hit.any(axis=1)
         f = np.flatnonzero(found)
         c = np.argmax(hit[f], axis=1)
@@ -242,26 +263,77 @@ def _top_nodes(
         node[r] = j[c]
         hi[r] = cum[f, c]
         v[r] = jumps[f, c]
-        bad = ~(np.isfinite(hi[r]) & np.isfinite(v[r]))
-        if bad.any():
-            b = r[np.argmax(bad)]
-            raise RuntimeError(
-                f"sample {sample[b]}: {('forward', 'backward')[side[b]]} top node {node[b]} "
-                f"ends at {hi[b]:g} with jump sum {v[b]:g}, not finite"
-            )
+        _refuse_overflow(r, side, sample, node, hi, v)
         lo[r] = np.where(c > 0, cum[f, c - 1], carry[f])
         carry = cum[~found, -1]
         rows = rows[~found]
     return node, lo, hi, v
 
 
-def _descend(spec, key, side, sample, node, lo, hi, v, levels: int, go_left: Callable) -> tuple:
+def _hashed(key, index, code: int, side, sample) -> np.ndarray:
+    """The uniforms of the counters ``(index, code << 1 | side, sample, 0)``
+    (equal-length 1-d arrays), ``_HASH_BATCH`` counters per Philox call."""
+    u = np.empty(index.size)
+    for lo in range(0, index.size, _HASH_BATCH):
+        part = slice(lo, lo + _HASH_BATCH)
+        u[part] = _node_uniforms(key, index[part], code, side[part], sample[part])
+    return u
+
+
+def _known_tops(
+    spec: ProcessSpec, key, side: np.ndarray, sample: np.ndarray, top: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Per sample, the values at the ends of its side's top node ``top`` and
+    that node's jump sum.
+
+    The nodes ``0 .. top`` of every sample are known before the first draw,
+    so they are hashed together (:func:`_hashed`) and summed in one running
+    sum per sample, bitwise the batch-carried sums of
+    :func:`_first_top_node`.  The samples are taken by descending ``top``:
+    those still summing node ``j`` come first, and the counters are laid out
+    node by node in that order.  A right end or jump sum that is not finite
+    is refused, naming the first such sample."""
+    n = top.size
+    order = np.argsort(-top, kind="stable")
+    reach = np.cumsum(np.bincount(top)[::-1])[::-1]  # samples whose top is >= j
+    start = np.cumsum(reach) - reach
+    j = np.repeat(np.arange(reach.size), reach)
+    row = order[np.arange(j.size) - start[j]]
+    total = np.zeros(n)  # the running sums, in ``order``
+    lo, v = np.zeros(n), np.zeros(n)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        jumps = jump_quantile(spec, 1.0, _hashed(key, j, 0, side[row], sample[row]))
+        # rows e .. c-1 of ``order`` end at node j: the last reach[j] - reach[j+1]
+        for a, c, e in zip(start.tolist(), reach.tolist(), [*reach[1:].tolist(), 0]):
+            inc = jumps[a : a + c]
+            lo[order[e:c]] = total[e:c]
+            v[order[e:c]] = inc[e:]
+            total[:c] += inc + spec.drift
+    hi = np.empty(n)
+    hi[order] = total
+    _refuse_overflow(np.arange(n), side, sample, top, hi, v)
+    return lo, hi, v
+
+
+def _known_splits(key, level: int, leaf: np.ndarray, side, sample):
+    """The uniforms of the splits on the way down to the depth-``level``
+    nodes ``leaf``, one array per depth ``d = 0 .. level-1``, whose node is
+    ``leaf >> (level - d)``: ``_HASH_BATCH // leaf.size`` depths (at least
+    one) are hashed per Philox call."""
+    per = max(1, _HASH_BATCH // leaf.size)
+    for d0 in range(0, level, per):
+        depth = np.arange(d0, min(d0 + per, level))[:, None]
+        yield from _node_uniforms(key, leaf >> (level - depth), depth + 1, side, sample)
+
+
+def _descend(spec, node, lo, hi, v, levels: int, uniforms: Callable, go_left: Callable) -> tuple:
     """Walk ``levels`` levels down from depth-0 nodes, splitting only the
-    node walked into: ``go_left(depth, mid)`` picks the half per sample.
-    Returns the leaf indices and the values at their ends."""
+    node walked into: ``uniforms(depth, node)`` gives each sample's split
+    uniform and ``go_left(depth, mid)`` picks its half.  Returns the leaf
+    indices and the values at their ends."""
     drift = spec.drift
     for depth in range(levels):
-        left, right = split(spec, key, side, sample, depth, node, v)
+        left, right = split(spec, depth, v, uniforms(depth, node))
         mid = np.minimum(lo + (drift * 2.0 ** -(depth + 1) + left), hi)
         to_left = go_left(depth, mid)
         node = 2 * node + ~to_left
@@ -273,17 +345,19 @@ def _descend(spec, key, side, sample, node, lo, hi, v, levels: int, go_left: Cal
 
 def hit_index(spec: ProcessSpec, key, level: int, x0: float, k_max: int, sample) -> np.ndarray:
     """Per sample, the first grid index ``1 <= k <= k_max`` at ``level``
-    whose forward value reaches ``x0 > 0``, or 0 where none does."""
+    whose forward value reaches ``x0 > 0``, or 0 where none does.  Each
+    split's node depends on the one before, so every level is hashed on
+    its own."""
     sample = np.asarray(sample, dtype=np.int64)
     count = -(-k_max >> level)  # top nodes covering (0, k_max]
     side = np.full(sample.size, FORWARD)
-    node, lo, hi, v = _top_nodes(
-        spec, key, side, sample, count, lambda rows, j, cum: cum >= x0
-    )
+    node, lo, hi, v = _first_top_node(spec, key, side, sample, count, x0)
     out = np.zeros(sample.size, dtype=np.int64)
     ok = np.flatnonzero(node >= 0)
+    side, sample = side[ok], sample[ok]
     leaf, _, _ = _descend(
-        spec, key, side[ok], sample[ok], node[ok], lo[ok], hi[ok], v[ok], level,
+        spec, node[ok], lo[ok], hi[ok], v[ok], level,
+        lambda depth, node: _node_uniforms(key, node, depth + 1, side, sample),
         lambda depth, mid: mid >= x0,
     )
     out[ok] = np.where(leaf < k_max, leaf + 1, 0)
@@ -294,7 +368,9 @@ def values_at(spec: ProcessSpec, key, level: int, k, sample) -> np.ndarray:
     """Path values ``x_k`` at grid indices ``k`` of ``level``, one index per
     sample (1-d arrays; either side, ``x_0 = 0``).  The value at ``k != 0`` is
     the right end of its side's leaf ``|k| - 1``, found by descending along
-    that leaf's bits."""
+    that leaf's bits.  The whole descent is known from ``k`` before the first
+    draw, so its counters are hashed in a few batches (:func:`_known_tops`,
+    :func:`_known_splits`) rather than one Philox call per level."""
     k = np.asarray(k, dtype=np.int64)
     sample = np.asarray(sample, dtype=np.int64)
     out = np.zeros(k.shape)
@@ -302,16 +378,15 @@ def values_at(spec: ProcessSpec, key, level: int, k, sample) -> np.ndarray:
     if nz.size == 0:
         return out
     side = (k[nz] < 0).astype(np.int64)
+    sample = sample[nz]
     leaf = np.abs(k[nz]) - 1
     top = leaf >> level
-    node, lo, hi, v = _top_nodes(
-        spec, key, side, sample[nz], int(top.max()) + 1,
-        lambda rows, j, cum: j[None, :] == top[rows, None],
-    )
+    lo, hi, v = _known_tops(spec, key, side, sample, top)
+    u = _known_splits(key, level, leaf, side, sample)
 
     def go_left(depth, mid):
         return (leaf >> (level - depth - 1)) & 1 == 0
 
-    _, _, value = _descend(spec, key, side, sample[nz], node, lo, hi, v, level, go_left)
+    _, _, value = _descend(spec, top, lo, hi, v, level, lambda depth, node: next(u), go_left)
     out[nz] = np.where(side == BACKWARD, -value, value)
     return out

@@ -15,14 +15,14 @@ equal those of ``str.format`` over each row's Python scalars
 Two code paths produce those bytes:
 
 * ``str.format`` on the ``tolist`` scalars.  It formats every column dtype
-  and every partial last chunk (fewer than ``BLOCK`` rows), and it is the
-  tests' reference.
-* A numpy kernel for each full ``BLOCK``-row chunk, when every column is
-  float64 or of an integer dtype that fits int64.  Its fixed cost per call
-  loses to ``str.format`` below a few hundred rows, so files shorter than
-  ``BLOCK`` rows (density grids, histograms, solution fields of a few
-  thousand rows) never reach it; long ones such as ``path.csv`` take it for
-  all but their last chunk.
+  and every chunk of fewer than ``KERNEL_ROWS`` rows, and it is the tests'
+  reference.
+* A numpy kernel for each chunk of at least ``KERNEL_ROWS`` rows, when
+  every column is float64 or of an integer dtype that fits int64.  Its
+  fixed cost per call loses to ``str.format`` below a few hundred rows, so
+  short files (histograms, the 65-row density grid) never reach it; the
+  validation's samples, the default 513-row density grid, solution fields
+  and ``path.csv`` take it for every chunk but a short last one.
 
 The kernel follows correctly rounded binary-to-decimal conversion (Gay,
 1990).  For ``|x|`` in ``[1e-200, 1e200]`` it takes ``E = floor(log10|x|)``
@@ -33,10 +33,11 @@ product is redone with ``E ± 1``.  The 17 significant digits are ``N``
 rounded half to even by the fraction.  The product's error is below about
 ``2^-47`` of a unit, so a fraction within ``2^-30`` of ½ cannot be rounded
 safely here; such a value goes through ``format(v, ".17g")`` on its own.
-So do ``±0.0``, non-finite values, subnormals and values outside the range
-above.  Digits come from a 10 000-entry table of four-digit groups.  Each
-row is laid out in byte slots with NUL in the unused ones, which
-``bytes.translate`` removes.  The tables are built on first use.
+So do non-finite values, subnormals and values outside the range above;
+``±0.0``, common in density and error columns, is copied from a table row
+of ``0`` or ``-0``.  Digits come from a 10 000-entry table of four-digit
+groups.  Each row is laid out in byte slots with NUL in the unused ones,
+which ``bytes.translate`` removes.  The tables are built on first use.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ __all__ = ["write_csv", "write_json"]
 
 #: rows formatted per chunk
 BLOCK = 4096
+
+#: fewest rows of a chunk that the kernel formats: below about 200 rows
+#: with warm caches, and 400-700 with cold ones, as when a run writes each
+#: file once after its computation, ``str.format`` is faster
+KERNEL_ROWS = 512
 
 _RANGE = 200  # the kernel formats |x| in [1e-200, 1e200]
 _E_MIN = -_RANGE - 2  # lowest decade of a table row, with room for E ± 1
@@ -110,6 +116,7 @@ def _tables():
                 m[7 + 2 * dot] = 0xFF
             float_masks.append(bytes(m))
     float_masks = _byte_words(float_masks, np.uint64)[:, :5].T.copy()
+    zeros = _byte_words([z.ljust(8 * _F_WORDS, b"\0") for z in (b"0", b"-0")], np.uint64)
 
     exp_words = []
     for e in range(_E_MIN, -_E_MIN + 1):
@@ -141,7 +148,7 @@ def _tables():
         pow10[:, i] = hi, hi_hi, hi - hi_hi, float(exact - Fraction(hi))
     return SimpleNamespace(
         int_groups=int_groups, float_groups=float_groups, float_sig=float_sig,
-        int_len=int_len, float_masks=float_masks, exp_words=exp_words,
+        int_len=int_len, float_masks=float_masks, zeros=zeros, exp_words=exp_words,
         int_masks=int_masks, int_signs=int_signs, pow10=pow10,
     )
 
@@ -204,7 +211,9 @@ def _float_field(x: np.ndarray, words: np.ndarray) -> None:
         words[:, j] = tab.float_groups[g] & tab.float_masks[j][form]
     words[:, 5] = tab.exp_words[e - _E_MIN]
 
-    slow = np.flatnonzero(~fast)
+    zero = np.flatnonzero(x == 0.0)
+    words[zero] = tab.zeros[np.signbit(x[zero]).astype(np.intp)]
+    slow = np.flatnonzero(~fast & (x != 0.0))
     if slow.size:
         text = b"".join(
             format(v, ".17g").encode().ljust(8 * _F_WORDS, b"\0") for v in x[slow].tolist()
@@ -276,14 +285,16 @@ def write_csv(out: Path | str, header: str, *columns) -> None:
         raise ValueError(f"column lengths differ: {[len(c) for c in cols]}")
     row = ",".join("{}" if c.dtype.kind in "iu" else "{:.17g}" for c in cols)
     fmt = (row + "\n").format
-    layout = _kernel_layout(cols) if n >= BLOCK else None
-    if layout is not None:
-        buf = bytearray(BLOCK * layout[0])
+    layout = _kernel_layout(cols) if n >= KERNEL_ROWS else None
+    buf = bytearray()
     with open(out, "wb") as fh:
         fh.write((header + "\n").encode())
         for lo in range(0, n, BLOCK):
             chunk = [c[lo : lo + BLOCK] for c in cols]
-            if layout is not None and lo + BLOCK <= n:
+            rows = len(chunk[0])
+            if layout is not None and rows >= KERNEL_ROWS:
+                if len(buf) != rows * layout[0]:  # the first chunk, or a shorter last one
+                    buf = bytearray(rows * layout[0])
                 fh.write(_kernel_rows(layout, chunk, buf))
             else:
                 fh.write("".join(map(fmt, *(c.tolist() for c in chunk))).encode())

@@ -305,6 +305,20 @@ def _halved_where_sum_overflows(side, x: float, t: float, a: np.ndarray, power: 
     return out
 
 
+def _erf_sqrt_ratio(t: float, b, c, s: np.ndarray) -> np.ndarray:
+    """``erf(t sqrt(b / (2 c s)))`` for ``s = b + c`` (broadcast), as
+    ``erf(t sqrt(0.5 (b/c) / s))``.  Where ``(b/c)/s`` overflows, which
+    needs ``b >> c``, the argument is ``t/sqrt(c) sqrt(0.5 b/s)`` instead:
+    ``b/s <= 1``, so only the true argument's own overflow is left."""
+    q = 0.5 * (b / c) / s
+    arg = t * np.sqrt(q)
+    if not np.isfinite(q.max(initial=0.0)):  # a NaN max may hide an inf
+        big = np.isinf(q)
+        b, c = np.broadcast_arrays(b, c)
+        arg[big] = t / np.sqrt(c[big]) * np.sqrt(0.5 * (b[big] / s[big]))
+    return erf(arg)
+
+
 def _basepoint_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
     """Closed-form base-point density at ``z = -a < 0`` for a level ``x > 0``
     (see the module docstring), arranged so that no intermediate overflows
@@ -330,7 +344,7 @@ def _basepoint_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
         e[a == x] = 0.0  # D = 0, where t t = inf gave inf * 0
         d = np.sign(e) * np.exp(-_half_square_over(t, np.maximum(a, x))) * np.expm1(-np.abs(e))
         # (t - mu)/(sigma sqrt 2) and mu/(sigma sqrt 2)
-        erfs = erf(t * np.sqrt(0.5 * (x / a) / s)) + erf(t * np.sqrt(0.5 * (a / x) / s))
+        erfs = _erf_sqrt_ratio(t, x, a, s) + _erf_sqrt_ratio(t, a, x, s)
         g = np.exp(-_half_square_over(t, s))
         if t * t < _TINY:
             # both terms are of order t t: dividing by sqrt(s) last would

@@ -202,9 +202,11 @@ def _first_max_segments(
     segment maximum, drawn in canonical row-major order."""
     n_rows, n_cols = w.shape
     discrete_max = w.max(axis=1)
-    seg_max = np.maximum(w[:, :-1], w[:, 1:])
-    cand = seg_max > (discrete_max[:, None] - 6.0 * np.sqrt(step))
-    rows, cols = np.nonzero(cand)
+    # a segment is a candidate when either end is in the band; the flat
+    # indices of the candidates keep the row-major order of np.nonzero
+    near = w > (discrete_max[:, None] - 6.0 * np.sqrt(step))
+    cand = near[:, :-1] | near[:, 1:]
+    rows, cols = np.divmod(np.flatnonzero(cand), n_cols - 1)
     u = np.maximum(rng_bridge.random(rows.size), 1e-300)
     w0 = w[rows, cols]
     w1 = w[rows, cols + 1]

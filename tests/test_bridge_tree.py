@@ -43,6 +43,13 @@ def marginal_cdf(t):
     return lambda v: erfc(t / np.sqrt(2.0 * np.asarray(v)))
 
 
+def split_drawn(spec, side, sample, depth, index, v):
+    """The split of the depth-``depth`` nodes ``index``, each from its own
+    keyed uniform (broadcast)."""
+    u = bridge_tree._node_uniforms(KEY, index, depth + 1, side, sample)
+    return split(spec, depth, v, u)
+
+
 def test_philox_matches_numpy_bitwise():
     # numpy's Philox adds 1 to its counter before each block of 4 words, so
     # its first block under counter c is philox4x64(c + 1); the counters
@@ -96,7 +103,7 @@ def test_split_law_is_the_exact_bridge():
                 lambda u: bridge_density(h, 2.0 * h, v, u), 0.0, r * v, spec
             ).value
             assert abs(cdf(r * v) - want) <= 1e-9
-        left, right = split(STABLE, KEY, FORWARD, sample, depth, 5, np.full(n, v))
+        left, right = split_drawn(STABLE, FORWARD, sample, depth, 5, np.full(n, v))
         assert np.all(left >= 0.0) and np.all(right >= 0.0)
         assert np.max(np.abs(left + right - v)) <= 4e-16 * v
         assert stats.kstest(left, cdf).pvalue > 1e-3
@@ -108,7 +115,7 @@ def test_split_halves_follow_the_marginal():
     sample = np.arange(n)
     v = top_jumps(STABLE, KEY, BACKWARD, sample, 3)
     assert stats.kstest(v, marginal_cdf(1.0)).pvalue > 1e-3
-    left, right = split(STABLE, KEY, BACKWARD, sample, 0, 3, v)
+    left, right = split_drawn(STABLE, BACKWARD, sample, 0, 3, v)
     for half in (left, right):
         assert stats.kstest(half, marginal_cdf(0.5)).pvalue > 1e-3
 
@@ -121,7 +128,7 @@ def node_sums(spec, n: int, depths: int):
     v = top_jumps(spec, KEY, FORWARD, sample, node)
     sums = [v]
     for depth in range(depths):
-        left, right = split(spec, KEY, FORWARD, sample, depth, node, v)
+        left, right = split_drawn(spec, FORWARD, sample, depth, node, v)
         go_right = (sample * 2654435761 >> depth) & 1 == 1
         v = np.where(go_right, right, left)
         node = 2 * node + go_right
@@ -184,7 +191,7 @@ def test_jump_split_law_is_the_exact_conditional(spec, cases):
     n = 20000
     sample = np.arange(n)
     for depth, v in cases:
-        left, right = split(spec, KEY, FORWARD, sample, depth, 5, np.full(n, v))
+        left, right = split_drawn(spec, FORWARD, sample, depth, 5, np.full(n, v))
         assert np.all(left >= 0.0) and np.all(right >= 0.0)
         if isinstance(spec, PoissonDrift):
             lam = spec.intensity * 2.0 ** -(depth + 1)
@@ -239,7 +246,7 @@ def expand_side(spec, side: int, sample: int, level: int, count: int) -> np.ndar
     values = np.concatenate([[0.0], np.cumsum(jumps + drift)])
     sums = jumps
     for depth in range(level):
-        left, right = split(spec, KEY, side, sample, depth, np.arange(sums.size), sums)
+        left, right = split_drawn(spec, side, sample, depth, np.arange(sums.size), sums)
         finer = np.empty(2 * values.size - 1)
         finer[0::2] = values
         finer[1::2] = np.minimum(values[:-1] + (drift * 2.0 ** -(depth + 1) + left), values[1:])
@@ -305,6 +312,72 @@ def test_hit_index_reports_unreached_samples():
     assert np.array_equal(reached, ends >= 8.0)
 
 
+def values_by_levels(spec, level: int, k, sample):
+    """Path values at grid indices ``k``, drawn the way a search draws them:
+    the top nodes one Philox call per node and summed in order, then one
+    call per level for the split on the way down.  Also returns how many
+    splits met a node with no jumps."""
+    k, sample = np.asarray(k), np.asarray(sample)
+    side = (k < 0).astype(np.int64)
+    leaf = np.maximum(np.abs(k) - 1, 0)
+    top = np.where(k == 0, -1, leaf >> level)
+    drift = spec.drift
+    total, lo, hi, v = (np.zeros(k.size) for _ in range(4))
+    for j in range(int(top.max()) + 1):
+        jumps = top_jumps(spec, KEY, side, sample, j)
+        at = top == j
+        lo[at], v[at] = total[at], jumps[at]
+        total = total + (jumps + drift)
+        hi[at] = total[at]
+    node, empty = np.maximum(top, 0), 0
+    for depth in range(level):
+        empty += int(np.sum((v == 0.0) & (k != 0)))
+        left, right = split_drawn(spec, side, sample, depth, node, v)
+        mid = np.minimum(lo + (drift * 2.0 ** -(depth + 1) + left), hi)
+        go_right = (leaf >> (level - depth - 1)) & 1 == 1
+        node = 2 * node + go_right
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+        v = np.where(go_right, right, left)
+    return np.where(k == 0, 0.0, np.where(side == BACKWARD, -hi, hi)), empty
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7], ids=["default", "batch1", "batch7"])
+@pytest.mark.parametrize(
+    "spec", [STABLE, GAMMA, GammaDrift(0.05, 2.0, 0.5), POISSON],
+    ids=["stable", "gamma", "gamma-sparse", "poisson"],
+)
+def test_values_at_equals_the_per_level_descent(monkeypatch, spec, batch):
+    # values_at hashes the whole descent in a few Philox calls; every value
+    # must equal the node-by-node and level-by-level draw bitwise, on both
+    # sides, at k = 0, across several top nodes and through nodes with no
+    # jumps, whatever the batch size
+    if batch is not None:
+        monkeypatch.setattr(bridge_tree, "_HASH_BATCH", batch)
+    rng = np.random.default_rng(2024)
+    empty = 0
+    for level in (0, 1, 6, 11):
+        k = rng.integers(-5 * 2**level, 9 * 2**level + 1, 240)
+        k[:4] = [0, 1, -1, 9 * 2**level]
+        k[::11] = 0
+        sample = rng.integers(0, 60, k.size)
+        want, n_empty = values_by_levels(spec, level, k, sample)
+        empty += n_empty
+        for rows in (slice(None), slice(0, 3), slice(5, 6)):  # 3 rows: 2 depths per call at batch 7
+            got = values_at(spec, KEY, level, k[rows], sample[rows])
+            assert np.array_equal(got, want[rows]), (level, rows)
+        assert np.all(np.sign(want) == np.sign(k))
+    if not isinstance(spec, StableHalf):
+        assert empty > 0  # the jump families split nodes with no jumps
+
+
+def test_values_at_refuses_a_top_node_that_overflows():
+    # a drift near the largest double overflows the sum at the second node
+    spec = GammaDrift(1.0, 1.0, 1e308)
+    with pytest.raises(RuntimeError, match=r"^sample 4: backward top node 1 ends at inf"):
+        values_at(spec, KEY, 2, np.array([3, -8, 2]), np.array([3, 4, 5]))
+
+
 def test_output_is_the_same_for_any_chunk_size(monkeypatch):
     cfg = McConfig(300, DyadicGrid(12, -(2**12) - 40, 14 * 2**12), RngSeed(8))
     for spec in (STABLE, GAMMA, POISSON):
@@ -312,6 +385,7 @@ def test_output_is_the_same_for_any_chunk_size(monkeypatch):
         whole = sample_basepoints(spec, 8.0, 1.0, cfg)
         monkeypatch.setattr(montecarlo_validation, "_TREE_CHUNK", 7)
         monkeypatch.setattr(bridge_tree, "_TOP_BATCH", 3)
+        monkeypatch.setattr(bridge_tree, "_HASH_BATCH", 5)
         chunked = sample_basepoints(spec, 8.0, 1.0, cfg)
         assert np.array_equal(whole.values, chunked.values), spec
         assert np.array_equal(whole.indices, chunked.indices), spec

@@ -8,9 +8,10 @@ integral floats, negative indices) and run past one ``BLOCK`` chunk.
 ``write_csv`` takes each field's format from its column's dtype: ``str``
 for an integer column, ``.17g`` for any other.
 
-Full chunks go through ``csvio``'s numpy kernel: further tests compare it
-with ``format(v, ".17g")`` and ``str(k)`` on hard values at row counts on both
-sides of ``BLOCK``, and pin ``path.csv`` digests taken before the kernel.
+Chunks of at least ``KERNEL_ROWS`` rows go through ``csvio``'s numpy
+kernel: further tests compare it with ``format(v, ".17g")`` and ``str(k)``
+on hard values at row counts on both sides of ``KERNEL_ROWS`` and
+``BLOCK``, and pin ``path.csv`` digests taken before the kernel.
 """
 
 import hashlib
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 from goupsim.cli import main
-from goupsim.csvio import BLOCK, write_csv
+from goupsim import csvio
+from goupsim.csvio import BLOCK, KERNEL_ROWS, write_csv
 from goupsim.ig_analytics import DensityCurve, write_cdf_csv, write_density_csv
 from goupsim.levy_paths import (
     DyadicGrid,
@@ -211,6 +213,36 @@ def test_full_chunks_equal_str_format(tmp_path, values, n):
     assert got.pop() == b"" and len(got) == len(ref)
     bad = [(i, line, want) for i, (line, want) in enumerate(zip(got, ref)) if line != want.encode()]
     assert not bad, bad[:3]  # first differing rows, not a diff of the whole file
+
+
+@pytest.mark.parametrize(
+    "n, kernel_chunks",
+    [
+        (KERNEL_ROWS - 1, 0),
+        (KERNEL_ROWS, 1),
+        (BLOCK - 1, 1),
+        (BLOCK + KERNEL_ROWS - 1, 1),  # the short last chunk goes through str.format
+        (BLOCK + KERNEL_ROWS, 2),
+    ],
+)
+def test_kernel_takes_every_chunk_of_at_least_kernel_rows(tmp_path, monkeypatch, n, kernel_chunks):
+    calls = []
+    kernel_rows = csvio._kernel_rows
+
+    def spy(layout, chunk, buf):
+        calls.append(len(chunk[0]))
+        return kernel_rows(layout, chunk, buf)
+
+    monkeypatch.setattr(csvio, "_kernel_rows", spy)
+    k = np.arange(n) - n // 2
+    odd = awkward(n)  # +-0, nan, +-inf, subnormals among ordinary values
+    x = np.random.default_rng(n).standard_normal(n) * 10.0 ** np.resize(np.arange(-9, 9), n)
+    write_csv(tmp_path / "x.csv", "k,odd,x", k, odd, x)
+    ref = "k,odd,x\n" + "".join(
+        "{},{:.17g},{:.17g}\n".format(*row) for row in zip(k.tolist(), odd.tolist(), x.tolist())
+    )
+    assert (tmp_path / "x.csv").read_bytes() == ref.encode()
+    assert len(calls) == kernel_chunks and all(rows >= KERNEL_ROWS for rows in calls)
 
 
 # sha256 of path.csv and manifest.json; the path.csv digests equal those of

@@ -395,6 +395,28 @@ def test_basepoint_negative_side_where_t_squared_underflows():
     assert abs(got - want) <= 1e-14 * want and want > 5e-262
 
 
+@pytest.mark.parametrize("x, t", [(1e-300, 1e-300), (2.3e-303, 1e-300)])
+def test_basepoint_negative_side_where_a_over_x_overflows(x, t):
+    # the erf argument t sqrt(0.5 (a/x) / (x + a)) overflowed in a/x at a
+    # tiny level, and erf(inf) = 1 replaced a small erf: far out on the
+    # negative side f read up to 1e138 times the closed form
+    a = np.geomspace(1e-320, 1e300, 60)
+    z = np.append(-a[::-1], 0.0)
+    got = basepoint_density(x, t, z).f[:-1][::-1]
+    want = np.array([_negative_side_closed_form(x, t, v) for v in a])
+    normal = want >= np.finfo(float).tiny
+    assert normal.sum() >= 15 and a[-1] > x * np.finfo(float).max
+    assert np.max(np.abs(got[normal] - want[normal]) / want[normal]) <= 1e-14
+    assert np.max(np.abs(got[~normal] - want[~normal])) <= 2 * 2.0**-1074
+
+
+def test_basepoint_negative_side_at_a_subnormal_level():
+    # a / x = 1e310 overflows: f(-1e-10) read 2.74e-146
+    got = basepoint_density(1e-320, 1e-160, np.array([-1e-10, 0.0])).f[0]
+    want = _negative_side_closed_form(1e-320, 1e-160, 1e-10)
+    assert abs(got - want) <= 1e-14 * want
+
+
 def test_basepoint_finite_over_wide_ranges():
     v = np.geomspace(1e-100, 1e100, 21)
     z = np.concatenate([-v[::-1], [0.0], v])
