@@ -306,6 +306,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
         curve = ig_analytics.basepoint_density(args.x, args.t, grid)
     except ValueError as exc:
         raise SystemExit(f"invalid density input (--x, --t, --zcount, --zfar): {exc}")
+    except RuntimeError as exc:  # no extended float type for the law here
+        raise SystemExit(f"cannot evaluate the density: {exc}")
     out_dir = _prepare_out(args)
     ig_analytics.write_density_csv(curve, out_dir / "density.csv")
     ig_analytics.write_cdf_csv(curve, out_dir / "cdf.csv")

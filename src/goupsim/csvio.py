@@ -88,7 +88,6 @@ def _byte_words(rows: list[bytes], dtype) -> np.ndarray:
 @functools.cache
 def _tables():
     """The kernel's constant tables, built on first use (a few ms)."""
-    from fractions import Fraction  # only here: keeps it out of import time
     g = np.arange(10_000, dtype=np.uint64)
     digit = [(g // 10 ** (3 - i) % 10) + ord("0") for i in range(4)]
     # four digits "dddd" packed into a uint32, and "d.d.d.d." into a uint64
@@ -139,13 +138,16 @@ def _tables():
     int_masks = _byte_words(int_masks, np.uint32).T.copy()
     int_signs = _byte_words(int_signs, np.uint32).T.copy()
 
+    # 10^(16-e) = p / q, and its rounding error p/q - hn/hd, are exact
+    # integer ratios, which int / int true division rounds correctly
     pow10 = np.empty((4, -2 * _E_MIN + 1))
     for i, e in enumerate(range(_E_MIN, -_E_MIN + 1)):
-        exact = Fraction(10) ** (16 - e)
-        hi = float(exact)  # int / int true division rounds correctly
+        p, q = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        hi = p / q
+        hn, hd = hi.as_integer_ratio()
         c = _SPLIT * hi
         hi_hi = c - (c - hi)
-        pow10[:, i] = hi, hi_hi, hi - hi_hi, float(exact - Fraction(hi))
+        pow10[:, i] = hi, hi_hi, hi - hi_hi, (p * hd - hn * q) / (q * hd)
     return SimpleNamespace(
         int_groups=int_groups, float_groups=float_groups, float_sig=float_sig,
         int_len=int_len, float_masks=float_masks, zeros=zeros, exp_words=exp_words,

@@ -40,15 +40,23 @@ the half-normal running maximum ``s`` of the hitting time:
                 * (erf((t-mu)/(sigma sqrt 2)) + erf(mu/(sigma sqrt 2))) ],
 
 with ``sigma^2 = a x/(a+x)``, ``mu = a t/(a+x)`` and
-``D = exp(-t^2/(2x)) - exp(-t^2/(2a))``.  ``D`` is evaluated as the larger
-exponential times an ``expm1`` of a non-positive argument, so that small
-``t`` loses no digits and far-apart exponents (``t^2/(2x)`` in the
-hundreds) cannot overflow; the powers of ``a`` are folded into ``sigma`` and
-``mu`` so that no intermediate over- or underflows where the result does
-not.  The density has an integrable ``|z|^(-1/2)``
-spike at the origin (the value 0 is returned at ``z = 0``), a heavy
-``|z|^(-3/2)`` negative tail, and vanishes identically at and above ``x``.
-At ``x = 0`` hitting is immediate and the law is ``f_I(t)(-z)``.
+``D = exp(-t^2/(2x)) - exp(-t^2/(2a))``.  The law is evaluated as written
+here, in numpy's ``longdouble``, and rounded to double once at the end.
+On x86-64 that type has a 64-bit mantissa and a 15-bit exponent
+(``maxexp`` 16384), so every intermediate of double inputs, from ``t^2``
+up to 1e616 to ``a x`` down to 1e-647, is a normal number: nothing over-
+or underflows where the result does not, and the 11 extra mantissa bits
+absorb the rounding of the operations before the last.  ``D`` is still
+the larger exponential times an ``expm1`` of a non-positive argument,
+which keeps the digits the difference cancels at small ``t``.  scipy's
+``erf`` has no extended loop: it takes its argument rounded to double, and
+below 1e-10 ``erf(u)`` is ``2u/sqrt(pi)``.  Where ``longdouble`` is only a
+double (MSVC, macOS on arm64) the law is refused.
+
+The density has an integrable ``|z|^(-1/2)`` spike at the origin (the
+value 0 is returned at ``z = 0``), a heavy ``|z|^(-3/2)`` negative tail,
+and vanishes identically at and above ``x``.  At ``x = 0`` hitting is
+immediate and the law is ``f_I(t)(-z)``.
 
 The CDF ``F(z) = P(Z < z)`` is a sum of Owen's T functions (Owen 1956,
 Ann. Math. Statist. 27): ``F(z) = erf(t/sqrt(2x)) + 4 T(t/sqrt(x), sqrt(z/(x-z)))``
@@ -60,13 +68,14 @@ rewrites the latter as ``erf(k/sqrt 2) erf(m/sqrt 2) + 4 [T(m, r) - T(k, r)]``
 with ``r = sqrt(min(a, x)/max(a, x))`` and ``m = k/r``, which keeps its
 relative accuracy in the ``|z|^(-1/2)`` tail; where both legs ``t/sqrt(x)``
 and ``t/sqrt(a)`` of the triangle are below ``2e-2`` the T difference cancels
-and the triangle's moment series replaces it.  At ``x = 0`` both reduce to
+and the triangle's moment series replaces it.  ``r``, ``k``, ``m`` and the
+legs are formed in the extended type and rounded to double for scipy's
+``owens_t`` and ``erf``.  At ``x = 0`` both reduce to
 ``erf(t/sqrt(2|z|))``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -208,10 +217,11 @@ def hit_under_density(x: float, s: float, y: float) -> float:
         Y^(-3/2) exp(-c/X) / (2 pi) * [ sqrt(2 pi) erfcx(w)
                                         + 2 sqrt(2) w g(w) X/(Y-X) ],
 
-    with ``w = |s| sqrt((Y-X)/(2 X Y))`` and ``g`` of :func:`_g_tail`.  The
-    exponents are merged into ``exp(-c/X)``, so no factor under- or
-    overflows apart from the result, and ``Y - X`` is taken as one
-    difference, which stays exact next to ``y = x``.  Zero outside the
+    with ``w = |s| sqrt((Y-X)/(2 X Y))`` and ``g`` of :func:`_g_tail`, in
+    the extended type of the base-point law, so that no factor under- or
+    overflows apart from the result; ``erfcx`` and ``g`` take ``w`` rounded
+    to double.  ``Y - X`` is taken as one difference, which stays exact
+    next to ``y = x``.  Zero outside the
     supports; the boundary ``y == x`` carries an integrable blow-up and
     evaluates to ``inf``.
     """
@@ -228,10 +238,12 @@ def hit_under_density(x: float, s: float, y: float) -> float:
             return 0.0
         if y == x:
             return np.inf
-        X, Y, d = -x, -y, x - y
-        w = -s * np.sqrt(d / X / Y / 2.0)
-        bracket = np.sqrt(2.0 * np.pi) * erfcx(w) + np.sqrt(8.0) * w * _g_tail(w) * (X / d)
-        return float(Y**-1.5 * bracket * np.exp(-s * s / (2.0 * X)) / (2.0 * np.pi))
+        X, Y, s = _extended(-x, -y, s)
+        d = Y - X
+        w = -s * np.sqrt(d / (2.0 * X * Y))
+        # where w rounds to inf, erfcx and g read 0, and exp(-c/X) is 0 as w^2 < c/X
+        bracket = np.sqrt(_PI) * erfcx(float(w)) + 2.0 * w * _g_tail(float(w)) * (X / d)
+        return float(bracket * np.exp(-s * s / (2.0 * X)) / (_PI * Y * np.sqrt(2.0 * Y)))
     return 0.0
 
 
@@ -273,88 +285,43 @@ def bridge_density(r: float, s: float, y: float, z):
 # ---------------------------------------------------------------------------
 # base-point density
 
-_TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
+#: the extended type the law is evaluated in: with a 15-bit exponent it
+#: holds every intermediate of double inputs, from ``t^2`` up to 1e616 to
+#: ``a x`` down to 1e-647
+_EXT = np.longdouble
+_PI = np.arccos(_EXT(-1.0))
 
 
-def _half_square_over(t: float, y: np.ndarray) -> np.ndarray:
-    """``t^2 / (2 y)`` for ``y > 0``, formed as written except where ``t t``
-    or ``2 y`` overflows (``y`` above ``max/2``, where the bridge and negative
-    side exponents took ``inf / inf`` or ``t t / inf``); there it is
-    ``(t / y)(t / 2)``, whose overflow is the right limit."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(np.isinf(t * t) | np.isinf(2.0 * y), (t / y) * (0.5 * t), t * t / (2.0 * y))
+def _extended(*values) -> list:
+    """``values`` (floats or arrays) in the extended type, which must have
+    a wider exponent range than a double: where numpy's ``longdouble`` is
+    only a double (MSVC, macOS on arm64) the law is refused, not evaluated
+    in a type whose intermediates over- and underflow."""
+    if np.finfo(_EXT).maxexp < 16384:
+        raise RuntimeError("the stable-1/2 law needs numpy's longdouble with maxexp 16384 (x86-64)")
+    return [_EXT(v) for v in values]
 
 
-def _sqrt_2x(x: float) -> float:
-    """``sqrt(2 x)``, also above ``max/2``, where ``2 x`` overflows."""
-    return np.sqrt(2.0 * x) if x <= 0.5 * _MAX else np.sqrt(2.0) * np.sqrt(x)
+def _erf(u: np.ndarray) -> np.ndarray:
+    """``erf`` of an extended ``u >= 0``: ``2u/sqrt(pi)`` below 1e-10, where
+    the next term is ``u^2/3`` relative, and scipy's double ``erf``, which
+    has no extended loop, of ``min(u, 6)`` above (``erf(6)`` rounds to 1)."""
+    return np.where(u < 1e-10, 2.0 / np.sqrt(_PI) * u, erf(np.minimum(u, 6.0).astype(float)))
 
 
-def _halved_where_sum_overflows(side, x: float, t: float, a: np.ndarray, power: int) -> np.ndarray:
-    """``side(x, t, a)``, except where ``x + a`` overflows: the law scales as
-    ``(x, t, z) -> (c^2 x, c t, c^2 z)`` with its density divided by ``c^2``,
-    so there it is ``side(x/4, t/2, a/4) / 4**power`` (``power`` 0 for the
-    CDF, 1 for the density), and these divisions by powers of 2 are exact."""
-    if not math.isinf(x + float(a.max(initial=0.0))):
-        return side(x, t, a)
-    with np.errstate(over="ignore"):
-        big = np.isinf(x + a)
-    out = np.empty_like(a)
-    out[~big] = side(x, t, a[~big])
-    out[big] = side(0.25 * x, 0.5 * t, 0.25 * a[big]) * 0.25**power
-    return out
-
-
-def _erf_sqrt_ratio(t: float, b, c, s: np.ndarray) -> np.ndarray:
-    """``erf(t sqrt(b / (2 c s)))`` for ``s = b + c`` (broadcast), as
-    ``erf(t sqrt(0.5 (b/c) / s))``.  Where ``(b/c)/s`` overflows, which
-    needs ``b >> c``, the argument is ``t/sqrt(c) sqrt(0.5 b/s)`` instead:
-    ``b/s <= 1``, so only the true argument's own overflow is left."""
-    q = 0.5 * (b / c) / s
-    arg = t * np.sqrt(q)
-    if not np.isfinite(q.max(initial=0.0)):  # a NaN max may hide an inf
-        big = np.isinf(q)
-        b, c = np.broadcast_arrays(b, c)
-        arg[big] = t / np.sqrt(c[big]) * np.sqrt(0.5 * (b[big] / s[big]))
-    return erf(arg)
-
-
-def _basepoint_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
+def _basepoint_negative_side(x, t, a: np.ndarray) -> np.ndarray:
     """Closed-form base-point density at ``z = -a < 0`` for a level ``x > 0``
-    (see the module docstring), arranged so that no intermediate overflows
-    or vanishes where the result does not."""
+    (module docstring), all three in the extended type."""
+    s = a + x
     # D = exp(-t^2/(2x)) - exp(-t^2/(2a)) with the larger exponential factored
-    # out: expm1 then sees an argument <= 0, so it cannot overflow when the
-    # two exponents are far apart, and small t loses no digits.  An argument
-    # that overflows to inf gives the limit: d = 0 and erf(inf) = 1
-    # sigma^2 a^(-3/2) / sqrt(x) = sqrt(x/s) / (sqrt(a) sqrt(s)) and
-    # mu sigma a^(-3/2) / sqrt(x) = (t/s) / sqrt(s); where an exponential is
-    # 0, a factor beside it may overflow, and its term is the limit 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = a + x
-        ratio = (a - x) / a
-        e = 0.5 * t * t * ratio / x
-        # where t t or t t ratio over- or underflowed but e need not: a
-        # product that does so only with e, or -t^2/(2a) where ratio
-        # overflowed, as then a << x
-        if t * t < _TINY or not np.isfinite(e).all():
-            redo = ~np.isfinite(e) | (t * t < _TINY)
-            r = ratio[redo]
-            e[redo] = np.where(np.isinf(r), -(0.5 * t) * (t / a[redo]), (0.5 * t) * (t / x) * r)
-        e[a == x] = 0.0  # D = 0, where t t = inf gave inf * 0
-        d = np.sign(e) * np.exp(-_half_square_over(t, np.maximum(a, x))) * np.expm1(-np.abs(e))
-        # (t - mu)/(sigma sqrt 2) and mu/(sigma sqrt 2)
-        erfs = _erf_sqrt_ratio(t, x, a, s) + _erf_sqrt_ratio(t, a, x, s)
-        g = np.exp(-_half_square_over(t, s))
-        if t * t < _TINY:
-            # both terms are of order t t: dividing by sqrt(s) last would
-            # come after a product that underflows
-            first = np.sqrt(x / s) * (d / np.sqrt(a) / np.sqrt(s))
-            second = np.sqrt(0.5 * np.pi) * g * erfs * ((t / s) / np.sqrt(s))
-        else:
-            first = np.sqrt(x / s) * (d / np.sqrt(a)) / np.sqrt(s)
-            second = np.sqrt(0.5 * np.pi) * g * erfs * (t / s) / np.sqrt(s)
-    return (first + np.where(g > 0.0, second, 0.0)) / np.pi
+    # out, so that small t loses no digits to the difference
+    e = t * t * (a - x) / (2.0 * a * x)
+    d = np.sign(e) * np.exp(-t * t / (2.0 * np.maximum(a, x))) * np.expm1(-np.abs(e))
+    # (t - mu)/(sigma sqrt 2) and mu/(sigma sqrt 2)
+    erfs = _erf(t * np.sqrt(x / (2.0 * a * s))) + _erf(t * np.sqrt(a / (2.0 * x * s)))
+    first = np.sqrt(x) * d / np.sqrt(a)
+    second = np.sqrt(_PI / 2.0) * np.exp(-t * t / (2.0 * s)) * erfs * t / np.sqrt(s)
+    return (first + second) / (s * _PI)
 
 
 def basepoint_density(x: float, t: float, z_grid) -> DensityCurve:
@@ -375,24 +342,28 @@ def basepoint_density(x: float, t: float, z_grid) -> DensityCurve:
         # backwards from the origin
         f = ig_marginal_density(t, -z)
     else:
-        f = np.zeros_like(z)
+        X, T, Z = _extended(x, t, z)
+        f = np.zeros_like(Z)
         pos = (z > 0.0) & (z < x)
-        zp = z[pos]
-        with np.errstate(over="ignore"):  # pi sqrt(z (x - z)) > max: f is below tiny
-            f[pos] = np.exp(-_half_square_over(t, x - zp)) / (np.pi * np.sqrt(zp) * np.sqrt(x - zp))
-        neg = z < 0.0
-        f[neg] = _halved_where_sum_overflows(_basepoint_negative_side, x, t, -z[neg], 1)
+        y = X - Z[pos]
+        f[pos] = np.exp(-T * T / (2.0 * y)) / (_PI * np.sqrt(Z[pos] * y))
+        neg = (z < 0.0) & (z > -np.inf)  # f(-inf) = 0
+        f[neg] = _basepoint_negative_side(X, T, -Z[neg])
+        with np.errstate(over="ignore"):  # beyond the double range f reads inf
+            f = f.astype(float)
     return DensityCurve(x, t, z, f, np.zeros_like(f), F)
 
 
 def _cdf_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
     """``F(-a)`` for ``a > 0`` and a level ``x >= 0`` (module docstring)."""
-    lo, hi = np.minimum(a, x), np.maximum(a, x)
-    r = np.sqrt(lo / hi)
-    with np.errstate(divide="ignore", over="ignore"):  # owens_t(inf, r) = 0
-        k = t / np.sqrt(x + a)
-        m = t * np.sqrt(hi / (x + a)) / np.sqrt(lo)
-        l1, l2 = np.broadcast_arrays(t / np.sqrt(x), t / np.sqrt(a))
+    x, t, a = _extended(x, t, a)
+    r = np.sqrt(np.minimum(a, x) / np.maximum(a, x))
+    k = t / np.sqrt(x + a)
+    # rounded to double, beyond whose range owens_t(inf, r) = 0; at x = 0,
+    # m = l1 = inf and owens_t(inf, 0) = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        m, l1 = k / r, t / np.sqrt(x)
+        r, k, m, l1, l2 = (v.astype(float) for v in np.broadcast_arrays(r, k, m, l1, t / np.sqrt(a)))
     F = erf(k / np.sqrt(2.0)) * erf(m / np.sqrt(2.0)) + 4.0 * (owens_t(m, r) - owens_t(k, r))
     # 4/(2 pi) int_triangle exp(-(u^2+v^2)/2) to fourth order in the legs
     small = np.maximum(l1, l2) < 2e-2
@@ -419,14 +390,14 @@ def basepoint_cdf(x: float, t: float, z) -> np.ndarray:
         )
     z = np.asarray(z, dtype=float)
     F = np.ones(z.shape)
-    with np.errstate(divide="ignore", over="ignore"):  # erf(inf) = 1
-        f0 = erf(t / _sqrt_2x(x))
+    X, T = _extended(x, t)
+    f0 = erf(float(T / np.sqrt(2.0 * X))) if x > 0.0 else 1.0
     # each side clipped to its bound, F(0) or 1, which the sums may exceed
     # by an ulp next to the origin and the level; F(-inf) = 0 is set apart,
     # as the negative side's closed form takes inf / inf there
     F[z == -np.inf] = 0.0
     neg = (z < 0.0) & (z > -np.inf)
-    F[neg] = np.minimum(_halved_where_sum_overflows(_cdf_negative_side, x, t, -z[neg], 0), f0)
+    F[neg] = np.minimum(_cdf_negative_side(x, t, -z[neg]), f0)
     pos = (z >= 0.0) & (z < x)
     if pos.any():
         F[pos] = np.minimum(f0 + _undershoot_tail_mass(x, t, z[pos]), 1.0)
@@ -441,10 +412,10 @@ def _undershoot_tail_mass(x: float, s, w: np.ndarray) -> np.ndarray:
     base-point mass ``P(0 < Z < w)`` of the bridge region."""
     full = w >= x
     ratio = np.sqrt(w / np.where(full, 1.0, x - w))
+    X, S = _extended(x, s)
     with np.errstate(over="ignore"):  # erfc(inf) = owens_t(inf, r) = 0
-        return np.where(
-            full, erfc(s / _sqrt_2x(x)), 4.0 * owens_t(s / np.sqrt(x), ratio)
-        )
+        u, h = (S / np.sqrt(2.0 * X)).astype(float), s / np.sqrt(x)
+    return np.where(full, erfc(u), 4.0 * owens_t(h, ratio))
 
 
 def hit_under_bin_masses(
@@ -478,7 +449,7 @@ _REL_INNER = 1e-5
 
 #: the levels whose grid holds: its innermost point ``_REL_INNER x`` is a
 #: normal double and its band end ``1.1 x`` is finite
-_X_RANGE = (_TINY / _REL_INNER, _MAX / 1.1)
+_X_RANGE = (np.finfo(float).tiny / _REL_INNER, np.finfo(float).max / 1.1)
 
 
 def default_z_grid(x: float, n: int = 512, z_neg_far: float = -1e6) -> np.ndarray:

@@ -325,6 +325,18 @@ def test_density_bad_grid_is_an_error_line(tmp_path, grid, why):
     assert why in str(exc.value) and "\n" not in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["density", "--x", "8", "--t", "1"], ["validate", "--process", "stable-half", "--n", "50"]],
+)
+def test_a_platform_without_the_extended_type_is_an_error_line(tmp_path, monkeypatch, command):
+    # where numpy's longdouble is a double, the stable-1/2 law is refused
+    monkeypatch.setattr(goupsim.ig_analytics, "_EXT", np.float64)
+    with pytest.raises(SystemExit, match="needs numpy's longdouble with maxexp 16384") as exc:
+        main([*command, "--out", str(tmp_path / "run")])
+    assert "\n" not in str(exc.value) and not (tmp_path / "run").exists()
+
+
 def test_density_outputs(tmp_path):
     out = tmp_path / "run"
     rc = main(

@@ -215,6 +215,18 @@ def test_full_chunks_equal_str_format(tmp_path, values, n):
     assert not bad, bad[:3]  # first differing rows, not a diff of the whole file
 
 
+def test_pow10_table_is_exact():
+    # each 10^(16-e) is the double-double hi + lo, hi split in Veltkamp halves;
+    # the oracle takes the rounding error of hi as a Fraction
+    pow10 = csvio._tables().pow10
+    for i, e in enumerate(range(csvio._E_MIN, -csvio._E_MIN + 1)):
+        exact = Fraction(10) ** (16 - e)
+        hi, hi_hi, hi_lo, lo = pow10[:, i]
+        assert hi == float(exact) and hi_hi + hi_lo == hi, e
+        assert all((math.frexp(h)[0] * 2.0**26).is_integer() for h in (hi_hi, hi_lo)), e
+        assert lo == float(exact - Fraction(hi)), e
+
+
 @pytest.mark.parametrize(
     "n, kernel_chunks",
     [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from goupsim import ig_analytics
 from goupsim.ig_analytics import (
     DensityCurve,
     basepoint_cdf,
@@ -192,6 +193,43 @@ def test_hit_under_negative_level_closed_form_matches_quadrature():
     assert np.any(live & (w > 8.0)) and np.any(live & (w < 8.0) & (w > 7.0))
 
 
+def _hit_under_negative_level_mp(x, s, y):
+    """``hit_under_density`` at a level ``x < 0`` by ``mpmath.quad`` of the
+    mirrored triple density over the undershoot ``b`` in ``(0, X)``, taken
+    in ``log b`` from where ``exp(-s^2/(2b))`` is below ``e^-999`` of its
+    value at ``m = min(s^2/2, X)``, with a break at ``m``."""
+    mpmath = pytest.importorskip("mpmath")
+    X, Y, s = mpmath.mpf(-x), mpmath.mpf(-y), mpmath.mpf(s)
+
+    def f(u):
+        b = mpmath.exp(u)
+        return -s * b * (b * (Y - b)) ** -1.5 * mpmath.exp(-s * s / (2 * b)) / (2 * mpmath.pi)
+
+    m = min(s * s / 2, X)
+    return float(mpmath.quad(f, [mpmath.log(m / 1000), mpmath.log(m), mpmath.log(X)]))
+
+
+@pytest.mark.parametrize(
+    "x, s, y",
+    [
+        (-1.0, -1.2, -1.5),
+        (-1e-250, -1e-100, -2e-250),  # raised OverflowError from Y**-1.5
+        (-1e-300, -1e-200, -1e300),  # NaN from inf * 0, with a RuntimeWarning
+        (-1e-250, -1e-125, -2e-250),  # beyond the double range
+        (-1e-300, -1e300, -2e-300),  # w = 5e449 is beyond the double range
+    ],
+)
+def test_hit_under_negative_level_at_extreme_parameters(x, s, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hit_under_density(x, s, y)
+    want = _hit_under_negative_level_mp(x, s, y)
+    if np.finfo(float).tiny <= want < np.inf:
+        assert abs(got - want) <= 1e-14 * want
+    else:
+        assert got == want
+
+
 @pytest.mark.parametrize(
     "x, s",
     [
@@ -357,16 +395,21 @@ def test_basepoint_negative_side_far_apart_exponents(x, t):
 
 
 def _negative_side_closed_form(x, t, a):
-    """``f(-a)`` by the module docstring's closed form at 100 digits, with
-    ``D`` as a difference of ``expm1`` and ``t - mu`` as ``t x / (a + x)``,
-    which cancel no digits."""
+    """``f(-a)`` by the module docstring's closed form in ``mpmath``, with
+    ``D`` as the difference of its two exponentials and ``t - mu`` as
+    ``t x / (a + x)``.  ``D`` cancels ``-log10|e|`` digits, for the
+    exponent difference ``e = t^2 (a - x) / (2 a x)``, so 40 digits more
+    are kept; an ``expm1`` difference would cancel where the exponents
+    themselves are large."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(100):
-        x, t, a = mpmath.mpf(x), mpmath.mpf(t), mpmath.mpf(a)
+    x, t, a = mpmath.mpf(x), mpmath.mpf(t), mpmath.mpf(a)
+    e = t * t * (a - x) / (2 * a * x)
+    digits = 40 + max(0, int(-mpmath.log10(abs(e)))) if e else 40
+    with mpmath.workdps(digits):
         s = a + x
         sigma = mpmath.sqrt(a * x / s)
         mu = a * t / s
-        d = mpmath.expm1(-t * t / (2 * x)) - mpmath.expm1(-t * t / (2 * a))
+        d = mpmath.exp(-t * t / (2 * x)) - mpmath.exp(-t * t / (2 * a))
         erfs = mpmath.erf(t * x / s / (sigma * mpmath.sqrt(2))) + mpmath.erf(
             mu / (sigma * mpmath.sqrt(2))
         )
@@ -415,6 +458,58 @@ def test_basepoint_negative_side_at_a_subnormal_level():
     got = basepoint_density(1e-320, 1e-160, np.array([-1e-10, 0.0])).f[0]
     want = _negative_side_closed_form(1e-320, 1e-160, 1e-10)
     assert abs(got - want) <= 1e-14 * want
+
+
+def _extreme_parameter_points():
+    """546 points ``(x, t, a)`` of the negative side: 6 log-uniform ``a`` in
+    ``[1e-323, 1e308]`` for each of 10 levels from 1e-303 to 1.6e308 and 9
+    times from 1e-300 to 1e300, and six points once read wrong."""
+    rng = np.random.default_rng(0)
+    points = [
+        (x, t, a)
+        for x in np.geomspace(1e-303, 1.6e308, 10)
+        for t in np.geomspace(1e-300, 1e300, 9)
+        for a in np.exp(rng.uniform(math.log(1e-323), math.log(1e308), 6))
+    ]
+    return points + [
+        (1.0, 1e-165, 5.4e-263),  # read 4.3e-200 for 4.0e62
+        (1e-3, 1e-300, 8.5e-253),  # read 0 for 6.4e-222
+        (1e-10, 1e-165, 2.0e-237),  # read 1.7793865e29 for 1.7794064e29
+        (8.0, 1e-165, 1.73e-26),  # read 1.07e-319 for 2.47e-293
+        (1e-200, 1e-100, 7.32e131),  # read 4.35e-299 for 2.35e-299
+        (1e-320, 1e-160, 6.8e89),  # read 4.86e-296 for 2.62e-296
+    ]
+
+
+def test_basepoint_negative_side_at_extreme_parameters():
+    # every factor of the law formed in doubles over- or underflowed
+    # somewhere in this sweep: 24 of these points were wrong, by up to
+    # 262 orders of magnitude
+    got, want = [], []
+    for x, t, a in _extreme_parameter_points():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got.append(basepoint_density(x, t, np.array([-a, 0.0])).f[0])
+        want.append(_negative_side_closed_form(x, t, a))
+    got, want = np.array(got), np.array(want)
+    normal = want >= np.finfo(float).tiny
+    assert normal.sum() >= 150 and np.all(want < np.inf)
+    assert np.max(np.abs(got[normal] - want[normal]) / want[normal]) <= 1e-14
+    # a subnormal value keeps what its spacing allows
+    assert np.max(np.abs(got[~normal] - want[~normal])) <= 2 * 2.0**-1074
+
+
+def test_law_refuses_where_the_extended_type_is_a_double(monkeypatch):
+    # where numpy's longdouble is a double (MSVC, macOS on arm64) the law's
+    # intermediates over- and underflow: refuse rather than fall back
+    monkeypatch.setattr(ig_analytics, "_EXT", np.float64)
+    match = "needs numpy's longdouble with maxexp 16384"
+    with pytest.raises(RuntimeError, match=match):
+        basepoint_density(8.0, 1.0, default_z_grid(8.0, n=64))
+    with pytest.raises(RuntimeError, match=match):
+        basepoint_cdf(8.0, 1.0, np.array([-1.0, 1.0]))
+    with pytest.raises(RuntimeError, match=match):
+        hit_under_density(-1.0, -1.2, -1.5)
 
 
 def test_basepoint_finite_over_wide_ranges():
@@ -576,12 +671,14 @@ def test_basepoint_cdf_monotone_and_finite_over_wide_ranges():
 
 @pytest.mark.parametrize("x", [0.0, 8.0])
 def test_basepoint_cdf_is_zero_at_minus_infinity(x):
-    # F(-inf) used to be NaN, with a RuntimeWarning from inf / inf
+    # F(-inf) used to be NaN, with a RuntimeWarning from inf / inf, and so
+    # was f(-inf) at x > 0
     z = np.array([-np.inf, -1e300, -1.0, 0.0, 4.0, np.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         F = basepoint_cdf(x, 1.0, z)
-    assert F[0] == 0.0
+        f = basepoint_density(x, 1.0, z).f
+    assert F[0] == 0.0 and f[0] == 0.0
     assert np.all(np.diff(F) >= 0.0) and F[-1] == 1.0
 
 
