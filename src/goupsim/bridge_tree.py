@@ -21,20 +21,23 @@ values never decrease.
 
 Every uniform is the top 53 bits of one 64-bit word of Philox4x64-10
 (Salmon et al., SC'11), computed here for whole arrays of counters at once.
-The key comes from the run's seed under the purpose tag ``PURPOSE``; the
-counter of a draw is ``(node index, code << 1 | side, sample, 0)``, where
-``code`` is 0 for a top node's increment and ``d + 1`` for the split of a
-node at depth ``d``, the same for every family.  Any node of any sample can
-therefore be drawn on its own, in any order, with bitwise the same value.  A
-search that knows which node it needs (the one holding a crossing, or a grid
-time) descends into that node alone: a level-n value costs at most ``n``
-draws, not the ``2^n`` increments of a unit of time.  A crossing is found
-level by level, since each split's node depends on the one before, so each
-level is one Philox call.  A grid time's descent is known from its index
-before the first draw, so all of its counters, the top nodes up to it and
-the split at every depth, are hashed together, ``_HASH_BATCH`` at a time:
-one call's fixed numpy cost, a few hundred microseconds, is then spread
-over thousands of counters.
+The key comes from the run's seed under the purpose tag ``PURPOSE``.  A
+counter ``(block, code << 1 | side, sample, 0)`` gives a block of four words
+(:func:`_slot`): top node ``j``'s increment is word ``j & 3`` of block
+``j >> 2`` under code 0, and the block at a node of even depth ``d``, under
+code ``d + 1``, holds that node's split in word 0 and the splits of its
+left and right children in words 1 and 2 (word 3 is unused).  The layout is
+the same for every family.  Any node of any sample can therefore be drawn
+on its own, in any order, with bitwise the same value.  A search that knows
+which node it needs (the one holding a crossing, or a grid time) descends
+into that node alone: a level-n value costs at most ``n`` draws, not the
+``2^n`` increments of a unit of time.  A crossing is found level by level,
+since each split's node depends on the one before, so the descent hashes
+one block per two levels.  A grid time's descent is known from its index
+before the first draw, so all of its blocks, the top nodes' up to it and
+one per two depths, are hashed together, ``_HASH_BATCH`` at a time: one
+call's fixed numpy cost, a few hundred microseconds, is then spread over
+thousands of counters.
 """
 
 from __future__ import annotations
@@ -67,8 +70,13 @@ PURPOSE = 0x74726565  # "tree"
 FORWARD = 0
 BACKWARD = 1
 
-#: top nodes drawn per pass of a scan
+#: top nodes drawn per pass of a scan: one block of four (:func:`_slot`)
 _TOP_BATCH = 4
+
+#: a node index at or past this lies beyond every window (``|k| < 2^53``) at
+#: any depth: a crossing search holds such a node here instead of doubling
+#: it past 2^63, where it wrapped to a leaf inside the window
+_NODE_CAP = 1 << 61
 
 #: counters hashed per Philox call where every counter is known before the
 #: first draw: a call's fixed numpy cost, a few hundred us, is spread over
@@ -136,21 +144,49 @@ def philox4x64(counter, key) -> np.ndarray:
     return np.stack([c0, c1, c2, c3])
 
 
-def _node_uniforms(key, index, code, side, sample) -> np.ndarray:
-    """One uniform per counter ``(index, code << 1 | side, sample, 0)``
-    (broadcast): the first output word's top 53 bits, at the midpoint of its
-    2^-53 cell, so ``u`` is never 0, 1 or 1/2."""
-    index, code, side, sample = (
-        np.asarray(a, dtype=np.uint64) for a in (index, code, side, sample)
-    )
-    word = philox4x64((index, (code << np.uint64(1)) | side, sample, 0), key)[0]
+def _block(key, code, index, side, sample) -> np.ndarray:
+    """The 4 Philox words of the counters ``(index, code << 1 | side,
+    sample, 0)`` (broadcast), stacked on a new first axis."""
+    code, side = np.asarray(code, dtype=np.uint64), np.asarray(side, dtype=np.uint64)
+    return philox4x64((index, (code << np.uint64(1)) | side, sample, 0), key)
+
+
+def _slot(code: int, index):
+    """Where the draw ``code`` of the nodes ``index`` lives: its block's
+    index and code, and its word in that block.
+
+    * Top node ``j``'s increment (code 0) is word ``j & 3`` of block
+      ``j >> 2`` under code 0.
+    * The split of a node at even depth ``d`` (code ``d + 1``, odd) is
+      word 0 of the block at that node under code ``d + 1``.
+    * The split of a node at odd depth ``d`` (code ``d + 1``, even) is word
+      1 or 2, for a left or right child, of its parent's block: block
+      ``index >> 1`` under code ``d``.  Word 3 is not used.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    if code == 0:
+        return index >> 2, 0, index & 3
+    if code & 1:
+        return index, code, 0
+    return index >> 1, code - 1, 1 + (index & 1)
+
+
+def _unit(word: np.ndarray) -> np.ndarray:
+    """The uniform of each 64-bit word: its top 53 bits, at the midpoint of
+    their 2^-53 cell, so ``u`` is never 0, 1 or 1/2."""
     return ((word >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
 
 
-def top_jumps(spec: ProcessSpec, key, side, sample, index) -> np.ndarray:
-    """Jump sums ``L(1) - drift`` of the top nodes ``index`` (broadcast), by
-    the unit-time quantile of each node's uniform."""
-    return jump_quantile(spec, 1.0, _node_uniforms(key, index, 0, side, sample))
+def top_jumps(spec: ProcessSpec, key, side, sample, start: int, stop: int) -> np.ndarray:
+    """Jump sums ``L(1) - drift`` of the top nodes ``start .. stop-1`` of
+    each side and sample (broadcast), on a new last axis, by the unit-time
+    quantile of each node's uniform; each block of four nodes is hashed
+    once (:func:`_slot`)."""
+    block, _, word = _slot(0, np.arange(start, stop))
+    side, sample = np.asarray(side)[..., None], np.asarray(sample)[..., None]
+    words = _block(key, 0, np.arange(block[0], block[-1] + 1), side, sample)
+    u = np.moveaxis(words[word, ..., block - block[0]], 0, -1)
+    return jump_quantile(spec, 1.0, _unit(u))
 
 
 def _binomial_half_icdf(n: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -249,9 +285,8 @@ def _first_top_node(
     for j0 in range(0, count, _TOP_BATCH):
         if rows.size == 0:
             break
-        j = np.arange(j0, min(j0 + _TOP_BATCH, count))
         with np.errstate(over="ignore"):  # an overflow is refused below
-            jumps = top_jumps(spec, key, side[rows, None], sample[rows, None], j[None, :])
+            jumps = top_jumps(spec, key, side[rows], sample[rows], j0, min(j0 + _TOP_BATCH, count))
             cum = jumps + drift
             cum[:, 0] += carry
             np.cumsum(cum, axis=1, out=cum)
@@ -260,7 +295,7 @@ def _first_top_node(
         f = np.flatnonzero(found)
         c = np.argmax(hit[f], axis=1)
         r = rows[f]
-        node[r] = j[c]
+        node[r] = j0 + c
         hi[r] = cum[f, c]
         v[r] = jumps[f, c]
         _refuse_overflow(r, side, sample, node, hi, v)
@@ -271,13 +306,13 @@ def _first_top_node(
 
 
 def _hashed(key, index, code: int, side, sample) -> np.ndarray:
-    """The uniforms of the counters ``(index, code << 1 | side, sample, 0)``
+    """The blocks of the counters ``(index, code << 1 | side, sample, 0)``
     (equal-length 1-d arrays), ``_HASH_BATCH`` counters per Philox call."""
-    u = np.empty(index.size)
+    words = np.empty((4, index.size), dtype=np.uint64)
     for lo in range(0, index.size, _HASH_BATCH):
         part = slice(lo, lo + _HASH_BATCH)
-        u[part] = _node_uniforms(key, index[part], code, side[part], sample[part])
-    return u
+        words[:, part] = _block(key, code, index[part], side[part], sample[part])
+    return words
 
 
 def _known_tops(
@@ -287,22 +322,29 @@ def _known_tops(
     that node's jump sum.
 
     The nodes ``0 .. top`` of every sample are known before the first draw,
-    so they are hashed together (:func:`_hashed`) and summed in one running
-    sum per sample, bitwise the batch-carried sums of
-    :func:`_first_top_node`.  The samples are taken by descending ``top``:
-    those still summing node ``j`` come first, and the counters are laid out
-    node by node in that order.  A right end or jump sum that is not finite
-    is refused, naming the first such sample."""
+    so their blocks are hashed together (:func:`_hashed`), each once, and
+    the nodes summed in one running sum per sample, bitwise the
+    batch-carried sums of :func:`_first_top_node`.  The samples are taken by
+    descending ``top``: those still reaching block ``b`` or node ``j`` come
+    first, and the counters are laid out block by block, the uniforms node
+    by node, in that order.  A right end or jump sum that is not finite is
+    refused, naming the first such sample."""
     n = top.size
     order = np.argsort(-top, kind="stable")
     reach = np.cumsum(np.bincount(top)[::-1])[::-1]  # samples whose top is >= j
     start = np.cumsum(reach) - reach
     j = np.repeat(np.arange(reach.size), reach)
-    row = order[np.arange(j.size) - start[j]]
+    rank = np.arange(j.size) - start[j]
+    block, _, word = _slot(0, j)
+    b_reach = reach[::4]  # samples whose top is >= 4b
+    b_start = np.cumsum(b_reach) - b_reach
+    b = np.repeat(np.arange(b_reach.size), b_reach)
+    row = order[np.arange(b.size) - b_start[b]]
+    words = _hashed(key, b, 0, side[row], sample[row])
     total = np.zeros(n)  # the running sums, in ``order``
     lo, v = np.zeros(n), np.zeros(n)
     with np.errstate(over="ignore"):  # an overflow is refused below
-        jumps = jump_quantile(spec, 1.0, _hashed(key, j, 0, side[row], sample[row]))
+        jumps = jump_quantile(spec, 1.0, _unit(words[word, b_start[block] + rank]))
         # rows e .. c-1 of ``order`` end at node j: the last reach[j] - reach[j+1]
         for a, c, e in zip(start.tolist(), reach.tolist(), [*reach[1:].tolist(), 0]):
             inc = jumps[a : a + c]
@@ -316,27 +358,36 @@ def _known_tops(
 
 
 def _known_splits(key, level: int, leaf: np.ndarray, side, sample):
-    """The uniforms of the splits on the way down to the depth-``level``
-    nodes ``leaf``, one array per depth ``d = 0 .. level-1``, whose node is
-    ``leaf >> (level - d)``: ``_HASH_BATCH // leaf.size`` depths (at least
-    one) are hashed per Philox call."""
+    """The blocks of the splits on the way down to the depth-``level``
+    nodes ``leaf``, one ``(4, n)`` array per even depth ``d < level``, whose
+    node is ``leaf >> (level - d)``: ``_HASH_BATCH // leaf.size`` blocks (at
+    least one) are hashed per Philox call."""
     per = max(1, _HASH_BATCH // leaf.size)
-    for d0 in range(0, level, per):
-        depth = np.arange(d0, min(d0 + per, level))[:, None]
-        yield from _node_uniforms(key, leaf >> (level - depth), depth + 1, side, sample)
+    for d0 in range(0, level, 2 * per):
+        depth = np.arange(d0, min(d0 + 2 * per, level), 2)[:, None]
+        # copies, and the del, free each batch before the next is hashed
+        blocks = _block(key, depth + 1, leaf >> (level - depth), side, sample).swapaxes(0, 1)
+        yield from (words.copy() for words in blocks)
+        del blocks
 
 
-def _descend(spec, node, lo, hi, v, levels: int, uniforms: Callable, go_left: Callable) -> tuple:
+def _descend(spec, node, lo, hi, v, levels: int, blocks: Callable, go_left: Callable) -> tuple:
     """Walk ``levels`` levels down from depth-0 nodes, splitting only the
-    node walked into: ``uniforms(depth, node)`` gives each sample's split
-    uniform and ``go_left(depth, mid)`` picks its half.  Returns the leaf
-    indices and the values at their ends."""
+    node walked into: ``blocks(depth, node)`` gives, at each even depth,
+    each sample's block there, which holds the splits of the node and of
+    both its children (:func:`_slot`), and ``go_left(depth, mid)`` picks
+    its half.  Returns the leaf indices, held at ``_NODE_CAP`` past every
+    window, and the values at their ends."""
     drift = spec.drift
     for depth in range(levels):
-        left, right = split(spec, depth, v, uniforms(depth, node))
+        if depth % 2 == 0:
+            words = blocks(depth, node)
+        word = _slot(depth + 1, node)[2]  # 0 at an even depth, else 1 or 2 per node
+        u = _unit(words[word] if depth % 2 == 0 else np.where(word == 1, words[1], words[2]))
+        left, right = split(spec, depth, v, u)
         mid = np.minimum(lo + (drift * 2.0 ** -(depth + 1) + left), hi)
         to_left = go_left(depth, mid)
-        node = 2 * node + ~to_left
+        node = np.minimum(2 * node + ~to_left, _NODE_CAP)
         lo = np.where(to_left, lo, mid)
         hi = np.where(to_left, mid, hi)
         v = np.where(to_left, left, right)
@@ -346,8 +397,9 @@ def _descend(spec, node, lo, hi, v, levels: int, uniforms: Callable, go_left: Ca
 def hit_index(spec: ProcessSpec, key, level: int, x0: float, k_max: int, sample) -> np.ndarray:
     """Per sample, the first grid index ``1 <= k <= k_max`` at ``level``
     whose forward value reaches ``x0 > 0``, or 0 where none does.  Each
-    split's node depends on the one before, so every level is hashed on
-    its own."""
+    split's node depends on the one before, so the descent hashes one block
+    per two levels, at each even depth.  A crossing beyond every window is
+    held at node ``_NODE_CAP`` and reads 0 at any level."""
     sample = np.asarray(sample, dtype=np.int64)
     count = -(-k_max >> level)  # top nodes covering (0, k_max]
     side = np.full(sample.size, FORWARD)
@@ -357,7 +409,7 @@ def hit_index(spec: ProcessSpec, key, level: int, x0: float, k_max: int, sample)
     side, sample = side[ok], sample[ok]
     leaf, _, _ = _descend(
         spec, node[ok], lo[ok], hi[ok], v[ok], level,
-        lambda depth, node: _node_uniforms(key, node, depth + 1, side, sample),
+        lambda depth, node: _block(key, depth + 1, node, side, sample),
         lambda depth, mid: mid >= x0,
     )
     out[ok] = np.where(leaf < k_max, leaf + 1, 0)
@@ -370,7 +422,7 @@ def values_at(spec: ProcessSpec, key, level: int, k, sample) -> np.ndarray:
     the right end of its side's leaf ``|k| - 1``, found by descending along
     that leaf's bits.  The whole descent is known from ``k`` before the first
     draw, so its counters are hashed in a few batches (:func:`_known_tops`,
-    :func:`_known_splits`) rather than one Philox call per level."""
+    :func:`_known_splits`) rather than one Philox call per two levels."""
     k = np.asarray(k, dtype=np.int64)
     sample = np.asarray(sample, dtype=np.int64)
     out = np.zeros(k.shape)
@@ -382,11 +434,11 @@ def values_at(spec: ProcessSpec, key, level: int, k, sample) -> np.ndarray:
     leaf = np.abs(k[nz]) - 1
     top = leaf >> level
     lo, hi, v = _known_tops(spec, key, side, sample, top)
-    u = _known_splits(key, level, leaf, side, sample)
+    blocks = _known_splits(key, level, leaf, side, sample)
 
     def go_left(depth, mid):
         return (leaf >> (level - depth - 1)) & 1 == 0
 
-    _, _, value = _descend(spec, top, lo, hi, v, level, lambda depth, node: next(u), go_left)
+    _, _, value = _descend(spec, top, lo, hi, v, level, lambda depth, node: next(blocks), go_left)
     out[nz] = np.where(side == BACKWARD, -value, value)
     return out

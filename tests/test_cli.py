@@ -369,6 +369,9 @@ def test_validate_stable_half_passes(tmp_path):
             "--seed", "2024", "--out", str(out),
         ]
     )
+    # a correct sampler fails the L1 bound 0.10 at n = 2500 and 40 bins 3.2%
+    # of the time (multinomial simulation over the exact bin masses), the KS
+    # and concentration verdicts 1% each: the run fails at most 5.2%
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is True
@@ -638,6 +641,9 @@ def test_validate_report_records_every_check_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(montecarlo_validation, "validate_basepoints", recording)
     out = tmp_path / "run"
+    # at the defaults (n = 10^4, 60 bins) a correct sampler fails the KS and
+    # concentration verdicts 1% of the time each, and L1 in no multinomial
+    # draw of 10^5: the exit status is 0 at least 98% of the time
     assert main(["validate", "--process", "stable-half", "--seed", "5", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     (result,) = results
@@ -651,6 +657,8 @@ def test_density_and_validate_write_the_same_law_table(tmp_path):
     # both commands tabulate the law once, on the same default grid
     density, validate = tmp_path / "density", tmp_path / "validate"
     assert main(["density", "--x", "8", "--t", "1", "--out", str(density)]) == 0
+    # exit 0 at least 98% of the time for a correct sampler (the defaults'
+    # KS and concentration verdicts fail 1% each)
     assert main(["validate", "--process", "stable-half", "--out", str(validate)]) == 0
     for name in ("density.csv", "cdf.csv"):
         assert (density / name).read_bytes() == (validate / name).read_bytes()
@@ -886,14 +894,15 @@ def test_density_refuses_a_level_its_grid_cannot_hold(tmp_path, x):
 
 # sha256 of samples.csv and report.json of small Gamma and Poisson
 # validations; the samples were re-pinned when these families moved onto the
-# bridge tree (the reports hold no sample-dependent field)
+# bridge tree and when its top nodes and odd-depth splits moved to words 1-3
+# of their blocks (the reports hold no sample-dependent field)
 VALIDATE_PINS = {
     "gamma": (
-        "5b93a53492738599aa230bd86b22b1cdf71642be154b89aabf64e5aef7786bee",
+        "cf7351f2a7468bf8d720cb3579ab39835cbae963b560ac14105f881f2e98efea",
         "5dd731ebc011b4f1261fb60401371bdf3ba7eeed3c8d48bd70f113c3ccc1e05c",
     ),
     "poisson": (
-        "b9e1fab8219923a2478d7bc3ac232b75fb59d3cf597ded7844a08229dde0f269",
+        "22c1fa7606053aeaf06253b6ac5765b07f3a85e60501e3d464d4e93ba8989110",
         "99f89ea0c7e81e8c0036dde400c392a8d6a6f0b603693097c68e8457688fd37d",
     ),
 }
