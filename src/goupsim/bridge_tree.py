@@ -31,13 +31,15 @@ the same for every family.  Any node of any sample can therefore be drawn
 on its own, in any order, with bitwise the same value.  A search that knows
 which node it needs (the one holding a crossing, or a grid time) descends
 into that node alone: a level-n value costs at most ``n`` draws, not the
-``2^n`` increments of a unit of time.  A crossing is found level by level,
-since each split's node depends on the one before, so the descent hashes
-one block per two levels.  A grid time's descent is known from its index
-before the first draw, so all of its blocks, the top nodes' up to it and
-one per two depths, are hashed together, ``_HASH_BATCH`` at a time: one
-call's fixed numpy cost, a few hundred microseconds, is then spread over
-thousands of counters.
+``2^n`` increments of a unit of time.  Both searches first scan the top
+nodes, one block of four per pass, in one running sum
+(:func:`_first_top_node`).  A crossing is found level by level, since each
+split's node depends on the one before, so its scan hashes each block as
+it goes and its descent hashes one block per two levels.  A grid time's
+descent is known from its index before the first draw, so all of its
+blocks, the top nodes' up to it and one per two depths, are hashed
+together, ``_HASH_BATCH`` at a time: one call's fixed numpy cost, a few
+hundred microseconds, is then spread over thousands of counters.
 """
 
 from __future__ import annotations
@@ -69,9 +71,6 @@ PURPOSE = 0x74726565  # "tree"
 #: side bit of a counter
 FORWARD = 0
 BACKWARD = 1
-
-#: top nodes drawn per pass of a scan: one block of four (:func:`_slot`)
-_TOP_BATCH = 4
 
 #: a node index at or past this lies beyond every window (``|k| < 2^53``) at
 #: any depth: a crossing search holds such a node here instead of doubling
@@ -264,44 +263,48 @@ def _refuse_overflow(rows, side, sample, node, hi, v) -> None:
 
 
 def _first_top_node(
-    spec: ProcessSpec, key, side: np.ndarray, sample: np.ndarray, count: int, x0: float
+    spec: ProcessSpec, side: np.ndarray, sample: np.ndarray, count: int,
+    jumps_of: Callable, reached: Callable,
 ) -> tuple[np.ndarray, ...]:
-    """Per sample, the first top node among ``0 .. count-1`` whose right end
-    reaches ``x0``, with the values at its ends and its jump sum; node -1
-    where none does.
+    """Per sample, the first top node ``j`` among ``0 .. count-1`` where
+    ``reached(rows, j, right_end)`` holds, with the values at its ends and
+    its jump sum; node -1 where there is none.  Once ``reached`` holds for
+    a sample it must hold at every later node, as ``right_end`` never
+    decreases.
 
-    Top nodes are drawn ``_TOP_BATCH`` at a time for the samples still
-    searching, and each batch's sum starts from the running sum carried into
-    its first increment, so every value equals one sequential sum.  Values
-    never decrease, so an overflow reaches every later node: a found node
-    whose right end or jump sum is not finite is refused, naming its sample
-    (its left end is at most its right one)."""
+    The scan takes one block of four top nodes per pass (:func:`_slot`):
+    ``jumps_of(b, rows)`` gives block ``b``'s jump sums, one row per node
+    and one column per sample still scanning, and each block's sum starts
+    from the running sum carried into it, so every value equals one
+    sequential sum.  An overflow reaches every later node: after the scan,
+    the first sample in row order whose node's right end or jump sum is not
+    finite is refused (its left end is at most its right one)."""
     n = sample.size
-    drift = spec.drift
     node = np.full(n, -1, dtype=np.int64)
     lo, hi, v = np.zeros(n), np.zeros(n), np.zeros(n)
     rows = np.arange(n)
     carry = np.zeros(n)
-    for j0 in range(0, count, _TOP_BATCH):
+    for j0 in range(0, count, 4):
         if rows.size == 0:
             break
         with np.errstate(over="ignore"):  # an overflow is refused below
-            jumps = top_jumps(spec, key, side[rows], sample[rows], j0, min(j0 + _TOP_BATCH, count))
-            cum = jumps + drift
-            cum[:, 0] += carry
-            np.cumsum(cum, axis=1, out=cum)
-        hit = cum >= x0
-        found = hit.any(axis=1)
+            jumps = jumps_of(j0 >> 2, rows)[: count - j0]
+            cum = np.vstack([carry, jumps + spec.drift])  # row i: the value at time j0 + i
+            for i in range(1, len(cum)):
+                cum[i] += cum[i - 1]
+        hit = reached(rows, np.arange(j0, j0 + len(jumps))[:, None], cum[1:])
+        c = len(hit) - hit.sum(axis=0)  # the nodes before the first one reached
+        found = c < len(hit)
         f = np.flatnonzero(found)
-        c = np.argmax(hit[f], axis=1)
+        c = c[f]
         r = rows[f]
         node[r] = j0 + c
-        hi[r] = cum[f, c]
-        v[r] = jumps[f, c]
-        _refuse_overflow(r, side, sample, node, hi, v)
-        lo[r] = np.where(c > 0, cum[f, c - 1], carry[f])
-        carry = cum[~found, -1]
+        lo[r] = cum[c, f]
+        hi[r] = cum[c + 1, f]
+        v[r] = jumps[c, f]
+        carry = cum[-1, ~found]
         rows = rows[~found]
+    _refuse_overflow(np.flatnonzero(node >= 0), side, sample, node, hi, v)
     return node, lo, hi, v
 
 
@@ -313,48 +316,6 @@ def _hashed(key, index, code: int, side, sample) -> np.ndarray:
         part = slice(lo, lo + _HASH_BATCH)
         words[:, part] = _block(key, code, index[part], side[part], sample[part])
     return words
-
-
-def _known_tops(
-    spec: ProcessSpec, key, side: np.ndarray, sample: np.ndarray, top: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Per sample, the values at the ends of its side's top node ``top`` and
-    that node's jump sum.
-
-    The nodes ``0 .. top`` of every sample are known before the first draw,
-    so their blocks are hashed together (:func:`_hashed`), each once, and
-    the nodes summed in one running sum per sample, bitwise the
-    batch-carried sums of :func:`_first_top_node`.  The samples are taken by
-    descending ``top``: those still reaching block ``b`` or node ``j`` come
-    first, and the counters are laid out block by block, the uniforms node
-    by node, in that order.  A right end or jump sum that is not finite is
-    refused, naming the first such sample."""
-    n = top.size
-    order = np.argsort(-top, kind="stable")
-    reach = np.cumsum(np.bincount(top)[::-1])[::-1]  # samples whose top is >= j
-    start = np.cumsum(reach) - reach
-    j = np.repeat(np.arange(reach.size), reach)
-    rank = np.arange(j.size) - start[j]
-    block, _, word = _slot(0, j)
-    b_reach = reach[::4]  # samples whose top is >= 4b
-    b_start = np.cumsum(b_reach) - b_reach
-    b = np.repeat(np.arange(b_reach.size), b_reach)
-    row = order[np.arange(b.size) - b_start[b]]
-    words = _hashed(key, b, 0, side[row], sample[row])
-    total = np.zeros(n)  # the running sums, in ``order``
-    lo, v = np.zeros(n), np.zeros(n)
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        jumps = jump_quantile(spec, 1.0, _unit(words[word, b_start[block] + rank]))
-        # rows e .. c-1 of ``order`` end at node j: the last reach[j] - reach[j+1]
-        for a, c, e in zip(start.tolist(), reach.tolist(), [*reach[1:].tolist(), 0]):
-            inc = jumps[a : a + c]
-            lo[order[e:c]] = total[e:c]
-            v[order[e:c]] = inc[e:]
-            total[:c] += inc + spec.drift
-    hi = np.empty(n)
-    hi[order] = total
-    _refuse_overflow(np.arange(n), side, sample, top, hi, v)
-    return lo, hi, v
 
 
 def _known_splits(key, level: int, leaf: np.ndarray, side, sample):
@@ -403,7 +364,11 @@ def hit_index(spec: ProcessSpec, key, level: int, x0: float, k_max: int, sample)
     sample = np.asarray(sample, dtype=np.int64)
     count = -(-k_max >> level)  # top nodes covering (0, k_max]
     side = np.full(sample.size, FORWARD)
-    node, lo, hi, v = _first_top_node(spec, key, side, sample, count, x0)
+    node, lo, hi, v = _first_top_node(
+        spec, side, sample, count,
+        lambda b, rows: top_jumps(spec, key, side[rows], sample[rows], 4 * b, 4 * b + 4).T,
+        lambda rows, j, right_end: right_end >= x0,
+    )
     out = np.zeros(sample.size, dtype=np.int64)
     ok = np.flatnonzero(node >= 0)
     side, sample = side[ok], sample[ok]
@@ -421,8 +386,10 @@ def values_at(spec: ProcessSpec, key, level: int, k, sample) -> np.ndarray:
     sample (1-d arrays; either side, ``x_0 = 0``).  The value at ``k != 0`` is
     the right end of its side's leaf ``|k| - 1``, found by descending along
     that leaf's bits.  The whole descent is known from ``k`` before the first
-    draw, so its counters are hashed in a few batches (:func:`_known_tops`,
-    :func:`_known_splits`) rather than one Philox call per two levels."""
+    draw, so its counters are hashed in a few batches, the top nodes' blocks
+    (:func:`_hashed`) before the scan of :func:`_first_top_node` and the
+    splits' by :func:`_known_splits`, rather than one Philox call per two
+    levels."""
     k = np.asarray(k, dtype=np.int64)
     sample = np.asarray(sample, dtype=np.int64)
     out = np.zeros(k.shape)
@@ -433,7 +400,21 @@ def values_at(spec: ProcessSpec, key, level: int, k, sample) -> np.ndarray:
     sample = sample[nz]
     leaf = np.abs(k[nz]) - 1
     top = leaf >> level
-    lo, hi, v = _known_tops(spec, key, side, sample, top)
+    n_blocks = (top >> 2) + 1  # blocks 0 .. top >> 2 of each row, laid out row by row
+    first = np.cumsum(n_blocks) - n_blocks
+    row = np.repeat(np.arange(top.size), n_blocks)
+    block = np.arange(row.size) - first[row]
+    need = np.arange(4)[:, None] <= top[row] - 4 * block  # the scan stops at node top
+    jumps = np.zeros(need.shape)
+    with np.errstate(over="ignore"):  # an overflow is refused by the scan
+        jumps[need] = jump_quantile(
+            spec, 1.0, _unit(_hashed(key, block, 0, side[row], sample[row])[need])
+        )
+    _, lo, hi, v = _first_top_node(
+        spec, side, sample, 4 * int(n_blocks.max()),
+        lambda b, rows: jumps[:, first[rows] + b],
+        lambda rows, j, right_end: j >= top[rows],
+    )
     blocks = _known_splits(key, level, leaf, side, sample)
 
     def go_left(depth, mid):

@@ -8,8 +8,8 @@ Reproducibility: every increment is a deterministic transform of exactly one
 uniform word drawn from a counter-based (Philox) stream, the quantile
 :func:`jump_quantile` of the word's uniform plus ``drift * dt``.  Side
 ``direction`` of a path (0 forward, 1 backward) reads the single stream
-``stream_for(seed, PATH_PURPOSE, *substream, direction)`` from counter 0,
-one word per grid increment, outward from ``t = 0``.  The purpose tag keeps
+``stream_for(seed, PATH_PURPOSE, direction)`` from counter 0, one word
+per grid increment, outward from ``t = 0``.  The purpose tag keeps
 these streams apart from every other stream under the same seed.  Because a
 side is one stream read in order, a wider window extends a narrower one bit
 for bit.
@@ -387,14 +387,13 @@ def _increment_run(
     seed: RngSeed,
     direction: int,
     out: np.ndarray,
-    substream: tuple[int, ...],
 ) -> np.ndarray:
     """Fill ``out`` (which may be a strided view) with the first
     ``out.size`` increments of side ``direction``: the words of
-    ``stream_for(seed, PATH_PURPOSE, *substream, direction)`` in order,
+    ``stream_for(seed, PATH_PURPOSE, direction)`` in order,
     ``_CHUNK`` at a time.  The raw words are staged in ``out``'s own memory,
     so a run allocates no buffer beyond one chunk."""
-    bitgen = stream_for(seed, PATH_PURPOSE, *substream, direction).bit_generator
+    bitgen = stream_for(seed, PATH_PURPOSE, direction).bit_generator
     quiet = _quiet_words(spec, dt)
     raw = out.view(np.uint64)
     for lo in range(0, out.size, _CHUNK):
@@ -410,14 +409,12 @@ def build_two_sided_path(
     k_min: int,
     k_max: int,
     seed: RngSeed,
-    substream: tuple[int, ...] = (),
 ) -> LevyPathSample:
     """Sample ``x_k = L(t_k)`` for ``k_min <= k <= k_max`` at level ``n_max``.
 
     ``x_0 = 0`` exactly; the negative side uses independent increments
-    accumulated backwards.  ``substream`` extends the stream key, giving
-    independent realizations (for example one per Monte Carlo sample) under
-    one root seed.
+    accumulated backwards.  Each ``seed.stream_id`` gives an independent
+    realization under one root seed.
 
     Values are non-decreasing by construction (module docstring), so a NaN
     or an overflow reaches one of the two ends: a build refuses a path whose
@@ -435,8 +432,8 @@ def build_two_sided_path(
     fwd = values[origin + 1 :]
     bwd = values[:origin][::-1]
     with np.errstate(over="ignore"):  # an overflow reaches an end, refused below
-        _increment_run(spec, dt, seed, _FORWARD, fwd, substream)
-        _increment_run(spec, dt, seed, _BACKWARD, bwd, substream)
+        _increment_run(spec, dt, seed, _FORWARD, fwd)
+        _increment_run(spec, dt, seed, _BACKWARD, bwd)
         np.cumsum(fwd, out=fwd)
         np.cumsum(bwd, out=bwd)
     np.negative(bwd, out=bwd)

@@ -448,12 +448,12 @@ def validate_basepoints(
     """Monte Carlo base points against the exact base-point law.
 
     Checks: L1 distance of the histogram from the exact bin masses of the
-    analytic CDF below ``l1_max``, vanishing analytic density above the
-    level, mass concentration at the origin (the exact law's densest bin is
-    the bin nearest 0, and the sample's count there is not below the 1%
-    lower quantile of its exact binomial law, see
-    :func:`concentration_shortfall`), and a Kolmogorov-Smirnov test of the
-    exact CDF at the samples at the 1% asymptotic critical value.  ``checks`` lists the verdicts of the checks that ran, named
+    analytic CDF below ``l1_max``, no sample at or above the level (the
+    base point lies strictly below it), mass concentration at the origin
+    (the exact law's densest bin is the bin nearest 0, and the sample's
+    count there is not below the 1% lower quantile of its exact binomial
+    law, see :func:`concentration_shortfall`), and a Kolmogorov-Smirnov test
+    of the exact CDF at the samples at the 1% asymptotic critical value.  ``checks`` lists the verdicts of the checks that ran, named
     ``l1``, ``concentration``, ``support`` and ``ks``; the report holds
     each as ``name`` (its value) and ``name_pass``, and ``report["pass"]``
     is true when all of them passed.  ``curve`` tabulates the law, density
@@ -527,9 +527,8 @@ def validate_basepoints(
             "(--hist-hi); an empty histogram tests nothing"
         )
 
-    # the grid's band always reaches past x0
-    worst = float(np.max(np.abs(curve.f[curve.z > x0])))
-    checks.append(Check("support", "max |density| above x0", worst, 1e-10, worst <= 1e-10))
+    above = float(np.count_nonzero(samples.values >= x0))
+    checks.append(Check("support", "samples at or above x0", above, 0, above <= 0))
 
     std = float(np.std(samples.values))
     if std <= 1e-12 * (1.0 + abs(float(np.mean(samples.values)))):

@@ -107,9 +107,7 @@ def test_criterion_03_hitting_adjunction():
         violations = 0
         for spec in (GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0), StableHalf()):
             for i in range(100):
-                path = build_two_sided_path(
-                    spec, 8, -512, 512, RngSeed(7000), substream=(i,)
-                )
+                path = build_two_sided_path(spec, 8, -512, 512, RngSeed(7000, stream_id=i))
                 ts = np.arange(-512, 513) * path.grid.dt
                 step_vals = step_eval(path, ts)
                 xs = rng.uniform(path.values[0], path.values[-1], size=1000)
@@ -186,6 +184,9 @@ def test_criterion_06_brownian_oracle_agreement():
         ok = (si >= 0) & (si < 6) & (yi >= 0) & (yi < 6)
         counts = np.zeros((6, 6))
         np.add.at(counts, (si[ok], yi[ok]), 1.0)
+        # a sampler of the exact law fails at least one of the 36 per-bin
+        # 3-sigma bounds 10.1% of the time (multinomial simulation over the
+        # exact masses, 2*10^5 draws)
         for i in range(6):
             for j in range(6):
                 m = masses[i, j]

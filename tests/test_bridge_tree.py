@@ -362,6 +362,14 @@ def test_hit_index_reports_unreached_samples():
     assert np.array_equal(reached, ends >= 8.0)
 
 
+def test_hit_index_takes_integer_poisson_parameters():
+    # integer counts times an integer jump size are integer jump sums; the
+    # running sum once failed to add its float carry into them
+    sample = np.arange(100)
+    want = hit_index(POISSON, KEY, 6, 8.0, 14 * 64, sample)
+    assert np.array_equal(hit_index(PoissonDrift(1, 1, 1), KEY, 6, 8.0, 14 * 64, sample), want)
+
+
 def test_hit_index_past_depth_62_stays_in_the_window():
     # past depth 62 the node of a crossing beyond the window doubled past
     # 2^63 and wrapped to a negative leaf, read as a hit: 31 and 26 of these
@@ -437,6 +445,10 @@ def test_values_at_refuses_a_top_node_that_overflows():
     spec = GammaDrift(1.0, 1.0, 1e308)
     with pytest.raises(RuntimeError, match=r"^sample 4: backward top node 1 ends at inf"):
         values_at(spec, KEY, 2, np.array([3, -8, 2]), np.array([3, 4, 5]))
+    # the first sample in row order is named, though sample 4's node lies in
+    # an earlier block of four than sample 3's
+    with pytest.raises(RuntimeError, match=r"^sample 3: backward top node 4 ends at inf"):
+        values_at(spec, KEY, 2, np.array([-20, 8]), np.array([3, 4]))
 
 
 def test_output_is_the_same_for_any_chunk_size(monkeypatch):
@@ -445,7 +457,6 @@ def test_output_is_the_same_for_any_chunk_size(monkeypatch):
         monkeypatch.undo()
         whole = sample_basepoints(spec, 8.0, 1.0, cfg)
         monkeypatch.setattr(montecarlo_validation, "_TREE_CHUNK", 7)
-        monkeypatch.setattr(bridge_tree, "_TOP_BATCH", 3)
         monkeypatch.setattr(bridge_tree, "_HASH_BATCH", 5)
         chunked = sample_basepoints(spec, 8.0, 1.0, cfg)
         assert np.array_equal(whole.values, chunked.values), spec

@@ -621,7 +621,7 @@ def test_validate_prints_one_verdict_per_check(tmp_path, capsys):
         f"threshold {report['tolerances']['ks_max']:.6g}): "
         + ("pass" if report["ks_pass"] else "FAIL")
     )
-    assert verdicts["support"].endswith("threshold 1e-10): pass")
+    assert verdicts["support"].endswith("threshold 0): pass")
     assert verdicts["concentration"].endswith(
         "pass" if report["concentration_pass"] else "FAIL"
     )

@@ -67,6 +67,8 @@ def test_ig_marginal_against_first_passage_sampling():
     draws = 1.0 / (z * z)
     edges = np.array([0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0])
     counts, _ = np.histogram(draws, edges)
+    # a correct draw fails at least one of the 7 per-bin 3-sigma bounds 1.8%
+    # of the time (multinomial simulation over the exact masses, 2*10^5 draws)
     for i in range(edges.size - 1):
         mass = integrate_adaptive(
             lambda v: ig_marginal_density(1.0, v), edges[i], edges[i + 1], SPEC

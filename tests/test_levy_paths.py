@@ -326,31 +326,33 @@ def test_open_uniforms_are_generator_random_clamped(monkeypatch):
     # the raw-word rule of every path stream is Generator.random's, which
     # reference_increments reads
     monkeypatch.setattr("goupsim.levy_paths._increments_from_uniforms", lambda spec, dt, u: u)
-    got = _increment_run(StableHalf(), 1.0, SEED, 0, np.empty(10**5), (5,))
-    want = np.maximum(stream_for(SEED, PATH_PURPOSE, 5, 0).random(10**5), 1e-300)
+    seed = RngSeed(SEED.root_seed, stream_id=5)
+    got = _increment_run(StableHalf(), 1.0, seed, 0, np.empty(10**5))
+    want = np.maximum(stream_for(seed, PATH_PURPOSE, 0).random(10**5), 1e-300)
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", [GammaDrift(0.5, 1.0, 0.25), PoissonDrift(3.0, 1.0, 0.5), StableHalf()])
 def test_keyed_blocks_equal_their_stream_for_streams(spec):
-    # side `direction` of a run is stream_for(seed, PATH_PURPOSE, *substream,
-    # direction) read through reference_increments, across a chunk boundary
+    # side `direction` of a run is stream_for(seed, PATH_PURPOSE, direction)
+    # read through reference_increments, across a chunk boundary, for every
+    # stream id
     dt = 2.0**-12
-    seed = RngSeed(2**63 + 11, stream_id=2**33 + 1)
-    for substream in ((), (6,), (2**40, 3)):
+    for stream_id in (0, 6, 2**33 + 1):
+        seed = RngSeed(2**63 + 11, stream_id)
         for direction in (0, 1):
             count = _CHUNK + 9
-            got = _increment_run(spec, dt, seed, direction, np.empty(count), substream)
-            rng = stream_for(seed, PATH_PURPOSE, *substream, direction)
+            got = _increment_run(spec, dt, seed, direction, np.empty(count))
+            rng = stream_for(seed, PATH_PURPOSE, direction)
             want = reference_increments(spec, dt, rng, count)
-            assert got.tobytes() == want.tobytes(), (substream, direction)
+            assert got.tobytes() == want.tobytes(), (stream_id, direction)
 
 
 def test_path_streams_are_apart_from_oracle_streams():
     # the Brownian oracle reads stream_for(seed, b, k) for its batch b; no run
     # of BLOCK increments of either side of a path may repeat one of them
     spec, dt, runs = StableHalf(), 2.0**-12, 3
-    sides = [_increment_run(spec, dt, SEED, d, np.empty(runs * BLOCK), ()) for d in (0, 1)]
+    sides = [_increment_run(spec, dt, SEED, d, np.empty(runs * BLOCK)) for d in (0, 1)]
     for b in (0, 1):
         for k in (0, 1, 2):
             oracle = reference_increments(spec, dt, stream_for(SEED, b, k), BLOCK).tobytes()
@@ -539,11 +541,11 @@ def test_build_gamma_growth_rate():
 
 def test_lazy_block_extension_is_bitwise_stable():
     spec = StableHalf()
-    small = _increment_run(spec, 2.0**-8, SEED, 0, np.empty(100), ())
-    large = _increment_run(spec, 2.0**-8, SEED, 0, np.empty(3 * BLOCK + 17), ())
+    small = _increment_run(spec, 2.0**-8, SEED, 0, np.empty(100))
+    large = _increment_run(spec, 2.0**-8, SEED, 0, np.empty(3 * BLOCK + 17))
     assert np.array_equal(small, large[:100])
-    bsmall = _increment_run(spec, 2.0**-8, SEED, 1, np.empty(50), ())
-    blarge = _increment_run(spec, 2.0**-8, SEED, 1, np.empty(BLOCK + 50), ())
+    bsmall = _increment_run(spec, 2.0**-8, SEED, 1, np.empty(50))
+    blarge = _increment_run(spec, 2.0**-8, SEED, 1, np.empty(BLOCK + 50))
     assert np.array_equal(bsmall, blarge[:50])
 
 

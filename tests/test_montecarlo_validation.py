@@ -76,7 +76,8 @@ def test_sample_basepoints_matches_full_path_route():
             [
                 basepoint(
                     build_two_sided_path(
-                        spec, cfg.grid.level, cfg.grid.k_min, cfg.grid.k_max, SEED, substream=(i,)
+                        spec, cfg.grid.level, cfg.grid.k_min, cfg.grid.k_max,
+                        RngSeed(SEED.root_seed, stream_id=i),
                     ),
                     x0,
                     1.0,
@@ -426,6 +427,9 @@ def test_oracle_running_max_half_normal():
     res = bm_functionals_oracle(x, 1e-3, n, SEED, include_overshoot=False)
     edges = np.array([0.0, 0.25, 0.5, 0.8, 1.2, 1.7, 2.4, 3.2])
     h = histogram(res.hit, edges)
+    # a sampler of the exact law fails at least one of the 7 per-bin 3-sigma
+    # bounds 1.8% of the time (multinomial simulation over the exact masses,
+    # 2*10^5 draws)
     for i in range(edges.size - 1):
         mass = integrate_adaptive(
             lambda s: running_max_density(x, s), edges[i], edges[i + 1], QuadratureSpec()
@@ -474,6 +478,9 @@ def test_oracle_overshoot_law():
     # compare outside that boundary layer (10 steps wide)
     edges = np.array([1.01, 1.1, 1.3, 1.7, 2.4, 4.0, 7.0])
     h = histogram(res.overshoot[finite], edges)
+    # a sampler of the exact law fails at least one of the 6 per-bin bounds
+    # 1.5% of the time (multinomial simulation over the exact masses, 2*10^5
+    # draws)
     for i in range(edges.size - 1):
         mass = integrate_adaptive(
             overshoot_density, edges[i], edges[i + 1], QuadratureSpec()
@@ -667,6 +674,32 @@ def test_concentration_verdict_scores_bin_zero():
     (check,) = [c for c in result.checks if c.name == "concentration"]
     assert check.value == concentration_shortfall(int(h.counts[0]), h.n, mass)
     assert check.passed is result.report["concentration_pass"] is (check.value <= 0)
+
+
+def test_support_verdict_counts_samples_at_or_above_the_level(monkeypatch):
+    # the base point lies strictly below the level: a correct sampler has no
+    # sample at x0 or above, and one sample equal to x0 fails the verdict
+    from dataclasses import replace
+
+    from goupsim.montecarlo_validation import validate_basepoints
+
+    x0, t0 = 4.0, 1.0
+    cfg = McConfig(300, DyadicGrid(9, -(2**9) - 8, 10 * 2**9), SEED, bins=12)
+    sample = montecarlo_validation.sample_basepoints
+
+    def one_at_the_level(*args):
+        samples = sample(*args)
+        values = samples.values.copy()
+        values[7] = x0
+        return replace(samples, values=values)
+
+    for sampler, above in [(sample, 0.0), (one_at_the_level, 1.0)]:
+        monkeypatch.setattr(montecarlo_validation, "sample_basepoints", sampler)
+        result = validate_basepoints(StableHalf(), x0, t0, cfg)
+        (check,) = [c for c in result.checks if c.name == "support"]
+        assert check.value == result.report["support"] == above
+        assert check.passed is result.report["support_pass"] is (above == 0.0)
+    assert result.report["pass"] is False
 
 
 def test_exports(tmp_path):
