@@ -58,7 +58,6 @@ __all__ = [
     "BACKWARD",
     "tree_key",
     "philox4x64",
-    "top_jumps",
     "split",
     "hit_index",
     "values_at",
@@ -174,18 +173,6 @@ def _unit(word: np.ndarray) -> np.ndarray:
     """The uniform of each 64-bit word: its top 53 bits, at the midpoint of
     their 2^-53 cell, so ``u`` is never 0, 1 or 1/2."""
     return ((word >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
-
-
-def top_jumps(spec: ProcessSpec, key, side, sample, start: int, stop: int) -> np.ndarray:
-    """Jump sums ``L(1) - drift`` of the top nodes ``start .. stop-1`` of
-    each side and sample (broadcast), on a new last axis, by the unit-time
-    quantile of each node's uniform; each block of four nodes is hashed
-    once (:func:`_slot`)."""
-    block, _, word = _slot(0, np.arange(start, stop))
-    side, sample = np.asarray(side)[..., None], np.asarray(sample)[..., None]
-    words = _block(key, 0, np.arange(block[0], block[-1] + 1), side, sample)
-    u = np.moveaxis(words[word, ..., block - block[0]], 0, -1)
-    return jump_quantile(spec, 1.0, _unit(u))
 
 
 def _binomial_half_icdf(n: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -366,7 +353,10 @@ def hit_index(spec: ProcessSpec, key, level: int, x0: float, k_max: int, sample)
     side = np.full(sample.size, FORWARD)
     node, lo, hi, v = _first_top_node(
         spec, side, sample, count,
-        lambda b, rows: top_jumps(spec, key, side[rows], sample[rows], 4 * b, 4 * b + 4).T,
+        # word w of block b is top node 4b + w: one row per node (:func:`_slot`)
+        lambda b, rows: jump_quantile(
+            spec, 1.0, _unit(_block(key, 0, b, side[rows], sample[rows]))
+        ),
         lambda rows, j, right_end: right_end >= x0,
     )
     out = np.zeros(sample.size, dtype=np.int64)

@@ -3,7 +3,7 @@
 Commands
 --------
 paths      sample a two-sided non-decreasing Levy path (ties where an
-           increment is below half an ulp), write CSV + metadata
+           increment is below half an ulp), write its CSV
 solve      transport solution fields at given times, long-format CSV
 converge   L^p distances of level-N solutions to the finest level, CSV
 density    analytic base-point density and CDF for the stable-1/2 process
@@ -169,7 +169,7 @@ def _parse_levels(text: str) -> list[int]:
     try:
         levels = [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise SystemExit(f"expected comma-separated integer levels, got {text!r}")
+        raise SystemExit(f"--levels must be comma-separated integers, got {text!r}")
     if not levels:
         raise SystemExit("--levels names no level")
     return levels
@@ -245,7 +245,6 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     path = _path_from_args(args, spec, grid)
     out_dir = _prepare_out(args)
     levy_paths.write_path_csv(path, out_dir / "path.csv")
-    levy_paths.write_path_metadata(path, out_dir / "path_meta.json")
     _write_manifest(args, {**config, "k_window": [grid.k_min, grid.k_max]})
     return 0
 
@@ -291,7 +290,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     except ValueError as exc:  # p or levels out of range
         raise SystemExit(f"invalid convergence input: {exc}")
     out_dir = _prepare_out(args)
-    transport.write_convergence_csv(table, args.p, out_dir / "convergence.csv")
+    transport.write_convergence_csv(table, out_dir / "convergence.csv")
     _write_manifest(
         args,
         {**config, **datum_config, "window_t": list(w_t), "window_x": list(w_x),
@@ -311,7 +310,6 @@ def _cmd_density(args: argparse.Namespace) -> int:
     out_dir = _prepare_out(args)
     ig_analytics.write_density_csv(curve, out_dir / "density.csv")
     ig_analytics.write_cdf_csv(curve, out_dir / "cdf.csv")
-    ig_analytics.write_query_json(curve, out_dir / "query.json")
     _write_manifest(
         args,
         {

@@ -1,8 +1,8 @@
 """CSV export from whole columns, and the package's one JSON writer.
 
-Every JSON file (manifests, reports, path metadata, density queries) goes
-through :func:`write_json`: two-space indent, sorted keys and a final
-newline, so a rerun rewrites it byte for byte.
+Every JSON file (manifests and validation reports) goes through
+:func:`write_json`: two-space indent, sorted keys and a final newline, so a
+rerun rewrites it byte for byte.
 
 Every CSV writer in the package formats its rows through :func:`write_csv`,
 ``BLOCK`` rows at a time, so memory stays bounded by one chunk of text

@@ -83,7 +83,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf, erfc, erfcx, owens_t
 
-from .csvio import write_csv, write_json
+from .csvio import write_csv
 
 __all__ = [
     "DensityCurve",
@@ -98,7 +98,6 @@ __all__ = [
     "default_z_grid",
     "write_density_csv",
     "write_cdf_csv",
-    "write_query_json",
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -115,8 +114,6 @@ class DensityCurve:
     point :func:`basepoint_density` returns.
     """
 
-    x: float
-    t: float
     z: np.ndarray
     f: np.ndarray
     err: np.ndarray
@@ -351,7 +348,7 @@ def basepoint_density(x: float, t: float, z_grid) -> DensityCurve:
         f[neg] = _basepoint_negative_side(X, T, -Z[neg])
         with np.errstate(over="ignore"):  # beyond the double range f reads inf
             f = f.astype(float)
-    return DensityCurve(x, t, z, f, np.zeros_like(f), F)
+    return DensityCurve(z, f, np.zeros_like(f), F)
 
 
 def _cdf_negative_side(x: float, t: float, a: np.ndarray) -> np.ndarray:
@@ -489,15 +486,3 @@ def write_density_csv(curve: DensityCurve, out: Path | str) -> None:
 
 def write_cdf_csv(curve: DensityCurve, out: Path | str) -> None:
     write_csv(out, "z,F", curve.z, curve.F)
-
-
-def write_query_json(curve: DensityCurve, out: Path | str) -> None:
-    write_json(out, {
-        "x": curve.x,
-        "t": curve.t,
-        "convention": "standard-brownian-motion",
-        "z_min": float(curve.z[0]),
-        "z_max": float(curve.z[-1]),
-        "n_points": curve.z.size,
-        "mass": curve.mass,
-    })

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import gammaincinv, gammaln, ndtri
 
-from .csvio import write_csv, write_json
+from .csvio import write_csv
 
 __all__ = [
     "GammaDrift",
@@ -60,7 +60,6 @@ __all__ = [
     "step_eval",
     "hitting_time",
     "write_path_csv",
-    "write_path_metadata",
     "process_to_dict",
 ]
 
@@ -203,7 +202,6 @@ class LevyPathSample:
 
     grid: DyadicGrid
     values: np.ndarray
-    seed: RngSeed
     process: ProcessSpec
 
 
@@ -440,7 +438,7 @@ def build_two_sided_path(
     if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
         bad = int(np.argmin(np.isfinite(values)))
         raise RuntimeError(f"sampled path value at k={k_min + bad} is {values[bad]:g}, not finite")
-    return LevyPathSample(grid, values, seed, spec)
+    return LevyPathSample(grid, values, spec)
 
 
 def aggregate_to_level(path: LevyPathSample, n: int) -> LevyPathSample:
@@ -459,9 +457,7 @@ def aggregate_to_level(path: LevyPathSample, n: int) -> LevyPathSample:
     k_min_c = -((-path.grid.k_min) // factor)
     k_max_c = path.grid.k_max // factor
     idx = np.arange(k_min_c, k_max_c + 1) * factor - path.grid.k_min
-    return LevyPathSample(
-        DyadicGrid(n, k_min_c, k_max_c), path.values[idx], path.seed, path.process
-    )
+    return LevyPathSample(DyadicGrid(n, k_min_c, k_max_c), path.values[idx], path.process)
 
 
 #: words of a window error: the query kind, the window's name and the names
@@ -566,13 +562,3 @@ def write_path_csv(path: LevyPathSample, out: Path | str) -> None:
     """Write ``k,t,x`` rows, one per grid index, 17 significant digits."""
     k = np.arange(path.grid.k_min, path.grid.k_max + 1)
     write_csv(out, "k,t,x", k, path.grid.time(k), path.values)
-
-
-def write_path_metadata(path: LevyPathSample, out: Path | str) -> None:
-    write_json(out, {
-        "process": process_to_dict(path.process),
-        "n_max": path.grid.level,
-        "seed": asdict(path.seed),
-        "k_min": path.grid.k_min,
-        "k_max": path.grid.k_max,
-    })

@@ -278,13 +278,5 @@ def write_solution_csv(fields: Sequence[SolutionField], out: Path | str) -> None
     )
 
 
-def write_convergence_csv(
-    table: Sequence[tuple[int, float]], p: float, out: Path | str
-) -> None:
-    write_csv(
-        out,
-        "N,distance,p",
-        [n for n, _ in table],
-        [dist for _, dist in table],
-        [p] * len(table),
-    )
+def write_convergence_csv(table: Sequence[tuple[int, float]], out: Path | str) -> None:
+    write_csv(out, "N,distance", [n for n, _ in table], [dist for _, dist in table])

@@ -22,7 +22,7 @@ def make_drift_path(level: int, k_min: int, k_max: int, drift: float = 1.0) -> L
     grid = DyadicGrid(level, k_min, k_max)
     ks = np.arange(k_min, k_max + 1, dtype=float)
     values = drift * ks * grid.dt
-    return LevyPathSample(grid, values, RngSeed(0), GammaDrift(1.0, 1.0, drift))
+    return LevyPathSample(grid, values, GammaDrift(1.0, 1.0, drift))
 
 
 def reference_increments(spec, dt: float, rng, n: int) -> np.ndarray:

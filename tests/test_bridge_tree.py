@@ -12,7 +12,6 @@ from goupsim.bridge_tree import (
     hit_index,
     philox4x64,
     split,
-    top_jumps,
     tree_key,
     values_at,
 )
@@ -50,6 +49,14 @@ def split_drawn(spec, side, sample, depth, index, v):
     block, code, word = bridge_tree._slot(depth + 1, index)
     u = bridge_tree._unit(np.choose(word, bridge_tree._block(KEY, code, block, side, sample)))
     return split(spec, depth, v, u)
+
+
+def top_drawn(spec, side, sample, j):
+    """The jump sums of the top nodes ``j`` (broadcast), each from its own
+    keyed uniform, its block hashed on its own."""
+    block, code, word = bridge_tree._slot(0, j)
+    u = bridge_tree._unit(np.choose(word, bridge_tree._block(KEY, code, block, side, sample)))
+    return jump_quantile(spec, 1.0, u)
 
 
 def test_philox_matches_numpy_bitwise():
@@ -116,8 +123,8 @@ def test_word_map_reads_the_raw_blocks():
     assert tuple(map(int, bridge_tree._slot(0, 6))) == (1, 0, 2)
     assert tuple(map(int, bridge_tree._slot(4, 5))) == (2, 3, 2)
     want = jump_quantile(STABLE, 1.0, unit(1, 0, 2))
-    assert top_jumps(STABLE, KEY, BACKWARD, sample, 6, 7)[0] == want
-    assert top_jumps(STABLE, KEY, BACKWARD, sample, 3, 9)[3] == want
+    assert top_drawn(STABLE, BACKWARD, sample, 6) == want
+    assert top_drawn(STABLE, BACKWARD, sample, np.arange(3, 9))[3] == want
     for depth, node, word in ((2, 2, 0), (3, 4, 1), (3, 5, 2)):
         got = split_drawn(STABLE, BACKWARD, sample, depth, node, v)
         want = split(STABLE, depth, v, unit(2, 3, word))
@@ -157,7 +164,7 @@ def test_split_halves_follow_the_marginal():
     # a top node's L(1) splits into two L(1/2) halves
     n = 50000
     sample = np.arange(n)
-    v = top_jumps(STABLE, KEY, BACKWARD, sample, 3, 4)[:, 0]
+    v = top_drawn(STABLE, BACKWARD, sample, 3)
     # each KS test fails a correct sampler with probability 0.1%, the three
     # together at most 0.3% of the time
     assert stats.kstest(v, marginal_cdf(1.0)).pvalue > 1e-3
@@ -171,7 +178,7 @@ def node_sums(spec, n: int, depths: int):
     picked by the sample's bits."""
     sample = np.arange(n)
     node = np.full(n, 2)
-    v = top_jumps(spec, KEY, FORWARD, sample, 2, 3)[:, 0]
+    v = top_drawn(spec, FORWARD, sample, 2)
     sums = [v]
     for depth in range(depths):
         left, right = split_drawn(spec, FORWARD, sample, depth, node, v)
@@ -292,7 +299,7 @@ def expand_side(spec, side: int, sample: int, level: int, count: int) -> np.ndar
     """Values of one side at grid indices 0 .. count 2^level, every node of
     every depth split breadth first."""
     drift = 0.0 if isinstance(spec, StableHalf) else spec.drift
-    jumps = top_jumps(spec, KEY, side, sample, 0, count)
+    jumps = top_drawn(spec, side, sample, np.arange(count))
     values = np.concatenate([[0.0], np.cumsum(jumps + drift)])
     sums = jumps
     for depth in range(level):
@@ -346,7 +353,7 @@ def test_descent_matches_breadth_first_expansion(spec, x0, t0, cfg):
         bwd = expand_side(spec, BACKWARD, i, n, -(-(-k_min) >> n))[1 : 1 - k_min]
         values = np.concatenate([-bwd[::-1], [0.0], fwd])
         assert np.all(np.diff(values) >= 0.0)
-        path = LevyPathSample(DyadicGrid(n, k_min, k_max), values, SEED, spec)
+        path = LevyPathSample(DyadicGrid(n, k_min, k_max), values, spec)
         direct.append(basepoint(path, x0, t0))
         hit = hit_index(spec, KEY, n, x0, k_max, [i])[0]
         assert fwd[hit - 1] >= x0 > (fwd[hit - 2] if hit > 1 else 0.0)
@@ -393,7 +400,7 @@ def values_by_levels(spec, level: int, k, sample):
     drift = spec.drift
     total, lo, hi, v = (np.zeros(k.size) for _ in range(4))
     for j in range(int(top.max()) + 1):
-        jumps = top_jumps(spec, KEY, side, sample, j, j + 1)[:, 0]
+        jumps = top_drawn(spec, side, sample, j)
         at = top == j
         lo[at], v[at] = total[at], jumps[at]
         total = total + (jumps + drift)

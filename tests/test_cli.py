@@ -58,10 +58,9 @@ def test_paths_gamma(tmp_path):
     rows = read_rows(out / "path.csv", ["k", "t", "x"])
     assert np.all(np.diff(rows["x"]) > 0.0)
     assert rows["k"][0] == -8 * 1024 and rows["k"][-1] == 8 * 1024
-    meta = json.loads((out / "path_meta.json").read_text())
-    assert meta["process"]["family"] == "gamma"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "paths"
+    assert manifest["config"]["process"]["family"] == "gamma"
     assert manifest["config"]["seed"] == 42
 
 
@@ -165,7 +164,7 @@ def test_converge_constant_datum_zero(tmp_path):
         ]
     )
     assert rc == 0
-    rows = read_rows(out / "convergence.csv", ["N", "distance", "p"])
+    rows = read_rows(out / "convergence.csv", ["N", "distance"])
     assert np.all(rows["distance"] == 0.0)
 
 
@@ -180,7 +179,7 @@ def test_converge_gamma_decreasing(tmp_path):
         ]
     )
     assert rc == 0
-    rows = read_rows(out / "convergence.csv", ["N", "distance", "p"])
+    rows = read_rows(out / "convergence.csv", ["N", "distance"])
     d = rows["distance"]
     assert d[0] > 0.0
     assert np.all(np.diff(d) <= 0.0)
@@ -191,12 +190,13 @@ CONVERGE_PINS = {
     # of the per-slice solver that the row-batched one replaced, on the paths
     # of their time, and were re-taken when each path side became one
     # PATH_PURPOSE stream; the manifests were re-taken when they began to
-    # record the datum's parameters
+    # record the datum's parameters; the tables were re-taken when the
+    # constant p column, which repeats the manifest's p, was dropped
     "gamma": (
         ["--process", "gamma", "--k", "1", "--theta", "1", "--drift", "1",
          "--nmax", "10", "--range=-4:10", "--levels", "2,4,6,8,10", "--p", "1.5",
          "--window-t", "0:3", "--window-x", "0:8", "--kgrid", "37:96", "--seed", "17"],
-        "0e0e2d4bf4fd31cd24bfbd767f5002ae6f7c703d837cf871b37ef657e2e18041",
+        "98986a67cc9b1543d638ca144d9b4fb8d68c2f638db5ad399407c935cc9fedcc",
         "a84100a8375a5aa4712714e308909f55623d5d3cd576dbbecee5d4c1fd75a98c",
     ),
     "poisson": (
@@ -204,7 +204,7 @@ CONVERGE_PINS = {
          "--nmax", "10", "--range=-4:10", "--levels", "1,3,5,7,9", "--p", "2",
          "--window-t", "0.5:2.5", "--window-x", "0:6", "--kgrid", "33:80",
          "--datum", "triangular", "--center", "1.5", "--halfwidth", "0.75", "--seed", "23"],
-        "3cea832efd6260f4a052d6d6762148ef77b27c05af5e468fb62d6415c7ba7f65",
+        "be4f48df9903feb849f585bcbee46d64c1fa6c1ceae73d7fa8f1db3fb163bb3d",
         "2a4bbd28a277ffb37fae7910d44e0e11e1f67a9ab9e18152957f41351c60c37e",
     ),
 }
@@ -275,7 +275,7 @@ def test_datum_flags_reach_the_output_and_the_manifest(tmp_path, command, datum)
         (["--levels", "2,4", "--p", "nan"], "invalid convergence input: p must be >= 1"),
         (["--levels", "2,4", "--p", "0.5"], "invalid convergence input: p must be >= 1"),
         # 2.5 silently ran level 2
-        (["--levels", "2.5,4"], "expected comma-separated integer levels, got '2.5,4'"),
+        (["--levels", "2.5,4"], "--levels must be comma-separated integers, got '2.5,4'"),
         # these two ended in a ValueError traceback
         (["--levels="], "--levels names no level"),
         ([], "invalid convergence input: levels must lie in 0..8"),
@@ -353,8 +353,67 @@ def test_density_outputs(tmp_path):
     assert np.all(rows["f"] >= 0.0)
     cdf = read_rows(out / "cdf.csv", ["z", "F"])
     assert np.all(np.diff(cdf["F"]) >= -1e-15)
-    meta = json.loads((out / "query.json").read_text())
-    assert 0.9 <= meta["mass"] <= 1.05
+    assert 0.9 <= cdf["F"][-1] - cdf["F"][0] <= 1.05
+
+
+VALIDATE_SMALL = ["validate", "--x0", "4", "--t0", "1", "--n", "200", "--nmax", "9",
+                  "--range=-1.01:10", "--bins", "12"]
+
+#: the files each command writes, and its arguments
+OUTPUT_FILES = {
+    "paths": ({"manifest.json", "path.csv"},
+              ["paths", "--process", "gamma", "--nmax", "6", "--range=-2:3"]),
+    "solve": ({"manifest.json", "solution.csv"},
+              ["solve", "--process", "gamma", "--nmax", "8", "--range=-4:10", "--times", "1,2",
+               "--xgrid", "0:6", "--xcount", "64"]),
+    "converge": ({"manifest.json", "convergence.csv"}, [*CONVERGE_SMALL, "--levels", "2,4"]),
+    "density": ({"manifest.json", "density.csv", "cdf.csv"},
+                ["density", "--x", "8", "--t", "1", "--zcount", "64"]),
+    # the extreme inputs of test_overflows_with_the_right_limit_print_no_warning
+    "density-1e154": ({"manifest.json", "density.csv", "cdf.csv"},
+                      ["density", "--x", "8", "--t", "1e154"]),
+    "density-1e308": ({"manifest.json", "density.csv", "cdf.csv"},
+                      ["density", "--x", "8", "--t", "1e308"]),
+    "density-tiny-level": ({"manifest.json", "density.csv", "cdf.csv"},
+                           ["density", "--x", "1e-10", "--t", "1e308", "--zfar=-1"]),
+    "validate-stable-half": (
+        {"manifest.json", "samples.csv", "histogram.csv", "density.csv", "cdf.csv", "report.json"},
+        [*VALIDATE_SMALL, "--process", "stable-half"],
+    ),
+    "validate-gamma": ({"manifest.json", "samples.csv", "histogram.csv", "report.json"},
+                       [*VALIDATE_SMALL, "--process", "gamma"]),
+}
+
+
+@pytest.mark.parametrize("run", OUTPUT_FILES)
+def test_each_fact_of_a_run_is_written_once(tmp_path, run):
+    # every value a run records is written once: the path's process, level,
+    # seed and window, and the convergence exponent, in the manifest; the
+    # density grid's ends, size and mass in density.csv and cdf.csv
+    files, argv = OUTPUT_FILES[run]
+    out = tmp_path / "run"
+    assert main([*argv, "--seed", "31", "--out", str(out)]) == 0
+    assert {f.name for f in out.iterdir()} == files
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    if run == "paths":
+        k = read_rows(out / "path.csv", ["k"])["k"]
+        assert config["process"] == {"family": "gamma", "shape_rate": 1.0, "scale": 1.0,
+                                     "drift": 1.0}
+        assert (config["n_max"], config["seed"], config["stream"]) == (6, 31, 0)
+        assert config["k_window"] == [k[0], k[-1]] == [-128, 192]
+    elif run == "converge":
+        assert (out / "convergence.csv").read_text().splitlines()[0] == "N,distance"
+        assert config["p"] == 1.0
+    elif run.startswith("density"):
+        from goupsim.ig_analytics import basepoint_density, default_z_grid
+
+        x, t = config["x"], config["t"]
+        grid = default_z_grid(x, n=config["z_count"], z_neg_far=config["z_neg_far"])
+        z = read_rows(out / "density.csv", ["z"])["z"]
+        F = read_rows(out / "cdf.csv", ["z", "F"])["F"]
+        # the grid's ends and size, and its mass bit for bit
+        assert np.array_equal(z, grid)
+        assert F[-1] - F[0] == basepoint_density(x, t, grid).mass
 
 
 def test_validate_stable_half_passes(tmp_path):
@@ -533,9 +592,9 @@ def test_overflows_with_the_right_limit_print_no_warning(tmp_path, argv, code, s
     done = run_module(*argv, "--out", str(tmp_path / "run"))
     assert (done.returncode, done.stderr) == (code, stderr)
     if argv[0] == "density":
-        assert json.loads((tmp_path / "run" / "query.json").read_text())["mass"] == 0.0
         F = read_rows(tmp_path / "run" / "cdf.csv", ["z", "F"])["F"]
         f = read_rows(tmp_path / "run" / "density.csv", ["z", "f"])["f"]
+        assert F[-1] - F[0] == 0.0
         assert np.all(F == 1.0) and np.all(f == 0.0)
 
 

@@ -28,7 +28,6 @@ from goupsim.ig_analytics import DensityCurve, write_cdf_csv, write_density_csv
 from goupsim.levy_paths import (
     DyadicGrid,
     LevyPathSample,
-    RngSeed,
     StableHalf,
     write_path_csv,
 )
@@ -67,7 +66,7 @@ def assert_file_text(path, ref):
 
 def test_path_csv(tmp_path):
     grid = DyadicGrid(3, -(N // 2), N - 1 - N // 2)
-    path = LevyPathSample(grid, awkward(), RngSeed(1), StableHalf())
+    path = LevyPathSample(grid, awkward(), StableHalf())
     ref = "k,t,x\n" + "".join(
         f"{k},{grid.time(k):.17g},{path.values[i]:.17g}\n"
         for i, k in enumerate(range(grid.k_min, grid.k_max + 1))
@@ -96,12 +95,10 @@ def test_solution_csv(tmp_path):
 
 
 def test_convergence_csv(tmp_path):
-    dists = awkward(40)
-    for p in (1.0, 1.0 / 3.0, 1e300):
-        table = [(n - 20, float(d)) for n, d in enumerate(dists)]
-        ref = "N,distance,p\n" + "".join(f"{n},{dist:.17g},{p:.17g}\n" for n, dist in table)
-        write_convergence_csv(table, p, tmp_path / "convergence.csv")
-        assert_file_text(tmp_path / "convergence.csv", ref)
+    table = [(n - 20, float(d)) for n, d in enumerate(awkward(40))]
+    ref = "N,distance\n" + "".join(f"{n},{dist:.17g}\n" for n, dist in table)
+    write_convergence_csv(table, tmp_path / "convergence.csv")
+    assert_file_text(tmp_path / "convergence.csv", ref)
 
 
 def test_samples_csv(tmp_path):
@@ -125,7 +122,7 @@ def test_histogram_csv(tmp_path):
 
 
 def test_density_csv(tmp_path):
-    curve = DensityCurve(8.0, 1.0, *(awkward(shift=s) for s in (0, 1, 2, 7)))
+    curve = DensityCurve(*(awkward(shift=s) for s in (0, 1, 2, 7)))
     ref = "z,f,err\n" + "".join(
         f"{z:.17g},{f:.17g},{e:.17g}\n" for z, f, e in zip(curve.z, curve.f, curve.err)
     )
@@ -134,7 +131,7 @@ def test_density_csv(tmp_path):
 
 
 def test_cdf_csv(tmp_path):
-    curve = DensityCurve(8.0, 1.0, *(awkward(shift=s) for s in (0, 1, 2, 7)))
+    curve = DensityCurve(*(awkward(shift=s) for s in (0, 1, 2, 7)))
     ref = "z,F\n" + "".join(f"{z:.17g},{F:.17g}\n" for z, F in zip(curve.z, curve.F))
     write_cdf_csv(curve, tmp_path / "cdf.csv")
     assert_file_text(tmp_path / "cdf.csv", ref)

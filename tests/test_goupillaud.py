@@ -35,7 +35,7 @@ def test_build_medium_pure_drift():
 
 def test_build_medium_known_increments():
     grid = DyadicGrid(1, 0, 2)
-    path = LevyPathSample(grid, np.array([0.0, 0.5, 0.75]), RngSeed(0), StableHalf())
+    path = LevyPathSample(grid, np.array([0.0, 0.5, 0.75]), StableHalf())
     medium = build_medium(path, 1)
     assert np.array_equal(medium.speeds, np.array([1.0, 0.5]))
 

@@ -20,7 +20,6 @@ from goupsim.ig_analytics import (
     triple_density,
     write_cdf_csv,
     write_density_csv,
-    write_query_json,
 )
 from quadrature import (
     QuadratureSpec,
@@ -791,11 +790,3 @@ def test_export_files(tmp_path):
     write_cdf_csv(curve, f2)
     lines = f2.read_text().splitlines()
     assert lines[0] == "z,F" and len(lines) == 4
-
-    f3 = tmp_path / "query.json"
-    write_query_json(curve, f3)
-    import json
-
-    meta = json.loads(f3.read_text())
-    assert meta["convention"] == "standard-brownian-motion"
-    assert meta["x"] == 8.0 and meta["t"] == 1.0

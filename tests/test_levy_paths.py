@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import os
 import sys
@@ -37,7 +36,6 @@ from goupsim.levy_paths import (
     step_eval,
     stream_for,
     write_path_csv,
-    write_path_metadata,
 )
 from conftest import make_drift_path, path_by_concatenation, reference_increments
 
@@ -671,7 +669,7 @@ def test_polygon_inverse_takes_the_first_crossing_of_ties():
     # was 0/0 = nan); on a driftless Gamma path every node value is first
     # crossed at its hitting time
     grid = DyadicGrid(1, -2, 2)
-    flat = LevyPathSample(grid, np.array([0.0, 0.0, 0.0, 1.0, 1.0]), SEED, StableHalf())
+    flat = LevyPathSample(grid, np.array([0.0, 0.0, 0.0, 1.0, 1.0]), StableHalf())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert polygon_inverse(flat, 0.0) == grid.k_min * grid.dt
@@ -735,9 +733,7 @@ def test_hitting_step_adjunction():
 def test_export_files(tmp_path):
     path = build_two_sided_path(GammaDrift(1.0, 1.0, 1.0), 4, -8, 8, SEED)
     csv_file = tmp_path / "path.csv"
-    meta_file = tmp_path / "path.json"
     write_path_csv(path, csv_file)
-    write_path_metadata(path, meta_file)
     lines = csv_file.read_text().splitlines()
     assert lines[0] == "k,t,x"
     assert len(lines) == 1 + 17
@@ -745,7 +741,3 @@ def test_export_files(tmp_path):
     assert int(k0) == -8 and float(t0) == -0.5
     xs = np.array([float(line.split(",")[2]) for line in lines[1:]])
     assert np.array_equal(xs, path.values)
-    meta = json.loads(meta_file.read_text())
-    assert meta["process"]["family"] == "gamma"
-    assert meta["n_max"] == 4
-    assert meta["k_min"] == -8 and meta["k_max"] == 8

@@ -702,6 +702,31 @@ def test_support_verdict_counts_samples_at_or_above_the_level(monkeypatch):
     assert result.report["pass"] is False
 
 
+def test_ks_fails_a_sample_of_equal_values(monkeypatch):
+    # a sampler of this continuous law that returns one value 50 times is
+    # broken: KS lies at least 1/2 from the law, above 1.628 / sqrt(50), and
+    # must fail rather than be skipped
+    from dataclasses import replace
+
+    from goupsim.montecarlo_validation import validate_basepoints
+
+    x0, t0 = 4.0, 1.0
+    cfg = McConfig(50, DyadicGrid(9, -(2**9) - 8, 10 * 2**9), SEED, bins=12)
+    sample = montecarlo_validation.sample_basepoints
+
+    def all_equal(*args):
+        samples = sample(*args)
+        return replace(samples, values=np.full(samples.values.size, 0.5))
+
+    monkeypatch.setattr(montecarlo_validation, "sample_basepoints", all_equal)
+    result = validate_basepoints(StableHalf(), x0, t0, cfg)
+    (check,) = [c for c in result.checks if c.name == "ks"]
+    assert check.value == result.report["ks"] >= 0.5
+    assert check.passed is result.report["ks_pass"] is False
+    assert result.report["skipped"] == []
+    assert result.report["pass"] is False
+
+
 def test_exports(tmp_path):
     cfg = McConfig(20, DyadicGrid(8, -2**8, 6 * 2**8), SEED)
     out = sample_basepoints(StableHalf(), 2.0, 0.5, cfg)

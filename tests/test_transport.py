@@ -177,9 +177,9 @@ def test_exports(tmp_path):
 
     table = [(2, 0.5), (4, 0.25)]
     g = tmp_path / "table.csv"
-    write_convergence_csv(table, 1.0, g)
+    write_convergence_csv(table, g)
     lines = g.read_text().splitlines()
-    assert lines[0] == "N,distance,p"
+    assert lines[0] == "N,distance"
     assert len(lines) == 3
 
 
