@@ -170,9 +170,13 @@ def _slot(code: int, index):
 
 
 def _unit(word: np.ndarray) -> np.ndarray:
-    """The uniform of each 64-bit word: its top 53 bits, at the midpoint of
-    their 2^-53 cell, so ``u`` is never 0, 1 or 1/2."""
-    return ((word >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
+    """The uniform of each 64-bit word: its top 53 bits ``m`` at the
+    midpoint ``(m + 1/2) 2^-53`` of their cell.  Above 1/2 the midpoint
+    rounds to a neighbouring double, and the two words that would round to
+    1/2 and to 1 take the doubles next to those, ``1/2 + 2^-53`` and
+    ``1 - 2^-53``, which no other word gives: ``u`` is never 0, 1/2 or 1."""
+    u = ((word >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
+    return np.minimum(np.where(u == 0.5, 0.5 + 2.0**-53, u), 1.0 - 2.0**-53)
 
 
 def _binomial_half_icdf(n: np.ndarray, u: np.ndarray) -> np.ndarray:

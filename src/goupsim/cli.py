@@ -260,12 +260,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     datum, datum_config = _datum_from_args(args)
     path = _path_from_args(args, spec, grid)
     xs = np.linspace(x_lo, x_hi, args.xcount)
-    if args.level is None:
-        solution = [transport.solve_limit(path, datum, t, xs) for t in times]
-    else:
-        solution = [transport.solve_at_level(path, args.level, datum, t, xs) for t in times]
+    u = transport.solve(path, args.level, datum, times, xs)
     out_dir = _prepare_out(args)
-    transport.write_solution_csv(solution, out_dir / "solution.csv")
+    transport.write_solution_csv(u, out_dir / "solution.csv", times, xs)
     _write_manifest(
         args,
         {**config, **datum_config, "times": times, "x_grid": [x_lo, x_hi, args.xcount],
@@ -325,14 +322,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec, grid, config = _window_from_args(args)
     try:
-        cfg = montecarlo_validation.McConfig(
-            n_samples=args.n,
-            grid=grid,
-            root_seed=RngSeed(args.seed, args.stream),
-            bins=args.bins,
-        )
         result = montecarlo_validation.validate_basepoints(
-            spec, args.x0, args.t0, cfg, l1_max=args.l1_max, hist_hi=args.hist_hi
+            spec, args.x0, args.t0, args.n, grid, RngSeed(args.seed, args.stream),
+            bins=args.bins, l1_max=args.l1_max, hist_hi=args.hist_hi,
         )
     except ValueError as exc:
         raise SystemExit(
@@ -437,7 +429,3 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"query left the sampled window ({exc}); enlarge --range")
     except MemoryError as exc:  # numpy's message names the array's size
         raise SystemExit(f"cannot run {args.command}: out of memory: {exc}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -376,17 +376,18 @@ def basepoint_cdf(x: float, t: float, z) -> np.ndarray:
     """Exact CDF ``F(z) = P(Z < z)`` of the base point ``Z = I(I*(x) - t)``
     at points ``z`` of any shape and order (module docstring).
 
-    ``F`` is 1 at and above the level and 0 at ``-inf``.  Negative levels raise
-    ``ValueError``: no correct law is implemented for them.
+    ``F`` is 1 at and above the level, 0 at ``-inf`` and NaN at NaN.
+    Negative and non-finite levels raise ``ValueError``: no correct law is
+    implemented for them.
     """
     if not 0.0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    if not x >= 0.0:
+    if not 0.0 <= x < np.inf:
         raise ValueError(
-            f"the base-point law is implemented for levels x >= 0 only, got x={x}"
+            f"the base-point law is implemented for finite levels x >= 0 only, got x={x}"
         )
     z = np.asarray(z, dtype=float)
-    F = np.ones(z.shape)
+    F = np.where(np.isnan(z), np.nan, 1.0)
     X, T = _extended(x, t)
     f0 = erf(float(T / np.sqrt(2.0 * X))) if x > 0.0 else 1.0
     # each side clipped to its bound, F(0) or 1, which the sums may exceed
@@ -429,10 +430,21 @@ def hit_under_bin_masses(
     functions: with ``P`` the tail mass of :func:`_undershoot_tail_mass`,
     the mass of ``[s1, s2] x [lo, hi]`` is ``M(s1) - M(s2)``, where
     ``M(s) = P(s, x - lo) - P(s, x - hi)``.
+
+    Edges that make no bins are refused: both lists must be strictly
+    increasing from 0 or above (the last hitting-time edge may be ``inf``),
+    and the undershoot edges must end at ``x`` or below.
     """
     s_edges = np.asarray(s_edges, dtype=float)
     y_edges = np.asarray(y_edges, dtype=float)
-    if y_edges[0] < 0.0 or y_edges[-1] > x:
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"x must be positive and finite, got {x}")
+    for name, e in (("s_edges", s_edges), ("y_edges", y_edges)):
+        if e.ndim != 1 or e.size < 2 or not (e[0] >= 0.0 and np.all(e[1:] > e[:-1])):
+            raise ValueError(
+                f"{name} must be strictly increasing from 0 or above, with >= 2 entries"
+            )
+    if y_edges[-1] > x:
         raise ValueError("undershoot bins must lie inside [0, x]")
     s = s_edges[:, None]
     m = _undershoot_tail_mass(x, s, x - y_edges[None, :-1]) - _undershoot_tail_mass(

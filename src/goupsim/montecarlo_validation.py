@@ -46,7 +46,6 @@ from .ig_analytics import (
 from .levy_paths import DyadicGrid, ProcessSpec, RngSeed, StableHalf, process_to_dict, stream_for
 
 __all__ = [
-    "McConfig",
     "BasepointSamples",
     "OracleSamples",
     "Histogram",
@@ -64,28 +63,6 @@ __all__ = [
     "write_samples_csv",
     "write_histogram_csv",
 ]
-
-@dataclass(frozen=True)
-class McConfig:
-    """Monte Carlo run configuration.
-
-    ``grid`` is the level and k window of the sampled paths; its window
-    must be wide enough for the paths to reach the queried level and for
-    the shifted evaluation time to stay inside (failures are counted per
-    sample and the run aborts above a 1% failure rate).  ``bins`` is
-    checked where the histogram edges are made
-    (:func:`spike_refined_bin_edges`).
-    """
-
-    n_samples: int
-    grid: DyadicGrid
-    root_seed: RngSeed
-    bins: int = 60
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-
 
 @dataclass(frozen=True, eq=False)
 class BasepointSamples:
@@ -126,28 +103,30 @@ _TREE_CHUNK = 4096
 
 
 def sample_basepoints(
-    spec: ProcessSpec,
-    x0: float,
-    t0: float,
-    cfg: McConfig,
+    spec: ProcessSpec, x0: float, t0: float, n: int, grid: DyadicGrid, seed: RngSeed
 ) -> BasepointSamples:
-    """Base points of ``cfg.n_samples`` independently sampled paths, each
-    searched in its keyed bridge tree (:mod:`goupsim.bridge_tree`), all in
-    this process: one descent to the hit, one to the shifted time,
-    ``_TREE_CHUNK`` samples at a time.  Every draw is keyed by its sample, so
-    the chunking changes no value.  Per-sample window exhaustion is counted
-    by the end of the window it hits; a failure rate above 1% raises with
-    both counts and the end of the window to widen.
+    """Base points of ``n`` independently sampled paths under the root
+    ``seed``, each searched in its keyed bridge tree
+    (:mod:`goupsim.bridge_tree`), all in this process: one descent to the
+    hit, one to the shifted time, ``_TREE_CHUNK`` samples at a time.  Every
+    draw is keyed by its sample, so the chunking changes no value.
+
+    ``grid`` is the level and k window of the sampled paths; its window must
+    be wide enough for the paths to reach the level ``x0`` and for the
+    shifted time to stay inside.  Per-sample window exhaustion is counted by
+    the end of the window it hits; a failure rate above 1% raises with both
+    counts and the end of the window to widen.
     """
+    if n < 1:
+        raise ValueError("n_samples must be >= 1")
     if not 0.0 < t0 < np.inf:
         raise ValueError(f"t0 must be positive and finite, got {t0}")
     if not 0.0 < x0 < np.inf:
         raise ValueError(
             f"x0 must be positive and finite (forward hitting search only), got {x0}"
         )
-    n = cfg.n_samples
-    key = tree_key(cfg.root_seed)
-    n_max, k_min, k_max = cfg.grid.level, cfg.grid.k_min, cfg.grid.k_max
+    key = tree_key(seed)
+    n_max, k_min, k_max = grid.level, grid.k_min, grid.k_max
     indices: list[np.ndarray] = []
     values: list[np.ndarray] = []
     n_unreached = n_before_window = 0
@@ -437,104 +416,99 @@ class ValidationResult:
 
 
 def validate_basepoints(
-    spec: ProcessSpec,
-    x0: float,
-    t0: float,
-    cfg: McConfig,
-    *,
-    l1_max: float = 0.10,
-    hist_hi: float = 8.5,
+    spec: ProcessSpec, x0: float, t0: float, n: int, grid: DyadicGrid, seed: RngSeed,
+    *, bins: int = 60, l1_max: float = 0.10, hist_hi: float = 8.5,
 ) -> ValidationResult:
-    """Monte Carlo base points against the exact base-point law.
+    """Monte Carlo base points (:func:`sample_basepoints` of ``n``, ``grid``
+    and ``seed``) against the exact base-point law.
 
-    Checks: L1 distance of the histogram from the exact bin masses of the
+    Checks: L1 distance of the histogram (``bins`` bins, see
+    :func:`spike_refined_bin_edges`) from the exact bin masses of the
     analytic CDF below ``l1_max``, no sample at or above the level (the
     base point lies strictly below it), mass concentration at the origin
     (the exact law's densest bin is the bin nearest 0, and the sample's
     count there is not below the 1% lower quantile of its exact binomial
     law, see :func:`concentration_shortfall`), and a Kolmogorov-Smirnov test
-    of the exact CDF at the samples at the 1% asymptotic critical value.  ``checks`` lists the verdicts of the checks that ran, named
-    ``l1``, ``concentration``, ``support`` and ``ks``; the report holds
-    each as ``name`` (its value) and ``name_pass``, and ``report["pass"]``
-    is true when all of them passed.  ``curve`` tabulates the law, density
-    and CDF, on :func:`default_z_grid` of ``x0``; ``report["mass"]`` is its
-    mass.
+    of the exact CDF at the samples at the 1% asymptotic critical value.
+    ``checks`` lists the verdicts of the checks that ran, named ``l1``,
+    ``concentration``, ``support`` and ``ks``; the report holds each as
+    ``name`` (its value) and ``name_pass``, and ``report["pass"]`` is true
+    when all of them passed.  ``curve`` tabulates the law, density and CDF,
+    on :func:`default_z_grid` of ``x0``; ``report["mass"]`` is its mass.
 
-    Only the stable-1/2 process has an implemented analytic law; for other
-    process families the Monte Carlo side still runs but every analytic
-    comparison is skipped with an explicit notice.  The L1 and concentration
-    checks are likewise skipped with a notice when no sample lands in the
-    histogram range ``[0, hist_hi]``: an empty histogram tests nothing.  The
-    KS test always runs.  A sample of equal values, which only a broken
-    sampler of this continuous law gives, lies at least 1/2 from the law,
-    and the KS check fails it from ``n = 11`` on.
-    A level that the law's grid cannot hold is refused before any sampling.
+    The support check needs no law and runs for every process family.  Only
+    the stable-1/2 process has an implemented analytic law; for other
+    process families every analytic comparison is skipped with an explicit
+    notice.  The L1 and concentration checks are likewise skipped with a
+    notice when no sample lands in the histogram range ``[0, hist_hi]``: an
+    empty histogram tests nothing.  The KS test always runs for stable-1/2.
+    A sample of equal values, which only a broken sampler of this
+    continuous law gives, lies at least 1/2 from the law, and the KS check
+    fails it from ``n = 11`` on.  A level that the law's grid cannot hold
+    is refused before any sampling.
     """
     if not 0.0 <= l1_max < np.inf:
         raise ValueError(f"l1_max must be nonnegative and finite, got {l1_max}")
-    edges = spike_refined_bin_edges(hist_hi, cfg.bins)
+    edges = spike_refined_bin_edges(hist_hi, bins)
     exact = isinstance(spec, StableHalf)
     if exact and 0.0 < x0 < np.inf:  # the sampler refuses x0 <= 0, inf and nan
         z = default_z_grid(x0)
-    samples = sample_basepoints(spec, x0, t0, cfg)
+    samples = sample_basepoints(spec, x0, t0, n, grid, seed)
     hist = histogram(samples.values, edges)
 
     report: dict = {
         "process": process_to_dict(spec),
         "x0": x0,
         "t0": t0,
-        "n": cfg.n_samples,
+        "n": n,
         "n_failed": samples.n_failed,
-        "n_max": cfg.grid.level,
-        "window": [cfg.grid.k_min, cfg.grid.k_max],
-        "seed": asdict(cfg.root_seed),
+        "n_max": grid.level,
+        "window": [grid.k_min, grid.k_max],
+        "seed": asdict(seed),
         "tolerances": {
             "l1_max": l1_max,
-            "ks_max": float(1.628 / np.sqrt(cfg.n_samples)),
+            "ks_max": float(1.628 / np.sqrt(n)),
         },
         "skipped": [],
     }
+    above = float(np.count_nonzero(samples.values >= x0))
+    support = Check("support", "samples at or above x0", above, 0, above <= 0)
 
     if not exact:
         report["skipped"].append(
             "analytic comparison: no closed-form base-point law for this "
             "process family (only stable-half)"
         )
-        report["pass"] = True
-        return ValidationResult(report, samples, hist, None, [])
-
-    cdf = partial(basepoint_cdf, x0, t0)
-    curve = basepoint_density(x0, t0, z)
-    report["mass"] = curve.mass
-    checks = []
-
-    if np.any(hist.counts):
-        l1 = l1_distance(hist, cdf)
-        checks.append(Check("l1", "histogram L1 distance", l1, l1_max, l1 <= l1_max))
-        masses = np.diff(cdf(edges))
-        shortfall = concentration_shortfall(int(hist.counts[0]), hist.n, float(masses[0]))
-        law_densest = int(np.argmax(masses / np.diff(edges)))
-        checks.append(
-            Check(
-                "concentration",
-                "bin-0 count below its 1% binomial quantile",
-                shortfall,
-                0,
-                law_densest == 0 and shortfall <= 0,
-            )
-        )
+        checks, curve = [support], None
     else:
-        report["skipped"].append(
-            f"l1 and concentration: no sample in the histogram range [0, {hist_hi!r}] "
-            "(--hist-hi); an empty histogram tests nothing"
-        )
-
-    above = float(np.count_nonzero(samples.values >= x0))
-    checks.append(Check("support", "samples at or above x0", above, 0, above <= 0))
-
-    ks = ks_distance(samples.values, cdf)
-    ks_max = report["tolerances"]["ks_max"]
-    checks.append(Check("ks", "Kolmogorov-Smirnov distance", ks, ks_max, ks <= ks_max))
+        cdf = partial(basepoint_cdf, x0, t0)
+        curve = basepoint_density(x0, t0, z)
+        report["mass"] = curve.mass
+        checks = []
+        if np.any(hist.counts):
+            l1 = l1_distance(hist, cdf)
+            checks.append(Check("l1", "histogram L1 distance", l1, l1_max, l1 <= l1_max))
+            masses = np.diff(cdf(edges))
+            shortfall = concentration_shortfall(int(hist.counts[0]), hist.n, float(masses[0]))
+            law_densest = int(np.argmax(masses / np.diff(edges)))
+            checks.append(
+                Check(
+                    "concentration",
+                    "bin-0 count below its 1% binomial quantile",
+                    shortfall,
+                    0,
+                    law_densest == 0 and shortfall <= 0,
+                )
+            )
+        else:
+            report["skipped"].append(
+                f"l1 and concentration: no sample in the histogram range [0, {hist_hi!r}] "
+                "(--hist-hi); an empty histogram tests nothing"
+            )
+        checks.append(support)
+        ks = ks_distance(samples.values, cdf)
+        ks_max = report["tolerances"]["ks_max"]
+        checks.append(Check("ks", "Kolmogorov-Smirnov distance", ks, ks_max, ks <= ks_max))
 
     for c in checks:
         report[c.name] = c.value

@@ -3,17 +3,18 @@
 The level-``N`` solution is the initial datum composed with the broken
 characteristic's base point, ``u_N(t, x) = u0(gamma_N(x, t; 0))``; the
 limiting solution uses the limiting characteristic instead.  Both come from
-one evaluator, which asks :func:`goupsim.goupillaud.curve_at` once per level
-for the curve, its evaluator and its inverse, and solves 8 time slices at a
-time.  It evaluates only the cells that the datum's support can reach: the
-curve's segments whose values come within a relative margin of ``2^-40`` of
-``(center - halfwidth, center + halfwidth)`` give a range of times, and a
-cell is evaluated when its time ``inv(x) - t`` can fall in that range.  A
-computed polygon value stays within a few ulps of its segment's end values,
-far inside the margin, so every other cell holds ``u0`` outside its support,
-``0.0 * height``, bit for bit.  Convergence is measured in tensor-grid L^p
-norms over compact windows, with the finest sampled level standing in for
-the (almost surely existing) limit on one realization.
+one call, :func:`solve`, which names the limit by the level ``None``, as
+:func:`goupsim.goupillaud.curve_at` does.  Its evaluator asks ``curve_at``
+once per level for the curve, its evaluator and its inverse, and solves 8
+time slices at a time.  It evaluates only the cells that the datum's support
+can reach: the curve's segments whose values come within a relative margin
+of ``2^-40`` of ``(center - halfwidth, center + halfwidth)`` give a range of
+times, and a cell is evaluated when its time ``inv(x) - t`` can fall in that
+range.  A computed polygon value stays within a few ulps of its segment's
+end values, far inside the margin, so every other cell holds ``u0`` outside
+its support, ``0.0 * height``, bit for bit.  Convergence is measured in
+tensor-grid L^p norms over compact windows, with the finest sampled level
+standing in for the (almost surely existing) limit on one realization.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ __all__ = [
     "Constant",
     "Triangular",
     "InitialDatum",
-    "SolutionField",
     "WindowK",
     "eval_initial",
-    "solve_at_level",
-    "solve_limit",
+    "solve",
     "convergence_table",
     "write_solution_csv",
     "write_convergence_csv",
@@ -68,16 +67,6 @@ class Triangular:
 
 
 InitialDatum = Constant | Triangular
-
-
-@dataclass(frozen=True, eq=False)
-class SolutionField:
-    """Solution values at one time on an increasing spatial grid."""
-
-    time: float
-    xs: np.ndarray
-    values: np.ndarray
-    level: int | str  # refinement level, or "limit"
 
 
 @dataclass(frozen=True)
@@ -201,18 +190,12 @@ def _solution_rows(path: LevyPathSample, datum: InitialDatum, level: int | None,
         yield rows.reshape((len(t),) + xs.shape), reached
 
 
-def solve_at_level(
-    path: LevyPathSample, n: int, datum: InitialDatum, t: float, xs
-) -> SolutionField:
-    """Level-``n`` solution ``u0(gamma_n(x, t; 0))`` on the grid ``xs``."""
-    (values,), _ = next(_solution_rows(path, datum, n, xs, [t]))
-    return SolutionField(float(t), np.asarray(xs, dtype=float), values, n)
-
-
-def solve_limit(path: LevyPathSample, datum: InitialDatum, t: float, xs) -> SolutionField:
-    """Limiting solution ``u0(gamma(x, t; 0))`` in step semantics."""
-    (values,), _ = next(_solution_rows(path, datum, None, xs, [t]))
-    return SolutionField(float(t), np.asarray(xs, dtype=float), values, "limit")
+def solve(path: LevyPathSample, level: int | None, datum: InitialDatum, times, xs) -> np.ndarray:
+    """The level-``level`` solution ``u0(gamma_level(x, t; 0))`` (``None``:
+    the limiting solution, in step semantics) at every time of ``times`` on
+    the grid ``xs``, as a ``(len(times), *xs.shape)`` array."""
+    rows = [batch for batch, _ in _solution_rows(path, datum, level, xs, times)]
+    return np.concatenate([np.empty((0,) + np.shape(xs)), *rows])
 
 
 def _lp_norm(rows: Iterable, reference: Iterable, window: WindowK, p: float) -> float:
@@ -248,8 +231,8 @@ def convergence_table(
     The finest sampled level stands in for the limit on this realization.
     Each level is solved on the window a batch of rows at a time, and the
     rows' sums are added in time order, so every distance is bitwise the
-    midpoint-rule norm of the per-time :func:`solve_at_level` slices summed
-    one slice at a time.
+    midpoint-rule norm of the per-time :func:`solve` rows summed one row at
+    a time.
     """
     n_max = path.grid.level
     if len(levels) == 0:
@@ -267,15 +250,11 @@ def convergence_table(
     return table
 
 
-def write_solution_csv(fields: Sequence[SolutionField], out: Path | str) -> None:
-    """Long-format ``t,x,u`` rows."""
-    write_csv(
-        out,
-        "t,x,u",
-        np.repeat([f.time for f in fields], [f.xs.size for f in fields]),
-        np.concatenate([np.empty(0), *(f.xs for f in fields)]),
-        np.concatenate([np.empty(0), *(f.values for f in fields)]),
-    )
+def write_solution_csv(u: np.ndarray, out: Path | str, times, xs) -> None:
+    """Long-format ``t,x,u`` rows of the solution ``u[i, j]`` at ``times[i]``
+    and ``xs[j]``, time by time."""
+    times, xs = np.asarray(times, dtype=float), np.asarray(xs, dtype=float)
+    write_csv(out, "t,x,u", np.repeat(times, xs.size), np.tile(xs, times.size), u.reshape(-1))
 
 
 def write_convergence_csv(table: Sequence[tuple[int, float]], out: Path | str) -> None:

@@ -32,7 +32,6 @@ from goupsim.levy_paths import (
     step_eval,
 )
 from goupsim.montecarlo_validation import (
-    McConfig,
     bm_functionals_oracle,
     hit_under_bin_masses,
     ks_distance,
@@ -43,7 +42,7 @@ from quadrature import (
     integrate_adaptive,
     integrate_semi_infinite,
 )
-from goupsim.transport import Triangular, WindowK, convergence_table, solve_limit
+from goupsim.transport import Triangular, WindowK, convergence_table, solve
 from conftest import hit_under_y_mass
 
 SPEC = QuadratureSpec()
@@ -204,16 +203,13 @@ def test_criterion_06_brownian_oracle_agreement():
 def test_criterion_07_basepoint_density_reproduction():
     with criterion(7, "Monte Carlo base points vs analytic density"):
         start = time.monotonic()
-        n_max = 14
-        cfg = McConfig(
-            n_samples=10**4,
-            grid=DyadicGrid(n_max, -(2**n_max) - 4, 14 * 2**n_max),
-            root_seed=RngSeed(51423),
-            bins=60,
+        n_max, n = 14, 10**4
+        grid = DyadicGrid(n_max, -(2**n_max) - 4, 14 * 2**n_max)
+        result = validate_basepoints(
+            StableHalf(), 8.0, 1.0, n, grid, RngSeed(51423), bins=60, l1_max=0.10, hist_hi=8.5
         )
-        result = validate_basepoints(StableHalf(), 8.0, 1.0, cfg, l1_max=0.10, hist_hi=8.5)
         report = result.report
-        assert report["n_failed"] <= 0.01 * cfg.n_samples
+        assert report["n_failed"] <= 0.01 * n
         # a correct sampler fails L1 <= 0.10 at n = 10^4 and 60 bins in none
         # of 10^5 multinomial draws over the exact bin masses, and the
         # concentration verdict 1% of the time
@@ -247,8 +243,9 @@ def test_criterion_08_flat_segments_at_jumps():
                 probes = np.stack(
                     [lo + 1e-9 * (hi - lo), 0.5 * (lo + hi), hi]
                 )
-                field = solve_limit(path, datum, t, np.sort(probes.ravel()))
-                by_value = dict(zip(field.xs, field.values))
+                xs = np.sort(probes.ravel())
+                (u,) = solve(path, None, datum, [t], xs)
+                by_value = dict(zip(xs, u))
                 for a, m, b in zip(probes[0], probes[1], probes[2]):
                     vals = (by_value[a], by_value[m], by_value[b])
                     assert max(vals) - min(vals) <= 1e-10

@@ -26,7 +26,7 @@ from goupsim.levy_paths import (
     StableHalf,
     jump_quantile,
 )
-from goupsim.montecarlo_validation import McConfig, ks_distance, sample_basepoints
+from goupsim.montecarlo_validation import ks_distance, sample_basepoints
 from quadrature import QuadratureSpec, integrate_adaptive
 
 SEED = RngSeed(97531)
@@ -132,6 +132,21 @@ def test_word_map_reads_the_raw_blocks():
     # a depth-0 split is word 0 of the top node's own block under code 1
     got = split_drawn(STABLE, BACKWARD, sample, 0, 6, v)
     assert np.array_equal(got, split(STABLE, 0, v, unit(6, 1, 0)))
+
+
+def test_unit_is_never_zero_one_half_or_one():
+    # a word's top 53 bits m give (m + 1/2) 2^-53, which rounds to 1/2 at
+    # m = 2^52 and to 1 at m = 2^53 - 1: a stable-1/2 top node drawn at 1/2
+    # and a Gamma top node drawn at 1 were inf.  Those two words take the
+    # doubles beside 1/2 and 1 that no other word gives
+    m = np.array([0, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2, 2**53 - 2, 2**53 - 1])
+    u = bridge_tree._unit(m.astype(np.uint64) << np.uint64(11) | np.uint64(2**11 - 1))
+    assert u.tolist() == [
+        2.0**-54, 0.5 - 2.0**-54, 0.5 + 2.0**-53, 0.5 + 2.0**-52, 0.5 + 2.0**-52,
+        1.0 - 2.0**-52, 1.0 - 2.0**-53,
+    ]
+    assert np.all(np.isfinite(jump_quantile(STABLE, 1.0, u)))
+    assert np.all(np.isfinite(jump_quantile(GAMMA, 1.0, u)))
 
 
 def test_split_law_is_the_exact_bridge():
@@ -312,43 +327,43 @@ def expand_side(spec, side: int, sample: int, level: int, count: int) -> np.ndar
     return values
 
 
-# (x0, t0, cfg); a jump family's path climbs at about 2 per unit of time,
-# so its shifted times are brought near 0 by a larger t0, and the window
-# reaches down to -4
+# (x0, t0, grid) of 40 samples each; a jump family's path climbs at about 2
+# per unit of time, so its shifted times are brought near 0 by a larger t0,
+# and the window reaches down to -4
 DESCENT_CASES = {
     "": [
-        (2.0, 1.0, McConfig(40, DyadicGrid(8, -2 * 2**8, 6 * 2**8), SEED)),
-        (8.0, 1.0, McConfig(40, DyadicGrid(10, -(2**10) - 3, 14 * 2**10 + 5), SEED)),
+        (2.0, 1.0, DyadicGrid(8, -2 * 2**8, 6 * 2**8)),
+        (8.0, 1.0, DyadicGrid(10, -(2**10) - 3, 14 * 2**10 + 5)),
     ],
     "jumps": [
-        (2.0, 1.5, McConfig(40, DyadicGrid(8, -2 * 2**8, 6 * 2**8), SEED)),
-        (8.0, 4.0, McConfig(40, DyadicGrid(10, -4 * 2**10 - 3, 14 * 2**10 + 5), SEED)),
+        (2.0, 1.5, DyadicGrid(8, -2 * 2**8, 6 * 2**8)),
+        (8.0, 4.0, DyadicGrid(10, -4 * 2**10 - 3, 14 * 2**10 + 5)),
     ],
 }
 
 
 @pytest.mark.parametrize(
-    "spec, x0, t0, cfg",
+    "spec, x0, t0, grid",
     [
-        pytest.param(spec, x0, t0, cfg, id=f"{family}{x0}-cfg{i}")
+        pytest.param(spec, x0, t0, grid, id=f"{family}{x0}-cfg{i}")
         for family, spec, cases in (
             ("", STABLE, DESCENT_CASES[""]),
             ("gamma-", GAMMA, DESCENT_CASES["jumps"]),
             ("poisson-", POISSON, DESCENT_CASES["jumps"]),
         )
-        for i, (x0, t0, cfg) in enumerate(cases)
+        for i, (x0, t0, grid) in enumerate(cases)
     ],
 )
-def test_descent_matches_breadth_first_expansion(spec, x0, t0, cfg):
+def test_descent_matches_breadth_first_expansion(spec, x0, t0, grid):
     # the sampler descends into two nodes per sample; expanding every node
     # of the same keyed tree and taking the base point through the path
     # operations must give the same bits
-    got = sample_basepoints(spec, x0, t0, cfg)
+    got = sample_basepoints(spec, x0, t0, 40, grid, SEED)
     assert got.n_failed == 0
     assert np.any(got.values < 0.0) and np.any(got.values > 0.0)
-    n, k_min, k_max = cfg.grid.level, cfg.grid.k_min, cfg.grid.k_max
+    n, k_min, k_max = grid.level, grid.k_min, grid.k_max
     direct = []
-    for i in range(cfg.n_samples):
+    for i in range(40):
         fwd = expand_side(spec, FORWARD, i, n, -(-k_max >> n))[1 : k_max + 1]
         bwd = expand_side(spec, BACKWARD, i, n, -(-(-k_min) >> n))[1 : 1 - k_min]
         values = np.concatenate([-bwd[::-1], [0.0], fwd])
@@ -459,13 +474,13 @@ def test_values_at_refuses_a_top_node_that_overflows():
 
 
 def test_output_is_the_same_for_any_chunk_size(monkeypatch):
-    cfg = McConfig(300, DyadicGrid(12, -(2**12) - 40, 14 * 2**12), RngSeed(8))
+    run = (300, DyadicGrid(12, -(2**12) - 40, 14 * 2**12), RngSeed(8))
     for spec in (STABLE, GAMMA, POISSON):
         monkeypatch.undo()
-        whole = sample_basepoints(spec, 8.0, 1.0, cfg)
+        whole = sample_basepoints(spec, 8.0, 1.0, *run)
         monkeypatch.setattr(montecarlo_validation, "_TREE_CHUNK", 7)
         monkeypatch.setattr(bridge_tree, "_HASH_BATCH", 5)
-        chunked = sample_basepoints(spec, 8.0, 1.0, cfg)
+        chunked = sample_basepoints(spec, 8.0, 1.0, *run)
         assert np.array_equal(whole.values, chunked.values), spec
         assert np.array_equal(whole.indices, chunked.indices), spec
 
@@ -478,8 +493,8 @@ GOLDEN = "c0859184b57f65ba55d005c9bd64533a87cb9f29cb43c3c28ddf560986419cb2"
 
 
 def test_stable_half_basepoints_golden_digest():
-    cfg = McConfig(500, DyadicGrid(14, -(2**14) - 164, 14 * 2**14), RngSeed(20230915))
-    out = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
+    grid = DyadicGrid(14, -(2**14) - 164, 14 * 2**14)
+    out = sample_basepoints(StableHalf(), 8.0, 1.0, 500, grid, RngSeed(20230915))
     h = hashlib.sha256()
     h.update(out.indices.astype(np.int64).tobytes())
     h.update(out.values.tobytes())
@@ -491,8 +506,8 @@ def test_level_24_headline_run_passes_ks():
     # the headline law at level 24: the block walk would sum about 2.3e8
     # increments per sample to find the hit
     n_max, n = 24, 10**4
-    cfg = McConfig(n, DyadicGrid(n_max, -(2**n_max) - 2**12, 14 * 2**n_max), RngSeed(24))
-    out = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
+    grid = DyadicGrid(n_max, -(2**n_max) - 2**12, 14 * 2**n_max)
+    out = sample_basepoints(StableHalf(), 8.0, 1.0, n, grid, RngSeed(24))
     assert out.n_failed == 0
     assert np.all(out.values < 8.0)
     ks = ks_distance(out.values, lambda z: basepoint_cdf(8.0, 1.0, z))
@@ -515,8 +530,8 @@ JUMP_GOLDEN = {
     "family, spec", [("gamma", GAMMA), ("poisson", POISSON)], ids=["gamma", "poisson"]
 )
 def test_jump_family_basepoints_golden_digest(family, spec):
-    cfg = McConfig(500, DyadicGrid(14, -(2**14) - 164, 14 * 2**14), RngSeed(20230915))
-    out = sample_basepoints(spec, 8.0, 1.0, cfg)
+    grid = DyadicGrid(14, -(2**14) - 164, 14 * 2**14)
+    out = sample_basepoints(spec, 8.0, 1.0, 500, grid, RngSeed(20230915))
     h = hashlib.sha256()
     h.update(out.indices.astype(np.int64).tobytes())
     h.update(out.values.tobytes())

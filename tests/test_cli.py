@@ -780,7 +780,7 @@ SOLVE_SMALL = ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10"]
         # exit 0 with a header-only solution.csv, and a numpy traceback
         ([*SOLVE_SMALL, "--xcount", "0"], "--xcount must be >= 1, got 0"),
         ([*SOLVE_SMALL, "--xcount", "-3"], "--xcount must be >= 1, got -3"),
-        # tracebacks from solve_at_level
+        # tracebacks from the level-N solve
         ([*SOLVE_SMALL, "--level", "9"], "--level must lie in 0..6 (--nmax), got 9"),
         ([*SOLVE_SMALL, "--level", "-1"], "--level must lie in 0..6 (--nmax), got -1"),
         # OverflowError traceback from the k window
@@ -954,15 +954,16 @@ def test_density_refuses_a_level_its_grid_cannot_hold(tmp_path, x):
 # sha256 of samples.csv and report.json of small Gamma and Poisson
 # validations; the samples were re-pinned when these families moved onto the
 # bridge tree and when its top nodes and odd-depth splits moved to words 1-3
-# of their blocks (the reports hold no sample-dependent field)
+# of their blocks.  The reports were re-pinned when they gained the support
+# verdict, their only sample-dependent field
 VALIDATE_PINS = {
     "gamma": (
         "cf7351f2a7468bf8d720cb3579ab39835cbae963b560ac14105f881f2e98efea",
-        "5dd731ebc011b4f1261fb60401371bdf3ba7eeed3c8d48bd70f113c3ccc1e05c",
+        "891b6dd3c09dc00291df442e69aca4d753a5e21125ce8b5b30d93749d179e0f8",
     ),
     "poisson": (
         "22c1fa7606053aeaf06253b6ac5765b07f3a85e60501e3d464d4e93ba8989110",
-        "99f89ea0c7e81e8c0036dde400c392a8d6a6f0b603693097c68e8457688fd37d",
+        "5ba05219e590dd389355b5599019ea22c96e343c1a50164b2f488477ee63e7f0",
     ),
 }
 

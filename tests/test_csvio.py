@@ -37,7 +37,7 @@ from goupsim.montecarlo_validation import (
     write_histogram_csv,
     write_samples_csv,
 )
-from goupsim.transport import SolutionField, write_convergence_csv, write_solution_csv
+from goupsim.transport import write_convergence_csv, write_solution_csv
 
 AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, np.nan, np.inf, -np.inf,
            3.0, -2.0, 1e16, 0.1, 1.0 / 3.0, 2.0**-1074 * 3, 123456789.0]
@@ -76,21 +76,17 @@ def test_path_csv(tmp_path):
 
 
 def test_solution_csv(tmp_path):
-    fields = [
-        SolutionField(t, awkward(n, shift), awkward(n, shift + 5), "limit")
-        for shift, (t, n) in enumerate(
-            [(-0.0, 3), (1e300, 0), (float("nan"), N), (2.0, 17), (5e-324, BLOCK)]
-        )
-    ]
+    # 5 times of 1000 points: 5000 rows, past one BLOCK
+    times = np.array([-0.0, 1e300, float("nan"), 2.0, 5e-324])
+    xs = awkward(1000, 1)
+    u = awkward(times.size * xs.size, 6).reshape(times.size, xs.size)
     ref = "t,x,u\n" + "".join(
-        f"{field.time:.17g},{x:.17g},{u:.17g}\n"
-        for field in fields
-        for x, u in zip(field.xs, field.values)
+        f"{t:.17g},{x:.17g},{v:.17g}\n" for t, row in zip(times, u) for x, v in zip(xs, row)
     )
-    write_solution_csv(fields, tmp_path / "solution.csv")
+    write_solution_csv(u, tmp_path / "solution.csv", times, xs)
     assert_file_text(tmp_path / "solution.csv", ref)
 
-    write_solution_csv([], tmp_path / "empty.csv")
+    write_solution_csv(np.empty((0, xs.size)), tmp_path / "empty.csv", [], xs)
     assert_file_text(tmp_path / "empty.csv", "t,x,u\n")
 
 

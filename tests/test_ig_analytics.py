@@ -696,6 +696,53 @@ def test_basepoint_cdf_refuses_bad_inputs():
             basepoint_density(8.0, t, default_z_grid(8.0))
 
 
+@pytest.mark.parametrize("x", [np.inf, np.nan])
+def test_basepoint_cdf_refuses_a_non_finite_level(x):
+    # x = inf warned and read [0, nan, 0] at z = [1, -1, 0]
+    with pytest.raises(ValueError, match=f"finite levels x >= 0 only, got x={x}"):
+        basepoint_cdf(x, 1.0, np.array([1.0, -1.0, 0.0]))
+
+
+def test_basepoint_cdf_is_nan_at_nan():
+    # a NaN point read 1.0, so a NaN sample scored as a KS distance
+    # (0.4918 for [1, nan, 2] at x = 8, t = 1) instead of failing
+    from goupsim.montecarlo_validation import ks_distance
+
+    z = np.array([np.nan, -1.0, 1.0, 9.0])
+    F = basepoint_cdf(8.0, 1.0, z)
+    assert np.isnan(F[0]) and np.array_equal(F[1:], basepoint_cdf(8.0, 1.0, z[1:]))
+    assert np.isnan(basepoint_cdf(0.0, 1.0, np.nan))
+    assert math.isnan(ks_distance([1.0, np.nan, 2.0], lambda v: basepoint_cdf(8.0, 1.0, v)))
+
+
+@pytest.mark.parametrize(
+    "x, s_edges, y_edges, message",
+    [
+        (0.0, [0.0, 1.0], [0.0, 0.5], "x must be positive and finite, got 0.0"),
+        (-1.0, [0.0, 1.0], [0.0, 0.5], "x must be positive and finite, got -1.0"),
+        (np.nan, [0.0, 1.0], [0.0, 0.5], "x must be positive and finite, got nan"),
+        # these read the masses -0.158 and 1.365
+        (1.0, [0.0, 1.0], [0.5, 0.2, 0.9], "y_edges must be strictly increasing"),
+        (1.0, [-1.0, 1.0], [0.0, 0.5], "s_edges must be strictly increasing from 0 or above"),
+        (1.0, [0.0, 1.0], [-0.5, 0.5], "y_edges must be strictly increasing from 0 or above"),
+        (1.0, [0.0, 2.0, 1.0], [0.0, 0.5], "s_edges must be strictly increasing"),
+        (1.0, [0.0, np.nan], [0.0, 0.5], "s_edges must be strictly increasing"),
+        (1.0, [0.0, np.inf, np.inf], [0.0, 0.5], "s_edges must be strictly increasing"),
+        (1.0, [0.0], [0.0, 0.5], "from 0 or above, with >= 2 entries"),
+        (1.0, [0.0, 1.0], [0.0, 0.0], "y_edges must be strictly increasing"),
+        (1.0, [0.0, 1.0], [0.0, 1.5], r"undershoot bins must lie inside \[0, x\]"),
+    ],
+)
+def test_hit_under_bin_masses_refuses_edges_that_make_no_bins(x, s_edges, y_edges, message):
+    with pytest.raises(ValueError, match=message):
+        ig_analytics.hit_under_bin_masses(x, s_edges, y_edges)
+
+
+def test_hit_under_bin_masses_takes_an_infinite_last_hitting_edge():
+    masses = ig_analytics.hit_under_bin_masses(1.0, [0.0, 1.0, np.inf], [0.0, 0.5, 1.0])
+    assert masses.shape == (2, 2) and abs(masses.sum() - 1.0) <= 1e-14
+
+
 def test_default_z_grid_shape():
     grid = default_z_grid(8.0, n=256)
     assert np.all(np.diff(grid) > 0.0)

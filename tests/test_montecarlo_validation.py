@@ -22,7 +22,6 @@ from goupsim.levy_paths import (
 )
 from goupsim.montecarlo_validation import (
     Histogram,
-    McConfig,
     bm_functionals_oracle,
     spike_refined_bin_edges,
     histogram,
@@ -44,9 +43,15 @@ from conftest import make_drift_path
 SEED = RngSeed(97531)
 
 
-def test_mc_config_validation():
-    with pytest.raises(ValueError):
-        McConfig(0, DyadicGrid(10, -8, 8), SEED)
+def test_mc_config_validation(monkeypatch):
+    # the sample count is refused before any tree is searched
+    def no_search(*args):
+        raise AssertionError("searched a tree for a refused sample count")
+
+    monkeypatch.setattr(montecarlo_validation, "hit_index", no_search)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            sample_basepoints(StableHalf(), 8.0, 1.0, n, DyadicGrid(10, -8, 8), SEED)
     # the bins rule is spike_refined_bin_edges's, which names it
     for bins in (1, 5):
         with pytest.raises(ValueError, match=f"bins must be >= 8, got {bins}"):
@@ -59,30 +64,30 @@ def test_sample_basepoints_matches_full_path_route():
     # window: the two are drawn from independent streams, so they agree in
     # law, not bitwise (a two-sample KS test per run)
     cases = [
-        (2.0, McConfig(400, DyadicGrid(8, -2 * 2**8, 6 * 2**8), SEED)),
-        (8.0, McConfig(400, DyadicGrid(10, -2**10, 14 * 2**10), SEED)),
+        (2.0, DyadicGrid(8, -2 * 2**8, 6 * 2**8)),
+        (8.0, DyadicGrid(10, -2**10, 14 * 2**10)),
     ]
     runs = [
         *itertools.product(cases, (GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0))),
         # driftless: full paths keep their floating-point ties, as trees do
-        ((2.0, McConfig(400, DyadicGrid(8, -2 * 2**8, 14 * 2**8), SEED)), GammaDrift(1.0, 1.0, 0.0)),
+        ((2.0, DyadicGrid(8, -2 * 2**8, 14 * 2**8)), GammaDrift(1.0, 1.0, 0.0)),
         (cases[1], StableHalf()),
     ]
-    for (x0, cfg), spec in runs:
-        got = sample_basepoints(spec, x0, 1.0, cfg)
+    for (x0, grid), spec in runs:
+        got = sample_basepoints(spec, x0, 1.0, 400, grid, SEED)
         assert got.n_failed == 0
         assert np.all(got.values < x0)
         direct = np.array(
             [
                 basepoint(
                     build_two_sided_path(
-                        spec, cfg.grid.level, cfg.grid.k_min, cfg.grid.k_max,
+                        spec, grid.level, grid.k_min, grid.k_max,
                         RngSeed(SEED.root_seed, stream_id=i),
                     ),
                     x0,
                     1.0,
                 )
-                for i in range(cfg.n_samples)
+                for i in range(400)
             ]
         )
         # a correct sampler fails each run with probability 0.1%, so the
@@ -93,19 +98,18 @@ def test_sample_basepoints_matches_full_path_route():
 def test_sample_basepoints_worker_invariance():
     # a sample's value follows from its index alone, not from how the
     # samples are split up (here into tree chunks of 3)
-    cfg = McConfig(60, DyadicGrid(10, -2**10, 8 * 2**10), SEED)
+    run = (60, DyadicGrid(10, -2**10, 8 * 2**10), SEED)
     for spec in (StableHalf(), GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0)):
-        serial = sample_basepoints(spec, 4.0, 1.0, cfg)
+        serial = sample_basepoints(spec, 4.0, 1.0, *run)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo_validation, "_TREE_CHUNK", 3)
-            parallel = sample_basepoints(spec, 4.0, 1.0, cfg)
+            parallel = sample_basepoints(spec, 4.0, 1.0, *run)
         assert np.array_equal(serial.values, parallel.values)
         assert np.array_equal(serial.indices, parallel.indices)
 
 
 def test_sample_basepoints_below_level():
-    cfg = McConfig(200, DyadicGrid(10, -2**10 - 4, 14 * 2**10), SEED)
-    out = sample_basepoints(StableHalf(), 8.0, 1.0, cfg)
+    out = sample_basepoints(StableHalf(), 8.0, 1.0, 200, DyadicGrid(10, -2**10 - 4, 14 * 2**10), SEED)
     assert out.n_failed == 0
     assert np.all(out.values < 8.0)
 
@@ -115,41 +119,41 @@ def test_sample_basepoints_refuses_nonpositive_level(x0):
     # the lazy search runs forward only; at x0 = -1 it used to return base
     # points at or above x0, and at x0 = 0 it hit one grid step late; no
     # path reaches x0 = inf, which used to be reported as a short window
-    cfg = McConfig(200, DyadicGrid(10, -4 * 2**10, 14 * 2**10), RngSeed(5))
+    grid = DyadicGrid(10, -4 * 2**10, 14 * 2**10)
     with pytest.raises(ValueError, match="x0"):
-        sample_basepoints(StableHalf(), x0, 1.0, cfg)
+        sample_basepoints(StableHalf(), x0, 1.0, 200, grid, RngSeed(5))
 
 
 @pytest.mark.parametrize("t0", [0.0, -1.0, float("nan"), float("inf")])
 def test_sample_basepoints_refuses_a_nonpositive_or_infinite_shift(t0):
     # t0 = inf used to pass and then fail every sample as before the window,
     # with advice to widen a range that no width can fix
-    cfg = McConfig(200, DyadicGrid(10, -4 * 2**10, 14 * 2**10), RngSeed(5))
+    grid = DyadicGrid(10, -4 * 2**10, 14 * 2**10)
     with pytest.raises(ValueError, match=f"t0 must be positive and finite, got {t0}"):
-        sample_basepoints(StableHalf(), 8.0, t0, cfg)
+        sample_basepoints(StableHalf(), 8.0, t0, 200, grid, RngSeed(5))
 
 
 def test_sample_basepoints_window_exhaustion():
     # one time unit rarely reaches 8: the upper end of the window is short
-    cfg = McConfig(100, DyadicGrid(8, -2**8, 2**8), SEED)
+    grid = DyadicGrid(8, -2**8, 2**8)
     with pytest.raises(
         RuntimeError,
         match=r"(\d+)/100 samples .*: \1 paths do not reach x0 = 8.0 by k_max = 256 "
         r"\(widen the upper end of --range\), 0 shifted times",
     ):
-        sample_basepoints(StableHalf(), 8.0, 0.5, cfg)
+        sample_basepoints(StableHalf(), 8.0, 0.5, 100, grid, SEED)
 
 
 def test_sample_basepoints_counts_shifted_times_before_the_window():
     # level 8 is hit by time 14 but rarely after time 11, so hitting time
     # minus 12 falls before the window's start at time -1
-    cfg = McConfig(100, DyadicGrid(8, -2**8, 14 * 2**8), SEED)
+    grid = DyadicGrid(8, -2**8, 14 * 2**8)
     with pytest.raises(
         RuntimeError,
         match=r"(\d+)/100 samples .*: 0 paths do not reach .*, \1 shifted times fall "
         r"before k_min = -256 \(widen the lower end of --range\)",
     ):
-        sample_basepoints(StableHalf(), 8.0, 12.0, cfg)
+        sample_basepoints(StableHalf(), 8.0, 12.0, 100, grid, SEED)
 
 
 def test_basepoint_discretization_consistency():
@@ -603,15 +607,10 @@ def test_headline_validation_passes_with_ks():
     # default configuration of the validate command: 1e4 samples at level 14
     # against the analytic density, including the KS comparison
     n_max = 14
-    cfg = McConfig(
-        n_samples=10**4,
-        grid=DyadicGrid(n_max, -(2**n_max) - 164, 14 * 2**n_max),
-        root_seed=RngSeed(20230915),
-        bins=60,
-    )
+    grid = DyadicGrid(n_max, -(2**n_max) - 164, 14 * 2**n_max)
     from goupsim.montecarlo_validation import validate_basepoints
 
-    result = validate_basepoints(StableHalf(), 8.0, 1.0, cfg)
+    result = validate_basepoints(StableHalf(), 8.0, 1.0, 10**4, grid, RngSeed(20230915), bins=60)
     report = result.report
     # a correct sampler fails L1 <= 0.10 at n = 10^4 and 60 bins in none of
     # 10^5 multinomial draws over the exact bin masses, and the KS and
@@ -629,8 +628,8 @@ def test_validation_scores_on_the_exact_cdf():
     from goupsim.montecarlo_validation import validate_basepoints
 
     x0, t0 = 4.0, 1.0
-    cfg = McConfig(300, DyadicGrid(9, -(2**9) - 8, 10 * 2**9), SEED, bins=12)
-    result = validate_basepoints(StableHalf(), x0, t0, cfg)
+    grid = DyadicGrid(9, -(2**9) - 8, 10 * 2**9)
+    result = validate_basepoints(StableHalf(), x0, t0, 300, grid, SEED, bins=12)
     report, h = result.report, result.hist
     F = basepoint_cdf(x0, t0, h.edges)
     assert report["l1"] == float(np.sum(np.abs(h.counts / h.n - np.diff(F))))
@@ -667,8 +666,8 @@ def test_concentration_verdict_scores_bin_zero():
     from goupsim.ig_analytics import basepoint_cdf
     from goupsim.montecarlo_validation import concentration_shortfall, validate_basepoints
 
-    cfg = McConfig(2500, DyadicGrid(10, -(2**10) - 8, 14 * 2**10), SEED, bins=40)
-    result = validate_basepoints(StableHalf(), 8.0, 1.0, cfg)
+    grid = DyadicGrid(10, -(2**10) - 8, 14 * 2**10)
+    result = validate_basepoints(StableHalf(), 8.0, 1.0, 2500, grid, SEED, bins=40)
     h = result.hist
     mass = float(np.diff(basepoint_cdf(8.0, 1.0, h.edges[:2]))[0])
     (check,) = [c for c in result.checks if c.name == "concentration"]
@@ -676,15 +675,11 @@ def test_concentration_verdict_scores_bin_zero():
     assert check.passed is result.report["concentration_pass"] is (check.value <= 0)
 
 
-def test_support_verdict_counts_samples_at_or_above_the_level(monkeypatch):
-    # the base point lies strictly below the level: a correct sampler has no
-    # sample at x0 or above, and one sample equal to x0 fails the verdict
+def _samplers_with_one_at(x0):
+    """The sampler, and one that moves its sample 7 to ``x0``, each with the
+    number of samples at ``x0`` or above that a correct sampler's run has."""
     from dataclasses import replace
 
-    from goupsim.montecarlo_validation import validate_basepoints
-
-    x0, t0 = 4.0, 1.0
-    cfg = McConfig(300, DyadicGrid(9, -(2**9) - 8, 10 * 2**9), SEED, bins=12)
     sample = montecarlo_validation.sample_basepoints
 
     def one_at_the_level(*args):
@@ -693,13 +688,42 @@ def test_support_verdict_counts_samples_at_or_above_the_level(monkeypatch):
         values[7] = x0
         return replace(samples, values=values)
 
-    for sampler, above in [(sample, 0.0), (one_at_the_level, 1.0)]:
+    return [(sample, 0.0), (one_at_the_level, 1.0)]
+
+
+def test_support_verdict_counts_samples_at_or_above_the_level(monkeypatch):
+    # the base point lies strictly below the level: a correct sampler has no
+    # sample at x0 or above, and one sample equal to x0 fails the verdict
+    from goupsim.montecarlo_validation import validate_basepoints
+
+    x0, t0 = 4.0, 1.0
+    run = (300, DyadicGrid(9, -(2**9) - 8, 10 * 2**9), SEED)
+    for sampler, above in _samplers_with_one_at(x0):
         monkeypatch.setattr(montecarlo_validation, "sample_basepoints", sampler)
-        result = validate_basepoints(StableHalf(), x0, t0, cfg)
+        result = validate_basepoints(StableHalf(), x0, t0, *run, bins=12)
         (check,) = [c for c in result.checks if c.name == "support"]
         assert check.value == result.report["support"] == above
         assert check.passed is result.report["support_pass"] is (above == 0.0)
     assert result.report["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "spec", [GammaDrift(1.0, 1.0, 1.0), PoissonDrift(1.0, 1.0, 1.0)], ids=["gamma", "poisson"]
+)
+def test_support_verdict_needs_no_law(monkeypatch, spec):
+    # the Gamma and Poisson runs had no verdict at all and passed whatever
+    # they sampled; the support rule holds for every family
+    from goupsim.montecarlo_validation import validate_basepoints
+
+    x0, t0 = 4.0, 1.0
+    run = (300, DyadicGrid(9, -4 * 2**9, 10 * 2**9), SEED)
+    for sampler, above in _samplers_with_one_at(x0):
+        monkeypatch.setattr(montecarlo_validation, "sample_basepoints", sampler)
+        result = validate_basepoints(spec, x0, t0, *run, bins=12)
+        assert [c.name for c in result.checks] == ["support"]
+        assert result.report["support"] == above
+        assert result.report["support_pass"] is result.report["pass"] is (above == 0.0)
+        assert result.curve is None and len(result.report["skipped"]) == 1
 
 
 def test_ks_fails_a_sample_of_equal_values(monkeypatch):
@@ -711,7 +735,7 @@ def test_ks_fails_a_sample_of_equal_values(monkeypatch):
     from goupsim.montecarlo_validation import validate_basepoints
 
     x0, t0 = 4.0, 1.0
-    cfg = McConfig(50, DyadicGrid(9, -(2**9) - 8, 10 * 2**9), SEED, bins=12)
+    run = (50, DyadicGrid(9, -(2**9) - 8, 10 * 2**9), SEED)
     sample = montecarlo_validation.sample_basepoints
 
     def all_equal(*args):
@@ -719,7 +743,7 @@ def test_ks_fails_a_sample_of_equal_values(monkeypatch):
         return replace(samples, values=np.full(samples.values.size, 0.5))
 
     monkeypatch.setattr(montecarlo_validation, "sample_basepoints", all_equal)
-    result = validate_basepoints(StableHalf(), x0, t0, cfg)
+    result = validate_basepoints(StableHalf(), x0, t0, *run, bins=12)
     (check,) = [c for c in result.checks if c.name == "ks"]
     assert check.value == result.report["ks"] >= 0.5
     assert check.passed is result.report["ks_pass"] is False
@@ -728,8 +752,7 @@ def test_ks_fails_a_sample_of_equal_values(monkeypatch):
 
 
 def test_exports(tmp_path):
-    cfg = McConfig(20, DyadicGrid(8, -2**8, 6 * 2**8), SEED)
-    out = sample_basepoints(StableHalf(), 2.0, 0.5, cfg)
+    out = sample_basepoints(StableHalf(), 2.0, 0.5, 20, DyadicGrid(8, -2**8, 6 * 2**8), SEED)
     f = tmp_path / "samples.csv"
     write_samples_csv(out, f)
     lines = f.read_text().splitlines()

@@ -18,15 +18,13 @@ from goupsim.levy_paths import (
 )
 from goupsim.transport import (
     Constant,
-    SolutionField,
     Triangular,
     WindowK,
     _lp_norm,
     _solution_rows,
     convergence_table,
     eval_initial,
-    solve_at_level,
-    solve_limit,
+    solve,
     write_convergence_csv,
     write_solution_csv,
 )
@@ -59,31 +57,27 @@ def test_eval_initial_constant():
 def test_solve_initial_time_recovers_datum():
     path = gamma_path()
     xs = np.linspace(0.1, 3.0, 200)
-    field = solve_at_level(path, 6, TRIANGLE, 0.0, xs)
-    assert np.max(np.abs(field.values - eval_initial(TRIANGLE, xs))) <= 1e-9
+    (u,) = solve(path, 6, TRIANGLE, [0.0], xs)
+    assert np.max(np.abs(u - eval_initial(TRIANGLE, xs))) <= 1e-9
     # exact recovery at attained points in the limit semantics
     attained = path.values[64 - path.grid.k_min : 2048 - path.grid.k_min : 37]
-    limit_field = solve_limit(path, TRIANGLE, 0.0, attained)
-    assert np.array_equal(limit_field.values, eval_initial(TRIANGLE, attained))
+    (u,) = solve(path, None, TRIANGLE, [0.0], attained)
+    assert np.array_equal(u, eval_initial(TRIANGLE, attained))
 
 
 def test_constant_datum_stays_constant():
     path = gamma_path()
     xs = np.linspace(0.0, 8.0, 101)
-    for n in (2, 5, 10):
-        field = solve_at_level(path, n, Constant(3.0), 1.5, xs)
-        assert np.array_equal(field.values, np.full(xs.size, 3.0))
-    field = solve_limit(path, Constant(3.0), 2.5, xs)
-    assert np.array_equal(field.values, np.full(xs.size, 3.0))
+    for n, t in ((2, 1.5), (5, 1.5), (10, 1.5), (None, 2.5)):
+        assert np.array_equal(solve(path, n, Constant(3.0), [t], xs), np.full((1, xs.size), 3.0))
 
 
 def test_pure_drift_is_classical_transport():
     path = make_drift_path(level=10, k_min=-4 * 2**10, k_max=8 * 2**10, drift=1.0)
     xs = np.linspace(0.0, 5.0, 301)
-    for t in (0.5, 1.0, 2.0):
-        field = solve_at_level(path, 10, TRIANGLE, t, xs)
-        expected = eval_initial(TRIANGLE, xs - 1.0 * t)
-        assert np.max(np.abs(field.values - expected)) <= 1e-12
+    times = np.array([0.5, 1.0, 2.0])
+    expected = eval_initial(TRIANGLE, xs - 1.0 * times[:, None])
+    assert np.max(np.abs(solve(path, 10, TRIANGLE, times, xs) - expected)) <= 1e-12
 
 
 def test_limit_solution_has_flat_parts_at_jumps():
@@ -99,16 +93,16 @@ def test_limit_solution_has_flat_parts_at_jumps():
     hi = path.values[k - path.grid.k_min]
     assert hi - lo >= 1.0  # a unit Poisson jump
     xs = np.linspace(lo + 1e-9, hi, 50)
-    field = solve_limit(path, TRIANGLE, t, xs)
-    assert np.max(field.values) - np.min(field.values) <= 1e-10
+    (u,) = solve(path, None, TRIANGLE, [t], xs)
+    assert np.max(u) - np.min(u) <= 1e-10
 
 
 def test_range_preservation():
     path = gamma_path()
     xs = np.linspace(0.0, 10.0, 400)
     for n in (3, 7, 10):
-        field = solve_at_level(path, n, TRIANGLE, 2.0, xs)
-        assert field.values.min() >= 0.0 and field.values.max() <= 1.0
+        u = solve(path, n, TRIANGLE, [2.0], xs)
+        assert u.min() >= 0.0 and u.max() <= 1.0
 
 
 def test_constancy_along_characteristics():
@@ -118,11 +112,10 @@ def test_constancy_along_characteristics():
     xs = rng.uniform(0.5, 6.0, size=40)
     ts = rng.uniform(0.0, 2.0, size=40)
     delta = 0.25
-    u_here = solve_at_level(path, n, TRIANGLE, 0.0, np.array([0.0])).values  # warm-up
     for x, t in zip(xs, ts):
-        u0 = solve_at_level(path, n, TRIANGLE, t, np.array([x])).values[0]
+        u0 = solve(path, n, TRIANGLE, [t], [x])[0, 0]
         x_later = characteristic(path, n, x, t, t + delta)
-        u1 = solve_at_level(path, n, TRIANGLE, t + delta, np.array([x_later])).values[0]
+        u1 = solve(path, n, TRIANGLE, [t + delta], [x_later])[0, 0]
         assert abs(u1 - u0) <= 1e-10
 
 
@@ -168,9 +161,9 @@ def test_convergence_table_decreases_for_gamma_medium():
 def test_exports(tmp_path):
     path = gamma_path(n_max=6)
     window = WindowK((0.0, 1.0), (0.0, 2.0), grid=(2, 5))
-    fields = [solve_at_level(path, 4, TRIANGLE, t, window.x_midpoints()) for t in window.t_midpoints()]
+    times, xs = window.t_midpoints(), window.x_midpoints()
     f = tmp_path / "solution.csv"
-    write_solution_csv(fields, f)
+    write_solution_csv(solve(path, 4, TRIANGLE, times, xs), f, times, xs)
     lines = f.read_text().splitlines()
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + 2 * 5
@@ -196,41 +189,39 @@ def _full_grid_rows(path, datum, level, xs, times):
 
 
 def _per_slice(path, window, level, datum=TRIANGLE):
-    """Per-time solves that aggregate and invert afresh for every slice."""
+    """Per-time rows that aggregate and invert afresh for every slice."""
     xs = window.x_midpoints()
-    label = "limit" if level is None else level
-    return [
-        SolutionField(float(t), xs, _full_grid_rows(path, datum, level, xs, [t])[0], label)
-        for t in window.t_midpoints()
-    ]
+    return [_full_grid_rows(path, datum, level, xs, [t])[0] for t in window.t_midpoints()]
 
 
-def _lp_per_slice(fields_a, fields_b, window, p):
+def _lp_per_slice(rows_a, rows_b, window, p):
     """L^p(K) distance summed one slice at a time."""
     cell = window.dt * window.dx
     total = 0.0
-    for fa, fb in zip(fields_a, fields_b):
-        total += float(np.sum(np.abs(fa.values - fb.values) ** p)) * cell
+    for a, b in zip(rows_a, rows_b):
+        total += float(np.sum(np.abs(a - b) ** p)) * cell
     return total ** (1.0 / p)
 
 
 @pytest.mark.parametrize("level", [None, 3, 7])
 def test_solves_match_per_slice_recomputation_bitwise(level):
+    # one call over all 24 times, three 8-row batches, against every slice
+    # recomputed on its own
     path = gamma_path(n_max=9, t_lo=-4, t_hi=8)
     window = WindowK((0.0, 3.0), (0.0, 6.0), grid=(24, 96))
-    xs = window.x_midpoints()
-    single = [
-        solve_limit(path, TRIANGLE, float(t), xs)
-        if level is None
-        else solve_at_level(path, level, TRIANGLE, float(t), xs)
-        for t in window.t_midpoints()
-    ]
+    u = solve(path, level, TRIANGLE, window.t_midpoints(), window.x_midpoints())
     reference = _per_slice(path, window, level)
-    assert len(single) == len(reference)
-    for got, ref in zip(single, reference):
-        assert (got.time, got.level) == (ref.time, ref.level)
-        assert got.xs.tobytes() == ref.xs.tobytes()
-        assert got.values.tobytes() == ref.values.tobytes()
+    assert u.shape == (len(reference), 96)
+    for got, ref in zip(u, reference):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_solve_of_no_times_is_an_empty_array():
+    path = gamma_path(n_max=7, t_lo=-4, t_hi=8)
+    xs = np.linspace(0.0, 6.0, 5)
+    for level in (None, 4):
+        u = solve(path, level, TRIANGLE, [], xs)
+        assert u.shape == (0, 5) and u.dtype == float
 
 
 def test_convergence_table_matches_slice_by_slice_recomputation():
@@ -239,7 +230,7 @@ def test_convergence_table_matches_slice_by_slice_recomputation():
     levels = [2, 5, 7, 9]
 
     def slices(n):
-        return [solve_at_level(path, n, TRIANGLE, t, window.x_midpoints()) for t in window.t_midpoints()]
+        return [solve(path, n, TRIANGLE, [t], window.x_midpoints())[0] for t in window.t_midpoints()]
 
     reference = slices(path.grid.level)
     expected = [(n, _lp_per_slice(slices(n), reference, window, 1.5)) for n in levels]
@@ -283,7 +274,7 @@ def test_batched_window_solve_matches_per_slice_bitwise(n_t, level):
         reference = _per_slice(path, window, level, datum)
         assert len(rows) == len(reference) == n_t
         for got, ref in zip(rows, reference):
-            assert got.tobytes() == ref.values.tobytes()
+            assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n_t", [1, 31, 32, 33, 37])
@@ -324,11 +315,11 @@ def test_nan_arguments_leave_the_window():
     path = gamma_path(n_max=7, t_lo=-4, t_hi=8)
     xs = np.array([1.0, np.nan, 2.0])
     with pytest.raises(WindowError, match="nan"):
-        solve_limit(path, TRIANGLE, 1.0, xs)
+        solve(path, None, TRIANGLE, [1.0], xs)
     with pytest.raises(WindowError, match="nan"):
-        solve_at_level(path, 4, TRIANGLE, 1.0, xs)
+        solve(path, 4, TRIANGLE, [1.0], xs)
     with pytest.raises(WindowError, match="nan"):
-        solve_at_level(path, 4, TRIANGLE, float("nan"), np.array([1.0, 2.0]))
+        solve(path, 4, TRIANGLE, [float("nan")], np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +421,7 @@ def test_a_skipped_cell_outside_the_window_raises_the_full_grid_error(level):
         assert _window_error(table) == expected_table
     for datum in (UNREACHED, TRIANGLE):
         t = float(times[-1])
-        solve = (
-            (lambda: solve_limit(path, datum, t, xs)) if level is None
-            else (lambda: solve_at_level(path, level, datum, t, xs))
-        )
-        assert _window_error(solve) == _window_error(
+        assert _window_error(lambda: solve(path, level, datum, [t], xs)) == _window_error(
             lambda: _full_grid_rows(path, datum, level, xs, [t])
         )
-        nan_time = (
-            (lambda: solve_limit(path, datum, np.nan, xs)) if level is None
-            else (lambda: solve_at_level(path, level, datum, np.nan, xs))
-        )
-        assert "nan" in _window_error(nan_time)
+        assert "nan" in _window_error(lambda: solve(path, level, datum, [np.nan], xs))
