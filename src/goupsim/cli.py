@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -147,7 +146,7 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part]
+        values = [float(part) for part in text.split(",")]
     except ValueError:
         values = []
     if not values or not all(math.isfinite(v) for v in values):
@@ -166,13 +165,12 @@ def _parse_kgrid(text: str) -> tuple[int, int]:
 
 
 def _parse_levels(text: str) -> list[int]:
+    if not text:
+        raise SystemExit("--levels names no level")
     try:
-        levels = [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise SystemExit(f"--levels must be comma-separated integers, got {text!r}")
-    if not levels:
-        raise SystemExit("--levels names no level")
-    return levels
 
 
 def _window_from_args(args: argparse.Namespace):
@@ -341,8 +339,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     write_json(out_dir / "report.json", result.report)
     _write_manifest(
         args,
-        {**config, "x0": args.x0, "t0": args.t0, "n": args.n, "bins": args.bins,
-         "hist_hi": args.hist_hi, "l1_max": args.l1_max},
+        {**config, "k_window": [grid.k_min, grid.k_max], "x0": args.x0, "t0": args.t0,
+         "n": args.n, "bins": args.bins, "hist_hi": args.hist_hi, "l1_max": args.l1_max},
     )
     for note in result.report["skipped"]:
         print(f"validate: skipped {note}", file=sys.stderr)
@@ -352,7 +350,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{'pass' if c.passed else 'FAIL'}",
             file=sys.stderr,
         )
-    print(json.dumps({k: result.report[k] for k in ("pass",)}))
     return 0 if result.report["pass"] else 1
 
 

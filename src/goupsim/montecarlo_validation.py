@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -43,7 +43,7 @@ from .ig_analytics import (
     default_z_grid,
     hit_under_bin_masses,
 )
-from .levy_paths import DyadicGrid, ProcessSpec, RngSeed, StableHalf, process_to_dict, stream_for
+from .levy_paths import DyadicGrid, ProcessSpec, RngSeed, StableHalf, stream_for
 
 __all__ = [
     "BasepointSamples",
@@ -397,7 +397,8 @@ class Check:
     """One verdict of :func:`validate_basepoints`: ``value`` (a ``what``)
     passes when it is at most ``threshold`` (the concentration verdict also
     needs the exact law's densest bin to be bin 0).  The report records it
-    as ``report[name] = value`` and ``report[name + "_pass"] = passed``."""
+    as ``report[name] = value``, ``report[name + "_threshold"] = threshold``
+    and ``report[name + "_pass"] = passed``."""
 
     name: str
     what: str
@@ -429,12 +430,16 @@ def validate_basepoints(
     (the exact law's densest bin is the bin nearest 0, and the sample's
     count there is not below the 1% lower quantile of its exact binomial
     law, see :func:`concentration_shortfall`), and a Kolmogorov-Smirnov test
-    of the exact CDF at the samples at the 1% asymptotic critical value.
+    of the exact CDF at the samples at the 1% asymptotic critical value
+    ``1.628/sqrt(m)`` of the ``m = n - n_failed`` samples it scores.
     ``checks`` lists the verdicts of the checks that ran, named ``l1``,
-    ``concentration``, ``support`` and ``ks``; the report holds each as
-    ``name`` (its value) and ``name_pass``, and ``report["pass"]`` is true
-    when all of them passed.  ``curve`` tabulates the law, density and CDF,
-    on :func:`default_z_grid` of ``x0``; ``report["mass"]`` is its mass.
+    ``concentration``, ``support`` and ``ks``.  The report holds only what
+    the run found, the inputs being the caller's to record: ``n_failed``,
+    ``skipped`` (the skip notices), ``mass`` for stable-1/2, each check as
+    ``name`` (its value), ``name_threshold`` and ``name_pass``, and
+    ``pass``, true when every check that ran passed.  ``curve`` tabulates
+    the law, density and CDF, on :func:`default_z_grid` of ``x0``;
+    ``report["mass"]`` is its mass.
 
     The support check needs no law and runs for every process family.  Only
     the stable-1/2 process has an implemented analytic law; for other
@@ -456,21 +461,7 @@ def validate_basepoints(
     samples = sample_basepoints(spec, x0, t0, n, grid, seed)
     hist = histogram(samples.values, edges)
 
-    report: dict = {
-        "process": process_to_dict(spec),
-        "x0": x0,
-        "t0": t0,
-        "n": n,
-        "n_failed": samples.n_failed,
-        "n_max": grid.level,
-        "window": [grid.k_min, grid.k_max],
-        "seed": asdict(seed),
-        "tolerances": {
-            "l1_max": l1_max,
-            "ks_max": float(1.628 / np.sqrt(n)),
-        },
-        "skipped": [],
-    }
+    report: dict = {"n_failed": samples.n_failed, "skipped": []}
     above = float(np.count_nonzero(samples.values >= x0))
     support = Check("support", "samples at or above x0", above, 0, above <= 0)
 
@@ -507,11 +498,12 @@ def validate_basepoints(
             )
         checks.append(support)
         ks = ks_distance(samples.values, cdf)
-        ks_max = report["tolerances"]["ks_max"]
+        ks_max = float(1.628 / np.sqrt(hist.n))  # the samples scored, failures left out
         checks.append(Check("ks", "Kolmogorov-Smirnov distance", ks, ks_max, ks <= ks_max))
 
     for c in checks:
         report[c.name] = c.value
+        report[c.name + "_threshold"] = c.threshold
         report[c.name + "_pass"] = c.passed
     report["pass"] = all(c.passed for c in checks)
     return ValidationResult(report, samples, hist, curve, checks)

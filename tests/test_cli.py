@@ -279,6 +279,10 @@ def test_datum_flags_reach_the_output_and_the_manifest(tmp_path, command, datum)
         # these two ended in a ValueError traceback
         (["--levels="], "--levels names no level"),
         ([], "invalid convergence input: levels must lie in 0..8"),
+        # an empty field was dropped: these ran levels 1 and 2, 2 and 4, and 1
+        (["--levels", "1,,2"], "--levels must be comma-separated integers, got '1,,2'"),
+        (["--levels", "2,4,"], "--levels must be comma-separated integers, got '2,4,'"),
+        (["--levels", ",1"], "--levels must be comma-separated integers, got ',1'"),
     ],
 )
 def test_converge_bad_p_or_levels_is_an_error_line(tmp_path, flags, message):
@@ -385,11 +389,28 @@ OUTPUT_FILES = {
 }
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """The result of every ``validate_basepoints`` call the CLI makes."""
+    from goupsim import montecarlo_validation
+
+    results = []
+    validate = montecarlo_validation.validate_basepoints
+
+    def recording(*args, **kwargs):
+        results.append(validate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(montecarlo_validation, "validate_basepoints", recording)
+    return results
+
+
 @pytest.mark.parametrize("run", OUTPUT_FILES)
-def test_each_fact_of_a_run_is_written_once(tmp_path, run):
+def test_each_fact_of_a_run_is_written_once(tmp_path, run, validations, capsys):
     # every value a run records is written once: the path's process, level,
     # seed and window, and the convergence exponent, in the manifest; the
-    # density grid's ends, size and mass in density.csv and cdf.csv
+    # density grid's ends, size and mass in density.csv and cdf.csv; what a
+    # validation found, and only that, in report.json
     files, argv = OUTPUT_FILES[run]
     out = tmp_path / "run"
     assert main([*argv, "--seed", "31", "--out", str(out)]) == 0
@@ -414,6 +435,20 @@ def test_each_fact_of_a_run_is_written_once(tmp_path, run):
         # the grid's ends and size, and its mass bit for bit
         assert np.array_equal(z, grid)
         assert F[-1] - F[0] == basepoint_density(x, t, grid).mass
+    elif run.startswith("validate"):
+        # no input echo and no tolerances block: each check that ran is its
+        # value, its own threshold and its verdict, and stdout stays empty
+        (result,) = validations
+        report = json.loads((out / "report.json").read_text())
+        assert report == result.report
+        assert not report.keys() & config.keys()
+        keys = ["n_failed", "skipped", *(["mass"] if run == "validate-stable-half" else [])]
+        for c in result.checks:
+            keys += [c.name, c.name + "_threshold", c.name + "_pass"]
+            assert report[c.name + "_threshold"] == c.threshold
+        assert list(result.report) == [*keys, "pass"]
+        assert config["k_window"] == [-518, 5120]  # --nmax 9 --range=-1.01:10
+        assert capsys.readouterr().out == ""
 
 
 def test_validate_stable_half_passes(tmp_path):
@@ -435,7 +470,7 @@ def test_validate_stable_half_passes(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is True
     assert report["l1"] <= 0.10
-    assert report["ks"] <= report["tolerances"]["ks_max"]
+    assert report["ks"] <= report["ks_threshold"]
     assert (out / "samples.csv").exists()
     assert (out / "histogram.csv").exists()
     assert (out / "density.csv").exists()
@@ -677,7 +712,7 @@ def test_validate_prints_one_verdict_per_check(tmp_path, capsys):
         f"validate: l1 {report['l1']:.6g} (histogram L1 distance, threshold 1e-06): FAIL"
     )
     assert verdicts["ks"].endswith(
-        f"threshold {report['tolerances']['ks_max']:.6g}): "
+        f"threshold {report['ks_threshold']:.6g}): "
         + ("pass" if report["ks_pass"] else "FAIL")
     )
     assert verdicts["support"].endswith("threshold 0): pass")
@@ -686,29 +721,20 @@ def test_validate_prints_one_verdict_per_check(tmp_path, capsys):
     )
 
 
-def test_validate_report_records_every_check_once(tmp_path, monkeypatch):
-    # each verdict is one Check, and report.json holds each as name and
-    # name_pass with the Check's own value
-    from goupsim import montecarlo_validation
-
-    results = []
-    validate = montecarlo_validation.validate_basepoints
-
-    def recording(*args, **kwargs):
-        results.append(validate(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(montecarlo_validation, "validate_basepoints", recording)
+def test_validate_report_records_every_check_once(tmp_path, validations):
+    # each verdict is one Check, and report.json holds each as name,
+    # name_threshold and name_pass with the Check's own values
     out = tmp_path / "run"
     # at the defaults (n = 10^4, 60 bins) a correct sampler fails the KS and
     # concentration verdicts 1% of the time each, and L1 in no multinomial
     # draw of 10^5: the exit status is 0 at least 98% of the time
     assert main(["validate", "--process", "stable-half", "--seed", "5", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    (result,) = results
+    (result,) = validations
     assert [c.name for c in result.checks] == ["l1", "concentration", "support", "ks"]
     for c in result.checks:
         assert report[c.name] == c.value and report[c.name + "_pass"] is c.passed
+        assert report[c.name + "_threshold"] == c.threshold
     assert report["pass"] is all(c.passed for c in result.checks)
 
 
@@ -850,6 +876,13 @@ SOLVE_SMALL = ["solve", "--process", "gamma", "--nmax", "6", "--range=-4:10"]
         (["validate", "--process", "stable-half", "--x0", "1e-305"], f"{VALIDATION_INPUT}x must "
          "lie in [2.22507e-303, 1.63427e+308], where the innermost grid point 1e-05 x is a "
          "normal double and the band end 1.1 x is finite, got 1e-305"),
+        # an empty field was dropped: these solved at 1 and 2, 2 and 4, and 1
+        ([*SOLVE_SMALL, "--times", "1,,2"],
+         "--times must be comma-separated finite numbers, got '1,,2'"),
+        ([*SOLVE_SMALL, "--times", "2,4,"],
+         "--times must be comma-separated finite numbers, got '2,4,'"),
+        ([*SOLVE_SMALL, "--times", ",1"],
+         "--times must be comma-separated finite numbers, got ',1'"),
     ],
 )
 def test_bad_numbers_are_refused_before_any_path(tmp_path, monkeypatch, argv, message):
@@ -955,15 +988,17 @@ def test_density_refuses_a_level_its_grid_cannot_hold(tmp_path, x):
 # validations; the samples were re-pinned when these families moved onto the
 # bridge tree and when its top nodes and odd-depth splits moved to words 1-3
 # of their blocks.  The reports were re-pinned when they gained the support
-# verdict, their only sample-dependent field
+# verdict, their only sample-dependent field, and when they dropped the
+# run's inputs and took each check's threshold: with no law to score, the
+# two families' reports are now alike
 VALIDATE_PINS = {
     "gamma": (
         "cf7351f2a7468bf8d720cb3579ab39835cbae963b560ac14105f881f2e98efea",
-        "891b6dd3c09dc00291df442e69aca4d753a5e21125ce8b5b30d93749d179e0f8",
+        "bf618c6cb05b09c587a6f07dbcdb85f15c67204c99214234c3647500b9eb0d9d",
     ),
     "poisson": (
         "22c1fa7606053aeaf06253b6ac5765b07f3a85e60501e3d464d4e93ba8989110",
-        "5ba05219e590dd389355b5599019ea22c96e343c1a50164b2f488477ee63e7f0",
+        "bf618c6cb05b09c587a6f07dbcdb85f15c67204c99214234c3647500b9eb0d9d",
     ),
 }
 

@@ -163,7 +163,11 @@ def test_path_queries_go_through_goupillaud(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "csvio"], ids=lambda p: p.name)
 def test_json_files_are_written_by_csvio(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    bad = [f"{module}.{name}" for module, name in _imports(tree) if module == "json" and name]
+    bad = [
+        f"{module}.{name}" if name else f"import {module}"
+        for module, name in _imports(tree)
+        if module == "json"
+    ]
     bad += [
         f"line {node.lineno}"
         for node in ast.walk(tree)

@@ -617,8 +617,21 @@ def test_headline_validation_passes_with_ks():
     # concentration verdicts 1% of the time each: at most 2% together
     assert report["pass"] is True
     assert report["l1"] <= 0.10
-    assert report["ks"] <= report["tolerances"]["ks_max"]
+    assert report["ks"] <= report["ks_threshold"]
     assert 0.98 <= report["mass"] <= 1.02
+
+
+def test_ks_threshold_counts_the_samples_it_scores():
+    # the 1% critical value is 1.628/sqrt(m) for the m samples KS scores:
+    # 6 of these 2000 paths leave the window, and the threshold read
+    # 1.628/sqrt(2000) = 0.036403 for the 1994 kept
+    from goupsim.montecarlo_validation import validate_basepoints
+
+    grid = DyadicGrid.spanning(14, -1.01, 8.0)
+    result = validate_basepoints(StableHalf(), 8.0, 1.0, 2000, grid, RngSeed(31), bins=12)
+    (ks,) = [c for c in result.checks if c.name == "ks"]
+    assert result.report["n_failed"] == 6
+    assert ks.threshold == 1.628 / math.sqrt(1994)
 
 
 def test_validation_scores_on_the_exact_cdf():
